@@ -1,12 +1,12 @@
 """Exact integer linear algebra: rank, nullity, and integral spectra.
 
-Everything is integer-exact.  rank/nullity run fraction-free Bareiss
-elimination on Python ints, so entries stay exact determinantal minors and
-no rounding ever happens.  integral_spectrum computes eigenvalue
-multiplicities as nullity(A - cI) over a complete candidate range; for
-graphs too large for big-int elimination it switches to the certified
-modular path in modular.py, whose answers are proven exact before being
-returned (and which falls back to Bareiss if a certificate fails).
+Everything is integer-exact.  integral_spectrum takes its answer from the
+certified modular engine in modular.py, which proves it exact before
+returning it, and checks it against the graph's edge count.  rank/nullity
+run fraction-free Bareiss elimination on Python ints, so entries stay exact
+determinantal minors and no rounding ever happens; try_integral_spectrum
+uses them for exact multiplicities of the integer eigenvalues of graphs
+whose spectrum need not be integral.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -24,16 +23,17 @@ from .graphs import Graph, sr_vertices
 # Plain row-major list-of-lists of Python ints.
 IntMatrix = "list[list[int]]"
 
-_EXACT_CUTOFF = 40
 _LENIENT_LIMIT = 512
 
 
 class IncompleteSpectrum(Exception):
-    """The candidate sweep did not account for every dimension.
+    """The integer eigenvalues do not account for every dimension: the
+    spectrum is not integral.
 
-    For the graphs this library targets that means the spectrum is not
-    integral; pairs holds what was found, residual the missing dimension
-    count.
+    residual is the missing dimension count.  pairs holds the integer
+    eigenvalues found.  Raised by integral_spectrum or quotient_spectrum,
+    their multiplicities are mod-p upper bounds; try_integral_spectrum
+    gives exact ones.
     """
 
     def __init__(self, pairs, residual):
@@ -95,9 +95,6 @@ class Spectrum:
         if not self.pairs:
             raise ValueError("empty spectrum")
         return self.pairs[0][0]
-
-    def is_submultiset_of(self, other):
-        return all(m <= other.multiplicity(c) for c, m in self.pairs)
 
     def __str__(self):
         return " ".join(
@@ -197,29 +194,6 @@ def _shifted_rows(g, c):
     return out
 
 
-def _candidate_range(g):
-    """Complete integer candidate range for the graph's eigenvalues."""
-    if g.order == 0:
-        return range(0)
-    delta = max(g.degrees())
-    if g.family == "sr":
-        m, n = g.params
-        lo = -min(n, comb(m, 2))
-    else:
-        lo = -delta
-    return range(lo, delta + 1)
-
-
-def _exact_pairs(g, candidates):
-    pairs = []
-    for c in candidates:
-        mult = nullity(_shifted_rows(g, c), ncols=g.order)
-        if mult:
-            pairs.append((c, mult))
-    pairs.sort(key=lambda t: -t[0])
-    return pairs
-
-
 def _self_check(g, pairs):
     v = g.order
     total = sum(m for _, m in pairs)
@@ -230,33 +204,17 @@ def _self_check(g, pairs):
                            f"(totals {total}/{v}, moments {first}, {second})")
 
 
-def integral_spectrum(g: Graph, method="auto") -> Spectrum:
+def integral_spectrum(g: Graph) -> Spectrum:
     """Exact spectrum of a graph known to have all-integer eigenvalues.
 
-    Raises IncompleteSpectrum when the integer candidates do not account
-    for every dimension (i.e. the spectrum is not integral after all).
-    method: "auto" picks per size, "exact" forces per-candidate Bareiss
-    nullity, "modular" forces the certified modular path.
+    Every integer within the maximum degree is a candidate, so the answer
+    assumes nothing about the graph's family.  Raises IncompleteSpectrum
+    when the spectrum is not integral after all.
     """
-    if method not in ("auto", "exact", "modular"):
-        raise ValueError(f"unknown method {method!r}")
-    v = g.order
-    if v == 0:
-        return Spectrum(())
-    candidates = _candidate_range(g)
-    if method == "exact" or (method == "auto" and v <= _EXACT_CUTOFF):
-        pairs = _exact_pairs(g, candidates)
-    else:
-        a = g.adjacency_matrix()
-        try:
-            pairs = modular.certified_symmetric_spectrum(a, candidates)
-        except modular.NotIntegral as exc:
-            raise IncompleteSpectrum(exc.pairs, exc.residual) from None
-        if pairs is None:
-            pairs = _exact_pairs(g, candidates)
-    residual = v - sum(m for _, m in pairs)
-    if residual:
-        raise IncompleteSpectrum(pairs, residual)
+    try:
+        pairs = modular.certified_symmetric_spectrum(g.adjacency_matrix())
+    except modular.NotIntegral as exc:
+        raise IncompleteSpectrum(exc.pairs, exc.residual) from None
     _self_check(g, pairs)
     return Spectrum(tuple(pairs))
 
@@ -271,7 +229,11 @@ def try_integral_spectrum(g: Graph) -> SpectrumProbe:
     if v == 0:
         return SpectrumProbe((), 0)
     delta = max(g.degrees())
-    pairs = _exact_pairs(g, range(-delta, delta + 1))
+    pairs = []
+    for c in range(delta, -delta - 1, -1):
+        mult = nullity(_shifted_rows(g, c), ncols=v)
+        if mult:
+            pairs.append((c, mult))
     return SpectrumProbe(tuple(pairs), v - sum(m for _, m in pairs))
 
 

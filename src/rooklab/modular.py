@@ -1,25 +1,35 @@
-"""Certified modular engine behind large integral-spectrum computations.
+"""Certified modular engine: the one way rooklab computes an integral spectrum.
 
 Everything here proves exact integer statements; no step relies on a prime
-being lucky.  The chain of reasoning, for a symmetric integer matrix A of
-order v with all eigenvalues in [-delta, delta]:
+being lucky.  The argument needs only a square integer matrix A of order v
+whose max absolute row sum is delta, which bounds |lambda| for every complex
+eigenvalue lambda, so every integer eigenvalue lies in [-delta, delta]:
 
 1. The characteristic polynomial mod p (computed by Hessenberg reduction
    followed by the standard leading-minor recurrence) equals the integer
    characteristic polynomial reduced mod p, for every prime p.
 2. Hence the multiplicity e_c of an integer root c mod p is an upper bound
    on the true algebraic multiplicity m_c, for every prime and candidate.
-3. A is symmetric, so sum of m_c over actual eigenvalues is exactly v.
-   If sum of e_c over candidates is < v, the spectrum provably is not
+3. The algebraic multiplicities of all complex eigenvalues add up to v.  If
+   sum of e_c over the candidates is < v, the spectrum provably is not
    integral.  If it equals v, the claim {(c, e_c)} is certified by proving
    prod over claimed c of (A - cI) = 0 over the integers: entries of that
-   product are bounded a priori by prod (delta + |c|) (row-sum norm), so
-   checking the product mod enough primes proves it vanishes exactly, which
-   forces every eigenvalue into the claimed set and pins m_c = e_c.
+   product are bounded a priori by prod (delta + |c|) (the row-sum norm is
+   submultiplicative), so checking the product mod enough primes proves it
+   vanishes exactly.  Then the minimal polynomial divides prod (x - c), so
+   every eigenvalue is a claimed c, and m_c <= e_c with both summing to v
+   pins m_c = e_c.
+
+A certified claim also proves A diagonalizable (its minimal polynomial has
+distinct roots), so a matrix that is not fails the certificate for every
+prime.  Adjacency matrices are symmetric and quotient matrices of equitable
+partitions are similar to symmetric ones, so both are diagonalizable; for
+them a failure takes a mod-p coincidence for every prime tried.
 
 The arithmetic uses int64 numpy (values stay far below 2**63) and float64
-BLAS matmuls (values stay far below 2**53), both of which are exact integer
-arithmetic in those ranges.
+BLAS matmuls, both exact integer arithmetic in range: a product of two
+matrices with entries below p sums v terms below (p - 1)**2, which stays
+below 2**53 while v <= MAX_ORDER.  Larger matrices are refused.
 """
 
 from __future__ import annotations
@@ -50,6 +60,9 @@ def _primes_below(ceiling, count):
 
 
 PRIMES = _primes_below(_PRIME_CEILING, 96)
+
+# Largest order v with v * (p - 1)**2 < 2**53 for every prime in PRIMES.
+MAX_ORDER = (2**53 - 1) // (max(PRIMES) - 1) ** 2
 
 
 def hessenberg_mod(a, p):
@@ -142,7 +155,7 @@ def _annihilator_mod(a, eigenvalues, p):
     of powers a^0..a^s plus a block Horner loop, about 2*sqrt(d) matrix
     products instead of d.  All intermediates stay below 2**53 because
     entries are reduced below p < 2**20 between products and the matrix
-    order is far below 2**13.
+    order is at most MAX_ORDER.
     """
     v = a.shape[0]
     d = len(eigenvalues)
@@ -177,7 +190,7 @@ def _annihilator_mod(a, eigenvalues, p):
 def annihilation_proved(a, eigenvalues, delta):
     """True iff prod over eigenvalues of (a - cI) is proven zero over Z.
 
-    a: symmetric int64 numpy matrix with max absolute row sum <= delta.
+    a: square int64 numpy matrix with max absolute row sum <= delta.
     The proof checks the product modulo enough primes that their product
     exceeds twice the row-norm bound on the entries.
     """
@@ -207,17 +220,20 @@ class NotIntegral(Exception):
         super().__init__(f"spectrum is not integral: {residual} dimensions missing")
 
 
-def certified_symmetric_spectrum(a, candidates):
-    """Exact integer spectrum of a symmetric int64 matrix, or None.
+def certified_symmetric_spectrum(a):
+    """Exact integer spectrum of a square int64 matrix.
 
-    candidates must contain every integer that could be an eigenvalue
-    (e.g. all integers within the max row sum).  Returns descending
-    (eigenvalue, multiplicity) pairs, proven exact.  Raises NotIntegral
-    when the matrix provably has non-integer eigenvalues.  Returns None
-    only if the annihilation certificate failed for several primes, which
-    signals the caller to fall back to the pure exact path.
+    Every integer within the max absolute row sum is a candidate.  Returns
+    descending (eigenvalue, multiplicity) pairs, proven exact.  Raises
+    NotIntegral when the matrix provably has non-integer eigenvalues, and
+    RuntimeError when the annihilation certificate fails for each of the
+    first four primes, as it does for every matrix that is not
+    diagonalizable.  Raises ValueError for an order above MAX_ORDER.
     """
     v = int(a.shape[0])
+    if v > MAX_ORDER:
+        raise ValueError(f"matrix order {v} exceeds {MAX_ORDER}, the largest "
+                         f"for which float64 products mod p stay exact")
     if v == 0:
         return []
     delta = int(np.abs(a).sum(axis=1).max())
@@ -225,14 +241,13 @@ def certified_symmetric_spectrum(a, candidates):
         chi = charpoly_mod(a, p)
         pairs = []
         total = 0
-        for c in candidates:
+        for c in range(delta, -delta - 1, -1):
             e = root_multiplicity(chi, c, p)
             if e:
                 pairs.append((c, e))
                 total += e
         if total < v:
             raise NotIntegral(pairs, v - total)
-        pairs.sort(key=lambda t: -t[0])
         if annihilation_proved(a, [c for c, _ in pairs], delta):
             return pairs
-    return None
+    raise RuntimeError("spectrum certificate failed for the first four primes")

@@ -17,7 +17,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .linalg import IncompleteSpectrum, Spectrum, nullity
+import numpy as np
+
+from . import modular
+from .linalg import IncompleteSpectrum, Spectrum
 
 
 class NotEquitable(Exception):
@@ -208,25 +211,14 @@ def e_st_formula(s, t, n: int) -> int:
 def quotient_spectrum(e: QuotientMatrix) -> Spectrum:
     """Exact spectrum of a quotient matrix of an equitable partition.
 
-    Multiplicities are nullities of E - cI over every integer candidate
-    within the largest absolute row sum.  Equitable quotients of symmetric
-    matrices are diagonalizable, so geometric multiplicities are algebraic
-    ones; if the found multiplicities do not exhaust the dimension the
-    matrix has non-integer eigenvalues and IncompleteSpectrum is raised.
+    The certified modular engine computes it over every integer candidate
+    within the largest absolute row sum; equitable quotients of symmetric
+    matrices are diagonalizable, so the certificate applies.  Raises
+    IncompleteSpectrum when the matrix has non-integer eigenvalues.
     """
-    d = e.size
-    if d == 0:
-        return Spectrum(())
-    bound = max(sum(abs(x) for x in row) for row in e.entries)
-    pairs = []
-    total = 0
-    for c in range(-bound, bound + 1):
-        shifted = [[e.entries[i][j] - c * (i == j) for j in range(d)]
-                   for i in range(d)]
-        mult = nullity(shifted)
-        if mult:
-            pairs.append((c, mult))
-            total += mult
-    if total != d:
-        raise IncompleteSpectrum(tuple(pairs), d - total)
-    return Spectrum(pairs)
+    try:
+        pairs = modular.certified_symmetric_spectrum(
+            np.array(e.entries, dtype=np.int64))
+    except modular.NotIntegral as exc:
+        raise IncompleteSpectrum(exc.pairs, exc.residual) from None
+    return Spectrum(tuple(pairs))

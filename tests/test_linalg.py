@@ -10,12 +10,13 @@ from math import comb
 import pytest
 import sympy
 
-from rooklab.graphs import (complete_bipartite, complete_graph, cycle_graph,
-                            johnson_graph, sr_graph)
+from rooklab.graphs import (Graph, complete_bipartite, complete_graph,
+                            cycle_graph, johnson_graph, sr_graph)
 from rooklab.linalg import (IncompleteSpectrum, Spectrum,
                             halved_factorization_check, integral_spectrum,
                             merge_pairs, nullity, rank, try_integral_spectrum,
                             verify_eigenvector)
+from rooklab.switching import enumerate_switching_sets, gm_switch
 
 
 def sympy_spectrum(g):
@@ -98,10 +99,18 @@ class TestIntegralSpectrum:
         g = johnson_graph(6, 3)
         assert integral_spectrum(g).pairs == sympy_spectrum(g)
 
-    def test_methods_agree(self):
+    def test_engine_agrees_with_bareiss(self):
         g = sr_graph(4, 4)
-        assert integral_spectrum(g, method="exact").pairs == \
-            integral_spectrum(g, method="modular").pairs
+        for h in [g] + [gm_switch(g, b) for b in enumerate_switching_sets(g)]:
+            assert integral_spectrum(h).pairs == \
+                try_integral_spectrum(h).spectrum().pairs
+
+    def test_candidates_do_not_assume_the_theorem(self):
+        # K_{3,3} mislabelled as SR(2, 1): the theorem's bound for SR(2, 1)
+        # would put the smallest eigenvalue at -1, but it is -3.
+        k33 = complete_bipartite(3, 3)
+        g = Graph(k33.labels, k33.rows, family="sr", params=(2, 1))
+        assert integral_spectrum(g).pairs == ((3, 1), (0, 4), (-3, 1))
 
     def test_non_integral_graph_raises(self):
         with pytest.raises(IncompleteSpectrum):

@@ -12,9 +12,9 @@ import pytest
 import sympy
 
 from rooklab.graphs import complete_graph, cycle_graph, sr_graph
-from rooklab.modular import (NotIntegral, annihilation_proved, charpoly_mod,
-                             certified_symmetric_spectrum, hessenberg_mod,
-                             root_multiplicity)
+from rooklab.modular import (MAX_ORDER, NotIntegral, annihilation_proved,
+                             certified_symmetric_spectrum, charpoly_mod,
+                             hessenberg_mod, root_multiplicity)
 
 
 def sympy_charpoly_mod(a, p):
@@ -72,20 +72,19 @@ class TestRootMultiplicity:
 class TestCertificate:
     def test_planted_integer_spectrum(self):
         d = np.diag([3, 3, -1, 0, 5]).astype(np.int64)
-        assert certified_symmetric_spectrum(d, list(range(-8, 9))) == \
+        assert certified_symmetric_spectrum(d) == \
             [(5, 1), (3, 2), (0, 1), (-1, 1)]
         ones = np.ones((5, 5), dtype=np.int64)
-        assert certified_symmetric_spectrum(ones, list(range(-5, 6))) == \
+        assert certified_symmetric_spectrum(ones) == \
             [(5, 1), (0, 4)]
         off = np.array([[0, 2], [2, 0]], dtype=np.int64)
-        assert certified_symmetric_spectrum(off, list(range(-4, 5))) == \
+        assert certified_symmetric_spectrum(off) == \
             [(2, 1), (-2, 1)]
 
     def test_adjacency_matrices(self):
         for g in (complete_graph(6), sr_graph(3, 3), sr_graph(4, 3)):
             a = np.array(g.adjacency_matrix(), dtype=np.int64)
-            delta = int(np.abs(a).sum(axis=1).max())
-            pairs = certified_symmetric_spectrum(a, list(range(-delta, delta + 1)))
+            pairs = certified_symmetric_spectrum(a)
             oracle = sorted(((int(ev), int(mu)) for ev, mu in
                              sympy.Matrix(g.adjacency_matrix()).eigenvals().items()),
                             key=lambda t: -t[0])
@@ -95,8 +94,22 @@ class TestCertificate:
         g = cycle_graph(5)
         a = np.array(g.adjacency_matrix(), dtype=np.int64)
         with pytest.raises(NotIntegral) as err:
-            certified_symmetric_spectrum(a, list(range(-2, 3)))
+            certified_symmetric_spectrum(a)
         assert err.value.residual == 4
+
+    def test_failed_certificate_raises(self):
+        # A Jordan block: 1 is a double root of the characteristic
+        # polynomial, but A - I != 0, so no prime can certify it.
+        jordan = np.array([[1, 1], [0, 1]], dtype=np.int64)
+        with pytest.raises(RuntimeError):
+            certified_symmetric_spectrum(jordan)
+
+    def test_order_above_exact_float_range_refused(self):
+        assert MAX_ORDER == 8192
+        # A broadcast view: the guard must fire before any work touches it.
+        a = np.broadcast_to(np.int64(0), (MAX_ORDER + 1, MAX_ORDER + 1))
+        with pytest.raises(ValueError):
+            certified_symmetric_spectrum(a)
 
     def test_annihilation_rejects_wrong_eigenvalue_list(self):
         g = complete_graph(4)

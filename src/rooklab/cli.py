@@ -3,8 +3,7 @@
 Subcommands: spectrum, verify, invariants, gamma, switch, quotient,
 export-graph6.  Exit codes: 0 success, 1 verification failure, 2 size or
 usage error.  All output is deterministic; identical invocations produce
-byte-identical output.  ROOKLAB_THREADS (read by the verify battery)
-overrides worker-pool width.
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -30,10 +29,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# Desk-scale budget shared with the canonical-labeling guard: commands that
-# do spectral or search work refuse graphs above this order with exit code 2.
-SIZE_BUDGET = SIZE_LIMIT
-
 # Full Gamma classification enumerates every permutation with n inversions
 # for all m <= 2n; beyond this the sweep stops being interactive.
 GAMMA_BUDGET = 6
@@ -52,8 +47,10 @@ def _build_graph(kind, a, b):
 
 
 def _check_budget(g):
-    if g.order > SIZE_BUDGET:
-        raise _Budget(f"graph has {g.order} vertices; budget is {SIZE_BUDGET}")
+    # Desk-scale budget shared with the canonical-labeling guard: commands
+    # that do spectral or search work refuse larger graphs with exit code 2.
+    if g.order > SIZE_LIMIT:
+        raise _Budget(f"graph has {g.order} vertices; budget is {SIZE_LIMIT}")
 
 
 def cmd_spectrum(args):

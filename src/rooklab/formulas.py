@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .graphs import sr_order
 from .linalg import Spectrum
 
 
@@ -30,10 +31,6 @@ def binom(a: int, b: int) -> int:
     if a < 0 or b < 0 or b > a:
         return 0
     return math.comb(a, b)
-
-
-def sr_vertex_count(m: int, n: int) -> int:
-    return binom(n + m - 1, n)
 
 
 def mahonian(m: int, n: int) -> int:
@@ -119,7 +116,7 @@ def common_quotient_spectrum(m: int, n: int) -> PredictedSpectrum:
 
 def _rest(pairs, m, n):
     """Multiplicity left for the final eigenvalue once the others are listed."""
-    return sr_vertex_count(m, n) - sum(mult for _, mult in pairs)
+    return sr_order(m, n) - sum(mult for _, mult in pairs)
 
 
 def _family_n0(m, n):
@@ -289,7 +286,7 @@ def predicted_spectrum(family: str, m: int, n: int) -> PredictedSpectrum:
     if not check(m, n):
         raise UnsupportedParameters(f"family {family} does not cover (m={m}, n={n})")
     spectrum = Spectrum(generate(m, n))
-    if spectrum.total != sr_vertex_count(m, n):
+    if spectrum.total != sr_order(m, n):
         raise RuntimeError(
             f"family {family} at (m={m}, n={n}): total {spectrum.total} != vertex count")
     return PredictedSpectrum(spectrum, provenance)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, _bits, induced_subgraph
 
 
 class Disconnected(Exception):
@@ -36,13 +36,6 @@ class SizeLimit(Exception):
 
 
 SIZE_LIMIT = 2000
-
-
-def _bits(x):
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
 
 
 def eccentricity(g: Graph, source: int) -> int:

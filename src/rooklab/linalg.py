@@ -19,29 +19,12 @@ import numpy as np
 
 from . import modular
 from .graphs import Graph, sr_vertices
+from .modular import IncompleteSpectrum
 
 # Plain row-major list-of-lists of Python ints.
 IntMatrix = "list[list[int]]"
 
 _LENIENT_LIMIT = 512
-
-
-class IncompleteSpectrum(Exception):
-    """The integer eigenvalues do not account for every dimension: the
-    spectrum is not integral.
-
-    residual is the missing dimension count.  pairs holds the integer
-    eigenvalues found.  Raised by integral_spectrum or quotient_spectrum,
-    their multiplicities are mod-p upper bounds; try_integral_spectrum
-    gives exact ones.
-    """
-
-    def __init__(self, pairs, residual):
-        self.pairs = tuple(pairs)
-        self.residual = residual
-        super().__init__(
-            f"integral eigenvalues cover {sum(m for _, m in pairs)} dimensions, "
-            f"{residual} unaccounted for")
 
 
 def merge_pairs(items):
@@ -211,10 +194,7 @@ def integral_spectrum(g: Graph) -> Spectrum:
     assumes nothing about the graph's family.  Raises IncompleteSpectrum
     when the spectrum is not integral after all.
     """
-    try:
-        pairs = modular.certified_symmetric_spectrum(g.adjacency_matrix())
-    except modular.NotIntegral as exc:
-        raise IncompleteSpectrum(exc.pairs, exc.residual) from None
+    pairs = modular.certified_symmetric_spectrum(g.adjacency_matrix())
     _self_check(g, pairs)
     return Spectrum(tuple(pairs))
 

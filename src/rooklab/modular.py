@@ -211,13 +211,22 @@ def annihilation_proved(a, eigenvalues, delta):
     return False
 
 
-class NotIntegral(Exception):
-    """Raised when the mod-p multiplicity bounds prove sum m_c < v."""
+class IncompleteSpectrum(Exception):
+    """The integer eigenvalues do not account for every dimension: the
+    spectrum is not integral.
+
+    residual is the missing dimension count.  pairs holds the integer
+    eigenvalues found.  Raised by certified_symmetric_spectrum (and so by
+    integral_spectrum and quotient_spectrum), their multiplicities are
+    mod-p upper bounds; linalg.try_integral_spectrum gives exact ones.
+    """
 
     def __init__(self, pairs, residual):
-        self.pairs = pairs
+        self.pairs = tuple(pairs)
         self.residual = residual
-        super().__init__(f"spectrum is not integral: {residual} dimensions missing")
+        super().__init__(
+            f"integral eigenvalues cover {sum(m for _, m in pairs)} dimensions, "
+            f"{residual} unaccounted for")
 
 
 def certified_symmetric_spectrum(a):
@@ -225,8 +234,8 @@ def certified_symmetric_spectrum(a):
 
     Every integer within the max absolute row sum is a candidate.  Returns
     descending (eigenvalue, multiplicity) pairs, proven exact.  Raises
-    NotIntegral when the matrix provably has non-integer eigenvalues, and
-    RuntimeError when the annihilation certificate fails for each of the
+    IncompleteSpectrum when the matrix provably has non-integer eigenvalues,
+    and RuntimeError when the annihilation certificate fails for each of the
     first four primes, as it does for every matrix that is not
     diagonalizable.  Raises ValueError for an order above MAX_ORDER.
     """
@@ -247,7 +256,7 @@ def certified_symmetric_spectrum(a):
                 pairs.append((c, e))
                 total += e
         if total < v:
-            raise NotIntegral(pairs, v - total)
+            raise IncompleteSpectrum(pairs, v - total)
         if annihilation_proved(a, [c for c, _ in pairs], delta):
             return pairs
     raise RuntimeError("spectrum certificate failed for the first four primes")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modular
-from .linalg import IncompleteSpectrum, Spectrum
+from .linalg import Spectrum
 
 
 class NotEquitable(Exception):
@@ -216,9 +216,6 @@ def quotient_spectrum(e: QuotientMatrix) -> Spectrum:
     matrices are diagonalizable, so the certificate applies.  Raises
     IncompleteSpectrum when the matrix has non-integer eigenvalues.
     """
-    try:
-        pairs = modular.certified_symmetric_spectrum(
-            np.array(e.entries, dtype=np.int64))
-    except modular.NotIntegral as exc:
-        raise IncompleteSpectrum(exc.pairs, exc.residual) from None
+    pairs = modular.certified_symmetric_spectrum(
+        np.array(e.entries, dtype=np.int64))
     return Spectrum(tuple(pairs))

@@ -4,20 +4,19 @@ Items are grouped into suites (spectra, partitions, invariants, switching,
 gamma); each produces VerificationReport records with millisecond timings.
 Comparisons against proved statements emit pass or fail; comparisons against
 conjectured formulas emit status "reported" and never fail the battery.
+This is the one implementation of each claim: the acceptance criteria in
+tests/test_acceptance.py are named groups of these claim ids.
 
-The golden-table items always run in full; max_vertices caps only the
-parametric sweeps.  ROOKLAB_THREADS > 1 runs items of a suite in a thread
-pool; reports keep submission order either way, so output is deterministic.
+The golden-table and eigenvector-family items always run in full;
+max_vertices caps only the other parametric sweeps.  Items run one after
+another in submission order, so output is deterministic.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 from . import golden
 from .eigenvectors import (cayley_transpositions, classify_gamma, f_pi,
@@ -44,15 +43,6 @@ from .switching import (enumerate_switching_sets, gm_switch,
 SUITES = ("spectra", "partitions", "invariants", "switching", "gamma")
 
 
-def thread_count() -> int:
-    """Worker count for the battery; ROOKLAB_THREADS overrides. Default 1."""
-    raw = os.environ.get("ROOKLAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     claim: str
@@ -67,24 +57,21 @@ class VerificationReport:
                 "runtime_ms": self.runtime_ms}
 
 
-def _run(items, workers):
-    """Evaluate (claim, callable) pairs; callables return (status, expected,
-    actual).  Exceptions become failures instead of aborting the battery."""
-
-    def evaluate(pair):
-        claim, fn = pair
+def _run(items):
+    """Evaluate (claim, callable) pairs in order; callables return (status,
+    expected, actual).  Exceptions become failures instead of aborting the
+    battery."""
+    reports = []
+    for claim, fn in items:
         start = time.monotonic()
         try:
             status, expected, actual = fn()
         except Exception as exc:  # noqa: BLE001 - surfaced in the report
             status, expected, actual = "fail", "no exception", f"error: {exc!r}"
         ms = int((time.monotonic() - start) * 1000)
-        return VerificationReport(claim, status, str(expected), str(actual), ms)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(evaluate, items))
-    return [evaluate(pair) for pair in items]
+        reports.append(VerificationReport(claim, status, str(expected),
+                                          str(actual), ms))
+    return reports
 
 
 def _eq(expected, actual):
@@ -93,11 +80,13 @@ def _eq(expected, actual):
 
 
 class SpectrumCache:
-    """Memoized exact SR spectra shared across battery items."""
+    """Memoized SR graphs, exact SR spectra and Gamma classifications shared
+    across battery items."""
 
     def __init__(self):
         self._spectra = {}
         self._graphs = {}
+        self._gamma = {}
 
     def graph(self, m, n):
         key = (m, n)
@@ -110,6 +99,11 @@ class SpectrumCache:
         if key not in self._spectra:
             self._spectra[key] = integral_spectrum(self.graph(m, n))
         return self._spectra[key]
+
+    def gamma_classes(self, n):
+        if n not in self._gamma:
+            self._gamma[n] = classify_gamma(n)
+        return self._gamma[n]
 
 
 def _integrality_grid(max_vertices):
@@ -157,7 +151,7 @@ def suite_spectra(max_vertices=1000, cache=None):
         return lambda: _eq(str(predicted_spectrum(fam, m, n).spectrum),
                            str(cache.spectrum(m, n)))
 
-    for m in range(3, 9):
+    for m in range(1, 9):
         if sr_order(m, 3) <= min(1000, max_vertices):
             items.append((f"family.n3.m={m}", family_item("n3", m, 3)))
         if sr_order(m, 4) <= min(1000, max_vertices):
@@ -252,8 +246,8 @@ def suite_invariants(max_vertices=1000, cache=None):
     def diameter_item(m, n):
         return lambda: _eq(min(m - 1, n), diameter(sr_graph(m, n)))
 
-    for m in range(2, 7):
-        for n in range(1, 7):
+    for m in range(1, 7):
+        for n in range(0, 7):
             items.append((f"prop.diameter.m={m}.n={n}", diameter_item(m, n)))
 
     def clique_item(m, n):
@@ -304,9 +298,9 @@ def suite_invariants(max_vertices=1000, cache=None):
         return lambda: _eq(expected, automorphism_count(sr_graph(m, n)))
 
     for m in (4, 5):
-        items.append((f"prop.aut.m={m}.n=3", aut_item(m, 3, 2 * _factorial(m))))
+        items.append((f"prop.aut.m={m}.n=3", aut_item(m, 3, 2 * factorial(m))))
     for m, n in ((4, 4), (4, 5), (5, 4)):
-        items.append((f"prop.aut.m={m}.n={n}", aut_item(m, n, _factorial(m))))
+        items.append((f"prop.aut.m={m}.n={n}", aut_item(m, n, factorial(m))))
 
     def digitswap_item(m):
         def run():
@@ -355,13 +349,6 @@ def suite_invariants(max_vertices=1000, cache=None):
         for n in (3, 4, 5):
             items.append((f"lemma.two_cliques.m={m}.n={n}", lemma_item(m, n)))
     return items
-
-
-def _factorial(m):
-    out = 1
-    for k in range(2, m + 1):
-        out *= k
-    return out
 
 
 def suite_switching(max_vertices=1000, cache=None):
@@ -416,6 +403,7 @@ def suite_switching(max_vertices=1000, cache=None):
 
 
 def suite_gamma(max_vertices=1000, cache=None):
+    cache = cache or SpectrumCache()
     items = []
     targets = {
         1: [("Q_1", complete_graph(2))],
@@ -428,7 +416,7 @@ def suite_gamma(max_vertices=1000, cache=None):
 
     def classify_item(n):
         def run():
-            classes = classify_gamma(n)
+            classes = cache.gamma_classes(n)
             expected_names = [name for name, _ in targets[n]]
             if len(classes) != len(targets[n]):
                 return ("fail", f"{expected_names}",
@@ -458,7 +446,7 @@ def suite_gamma(max_vertices=1000, cache=None):
 
     def reduction_item(n):
         def run():
-            reps = [c.graph for c in classify_gamma(n)]
+            reps = [c.graph for c in cache.gamma_classes(n)]
             for m in range(2 * n + 1, 8):
                 for pi in permutations_with_inversions(m, n):
                     g = gamma_graph(m, pi)
@@ -484,8 +472,7 @@ def suite_gamma(max_vertices=1000, cache=None):
 
     for m in range(2, 6):
         for n in range(1, comb(m, 2) + 1):
-            if sr_order(m, n) <= min(1000, max_vertices):
-                items.append((f"gamma.fpi.m={m}.n={n}", fpi_item(m, n)))
+            items.append((f"gamma.fpi.m={m}.n={n}", fpi_item(m, n)))
 
     def fpw_item(m, n):
         def run():
@@ -506,7 +493,7 @@ def suite_gamma(max_vertices=1000, cache=None):
         return run
 
     for m in range(2, 5):
-        for n in range(comb(m, 2), 9):
+        for n in range(1, 9):
             items.append((f"gamma.fpw.m={m}.n={n}", fpw_item(m, n)))
     return items
 
@@ -520,14 +507,17 @@ _SUITE_BUILDERS = {
 }
 
 
-def run_suites(names, max_vertices=1000) -> list:
-    """Run the named suites and return VerificationReport records in order."""
+def battery(names=SUITES, max_vertices=1000, cache=None) -> list:
+    """The (claim, callable) items of the named suites, in order."""
     unknown = [s for s in names if s not in _SUITE_BUILDERS]
     if unknown:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}")
-    cache = SpectrumCache()
-    reports = []
-    for name in names:
-        items = _SUITE_BUILDERS[name](max_vertices=max_vertices, cache=cache)
-        reports.extend(_run(items, thread_count()))
-    return reports
+    cache = cache or SpectrumCache()
+    return [item for name in names
+            for item in _SUITE_BUILDERS[name](max_vertices=max_vertices,
+                                              cache=cache)]
+
+
+def run_suites(names, max_vertices=1000) -> list:
+    """Run the named suites and return VerificationReport records in order."""
+    return _run(battery(names, max_vertices))

@@ -1,39 +1,38 @@
-"""Shared fixtures: memoized SR graphs and spectra.
+"""Shared fixtures: one session-wide SpectrumCache.
 
-Spectra of the same SR(m,n) are needed by many tests and by several
-acceptance criteria; computing each once per session keeps the suite
-inside its runtime budget without changing any assertion.  The terminal
-summary hook replays the one-line-per-criterion acceptance record, which
-default capture would otherwise swallow.
+SR graphs, their spectra and the Gamma classifications are needed by many
+tests and by several acceptance criteria; the cache the verification
+battery uses computes each once per session, which keeps the suite inside
+its runtime budget without changing any assertion.  The terminal summary
+hook replays the one-line-per-criterion acceptance record, which default
+capture would otherwise swallow.
 """
 
 import sys
-from functools import lru_cache
 
 import pytest
 
-from rooklab.graphs import sr_graph
-from rooklab.linalg import integral_spectrum
-
-
-@lru_cache(maxsize=None)
-def _graph(m, n):
-    return sr_graph(m, n)
-
-
-@lru_cache(maxsize=None)
-def _spectrum(m, n):
-    return integral_spectrum(_graph(m, n))
+from rooklab.verify import SpectrumCache
 
 
 @pytest.fixture(scope="session")
-def sr():
-    return _graph
+def spectrum_cache():
+    return SpectrumCache()
 
 
 @pytest.fixture(scope="session")
-def sr_spectrum():
-    return _spectrum
+def sr(spectrum_cache):
+    return spectrum_cache.graph
+
+
+@pytest.fixture(scope="session")
+def sr_spectrum(spectrum_cache):
+    return spectrum_cache.spectrum
+
+
+@pytest.fixture(scope="session")
+def gamma_classes(spectrum_cache):
+    return spectrum_cache.gamma_classes
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,319 +1,192 @@
 """Acceptance battery: the thirteen headline results, tolerance zero.
 
-Each criterion is one test emitting exactly one line
+Each criterion is a named group of claim ids from the verification battery
+in rooklab.verify, run through the battery's own runner on the session's
+SpectrumCache, so every claim has exactly one implementation.  Each
+criterion emits exactly one line
 
     ACCEPTANCE <k>: PASS|FAIL|REPORT <summary>
 
 collected in ACCEPTANCE_LINES and printed by the terminal-summary hook in
 conftest.py after the run (and immediately under pytest -s).  Criterion 13
-covers conjectured spectra only: it reports comparisons and never fails.
-Criteria with documented runtime budgets assert them.
+covers conjectured spectra only: its claims report comparisons and never
+fail.  Runtime budgets are asserted from the claims' runtime_ms.
 """
 
-import time
+from dataclasses import dataclass
 from math import comb
 
-from rooklab import golden
-from rooklab.eigenvectors import (cayley_transpositions, classify_gamma, f_pi,
-                                  f_pw_family, gamma_graph,
-                                  permutations_with_inversions)
-from rooklab.formulas import (bottom_multiplicity, common_quotient_spectrum,
-                              independence_formula, mahonian,
-                              predicted_spectrum, smallest_eigenvalue_formula,
-                              sr_vertex_count)
-from rooklab.graphs import (cartesian_product, complete_bipartite,
-                            complete_graph, cube_graph, johnson_graph,
-                            sr_graph, sr_order)
-from rooklab.invariants import (automorphism_count, clique_number,
-                                coordinate_symmetries, diameter,
-                                independence_number, is_isomorphic)
-from rooklab.linalg import (halved_factorization_check, integral_spectrum,
-                            rank, verify_eigenvector)
-from rooklab.partitions import (check_equitable, e_st_formula,
-                                johnson_support_partition, quotient_spectrum,
-                                support_partition)
-from rooklab.switching import gm_switch, named_switching_set, switching_closure
+import pytest
 
-from conftest import _graph, _spectrum
+from rooklab.graphs import sr_order
+from rooklab.verify import _run, battery
 
+
+def grid(ms, ns, cap=1000):
+    return [(m, n) for m in ms for n in ns if 0 < sr_order(m, n) <= cap]
+
+
+def ids(fmt, points):
+    return tuple(fmt.format(m=m, n=n) for m, n in points)
+
+
+@dataclass(frozen=True)
+class Criterion:
+    summary: str
+    claims: tuple
+    points: int  # battery items the group selects, one per checked point
+    total_s: float = float("inf")  # budget for the whole group
+    each_s: float = float("inf")  # budget for every claim in the group
+
+
+SPECTRA = grid(range(1, 7), range(0, 9))
+QUOTIENTS = grid(range(2, 6), range(1, 6))
+
+CRITERIA = {
+    1: Criterion("table rows n=0..15 match golden strings",
+                 tuple(f"table1.n={n}" for n in range(16)),
+                 16, total_s=300),
+    2: Criterion("multiplicities sum to the vertex count on the full grid",
+                 ids("integral.m={m}.n={n}", SPECTRA), 53),
+    3: Criterion("smallest eigenvalue equals max(-n, -binom(m,2)) on the grid",
+                 ids("smallest.m={m}.n={n}", SPECTRA), 53),
+    4: Criterion("bottom and -n multiplicities match the closed forms",
+                 ids("mult.bottom.m={m}.n={n}", SPECTRA)
+                 + ids("mult.minus_n.m={m}.n={n}", SPECTRA), 106),
+    5: Criterion("A + nI = N N^T entrywise for m,n <= 5",
+                 ids("halved.m={m}.n={n}", grid(range(1, 6), range(1, 6))), 25),
+    6: Criterion("n=3, n=4, m=3 closed forms equal exact spectra",
+                 ids("family.n3.m={m}", grid(range(1, 9), [3]))
+                 + ids("family.n4.m={m}", grid(range(1, 9), [4]))
+                 + ids("family.m3.n={n}", grid([3], range(1, 13))), 28),
+    7: Criterion("SR and Johnson support quotients agree and match the formula",
+                 ids("quotient.support.m={m}.n={n}", QUOTIENTS)
+                 + ids("quotient.formula.m={m}.n={n}", QUOTIENTS)
+                 + ids("quotient.spectrum.m={m}.n={n}", QUOTIENTS), 60),
+    8: Criterion("diameter, clique, and independence formulas hold; "
+                 "every search under 2 minutes",
+                 ids("prop.diameter.m={m}.n={n}", grid(range(1, 7), range(7)))
+                 + ids("prop.clique.m={m}.n={n}",
+                       grid(range(2, 7), range(1, 7), cap=500))
+                 + ids("prop.alpha.m={m}.n={n}",
+                       grid([3], range(1, 11)) + grid(range(3, 10), [3])),
+                 89, each_s=120),
+    9: Criterion("|Aut| = 2*m! at n=3 and m! at n=4,5; each count under "
+                 "2 minutes",
+                 ids("prop.aut.m={m}.n={n}",
+                     [(4, 3), (5, 3), (4, 4), (4, 5), (5, 4)]),
+                 5, each_s=120),
+    10: Criterion("switching mates verified; closure finds >= 336 "
+                  "cospectral classes in under 10 minutes",
+                  ("switch.v1.m=4.n=3", "switch.v1.m=4.n=4",
+                   "switch.e12.m=4.n=3", "switch.e12.m=5.n=3",
+                   "switch.closure.m=4.n=3"),
+                  5, each_s=600),
+    11: Criterion("signed families span the -n and -binom(m,2) eigenspaces",
+                  ids("gamma.fpi.m={m}.n={n}",
+                      [(m, n) for m in range(2, 6)
+                       for n in range(1, comb(m, 2) + 1)])
+                  + ids("gamma.fpw.m={m}.n={n}", grid(range(2, 5), range(1, 9))),
+                  44),
+    12: Criterion("Gamma classes for n <= 4 and the reversal Cayley "
+                  "isomorphism verified",
+                  tuple(f"gamma.classify.n={n}" for n in range(1, 5))
+                  + ("gamma.cayley.m=3", "gamma.cayley.m=4"), 6),
+    13: Criterion("conjectured spectra",
+                  ids("conjectured.n5.m={m}", grid(range(1, 12), [5]))
+                  + ids("conjectured.m4.n={n}", grid([4], [6, *range(8, 20)])),
+                  18),
+}
 
 ACCEPTANCE_LINES = []
 
 
-def report(k, ok, detail):
-    status = "PASS" if ok else "FAIL"
-    line = f"ACCEPTANCE {k:2d}: {status} {detail}"
+@pytest.fixture(scope="module")
+def items(spectrum_cache):
+    return battery(cache=spectrum_cache)
+
+
+def select(criterion, items):
+    wanted = set(criterion.claims)
+    return [item for item in items if item[0] in wanted]
+
+
+def check(k, items):
+    c = CRITERIA[k]
+    reports = _run(select(c, items))
+    seconds = sum(r.runtime_ms for r in reports) / 1000
+    failures = [(r.claim, r.actual) for r in reports if r.status == "fail"]
+    budget = [r.claim for r in reports if r.runtime_ms >= 1000 * c.each_s]
+    if seconds >= c.total_s:
+        budget.append(f"total {seconds:.1f}s")
+    ok = not failures and not budget
+    report_only = all(r.status == "reported" for r in reports)
+    status = "FAIL" if not ok else "REPORT" if report_only else "PASS"
+    line = (f"ACCEPTANCE {k:2d}: {status} {c.summary} "
+            f"({len(reports)} claims, {seconds:.1f}s)"
+            + "".join(f"; {r.claim} {r.actual.partition(':')[0]}"
+                      for r in reports if r.status == "reported")
+            + (f"; failures {failures}" if failures else "")
+            + (f"; budget {budget}" if budget else ""))
     ACCEPTANCE_LINES.append(line)
     print(line)
-    return ok
+    assert ok, line
 
 
-def report_only(k, detail):
-    line = f"ACCEPTANCE {k:2d}: REPORT {detail}"
-    ACCEPTANCE_LINES.append(line)
-    print(line)
+def test_groups_name_battery_claims(items):
+    registry = {claim for claim, _ in items}
+    for k, c in CRITERIA.items():
+        assert set(c.claims) <= registry, (k, set(c.claims) - registry)
+        assert len(select(c, items)) == c.points, k
 
 
-def integrality_grid():
-    for m in range(1, 7):
-        for n in range(0, 9):
-            if 0 < sr_order(m, n) <= 1000:
-                yield m, n
+def test_criterion_01_table1_rows_match(items):
+    check(1, items)
 
 
-def test_criterion_01_table1_rows_match():
-    start = time.monotonic()
-    bad = []
-    for n in range(16):
-        expected = str(golden.table1_spectrum(n))
-        actual = str(_spectrum(4, n))
-        if expected != actual:
-            bad.append((n, expected, actual))
-    elapsed = time.monotonic() - start
-    ok = not bad and elapsed < 300
-    assert report(1, ok,
-                  f"table rows n=0..15 match golden strings in {elapsed:.1f}s"
-                  + (f"; mismatches {bad}" if bad else ""))
+def test_criterion_02_integral_spectra(items):
+    check(2, items)
 
 
-def test_criterion_02_integral_spectra():
-    bad = [(m, n) for m, n in integrality_grid()
-           if _spectrum(m, n).total != sr_vertex_count(m, n)]
-    assert report(2, not bad,
-                  "multiplicities sum to the vertex count on the full grid"
-                  + (f"; failures {bad}" if bad else ""))
+def test_criterion_03_smallest_eigenvalue(items):
+    check(3, items)
 
 
-def test_criterion_03_smallest_eigenvalue():
-    bad = [(m, n) for m, n in integrality_grid()
-           if _spectrum(m, n).min_eigenvalue != smallest_eigenvalue_formula(m, n)]
-    assert report(3, not bad,
-                  "smallest eigenvalue equals max(-n, -binom(m,2)) on the grid"
-                  + (f"; failures {bad}" if bad else ""))
+def test_criterion_04_extreme_multiplicities(items):
+    check(4, items)
 
 
-def test_criterion_04_extreme_multiplicities():
-    bad = []
-    for m, n in integrality_grid():
-        spec = _spectrum(m, n)
-        if spec.multiplicity(-comb(m, 2)) != bottom_multiplicity(m, n):
-            bad.append(("bottom", m, n))
-        if spec.multiplicity(-n) != mahonian(m, n):
-            bad.append(("mahonian", m, n))
-    assert report(4, not bad,
-                  "bottom and -n multiplicities match the closed forms"
-                  + (f"; failures {bad}" if bad else ""))
+def test_criterion_05_halved_factorization(items):
+    check(5, items)
 
 
-def test_criterion_05_halved_factorization():
-    bad = [(m, n) for m in range(1, 6) for n in range(1, 6)
-           if not halved_factorization_check(m, n)]
-    assert report(5, not bad,
-                  "A + nI = N N^T entrywise for m,n <= 5"
-                  + (f"; failures {bad}" if bad else ""))
+def test_criterion_06_closed_form_spectra(items):
+    check(6, items)
 
 
-def test_criterion_06_closed_form_spectra():
-    bad = []
-    for m in range(1, 9):
-        for family, n in (("n3", 3), ("n4", 4)):
-            if sr_order(m, n) > 1000:
-                continue
-            if predicted_spectrum(family, m, n).pairs != _spectrum(m, n).pairs:
-                bad.append((family, m, n))
-    for n in range(1, 13):
-        if predicted_spectrum("m3", 3, n).pairs != _spectrum(3, n).pairs:
-            bad.append(("m3", 3, n))
-    assert report(6, not bad,
-                  "n=3, n=4, m=3 closed forms equal exact spectra"
-                  + (f"; failures {bad}" if bad else ""))
+def test_criterion_07_support_partition_quotients(items):
+    check(7, items)
 
 
-def test_criterion_07_support_partition_quotients():
-    bad = []
-    for m in range(2, 6):
-        for n in range(1, 6):
-            g = _graph(m, n)
-            j = johnson_graph(m + n - 1, n)
-            qg = check_equitable(g, support_partition(g))
-            qj = check_equitable(j, johnson_support_partition(j, m))
-            if qg.labels != qj.labels or qg.entries != qj.entries:
-                bad.append(("matrix", m, n))
-                continue
-            supports = [frozenset(lab) for lab in qg.labels]
-            if any(e_st_formula(s, t, n) != qg.entries[a][b]
-                   for a, s in enumerate(supports)
-                   for b, t in enumerate(supports)):
-                bad.append(("entry-formula", m, n))
-            if quotient_spectrum(qg).pairs != common_quotient_spectrum(m, n).pairs:
-                bad.append(("spectrum", m, n))
-    assert report(7, not bad,
-                  "SR and Johnson support quotients agree and match the formula"
-                  + (f"; failures {bad}" if bad else ""))
+def test_criterion_08_metric_invariants(items):
+    check(8, items)
 
 
-def test_criterion_08_metric_invariants():
-    bad = []
-    budget_breach = []
-    for m in range(1, 7):
-        for n in range(0, 7):
-            if diameter(_graph(m, n)) != min(m - 1, n):
-                bad.append(("diameter", m, n))
-    for m in range(2, 7):
-        for n in range(1, 7):
-            g = _graph(m, n)
-            if g.order > 500:
-                continue
-            start = time.monotonic()
-            omega = clique_number(g, aut_generators=coordinate_symmetries(g))
-            if time.monotonic() - start >= 120:
-                budget_breach.append(("clique", m, n))
-            if omega != max(m, n + 1):
-                bad.append(("clique", m, n))
-    for n in range(1, 11):
-        start = time.monotonic()
-        alpha = independence_number(_graph(3, n))
-        if time.monotonic() - start >= 120:
-            budget_breach.append(("alpha", 3, n))
-        if alpha != (2 * n + 3) // 3:
-            bad.append(("alpha", 3, n))
-    for m in range(3, 10):
-        g = _graph(m, 3)
-        start = time.monotonic()
-        alpha = independence_number(g, aut_generators=coordinate_symmetries(g))
-        if time.monotonic() - start >= 120:
-            budget_breach.append(("alpha", m, 3))
-        if alpha != independence_formula(m, 3):
-            bad.append(("alpha", m, 3))
-    ok = not bad and not budget_breach
-    assert report(8, ok,
-                  "diameter, clique, and independence formulas hold; "
-                  "every search under 2 minutes"
-                  + (f"; failures {bad}" if bad else "")
-                  + (f"; budget {budget_breach}" if budget_breach else ""))
+def test_criterion_09_automorphism_counts(items):
+    check(9, items)
 
 
-def test_criterion_09_automorphism_counts():
-    expected = {(4, 3): 48, (5, 3): 240, (4, 4): 24, (4, 5): 24, (5, 4): 120}
-    bad = []
-    budget_breach = []
-    for (m, n), target in sorted(expected.items()):
-        start = time.monotonic()
-        count = automorphism_count(_graph(m, n))
-        if time.monotonic() - start >= 120:
-            budget_breach.append((m, n))
-        if count != target:
-            bad.append((m, n, count, target))
-    ok = not bad and not budget_breach
-    assert report(9, ok,
-                  "|Aut| = 2*m! at n=3 and m! at n=4,5; each count under "
-                  "2 minutes"
-                  + (f"; failures {bad}" if bad else "")
-                  + (f"; budget {budget_breach}" if budget_breach else ""))
+def test_criterion_10_switching_mates_and_closure(items):
+    check(10, items)
 
 
-def test_criterion_10_switching_mates_and_closure():
-    bad = []
-    for m, n, name in ((4, 3, "v1"), (4, 4, "v1"), (4, 3, "e12"),
-                       (5, 3, "e12")):
-        g = _graph(m, n)
-        mate = gm_switch(g, named_switching_set(g, name))
-        if str(integral_spectrum(mate)) != str(_spectrum(m, n)):
-            bad.append(("cospectral", m, n, name))
-        if is_isomorphic(mate, g):
-            bad.append(("isomorphic", m, n, name))
-    start = time.monotonic()
-    closure = switching_closure(_graph(4, 3), 400)
-    elapsed = time.monotonic() - start
-    if closure.count < 336:
-        bad.append(("closure", closure.count))
-    if elapsed >= 600:
-        bad.append(("closure-budget", elapsed))
-    assert report(10, not bad,
-                  f"switching mates verified; closure found {closure.count} "
-                  f"cospectral classes in {elapsed:.1f}s"
-                  + (f"; failures {bad}" if bad else ""))
+def test_criterion_11_eigenvector_families(items):
+    check(11, items)
 
 
-def test_criterion_11_eigenvector_families():
-    bad = []
-    for m in range(2, 6):
-        for n in range(1, comb(m, 2) + 1):
-            g = _graph(m, n)
-            pis = permutations_with_inversions(m, n)
-            for pi in pis:
-                if not verify_eigenvector(g, f_pi(pi), -n):
-                    bad.append(("f_pi", m, n, pi))
-            rows = [[f_pi(pi).get(lab, 0) for lab in g.labels] for pi in pis]
-            if rank(rows) != mahonian(m, n):
-                bad.append(("f_pi-rank", m, n))
-    for m in range(2, 5):
-        for n in range(1, 9):
-            fam = f_pw_family(m, n)
-            expected = comb(n - comb(m - 1, 2), m - 1) \
-                if n - comb(m - 1, 2) >= m - 1 else 0
-            if len(fam) != expected:
-                bad.append(("f_pw-count", m, n, len(fam), expected))
-                continue
-            if not fam:
-                continue
-            g = _graph(m, n)
-            for p, vec in fam:
-                if not verify_eigenvector(g, vec, -comb(m, 2)):
-                    bad.append(("f_pw", m, n, p))
-            rows = [[vec.get(lab, 0) for lab in g.labels] for _, vec in fam]
-            if rank(rows) != expected:
-                bad.append(("f_pw-rank", m, n))
-    assert report(11, not bad,
-                  "signed families span the -n and -binom(m,2) eigenspaces"
-                  + (f"; failures {bad}" if bad else ""))
+def test_criterion_12_gamma_classification(items):
+    check(12, items)
 
 
-def test_criterion_12_gamma_classification():
-    targets = {
-        1: [cube_graph(1)],
-        2: [cube_graph(2)],
-        3: [complete_bipartite(3, 3), cube_graph(3)],
-        4: [cartesian_product(complete_bipartite(3, 3), complete_graph(2)),
-            cube_graph(4)],
-    }
-    bad = []
-    for n, goals in targets.items():
-        classes = classify_gamma(n)
-        if len(classes) != len(goals):
-            bad.append(("count", n, len(classes)))
-            continue
-        for goal in goals:
-            if not any(is_isomorphic(c.graph, goal) for c in classes):
-                bad.append(("missing", n, goal.order))
-        if not all(c.is_integral for c in classes):
-            bad.append(("integrality", n))
-    for m in (3, 4):
-        rev = tuple(range(m - 1, -1, -1))
-        if not is_isomorphic(gamma_graph(m, rev), cayley_transpositions(m)):
-            bad.append(("cayley", m))
-    assert report(12, not bad,
-                  "Gamma classes for n <= 4 and the reversal Cayley "
-                  "isomorphism verified"
-                  + (f"; failures {bad}" if bad else ""))
-
-
-def test_criterion_13_conjectured_families_report_only():
-    notes = []
-    for m in range(1, 12):
-        if sr_order(m, 5) > 1000:
-            continue
-        predicted = str(predicted_spectrum("n5", m, 5))
-        actual = str(_spectrum(m, 5))
-        notes.append(f"n5 m={m} {'match' if predicted == actual else 'MISMATCH'}")
-        if predicted != actual:
-            notes[-1] += f" predicted={predicted} actual={actual}"
-    for n in [6] + list(range(8, 20)):
-        if sr_order(4, n) > 1000:
-            continue
-        predicted = str(predicted_spectrum("m4", 4, n))
-        actual = str(_spectrum(4, n))
-        notes.append(f"m4 n={n} {'match' if predicted == actual else 'MISMATCH'}")
-        if predicted != actual:
-            notes[-1] += f" predicted={predicted} actual={actual}"
-    report_only(13, "conjectured spectra: " + "; ".join(notes))
+def test_criterion_13_conjectured_families_report_only(items):
+    check(13, items)

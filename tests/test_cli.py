@@ -1,6 +1,7 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -60,6 +61,15 @@ class TestVerify:
         assert all(r["status"] == "pass" for r in reports)
         assert {"claim", "status", "expected", "actual", "runtime_ms"} <= \
             set(reports[0])
+
+    def test_deterministic_apart_from_runtime(self, capsys):
+        outputs = []
+        for _ in range(2):
+            code, out, _ = run(capsys, "verify", "--suite", "partitions")
+            assert code == 0
+            outputs.append(re.sub(r', "runtime_ms": \d+', "", out))
+        assert "runtime_ms" not in outputs[0]
+        assert outputs[0] == outputs[1]
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         from rooklab.verify import VerificationReport

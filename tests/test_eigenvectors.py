@@ -13,10 +13,9 @@ import networkx as nx
 import pytest
 
 from rooklab.eigenvectors import (InvalidOrbit, SMALL_N_KINDS, admissible_set,
-                                  canonical_w, cayley_transpositions,
-                                  classify_gamma, f_pi, f_pw, f_pw_family,
-                                  gamma_graph, inversion_count,
-                                  inversion_vector,
+                                  canonical_w, cayley_transpositions, f_pi,
+                                  f_pw, f_pw_family, gamma_graph,
+                                  inversion_count, inversion_vector,
                                   permutations_with_inversions, sign,
                                   small_n_eigenvalue, small_n_eigenvector)
 from rooklab.formulas import mahonian
@@ -205,14 +204,14 @@ class TestCayley:
 
 
 class TestClassifyGamma:
-    def test_n1_and_n2(self):
+    def test_n1_and_n2(self, gamma_classes):
         for n, target in ((1, complete_graph(2)), (2, cube_graph(2))):
-            classes = classify_gamma(n)
+            classes = gamma_classes(n)
             assert len(classes) == 1
             assert nx.is_isomorphic(to_nx(classes[0].graph), to_nx(target))
 
-    def test_n3_classification(self):
-        classes = classify_gamma(3)
+    def test_n3_classification(self, gamma_classes):
+        classes = gamma_classes(3)
         assert len(classes) == 2
         targets = [complete_bipartite(3, 3), cube_graph(3)]
         for target in targets:
@@ -220,8 +219,8 @@ class TestClassifyGamma:
                        for c in classes)
         assert all(c.is_integral for c in classes)
 
-    def test_n4_classification(self):
-        classes = classify_gamma(4)
+    def test_n4_classification(self, gamma_classes):
+        classes = gamma_classes(4)
         assert len(classes) == 2
         targets = [cartesian_product(complete_bipartite(3, 3), complete_graph(2)),
                    cube_graph(4)]
@@ -229,15 +228,15 @@ class TestClassifyGamma:
             assert any(nx.is_isomorphic(to_nx(c.graph), to_nx(target))
                        for c in classes)
 
-    def test_occurrence_counts(self):
+    def test_occurrence_counts(self, gamma_classes):
         # Total occurrences = sum over m <= 2n of mahonian(m, n).
         for n in (1, 2, 3):
-            classes = classify_gamma(n)
+            classes = gamma_classes(n)
             total = sum(c.occurrences for c in classes)
             assert total == sum(mahonian(m, n) for m in range(2, 2 * n + 1))
 
-    def test_json_fields(self):
-        payload = classify_gamma(2)[0].to_json()
+    def test_json_fields(self, gamma_classes):
+        payload = gamma_classes(2)[0].to_json()
         assert payload["order"] == 4
         assert payload["valency"] == 2
         assert payload["bipartite"] is True

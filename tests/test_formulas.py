@@ -13,8 +13,8 @@ from rooklab.formulas import (PredictedSpectrum, UnsupportedParameters, binom,
                               bottom_multiplicity, common_quotient_spectrum,
                               independence_formula, independence_upper_bound,
                               johnson_spectrum, mahonian, predicted_spectrum,
-                              smallest_eigenvalue_formula, sr_vertex_count)
-from rooklab.graphs import johnson_graph
+                              smallest_eigenvalue_formula)
+from rooklab.graphs import johnson_graph, sr_order
 from rooklab.linalg import integral_spectrum
 
 
@@ -32,8 +32,8 @@ class TestCounting:
         assert binom(2, 5) == 0
 
     def test_vertex_count(self):
-        assert sr_vertex_count(4, 3) == 20
-        assert sr_vertex_count(1, 9) == 1
+        assert sr_order(4, 3) == 20
+        assert sr_order(1, 9) == 1
 
     def test_mahonian_against_brute_force(self):
         for m in range(1, 7):
@@ -158,7 +158,7 @@ class TestPredictedFamilies:
         for m in range(1, 9):
             for family, n in (("n3", 3), ("n4", 4), ("n5", 5)):
                 assert predicted_spectrum(family, m, n).spectrum.total == \
-                    sr_vertex_count(m, n)
+                    sr_order(m, n)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(UnsupportedParameters):

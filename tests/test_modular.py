@@ -12,7 +12,8 @@ import pytest
 import sympy
 
 from rooklab.graphs import complete_graph, cycle_graph, sr_graph
-from rooklab.modular import (MAX_ORDER, NotIntegral, annihilation_proved,
+from rooklab.modular import (MAX_ORDER, IncompleteSpectrum,
+                             annihilation_proved,
                              certified_symmetric_spectrum, charpoly_mod,
                              hessenberg_mod, root_multiplicity)
 
@@ -93,7 +94,7 @@ class TestCertificate:
     def test_non_integral_raises(self):
         g = cycle_graph(5)
         a = np.array(g.adjacency_matrix(), dtype=np.int64)
-        with pytest.raises(NotIntegral) as err:
+        with pytest.raises(IncompleteSpectrum) as err:
             certified_symmetric_spectrum(a)
         assert err.value.residual == 4
 

@@ -1,25 +1,9 @@
-"""Verification battery plumbing: report records, workers, suite wiring."""
+"""Verification battery plumbing: report records, suite wiring."""
 
 import pytest
 
 from rooklab.verify import (SUITES, SpectrumCache, VerificationReport, _run,
-                            run_suites, thread_count)
-
-
-class TestThreadCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("ROOKLAB_THREADS", raising=False)
-        assert thread_count() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("ROOKLAB_THREADS", "6")
-        assert thread_count() == 6
-
-    def test_garbage_and_nonpositive_fall_back(self, monkeypatch):
-        monkeypatch.setenv("ROOKLAB_THREADS", "zebra")
-        assert thread_count() == 1
-        monkeypatch.setenv("ROOKLAB_THREADS", "-3")
-        assert thread_count() == 1
+                            run_suites)
 
 
 class TestRun:
@@ -27,16 +11,9 @@ class TestRun:
         def boom():
             raise RuntimeError("kaput")
 
-        reports = _run([("x", boom)], workers=1)
+        reports = _run([("x", boom)])
         assert reports[0].status == "fail"
         assert "kaput" in reports[0].actual
-
-    def test_order_preserved_with_workers(self):
-        items = [(f"item{i}", lambda i=i: ("pass", i, i)) for i in range(20)]
-        seq = _run(items, workers=1)
-        par = _run(items, workers=4)
-        assert [r.claim for r in par] == [r.claim for r in seq]
-        assert all(r.status == "pass" for r in par)
 
     def test_report_serialization(self):
         r = VerificationReport("c", "pass", "1", "1", 7)

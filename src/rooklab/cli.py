@@ -12,10 +12,11 @@ import argparse
 import json
 import os
 import sys
+from math import comb
 
 from .eigenvectors import classify_gamma, gamma_graph, inversion_count
 from .graphio import to_graph6
-from .graphs import johnson_graph, sr_graph
+from .graphs import johnson_graph, sr_graph, sr_order
 from .invariants import (SIZE_LIMIT, SizeLimit, automorphism_count,
                          clique_number, coordinate_symmetries, diameter,
                          has_induced_k114, independence_number, is_isomorphic)
@@ -41,21 +42,20 @@ class _Budget(Exception):
 
 
 def _build_graph(kind, a, b):
-    if kind == "johnson":
-        return johnson_graph(a, b)
-    return sr_graph(a, b)
-
-
-def _check_budget(g):
-    # Desk-scale budget shared with the canonical-labeling guard: commands
-    # that do spectral or search work refuse larger graphs with exit code 2.
-    if g.order > SIZE_LIMIT:
-        raise _Budget(f"graph has {g.order} vertices; budget is {SIZE_LIMIT}")
+    """SR(a, b), or J(a, b) for kind "johnson", refused before it is built
+    when its order exceeds the desk-scale budget shared with the
+    canonical-labeling guard (exit code 2).  Negative parameters are left
+    to the constructors, which reject them."""
+    johnson = kind == "johnson"
+    if min(a, b) >= 0:
+        order = comb(a, b) if johnson else sr_order(a, b)
+        if order > SIZE_LIMIT:
+            raise _Budget(f"graph has {order} vertices; budget is {SIZE_LIMIT}")
+    return johnson_graph(a, b) if johnson else sr_graph(a, b)
 
 
 def cmd_spectrum(args):
     g = _build_graph(args.graph, args.m, args.n)
-    _check_budget(g)
     spec = integral_spectrum(g)
     if args.format == "json":
         out = {"graph": args.graph}
@@ -83,8 +83,7 @@ def cmd_verify(args):
 
 
 def cmd_invariants(args):
-    g = sr_graph(args.m, args.n)
-    _check_budget(g)
+    g = _build_graph("sr", args.m, args.n)
     syms = coordinate_symmetries(g)
     out = {
         "diameter": diameter(g),
@@ -126,8 +125,7 @@ def cmd_gamma(args):
 
 
 def cmd_switch(args):
-    g = sr_graph(args.m, args.n)
-    _check_budget(g)
+    g = _build_graph("sr", args.m, args.n)
     if args.set in _NAMED_SETS:
         b = named_switching_set(g, args.set)
     else:
@@ -148,8 +146,7 @@ def cmd_switch(args):
 
 
 def cmd_quotient(args):
-    g = sr_graph(args.m, args.n)
-    _check_budget(g)
+    g = _build_graph("sr", args.m, args.n)
     part = weight_partition(g) if args.partition == "weight" else support_partition(g)
     q = check_equitable(g, part)
     spec = quotient_spectrum(q)
@@ -171,7 +168,6 @@ def cmd_quotient(args):
 
 def cmd_export_graph6(args):
     g = _build_graph(args.graph, args.m, args.n)
-    _check_budget(g)
     print(to_graph6(g))
     return EXIT_OK
 

@@ -7,18 +7,29 @@ type 1 cliques live on a fixed coordinate pair (j,k), type 2 cliques are
 several descriptions at once and classify as type 1 by fiat; triangles and
 larger are unambiguous.
 
-Canonical forms come from individualization-refinement: iterated color
-refinement, branching on the smallest non-singleton class, path pruned by
-per-level partition signatures.  Two graphs are isomorphic iff their
-certificates are equal, and the number of search leaves attaining the
-canonical certificate is exactly the automorphism group order (automorphic
-branch choices produce identical signature paths, so none of them is ever
-pruned away).
+Canonical forms come from one individualization-refinement search (McKay &
+Piperno, "Practical graph isomorphism, II").  Each node refines an ordered
+partition to an equitable one by cell splitting, records the refinement
+trace as its invariant, and branches on the first smallest non-singleton
+cell.  The canonical leaf is the greatest by (traces along the path,
+relabeled adjacency rows); two graphs are isomorphic iff their certificates,
+the rows of that leaf, are equal.  Leaves that tie with the first or the
+best leaf yield automorphisms.  These prune the search: a child in the orbit
+of an explored sibling under the automorphisms fixing the node's path is
+skipped, and after a tie the walk jumps back to where the two paths diverge,
+because the automorphism maps the subtree already walked onto the one being
+walked, leaves and keys alike.  So no pruned leaf could have beaten the
+canonical one.  The automorphisms found while finishing the node at depth d
+on the first path generate the stabilizer G_d of its first d vertices, so
+orbit-stabiliser gives |Aut| as the product, along the first path, of the
+orbit sizes of the first path's next vertex under G_d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .graphs import Graph, _bits, induced_subgraph
 
@@ -191,6 +202,19 @@ def _greedy_seed(rows) -> int:
     return best
 
 
+def _find(parent, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent, x, y):
+    a, b = _find(parent, x), _find(parent, y)
+    if a != b:
+        parent[a] = b
+
+
 def vertex_orbits(g: Graph, generators) -> list:
     """Orbits of the group generated by the given vertex permutations.
 
@@ -210,21 +234,12 @@ def vertex_orbits(g: Graph, generators) -> list:
             if image != g.rows[p[u]]:
                 raise ValueError("generator does not preserve adjacency")
     parent = idx[:]
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for p in generators:
         for u in range(n):
-            a, b = find(u), find(p[u])
-            if a != b:
-                parent[a] = b
+            _union(parent, u, p[u])
     groups = {}
     for u in range(n):
-        groups.setdefault(find(u), []).append(u)
+        groups.setdefault(_find(parent, u), []).append(u)
     return sorted((tuple(v) for v in groups.values()), key=lambda t: (-len(t), t))
 
 
@@ -400,118 +415,279 @@ def has_induced_k114(g: Graph) -> bool:
     return False
 
 
-def _refine(rows, colors):
-    """1-dimensional color refinement to a fixpoint.  Color numbers are
-    dense and canonical (sorted by (old color, neighbor color counts)), so
-    they are preserved by any isomorphism."""
-    n = len(colors)
-    while True:
-        keys = []
-        for v in range(n):
-            counts = {}
-            for u in _bits(rows[v]):
-                c = colors[u]
-                counts[c] = counts.get(c, 0) + 1
-            keys.append((colors[v], tuple(sorted(counts.items()))))
-        mapping = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new = [mapping[k] for k in keys]
-        if new == colors:
-            return colors
-        colors = new
+def _equitable(rows, cell, cells, multi, start, trace, best=None, zeta=None,
+               below=False):
+    """Split an ordered partition until it is equitable; return False if
+    the run was cut short (see `best` below), else True.
+
+    The partition is `cell[v]`, the start position of v's cell, and
+    `cells[s]`, the vertex mask of the cell that starts at position s.
+    `multi` lists the starts of the cells with two or more vertices, in
+    order; it is updated in place.  The cell at `start` is the first
+    splitter.  Each splitter W, smallest start first, splits every cell C by
+    the counts |N(v) & W|, v in C.  The fragments take C's positions largest
+    first, equal sizes in increasing count order.  Every choice depends only
+    on positions, sizes and counts, so an isomorphism that maps one ordered
+    partition onto another maps the refined partitions onto each other, and
+    both runs append the same `trace`: per split, the cell's start, the
+    number of fragments and each fragment's count and size.  The trace thus
+    also fixes the cell sizes of the result.
+
+    The fragments become splitters, except that the first one keeps C's start
+    and with it C's place in the queue, or its absence: counts into it are
+    counts into C minus counts into the other fragments.
+
+    Given `best`, the best leaf's trace at this depth, the run stops once
+    the trace is known to sort below it (or `below` says it already does)
+    and to differ from `zeta`, the first leaf's trace if the node is still
+    on its path: the search drops such a node anyway.
+    """
+    queue = [start]
+    mark = 0
+    while queue and multi:
+        mask = cells[heappop(queue)]
+        single = not mask & (mask - 1)
+        if single:
+            nbr = rows[mask.bit_length() - 1]
+        else:
+            nbr = 0
+            for u in _bits(mask):
+                nbr |= rows[u]
+        kept = []
+        for t in multi:
+            c = cells[t]
+            hit = c & nbr
+            if not hit or (single and hit == c):
+                kept.append(t)
+                continue
+            if single:
+                frags = [(0, c ^ hit), (1, hit)]
+            else:
+                groups = {0: c ^ hit} if hit != c else {}
+                for u in _bits(hit):
+                    k = (rows[u] & mask).bit_count()
+                    groups[k] = groups.get(k, 0) | 1 << u
+                if len(groups) == 1:
+                    kept.append(t)
+                    continue
+                frags = sorted(groups.items())
+            frags.sort(key=lambda fr: -fr[1].bit_count())
+            trace.append(t)
+            trace.append(len(frags))
+            at = t
+            for k, part in frags:
+                size = part.bit_count()
+                trace.append(k)
+                trace.append(size)
+                cells[at] = part
+                if at != t:
+                    for u in _bits(part):
+                        cell[u] = at
+                    heappush(queue, at)
+                if size > 1:
+                    kept.append(at)
+                at += size
+            if best is not None:
+                seg = tuple(trace[mark:])
+                if zeta is not None and seg != zeta[mark:len(trace)]:
+                    zeta = None
+                if not below:
+                    ref = best[mark:len(trace)]
+                    if seg > ref:
+                        best = None
+                    below = seg < ref
+                if below and zeta is None:
+                    return False
+                mark = len(trace)
+        multi[:] = kept
+    return True
 
 
-def _signature(colors):
-    sizes = {}
-    for c in colors:
-        sizes[c] = sizes.get(c, 0) + 1
-    return tuple(sizes[c] for c in sorted(sizes))
+def _relabeled_rows(rows, pos):
+    """For a discrete partition pos (pos[v] is v's new label): its inverse
+    lab and the adjacency rows relabeled by pos, in new-label order."""
+    lab = [0] * len(pos)
+    for v, p in enumerate(pos):
+        lab[p] = v
+    out = []
+    for v in lab:
+        acc = 0
+        for u in _bits(rows[v]):
+            acc |= 1 << pos[u]
+        out.append(acc)
+    return lab, tuple(out)
 
 
-def _leaf_certificate(rows, colors):
-    n = len(colors)
-    position = [0] * n
-    for v, c in enumerate(colors):
-        position[c] = v
-    bits = 0
-    at = 0
-    for i in range(n):
-        ri = rows[position[i]]
-        for j in range(i + 1, n):
-            if (ri >> position[j]) & 1:
-                bits |= 1 << at
-            at += 1
-    return bits
+class _Leaf(NamedTuple):
+    """A discrete partition: the traces along its path, the relabeled rows,
+    pos[v] (v's new label), the individualized vertices, and lab = pos^-1."""
+
+    invs: list
+    key: tuple
+    pos: list
+    path: tuple
+    lab: list
+
+
+class _Node:
+    """A node of the search tree: the equitable ordered partition reached by
+    individualizing `path`, its refinement trace `inv`, and the state of the
+    walk over the children in its target cell, the first smallest one.
+    `first` marks the first path; `on_zeta` says the traces so far equal the
+    first leaf's, and `vs_best` compares them with the best leaf's (-1, 0, 1)."""
+
+    __slots__ = ("cell", "cells", "multi", "path", "inv", "target",
+                 "others", "tried", "first", "on_zeta", "vs_best")
+
+    def __init__(self, cell, cells, multi, path, inv, first, on_zeta, vs_best):
+        self.cell, self.cells, self.multi = cell, cells, multi
+        self.path, self.inv = path, inv
+        self.first, self.on_zeta, self.vs_best = first, on_zeta, vs_best
+        self.target = cells[min(multi, key=lambda s: cells[s].bit_count())]
+        self.others = None
+        self.tried = []
 
 
 class _CanonicalSearch:
-    """Individualization-refinement tree walk.
+    """Individualization-refinement search with automorphism pruning (see the
+    module docstring for why the prunings are sound).
 
-    Tracks the lexicographically smallest (signature path, leaf bits) key;
-    the number of leaves attaining it equals the automorphism group order.
+    `zeta` is the first leaf and `best` the greatest so far.  A leaf whose
+    traces and rows equal zeta's or best's yields the automorphism that maps
+    the one discrete partition onto the other; since the traces fix the cell
+    sizes of every partition on the way, it also maps the one path onto the
+    other.  A child whose traces sort below best's is dropped, its
+    refinement cut short, unless they equal zeta's: a subtree that can hold
+    a leaf equivalent to zeta is always walked, so that every orbit on
+    zeta's path is found.
+
+    The walk finishes zeta's path deepest node first, so every automorphism
+    found while at zeta's node of depth d fixes zeta's first d vertices;
+    `orbits` joins all of them, and when that node is done its target cell's
+    orbit of zeta's next vertex is one factor of `order`.  The tree is walked
+    with an explicit stack, so no Python recursion grows with the order.
     """
 
     def __init__(self, rows):
         self.rows = rows
-        self.best_sigs = None
-        self.best_bits = None
-        self.best_colors = None
-        self.count = 0
-
-    def run(self):
-        n = len(self.rows)
-        colors = _refine(self.rows, [0] * n)
-        self._walk(colors, [])
-        return self
-
-    def _target_cell(self, colors):
-        cells = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        nonsingle = [(len(vs), c) for c, vs in cells.items() if len(vs) > 1]
-        if not nonsingle:
-            return None
-        _, c = min(nonsingle)
-        return cells[c]
-
-    def _beats_best(self, sigs):
-        """1 when the signature path can no longer reach the incumbent key,
-        -1 when it is already strictly smaller, 0 on an equal prefix.
-        Compared against the incumbent fresh at every node, because the
-        incumbent may have been replaced while this subtree was entered."""
-        for d, s in enumerate(sigs):
-            if d >= len(self.best_sigs):
-                return 1
-            if s < self.best_sigs[d]:
-                return -1
-            if s > self.best_sigs[d]:
-                return 1
-        return 0
-
-    def _walk(self, colors, sigs):
-        sigs = sigs + [_signature(colors)]
-        if self.best_sigs is not None and self._beats_best(sigs) > 0:
+        n = len(rows)
+        cell, cells = [0] * n, [0] * n
+        cells[0] = (1 << n) - 1
+        multi = [0] if n > 1 else []
+        trace = []
+        _equitable(rows, cell, cells, multi, 0, trace)
+        self.gens = []
+        self.orbits = list(range(n))
+        self.order = 1
+        self.zeta = self.best = None
+        if not multi:
+            lab, key = _relabeled_rows(rows, cell)
+            self.best = _Leaf([tuple(trace)], key, cell, (), lab)
             return
-        cell = self._target_cell(colors)
-        if cell is None:
-            bits = _leaf_certificate(self.rows, colors)
-            if self.best_sigs is None:
-                verdict = -1
+        self._walk(_Node(cell, cells, multi, (), tuple(trace), True, True, 0))
+
+    def _next_child(self, node):
+        """The next child of node that no known automorphism fixing the
+        node's path maps onto an explored sibling, or None."""
+        tried = node.tried
+        if not tried:
+            w = (node.target & -node.target).bit_length() - 1
+            tried.append(w)
+            return w
+        if node.others is None:
+            node.others = _bits(node.target & (node.target - 1))
+        if node.first:
+            # Every automorphism found so far fixes a first-path node's path.
+            parent = self.orbits
+        else:
+            path = node.path
+            parent = {u: u for u in _bits(node.target)}
+            for g in self.gens:
+                if all(g[u] == u for u in path):
+                    for u in parent:
+                        _union(parent, u, g[u])
+        roots = {_find(parent, c) for c in tried}
+        for w in node.others:
+            if _find(parent, w) not in roots:
+                tried.append(w)
+                return w
+        return None
+
+    def _automorphism(self, lab_from, lab_to):
+        """Record the automorphism mapping lab_from[i] to lab_to[i]."""
+        g = [0] * len(lab_to)
+        for a, b in zip(lab_from, lab_to):
+            g[a] = b
+        self.gens.append(g)
+        for u, v in enumerate(g):
+            _union(self.orbits, u, v)
+
+    def _walk(self, root):
+        rows = self.rows
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            w = self._next_child(node)
+            if w is None:
+                stack.pop()
+                if node.first:
+                    parent = self.orbits
+                    r = _find(parent, node.tried[0])
+                    self.order *= sum(1 for u in _bits(node.target)
+                                      if _find(parent, u) == r)
+                continue
+            # Individualize w: it leaves its cell for the cell's last position.
+            cell, cells, multi = node.cell[:], node.cells[:], node.multi[:]
+            t = cell[w]
+            rest = cells[t] ^ 1 << w
+            at = t + rest.bit_count()
+            cells[t], cells[at], cell[w] = rest, 1 << w, at
+            if not rest & (rest - 1):
+                multi.remove(t)
+            trace = []
+            depth = len(stack)
+            if self.zeta is None or node.vs_best > 0:
+                _equitable(rows, cell, cells, multi, at, trace)
+            elif not _equitable(rows, cell, cells, multi, at, trace,
+                                () if node.vs_best else self.best.invs[depth],
+                                self.zeta.invs[depth] if node.on_zeta else None,
+                                node.vs_best < 0):
+                continue
+            inv = tuple(trace)
+            path = node.path + (w,)
+            if self.zeta is None:
+                first, on_zeta, vs_best = True, True, 0
             else:
-                verdict = self._beats_best(sigs) or (bits > self.best_bits) - (bits < self.best_bits)
-            if verdict < 0:
-                self.best_sigs = sigs
-                self.best_bits = bits
-                self.best_colors = list(colors)
-                self.count = 1
-            elif verdict == 0:
-                self.count += 1
-            return
-        fresh = len(set(colors))
-        for w in cell:
-            child = list(colors)
-            child[w] = fresh
-            child = _refine(self.rows, child)
-            self._walk(child, sigs)
+                first = False
+                on_zeta = node.on_zeta and inv == self.zeta.invs[depth]
+                vs_best = node.vs_best
+                if not vs_best:
+                    other = self.best.invs[depth]
+                    vs_best = (inv > other) - (inv < other)
+                if vs_best < 0 and not on_zeta:
+                    continue
+            if multi:
+                stack.append(_Node(cell, cells, multi, path, inv, first, on_zeta,
+                                   vs_best))
+                continue
+            lab, key = _relabeled_rows(rows, cell)
+            leaf = _Leaf([x.inv for x in stack] + [inv], key, cell, path, lab)
+            if self.zeta is None:
+                self.zeta = self.best = leaf
+                continue
+            for other, match in ((self.zeta, on_zeta), (self.best, vs_best == 0)):
+                if match and key == other.key:
+                    self._automorphism(other.lab, lab)
+                    c = 0
+                    while path[c] == other.path[c]:
+                        c += 1
+                    del stack[c + 1:]
+                    break
+            else:
+                if vs_best > 0 or (vs_best == 0 and key > self.best.key):
+                    self.best = leaf
+                    for x in stack:
+                        x.vs_best = 0
 
 
 @dataclass(frozen=True)
@@ -523,25 +699,32 @@ class CanonicalForm:
     certificate: bytes
 
 
-def canonical_form(g: Graph) -> CanonicalForm:
+def _check_size(g: Graph):
     if g.order > SIZE_LIMIT:
         raise SizeLimit(f"{g.order} vertices exceeds limit {SIZE_LIMIT}")
+
+
+def canonical_form(g: Graph) -> CanonicalForm:
+    _check_size(g)
     if g.order == 0:
         return CanonicalForm((), b"0:0:")
-    search = _CanonicalSearch(list(g.rows)).run()
-    nbits = g.order * (g.order - 1) // 2
+    best = _CanonicalSearch(list(g.rows)).best
+    width = (g.order + 7) // 8
     cert = (f"{g.order}:{g.edge_count()}:".encode()
-            + search.best_bits.to_bytes((nbits + 7) // 8 or 1, "big"))
-    return CanonicalForm(tuple(search.best_colors), cert)
+            + b"".join(r.to_bytes(width, "big") for r in best.key))
+    return CanonicalForm(tuple(best.pos), cert)
 
 
 def automorphism_count(g: Graph) -> int:
-    """Exact order of the automorphism group via canonical leaf counting."""
-    if g.order > SIZE_LIMIT:
-        raise SizeLimit(f"{g.order} vertices exceeds limit {SIZE_LIMIT}")
+    """Exact order of the automorphism group: the product, along the first
+    path of the canonical search, of the orbit sizes of the path's next
+    vertex under the automorphisms found, which by then generate the
+    stabilizer of the path so far (orbit-stabiliser; see the module
+    docstring)."""
+    _check_size(g)
     if g.order == 0:
         return 1
-    return _CanonicalSearch(list(g.rows)).run().count
+    return _CanonicalSearch(list(g.rows)).order
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

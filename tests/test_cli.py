@@ -41,10 +41,21 @@ class TestSpectrum:
         assert code == 0
         assert out.strip() == str(integral_spectrum(johnson_graph(5, 2)))
 
-    def test_size_budget_exit_2(self, capsys):
-        code, _, err = run(capsys, "spectrum", "7", "12")
-        assert code == 2
-        assert "budget" in err
+    def test_size_budget_exit_2(self, capsys, monkeypatch):
+        # The order comes from the parameters: the graph is never built.
+        def unbuilt(*params):
+            raise AssertionError(f"graph {params} built before the budget check")
+
+        monkeypatch.setattr(cli, "sr_graph", unbuilt)
+        monkeypatch.setattr(cli, "johnson_graph", unbuilt)
+        for argv, order in ((("spectrum", "7", "12"), 18564),
+                            (("invariants", "7", "12"), 18564),
+                            (("switch", "7", "12", "--set", "v1"), 18564),
+                            (("export-graph6", "14", "7", "--graph", "johnson"),
+                             3432)):
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            assert err == f"error: graph has {order} vertices; budget is 2000\n"
 
     def test_deterministic(self, capsys):
         first = run(capsys, "spectrum", "4", "5", "--format", "json")
@@ -106,6 +117,14 @@ class TestInvariants:
         assert payload == {"diameter": 3, "clique_number": 4,
                            "independence_number": 4, "aut_order": 48,
                            "k114_free": True}
+
+    def test_complete_graph_k13(self, capsys):
+        # SR(2, 12) is K_13: one search leaf per automorphism would be 13!.
+        code, out, _ = run(capsys, "invariants", "2", "12")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["aut_order"] == 6227020800
+        assert payload["clique_number"] == 13
 
     def test_key_order_stable(self, capsys):
         _, out, _ = run(capsys, "invariants", "3", "2")

@@ -6,15 +6,18 @@ exhaustive enumeration supplies the answer independently.
 """
 
 import random
-from itertools import combinations
+import sys
+from itertools import combinations, islice
 from math import comb, factorial
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rooklab.graphs import (Graph, complete_bipartite, complete_graph,
-                            cube_graph, cycle_graph, induced_subgraph,
-                            johnson_graph, sr_graph)
+from rooklab.graphs import (Graph, cartesian_product, complete_bipartite,
+                            complete_graph, cube_graph, cycle_graph,
+                            induced_subgraph, johnson_graph, sr_graph)
 from rooklab.invariants import (CliqueType, Disconnected, NotAClique,
                                 SizeLimit, automorphism_count, canonical_form,
                                 classify_clique, clique_number,
@@ -22,6 +25,7 @@ from rooklab.invariants import (CliqueType, Disconnected, NotAClique,
                                 has_induced_k114, independence_number,
                                 is_isomorphic, local_graph, maximal_cliques,
                                 vertex_orbits)
+from rooklab.switching import gm_switch, named_switching_set
 
 
 def to_nx(g):
@@ -36,9 +40,30 @@ def random_graph(rng, n, p):
     return Graph.from_edges(range(n), h.edges()), h
 
 
-def nx_aut_count(h):
+def nx_aut_count(h, cap=None):
+    """|Aut| by VF2 enumeration; with a cap, min(|Aut|, cap + 1)."""
     gm = nx.algorithms.isomorphism.GraphMatcher(h, h)
-    return sum(1 for _ in gm.isomorphisms_iter())
+    return sum(1 for _ in islice(gm.isomorphisms_iter(), cap and cap + 1))
+
+
+def paley_graph(q):
+    squares = {x * x % q for x in range(1, q)}
+    return Graph.from_edges(range(q), [(a, b) for a, b in combinations(range(q), 2)
+                                       if (b - a) % q in squares])
+
+
+@st.composite
+def relabeled_graphs(draw, max_order=10):
+    """A graph on up to max_order vertices and a random relabeling of it."""
+    n = draw(st.integers(0, max_order))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(range(n), [e for e, k in zip(pairs, keep) if k])
+    return g, g.relabeled(draw(st.permutations(range(n))))
+
+
+# Fixed seed: the suite runs the same examples every time.
+property_test = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 class TestDistances:
@@ -203,16 +228,26 @@ class TestLocalStructure:
 
 class TestCanonicalForm:
     def test_certificate_invariant_under_relabeling(self):
+        # A relabeled copy has the same certificate, and each of the two
+        # relabeled by its own canonical relabeling gives the same rows.
         rng = random.Random(21)
-        for _ in range(20):
-            n = rng.randrange(1, 16)
-            g, h = random_graph(rng, n, rng.random())
-            perm = list(range(n))
+        sr43 = sr_graph(4, 3)
+
+        def graphs():
+            for _ in range(20):
+                yield random_graph(rng, rng.randrange(1, 16), rng.random())[0]
+            yield from (sr43, gm_switch(sr43, named_switching_set(sr43, "v1")),
+                        paley_graph(13), cube_graph(4))
+
+        for g in graphs():
+            perm = list(range(g.order))
             rng.shuffle(perm)
             relabeled = Graph.from_edges(
-                range(n), [(perm[a], perm[b]) for a, b in g.edges()])
-            assert canonical_form(g).certificate == \
-                canonical_form(relabeled).certificate
+                range(g.order), [(perm[a], perm[b]) for a, b in g.edges()])
+            cg, ch = canonical_form(g), canonical_form(relabeled)
+            assert cg.certificate == ch.certificate
+            assert g.relabeled(cg.relabeling).rows == \
+                relabeled.relabeled(ch.relabeling).rows
 
     def test_distinguishes_nonisomorphic(self):
         a = cycle_graph(6)
@@ -232,6 +267,33 @@ class TestCanonicalForm:
         with pytest.raises(SizeLimit):
             canonical_form(Graph(range(2001), [0] * 2001))
 
+    @property_test
+    @given(relabeled_graphs())
+    def test_property_certificate_and_relabeling(self, pair):
+        # Each graph relabeled by its own canonical relabeling gives the
+        # same rows; the certificate encodes exactly those rows.
+        g, h = pair
+        cg, ch = canonical_form(g), canonical_form(h)
+        assert cg.certificate == ch.certificate
+        assert sorted(cg.relabeling) == list(range(g.order))
+        assert g.relabeled(cg.relabeling).rows == h.relabeled(ch.relabeling).rows
+
+    @property_test
+    @given(relabeled_graphs(), relabeled_graphs())
+    def test_property_is_isomorphic_matches_networkx(self, first, second):
+        for g, h in ((first[0], first[1]), (first[0], second[1])):
+            assert is_isomorphic(g, h) == nx.is_isomorphic(to_nx(g), to_nx(h))
+
+    def test_no_recursion_proportional_to_order(self):
+        edgeless = Graph(range(200), [0] * 200)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            assert automorphism_count(edgeless) == factorial(200)
+            assert sorted(canonical_form(edgeless).relabeling) == list(range(200))
+        finally:
+            sys.setrecursionlimit(limit)
+
 
 class TestAutomorphisms:
     def test_against_vf2_on_random_graphs(self):
@@ -246,6 +308,23 @@ class TestAutomorphisms:
         assert automorphism_count(cycle_graph(7)) == 14
         assert automorphism_count(complete_bipartite(3, 3)) == 72
         assert automorphism_count(cube_graph(3)) == 48
+        # Orbit pruning and back-jumps both fire on these.
+        assert automorphism_count(paley_graph(13)) == 78
+        assert automorphism_count(cube_graph(4)) == 384
+        k33_k2 = cartesian_product(complete_bipartite(3, 3), complete_graph(2))
+        assert automorphism_count(k33_k2) == 144
+        assert automorphism_count(sr_graph(5, 4)) == 120
+        assert automorphism_count(complete_graph(13)) == factorial(13)
+        assert automorphism_count(Graph(range(13), [0] * 13)) == factorial(13)
+
+    @property_test
+    @given(relabeled_graphs())
+    def test_property_against_vf2(self, pair):
+        # VF2 enumerates every automorphism, so it is capped; groups larger
+        # than the cap only have to be larger on both sides.
+        g, _ = pair
+        cap = 5000
+        assert min(automorphism_count(g), cap + 1) == nx_aut_count(to_nx(g), cap)
 
     def test_petersen(self):
         h = nx.petersen_graph()

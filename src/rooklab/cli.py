@@ -37,10 +37,6 @@ GAMMA_BUDGET = 6
 _NAMED_SETS = ("v1", "e12", "ones")
 
 
-class _Budget(Exception):
-    pass
-
-
 def _build_graph(kind, a, b):
     """SR(a, b), or J(a, b) for kind "johnson", refused before it is built
     when its order exceeds the desk-scale budget shared with the
@@ -50,7 +46,7 @@ def _build_graph(kind, a, b):
     if min(a, b) >= 0:
         order = comb(a, b) if johnson else sr_order(a, b)
         if order > SIZE_LIMIT:
-            raise _Budget(f"graph has {order} vertices; budget is {SIZE_LIMIT}")
+            raise SizeLimit(f"graph has {order} vertices; budget is {SIZE_LIMIT}")
     return johnson_graph(a, b) if johnson else sr_graph(a, b)
 
 
@@ -118,7 +114,7 @@ def cmd_gamma(args):
         print(json.dumps(out))
         return EXIT_OK
     if args.n > GAMMA_BUDGET:
-        raise _Budget(f"classification sweep is budgeted to n <= {GAMMA_BUDGET}")
+        raise SizeLimit(f"classification sweep is budgeted to n <= {GAMMA_BUDGET}")
     for c in classify_gamma(args.n):
         print(json.dumps(c.to_json()))
     return EXIT_OK
@@ -239,7 +235,7 @@ def main(argv=None):
         code = args.fn(args)
         sys.stdout.flush()
         return code
-    except (_Budget, SizeLimit, NotSwitchable, ValueError) as exc:
+    except (SizeLimit, NotSwitchable, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

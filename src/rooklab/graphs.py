@@ -64,13 +64,7 @@ class Graph:
         return [r.bit_count() for r in self.rows]
 
     def neighbors(self, i):
-        row = self.rows[i]
-        out = []
-        while row:
-            low = row & -row
-            out.append(low.bit_length() - 1)
-            row ^= low
-        return out
+        return list(_bits(self.rows[i]))
 
     def edge_count(self):
         return sum(r.bit_count() for r in self.rows) // 2
@@ -78,12 +72,8 @@ class Graph:
     def edges(self):
         """Yield edges as index pairs (i, j) with i < j, in row order."""
         for i, row in enumerate(self.rows):
-            row >>= i + 1
-            j = i + 1
-            while row:
-                low = row & -row
-                yield (i, j + low.bit_length() - 1)
-                row ^= low
+            for j in _bits(row >> (i + 1)):
+                yield (i, i + 1 + j)
 
     def is_regular(self):
         degs = self.degrees()

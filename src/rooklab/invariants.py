@@ -75,8 +75,9 @@ def diameter(g: Graph) -> int:
 
 def _color_classes(candidates, nrows):
     """Greedy coloring of the candidate set, one bitmask per color class.
-    The class index (1-based) bounds any clique inside the first classes.
-    nrows[u] is the complemented adjacency row ~rows[u]."""
+    The class index (1-based) bounds any clique inside the first classes;
+    it is the only bound the clique search prunes with.  nrows[u] is the
+    complemented adjacency row ~rows[u], which contains u."""
     classes = []
     p = candidates
     while p:
@@ -92,50 +93,10 @@ def _color_classes(candidates, nrows):
     return classes
 
 
-def _renumber(classes, rows, threshold):
-    """Shrink the branching set: move vertices out of color classes above
-    `threshold` (0-based) into the low classes by a one-swap repair.  The
-    result is still a proper coloring, so the bound stays valid; vertices
-    that land in a class of 1-based index <= threshold are pruned wholesale
-    instead of branched on."""
-    for c in range(threshold, len(classes)):
-        stay = 0
-        cls = classes[c]
-        while cls:
-            low = cls & -cls
-            cls ^= low
-            row_u = rows[low.bit_length() - 1]
-            relocated = False
-            for c1 in range(threshold):
-                conflict = classes[c1] & row_u
-                if not conflict:
-                    classes[c1] |= low
-                    relocated = True
-                    break
-                if conflict & (conflict - 1):
-                    continue
-                row_w = rows[conflict.bit_length() - 1]
-                for c2 in range(threshold):
-                    if c2 != c1 and not (classes[c2] & row_w):
-                        classes[c1] = (classes[c1] ^ conflict) | low
-                        classes[c2] |= conflict
-                        relocated = True
-                        break
-                if relocated:
-                    break
-            if not relocated:
-                stay |= low
-        classes[c] = stay
-    classes[:] = [cl for cl in classes if cl]
-
-
 def _max_clique_size(rows, nrows, candidates, size, best):
     if size + candidates.bit_count() <= best:
         return best
     classes = _color_classes(candidates, nrows)
-    threshold = best - size
-    if threshold >= 2 and len(classes) > threshold:
-        _renumber(classes, rows, threshold)
     for c in range(len(classes), 0, -1):
         if size + c <= best:
             return best
@@ -168,38 +129,6 @@ def _degeneracy_perm(g: Graph):
             if w in remaining:
                 degs[w] -= 1
     return out
-
-
-def _greedy_clique(rows, start_mask, start_size, order) -> int:
-    clique_size = start_size
-    p = start_mask
-    for u in order:
-        if (p >> u) & 1:
-            clique_size += 1
-            p &= rows[u]
-            if not p:
-                break
-    return clique_size
-
-
-def _greedy_seed(rows) -> int:
-    """Best clique over greedy completions from every vertex and every edge.
-    Cheap, deterministic, and witnessed, so it is a sound incumbent."""
-    n = len(rows)
-    order = range(n - 1, -1, -1)
-    full = (1 << n) - 1
-    best = min(n, 1)
-    for s in range(n):
-        size = _greedy_clique(rows, rows[s], 1, order)
-        if size > best:
-            best = size
-    for s in range(n):
-        srow = rows[s]
-        for s2 in _bits(srow >> (s + 1)):
-            size = _greedy_clique(rows, srow & rows[s + 1 + s2], 2, order)
-            if size > best:
-                best = size
-    return best
 
 
 def _find(parent, x):
@@ -266,10 +195,10 @@ def coordinate_symmetries(g: Graph) -> list:
 def clique_number(g: Graph, aut_generators=None) -> int:
     """Exact maximum clique size, branch-and-bound with coloring bound.
 
-    The incumbent starts at the best greedy clique found by multi-start
-    completion; any greedy result is witnessed by an actual clique, so
-    the starting bound is sound and the search only proves optimality
-    (or improves on the heuristic).
+    The search starts from incumbent 0, or from 1 under orbit pruning,
+    where the graph has a vertex.  The coloring bound alone proves
+    optimality: a branch is cut only when no clique in it can beat the
+    incumbent, so any incumbent witnessed by an actual clique is sound.
 
     `aut_generators` (vertex permutations, each verified to be an
     automorphism) enables isomorph rejection at the root: once every
@@ -288,11 +217,10 @@ def clique_number(g: Graph, aut_generators=None) -> int:
         rows[a] |= 1 << b
         rows[b] |= 1 << a
     nrows = [~row for row in rows]
-    seed = _greedy_seed(rows)
     full = (1 << g.order) - 1
     if not aut_generators:
-        return _max_clique_size(rows, nrows, full, 0, seed)
-    best = max(seed, 1)
+        return _max_clique_size(rows, nrows, full, 0, 0)
+    best = 1
     cands = full
     for orbit in vertex_orbits(g, aut_generators):
         mask = 0
@@ -321,7 +249,7 @@ def maximal_cliques(g: Graph):
             out.append(tuple(sorted(r)))
             return
         pivot_pool = p | x
-        pivot = max(_bits(pivot_pool), key=lambda u: bin(p & g.rows[u]).count("1"))
+        pivot = max(_bits(pivot_pool), key=lambda u: (p & g.rows[u]).bit_count())
         for u in _bits(p & ~g.rows[pivot]):
             extend(r + [u], p & g.rows[u], x & g.rows[u])
             p &= ~(1 << u)
@@ -386,31 +314,17 @@ def local_graph(g: Graph, v: int) -> Graph:
     return induced_subgraph(g, sorted(g.neighbors(v)))
 
 
-def _has_coclique(g: Graph, members, size):
-    """True iff the vertex set `members` contains `size` pairwise
-    nonadjacent vertices (small sets only; plain backtracking)."""
-    members = sorted(members)
-
-    def rec(start, chosen, left):
-        if left == 0:
-            return True
-        for t in range(start, len(members) - left + 1):
-            u = members[t]
-            if all(not g.has_edge(u, w) for w in chosen):
-                if rec(t + 1, chosen + [u], left - 1):
-                    return True
-        return False
-
-    return rec(0, [], size)
-
-
 def has_induced_k114(g: Graph) -> bool:
     """Search for an induced K_{1,1,4}: an edge plus four pairwise
-    nonadjacent common neighbors of its ends."""
+    nonadjacent common neighbors of its ends, that is a 4-clique of the
+    complement inside the common neighborhood (the clique search on the
+    complement's rows, started from incumbent 3)."""
+    crows = [~row ^ (1 << u) for u, row in enumerate(g.rows)]
+    nrows = [row | (1 << u) for u, row in enumerate(g.rows)]
     for u, v in g.edges():
         common = g.rows[u] & g.rows[v]
-        members = list(_bits(common))
-        if len(members) >= 4 and _has_coclique(g, members, 4):
+        if (common.bit_count() >= 4
+                and _max_clique_size(crows, nrows, common, 0, 3) > 3):
             return True
     return False
 

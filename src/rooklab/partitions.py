@@ -170,10 +170,10 @@ def check_equitable(g, p: VertexPartition) -> QuotientMatrix:
     entries = []
     for i, block in enumerate(p.blocks):
         ref = block[0]
-        row = [bin(g.rows[ref] & masks[j]).count("1") for j in range(p.size)]
+        row = [(g.rows[ref] & masks[j]).bit_count() for j in range(p.size)]
         for x in block[1:]:
             for j in range(p.size):
-                c = bin(g.rows[x] & masks[j]).count("1")
+                c = (g.rows[x] & masks[j]).bit_count()
                 if c != row[j]:
                     raise NotEquitable(i, j, ref, x, row[j], c)
         entries.append(tuple(row))

@@ -55,31 +55,14 @@ class TestCounting:
 
 
 class TestEigenvalueFormulas:
-    def test_smallest_eigenvalue(self, sr_spectrum):
-        for m in range(2, 5):
-            for n in range(1, 5):
-                assert sr_spectrum(m, n).min_eigenvalue == \
-                    smallest_eigenvalue_formula(m, n)
-
     def test_smallest_eigenvalue_regimes(self):
         assert smallest_eigenvalue_formula(5, 3) == -3   # n below binom(m,2)
         assert smallest_eigenvalue_formula(3, 9) == -3   # binom(m,2) below n
         assert smallest_eigenvalue_formula(4, 6) == -6   # boundary
 
-    def test_bottom_multiplicity(self, sr_spectrum):
-        for m in range(2, 5):
-            for n in range(1, 6):
-                expected = bottom_multiplicity(m, n)
-                assert sr_spectrum(m, n).multiplicity(-comb(m, 2)) == expected
-
     def test_bottom_multiplicity_vanishes_below_threshold(self):
         assert bottom_multiplicity(4, 5) == 0  # n < binom(4,2) = 6
         assert bottom_multiplicity(4, 6) == comb(6 - 3, 3)
-
-    def test_minus_n_multiplicity_is_mahonian(self, sr_spectrum):
-        for m in range(2, 5):
-            for n in range(1, 6):
-                assert sr_spectrum(m, n).multiplicity(-n) == mahonian(m, n)
 
 
 class TestJohnsonSpectrum:

@@ -70,7 +70,7 @@ def cmd_spectrum(args):
 
 def cmd_verify(args):
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    reports = run_suites(names, max_vertices=args.max_vertices)
+    reports = run_suites(names)
     failed = False
     for r in reports:
         print(json.dumps(r.to_json()))
@@ -106,10 +106,7 @@ def cmd_gamma(args):
         probe = try_integral_spectrum(g)
         out = {
             "m": len(pi), "pi": list(pi), "n": inversion_count(pi),
-            "order": g.order, "integral": probe.is_integral,
-            "spectrum": (str(probe.spectrum()) if probe.is_integral
-                         else {"pairs": [list(p) for p in probe.pairs],
-                               "residual": probe.residual}),
+            "order": g.order, **probe.to_json(),
         }
         print(json.dumps(out))
         return EXIT_OK
@@ -188,9 +185,6 @@ def build_parser():
 
     s = sp.add_parser("verify", help="run the verification battery (JSON lines)")
     s.add_argument("--suite", choices=("all",) + SUITES, default="all")
-    s.add_argument("--max-vertices", type=int, default=1000,
-                   help="cap parametric sweeps at this order (golden-table "
-                        "items always run)")
     s.set_defaults(fn=cmd_verify)
 
     s = sp.add_parser("invariants", help="diameter, clique and independence "

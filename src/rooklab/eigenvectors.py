@@ -213,10 +213,7 @@ class GammaClass:
             "first_m": self.m,
             "first_pi": list(self.pi),
             "occurrences": self.occurrences,
-            "integral": self.is_integral,
-            "spectrum": (str(self.probe.spectrum()) if self.is_integral
-                         else {"pairs": [list(p) for p in self.probe.pairs],
-                               "residual": self.probe.residual}),
+            **self.probe.to_json(),
         }
 
 

@@ -1,4 +1,4 @@
-"""graph6 encoding/decoding and JSON export for graphs.
+"""graph6 encoding for graphs.
 
 graph6 is the ASCII format used by nauty and friends: a vertex-count header
 followed by the upper triangle of the adjacency matrix, column by column,
@@ -21,20 +21,6 @@ def _encode_size(n):
     raise ValueError("graphs this large are out of scope for graph6 here")
 
 
-def _decode_size(s):
-    """Return (vertex count, number of header characters consumed)."""
-    if not s:
-        raise ValueError("empty graph6 string")
-    if s[0] != "~":
-        return ord(s[0]) - 63, 1
-    if len(s) >= 4 and s[1] != "~":
-        n = 0
-        for ch in s[1:4]:
-            n = (n << 6) | (ord(ch) - 63)
-        return n, 4
-    raise ValueError("graph6 header out of supported range")
-
-
 def to_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 string (labels are dropped)."""
     n = g.order
@@ -52,51 +38,3 @@ def to_graph6(g: Graph) -> str:
             val = (val << 1) | b
         chars.append(chr(val + 63))
     return "".join(chars)
-
-
-def from_graph6(s: str) -> Graph:
-    """Decode a graph6 string; vertices are labelled 0..n-1."""
-    s = s.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
-    n, at = _decode_size(s)
-    need = (n * (n - 1) // 2 + 5) // 6
-    body = s[at:]
-    if len(body) != need:
-        raise ValueError(f"graph6 body has {len(body)} chars, expected {need}")
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        if not 0 <= val <= 63:
-            raise ValueError("invalid graph6 character")
-        bits.extend(((val >> s6) & 1) for s6 in (5, 4, 3, 2, 1, 0))
-    rows = [0] * n
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos += 1
-    return Graph(range(n), rows)
-
-
-def _json_label(lab):
-    if isinstance(lab, tuple):
-        return [_json_label(x) for x in lab]
-    if isinstance(lab, frozenset):
-        return sorted(lab)
-    return lab
-
-
-def graph_to_json(g: Graph) -> dict:
-    """JSON-ready dict: vertices (labels), edges (0-based index pairs), and
-    the (m, n) parameters when the graph is a simplicial rook graph."""
-    out = {}
-    if g.family == "sr":
-        out["m"], out["n"] = g.params
-    elif g.family == "johnson":
-        out["v"], out["n"] = g.params
-    out["vertices"] = [_json_label(lab) for lab in g.labels]
-    out["edges"] = [[i, j] for i, j in g.edges()]
-    return out

@@ -265,11 +265,6 @@ def induced_subgraph(g, indices):
     return Graph([g.labels[x] for x in idx], rows)
 
 
-def subgraph_on_labels(g, labels):
-    """Induced subgraph on a collection of vertex labels."""
-    return induced_subgraph(g, [g.index[lab] for lab in labels])
-
-
 def sr_order(m, n):
     """Number of vertices of SR(m, n)."""
     return comb(n + m - 1, n) if m >= 1 else (1 if n == 0 else 0)

@@ -11,7 +11,6 @@ whose spectrum need not be integral.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
@@ -20,9 +19,6 @@ import numpy as np
 from . import modular
 from .graphs import Graph, sr_vertices
 from .modular import IncompleteSpectrum
-
-# Plain row-major list-of-lists of Python ints.
-IntMatrix = "list[list[int]]"
 
 _LENIENT_LIMIT = 512
 
@@ -94,15 +90,6 @@ class Spectrum:
             pairs.append((int(m.group(1)), int(m.group(2))))
         return cls(tuple(pairs))
 
-    def to_json(self):
-        return {"pairs": [[c, m] for c, m in self.pairs]}
-
-    @classmethod
-    def from_json(cls, data):
-        if isinstance(data, str):
-            data = json.loads(data)
-        return cls(tuple((int(c), int(m)) for c, m in data["pairs"]))
-
 
 @dataclass(frozen=True)
 class SpectrumProbe:
@@ -119,6 +106,14 @@ class SpectrumProbe:
         if not self.is_integral:
             raise IncompleteSpectrum(self.pairs, self.residual)
         return Spectrum(self.pairs)
+
+    def to_json(self):
+        """The "integral" and "spectrum" keys of a JSON report: the spectrum
+        string when integral, else the pairs found and the residual."""
+        return {"integral": self.is_integral,
+                "spectrum": (str(self.spectrum()) if self.is_integral
+                             else {"pairs": [list(p) for p in self.pairs],
+                                   "residual": self.residual})}
 
 
 def rank(rows):

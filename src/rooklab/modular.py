@@ -160,13 +160,6 @@ def _annihilator_mod(a, eigenvalues, p):
     v = a.shape[0]
     d = len(eigenvalues)
     af = np.mod(a.astype(np.float64), p)
-    if d <= 3:
-        eye = np.eye(v)
-        b = None
-        for c in eigenvalues:
-            factor = np.mod(af - c * eye, p)
-            b = factor if b is None else np.fmod(b @ factor, p)
-        return b
     coeffs = _poly_from_roots(eigenvalues, p)
     s = max(2, math.isqrt(d) + 1)
     powers = [np.eye(v), af]

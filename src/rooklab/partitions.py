@@ -14,7 +14,6 @@ different graphs can be compared entrywise with no block-matching search.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,9 +75,6 @@ class VertexPartition:
     @property
     def size(self):
         return len(self.blocks)
-
-    def block_sizes(self):
-        return tuple(len(b) for b in self.blocks)
 
 
 def _grouped(g, label_of):
@@ -144,9 +140,6 @@ class QuotientMatrix:
     def to_json(self):
         return {"labels": [list(l) if isinstance(l, tuple) else l for l in self.labels],
                 "entries": [list(row) for row in self.entries]}
-
-    def to_json_string(self):
-        return json.dumps(self.to_json())
 
     def to_csv(self):
         lines = ["label," + ",".join(str(l) for l in self.labels)]

@@ -7,9 +7,8 @@ conjectured formulas emit status "reported" and never fail the battery.
 This is the one implementation of each claim: the acceptance criteria in
 tests/test_acceptance.py are named groups of these claim ids.
 
-The golden-table and eigenvector-family items always run in full;
-max_vertices caps only the other parametric sweeps.  Items run one after
-another in submission order, so output is deterministic.
+Items run one after another in submission order, so output is
+deterministic.
 """
 
 from __future__ import annotations
@@ -41,6 +40,10 @@ from .switching import (enumerate_switching_sets, gm_switch,
                         named_switching_set, switching_closure)
 
 SUITES = ("spectra", "partitions", "invariants", "switching", "gamma")
+
+# Parametric sweeps skip SR graphs above these orders.
+_SWEEP_CAP = 1000
+_CLIQUE_CAP = 500
 
 
 @dataclass(frozen=True)
@@ -106,15 +109,14 @@ class SpectrumCache:
         return self._gamma[n]
 
 
-def _integrality_grid(max_vertices):
+def _integrality_grid():
     for m in range(1, 7):
         for n in range(0, 9):
-            if 0 < sr_order(m, n) <= min(1000, max_vertices):
+            if 0 < sr_order(m, n) <= _SWEEP_CAP:
                 yield m, n
 
 
-def suite_spectra(max_vertices=1000, cache=None):
-    cache = cache or SpectrumCache()
+def suite_spectra(cache):
     items = []
     for n in sorted(golden.TABLE1):
         items.append((
@@ -124,8 +126,8 @@ def suite_spectra(max_vertices=1000, cache=None):
     items.append((
         "complement.sr33",
         lambda: _eq(str(Spectrum.from_string(golden.COMPLEMENT_SR33)),
-                    str(integral_spectrum(sr_graph(3, 3).complement())))))
-    for m, n in _integrality_grid(max_vertices):
+                    str(integral_spectrum(cache.graph(3, 3).complement())))))
+    for m, n in _integrality_grid():
         items.append((
             f"integral.m={m}.n={n}",
             lambda m=m, n=n: _eq(sr_order(m, n), cache.spectrum(m, n).total)))
@@ -152,12 +154,12 @@ def suite_spectra(max_vertices=1000, cache=None):
                            str(cache.spectrum(m, n)))
 
     for m in range(1, 9):
-        if sr_order(m, 3) <= min(1000, max_vertices):
+        if sr_order(m, 3) <= _SWEEP_CAP:
             items.append((f"family.n3.m={m}", family_item("n3", m, 3)))
-        if sr_order(m, 4) <= min(1000, max_vertices):
+        if sr_order(m, 4) <= _SWEEP_CAP:
             items.append((f"family.n4.m={m}", family_item("n4", m, 4)))
     for n in range(1, 13):
-        if sr_order(3, n) <= min(1000, max_vertices):
+        if sr_order(3, n) <= _SWEEP_CAP:
             items.append((f"family.m3.n={n}", family_item("m3", 3, n)))
 
     def conjecture_item(fam, m, n):
@@ -169,21 +171,20 @@ def suite_spectra(max_vertices=1000, cache=None):
         return run
 
     for m in range(1, 12):
-        if sr_order(m, 5) <= min(1000, max_vertices):
+        if sr_order(m, 5) <= _SWEEP_CAP:
             items.append((f"conjectured.n5.m={m}", conjecture_item("n5", m, 5)))
     for n in list(range(6, 7)) + list(range(8, 20)):
-        if sr_order(4, n) <= min(1000, max_vertices):
+        if sr_order(4, n) <= _SWEEP_CAP:
             items.append((f"conjectured.m4.n={n}", conjecture_item("m4", 4, n)))
     return items
 
 
-def suite_partitions(max_vertices=1000, cache=None):
-    cache = cache or SpectrumCache()
+def suite_partitions(cache):
     items = []
 
     def weight_item(m, n):
         def run():
-            g = sr_graph(m, n)
+            g = cache.graph(m, n)
             q = check_equitable(g, weight_partition(g))
             qs = quotient_spectrum(q)
             expected = Spectrum(tuple(((m - i) * (n - i) - n, 1)
@@ -193,7 +194,7 @@ def suite_partitions(max_vertices=1000, cache=None):
 
     def support_item(m, n):
         def run():
-            g = sr_graph(m, n)
+            g = cache.graph(m, n)
             j = johnson_graph(m + n - 1, n)
             qg = check_equitable(g, support_partition(g))
             qj = check_equitable(j, johnson_support_partition(j, m))
@@ -203,7 +204,7 @@ def suite_partitions(max_vertices=1000, cache=None):
 
     def spectrum_item(m, n):
         def run():
-            g = sr_graph(m, n)
+            g = cache.graph(m, n)
             q = check_equitable(g, support_partition(g))
             qs = quotient_spectrum(q)
             expected = common_quotient_spectrum(m, n).spectrum
@@ -220,7 +221,7 @@ def suite_partitions(max_vertices=1000, cache=None):
 
     def formula_item(m, n):
         def run():
-            g = sr_graph(m, n)
+            g = cache.graph(m, n)
             q = check_equitable(g, support_partition(g))
             supports = [frozenset(lab) for lab in q.labels]
             for a, s in enumerate(supports):
@@ -240,11 +241,11 @@ def suite_partitions(max_vertices=1000, cache=None):
     return items
 
 
-def suite_invariants(max_vertices=1000, cache=None):
+def suite_invariants(cache):
     items = []
 
     def diameter_item(m, n):
-        return lambda: _eq(min(m - 1, n), diameter(sr_graph(m, n)))
+        return lambda: _eq(min(m - 1, n), diameter(cache.graph(m, n)))
 
     for m in range(1, 7):
         for n in range(0, 7):
@@ -252,25 +253,26 @@ def suite_invariants(max_vertices=1000, cache=None):
 
     def clique_item(m, n):
         def run():
-            g = sr_graph(m, n)
+            g = cache.graph(m, n)
             return _eq(max(m, n + 1),
                        clique_number(g, aut_generators=coordinate_symmetries(g)))
         return run
 
     for m in range(2, 7):
         for n in range(1, 7):
-            if sr_order(m, n) <= min(500, max_vertices):
+            if sr_order(m, n) <= _CLIQUE_CAP:
                 items.append((f"prop.clique.m={m}.n={n}", clique_item(m, n)))
 
     def alpha_3n_item(n):
-        return lambda: _eq((2 * n + 3) // 3, independence_number(sr_graph(3, n)))
+        return lambda: _eq((2 * n + 3) // 3,
+                           independence_number(cache.graph(3, n)))
 
     for n in range(1, 11):
         items.append((f"prop.alpha.m=3.n={n}", alpha_3n_item(n)))
 
     def alpha_m3_item(m):
         def run():
-            g = sr_graph(m, 3)
+            g = cache.graph(m, 3)
             return _eq(independence_formula(m, 3),
                        independence_number(g, aut_generators=coordinate_symmetries(g)))
         return run
@@ -280,14 +282,14 @@ def suite_invariants(max_vertices=1000, cache=None):
 
     def classify_item(m, n):
         def run():
-            g = sr_graph(m, n)
+            g = cache.graph(m, n)
             for c in maximal_cliques(g):
                 classify_clique(g, c)  # raises on an unclassifiable clique
             return "pass", "all maximal cliques classify", "all classified"
         return run
 
     def k114_item(m, n):
-        return lambda: _eq(False, has_induced_k114(sr_graph(m, n)))
+        return lambda: _eq(False, has_induced_k114(cache.graph(m, n)))
 
     for m in range(3, 6):
         for n in range(3, 6):
@@ -295,7 +297,7 @@ def suite_invariants(max_vertices=1000, cache=None):
             items.append((f"prop.k114free.m={m}.n={n}", k114_item(m, n)))
 
     def aut_item(m, n, expected):
-        return lambda: _eq(expected, automorphism_count(sr_graph(m, n)))
+        return lambda: _eq(expected, automorphism_count(cache.graph(m, n)))
 
     for m in (4, 5):
         items.append((f"prop.aut.m={m}.n=3", aut_item(m, 3, 2 * factorial(m))))
@@ -304,7 +306,7 @@ def suite_invariants(max_vertices=1000, cache=None):
 
     def digitswap_item(m):
         def run():
-            g = sr_graph(m, 3)
+            g = cache.graph(m, 3)
             swap = {1: 2, 2: 1}
             perm = [g.index[tuple(swap.get(x, x) for x in lab)]
                     if 2 in lab else g.index[lab]
@@ -331,7 +333,7 @@ def suite_invariants(max_vertices=1000, cache=None):
 
     def lemma_item(m, n):
         def run():
-            g = sr_graph(m, n)
+            g = cache.graph(m, n)
             clique_sets = [set(c) for c in maximal_cliques(g)]
             for u in range(g.order):
                 nonzero = sum(1 for x in g.labels[u] if x)
@@ -351,8 +353,7 @@ def suite_invariants(max_vertices=1000, cache=None):
     return items
 
 
-def suite_switching(max_vertices=1000, cache=None):
-    cache = cache or SpectrumCache()
+def suite_switching(cache):
     items = []
 
     def mate_item(m, n, name):
@@ -402,8 +403,7 @@ def suite_switching(max_vertices=1000, cache=None):
     return items
 
 
-def suite_gamma(max_vertices=1000, cache=None):
-    cache = cache or SpectrumCache()
+def suite_gamma(cache):
     items = []
     targets = {
         1: [("Q_1", complete_graph(2))],
@@ -461,12 +461,13 @@ def suite_gamma(max_vertices=1000, cache=None):
 
     def fpi_item(m, n):
         def run():
-            g = sr_graph(m, n)
+            g = cache.graph(m, n)
             pis = permutations_with_inversions(m, n)
-            for pi in pis:
-                if not verify_eigenvector(g, f_pi(pi), -n):
+            vecs = [f_pi(pi) for pi in pis]
+            for pi, vec in zip(pis, vecs):
+                if not verify_eigenvector(g, vec, -n):
                     return "fail", "exact -n eigenvectors", f"fails at {pi}"
-            rows = [[f_pi(pi).get(lab, 0) for lab in g.labels] for pi in pis]
+            rows = [[vec.get(lab, 0) for lab in g.labels] for vec in vecs]
             return _eq(mahonian(m, n), rank(rows))
         return run
 
@@ -481,7 +482,7 @@ def suite_gamma(max_vertices=1000, cache=None):
             if len(fam) != expected:
                 return "fail", f"{expected} orbit vectors", f"{len(fam)}"
             if fam:
-                g = sr_graph(m, n)
+                g = cache.graph(m, n)
                 lam = -comb(m, 2)
                 for p, vec in fam:
                     if not verify_eigenvector(g, vec, lam):
@@ -507,17 +508,15 @@ _SUITE_BUILDERS = {
 }
 
 
-def battery(names=SUITES, max_vertices=1000, cache=None) -> list:
+def battery(names=SUITES, cache=None) -> list:
     """The (claim, callable) items of the named suites, in order."""
     unknown = [s for s in names if s not in _SUITE_BUILDERS]
     if unknown:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}")
     cache = cache or SpectrumCache()
-    return [item for name in names
-            for item in _SUITE_BUILDERS[name](max_vertices=max_vertices,
-                                              cache=cache)]
+    return [item for name in names for item in _SUITE_BUILDERS[name](cache)]
 
 
-def run_suites(names, max_vertices=1000) -> list:
+def run_suites(names) -> list:
     """Run the named suites and return VerificationReport records in order."""
-    return _run(battery(names, max_vertices))
+    return _run(battery(names))

@@ -4,7 +4,6 @@ networkx serves as the independent oracle for structural properties; the
 constructors under test never call it.
 """
 
-from itertools import combinations
 from math import comb
 
 import networkx as nx
@@ -13,7 +12,7 @@ import pytest
 from rooklab.graphs import (Graph, cartesian_product, complete_bipartite,
                             complete_graph, cube_graph, cycle_graph,
                             induced_subgraph, johnson_graph, sr_graph,
-                            sr_order, sr_vertices, subgraph_on_labels)
+                            sr_order, sr_vertices)
 
 
 def to_nx(g):
@@ -176,13 +175,6 @@ class TestGraphOps:
             for b, j in enumerate(idx):
                 assert h.has_edge(a, b) == g.has_edge(i, j)
         assert list(h.labels) == [g.labels[i] for i in idx]
-
-    def test_subgraph_on_labels(self):
-        g = sr_graph(3, 2)
-        labs = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
-        h = subgraph_on_labels(g, labs)
-        assert h.order == 3
-        assert h.edge_count() == 3  # the three doubled vertices form a triangle
 
     def test_adjacency_matrix(self):
         g = sr_graph(3, 2)

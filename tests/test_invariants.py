@@ -8,7 +8,7 @@ exhaustive enumeration supplies the answer independently.
 import random
 import sys
 from itertools import combinations, islice
-from math import comb, factorial
+from math import factorial
 
 import networkx as nx
 import pytest
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from rooklab.graphs import (Graph, cartesian_product, complete_bipartite,
                             complete_graph, cube_graph, cycle_graph,
-                            induced_subgraph, johnson_graph, sr_graph)
+                            johnson_graph, sr_graph)
 from rooklab.invariants import (CliqueType, Disconnected, NotAClique,
                                 SizeLimit, automorphism_count, canonical_form,
                                 classify_clique, clique_number,
@@ -105,11 +105,6 @@ class TestDistances:
                   johnson_graph(6, 3), cycle_graph(9)):
             assert diameter(g) == nx.diameter(to_nx(g))
 
-    def test_diameter_formula_on_sr(self):
-        for m in range(2, 6):
-            for n in range(1, 5):
-                assert diameter(sr_graph(m, n)) == min(m - 1, n)
-
     def test_disconnected_raises(self):
         g = Graph.from_edges([0, 1, 2, 3], [(0, 1), (2, 3)])
         with pytest.raises(Disconnected):
@@ -168,10 +163,6 @@ class TestIndependenceNumber:
         assert independence_number(complete_graph(5)) == 1
         assert independence_number(cycle_graph(7)) == 3
         assert independence_number(cube_graph(3)) == 4
-
-    def test_sr_m3_row(self):
-        for n in range(1, 6):
-            assert independence_number(sr_graph(3, n)) == (2 * n + 3) // 3
 
 
 class TestMaximalCliques:

@@ -5,7 +5,6 @@ rank over the rationals); the code under test never imports it.
 """
 
 import random
-from math import comb
 
 import pytest
 import sympy
@@ -124,9 +123,11 @@ class TestIntegralSpectrum:
         assert probe.is_integral
         assert probe.residual == 0
 
-    def test_total_matches_order(self, sr_spectrum):
-        for m, n in ((3, 4), (4, 3), (5, 2)):
-            assert sr_spectrum(m, n).total == comb(n + m - 1, n)
+    def test_probe_json(self):
+        assert try_integral_spectrum(cycle_graph(5)).to_json() == {
+            "integral": False, "spectrum": {"pairs": [[2, 1]], "residual": 4}}
+        assert try_integral_spectrum(complete_graph(3)).to_json() == {
+            "integral": True, "spectrum": "2^1 (-1)^2"}
 
 
 class TestVerifyEigenvector:

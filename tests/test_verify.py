@@ -36,15 +36,6 @@ class TestSuites:
         assert reports
         assert all(r.status == "pass" for r in reports)
 
-    def test_max_vertices_prunes_sweeps(self):
-        from rooklab.verify import suite_spectra
-        pruned = suite_spectra(max_vertices=50, cache=SpectrumCache())
-        wide = suite_spectra(max_vertices=1000, cache=SpectrumCache())
-        assert len(pruned) < len(wide)
-        pruned_claims = {c for c, _ in pruned}
-        # Golden-table rows always stay.
-        assert all(f"table1.n={n}" in pruned_claims for n in range(16))
-
     def test_cache_shared_between_items(self):
         cache = SpectrumCache()
         g1 = cache.graph(3, 3)

@@ -182,14 +182,29 @@ def _self_check(g, pairs):
                            f"(totals {total}/{v}, moments {first}, {second})")
 
 
+def _coordinate_shift(g):
+    """The vertex permutation rotating each SR label one coordinate left,
+    or None unless g is an SR graph whose labels that rotation permutes."""
+    if g.family != "sr" or not all(isinstance(lab, tuple) for lab in g.labels):
+        return None
+    shift = [g.index.get(lab[1:] + lab[:1]) for lab in g.labels]
+    return None if None in shift else shift
+
+
 def integral_spectrum(g: Graph) -> Spectrum:
     """Exact spectrum of a graph known to have all-integer eigenvalues.
 
     Every integer within the maximum degree is a candidate, so the answer
-    assumes nothing about the graph's family.  Raises IncompleteSpectrum
-    when the spectrum is not integral after all.
+    assumes nothing about the graph's family.  For SR graphs the engine
+    also gets the cyclic coordinate shift, which splits the work by the
+    shift's eigenspaces.  The engine verifies that the shift is an
+    automorphism before using it, and the certified answer is the same
+    with or without it.  Raises IncompleteSpectrum when the spectrum is not
+    integral after all, and ValueError for a graph labelled as SR whose
+    edges the shift does not preserve.
     """
-    pairs = modular.certified_symmetric_spectrum(g.adjacency_matrix())
+    pairs = modular.certified_symmetric_spectrum(g.adjacency_matrix(),
+                                                 _coordinate_shift(g))
     _self_check(g, pairs)
     return Spectrum(tuple(pairs))
 

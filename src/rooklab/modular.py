@@ -26,14 +26,40 @@ prime.  Adjacency matrices are symmetric and quotient matrices of equitable
 partitions are similar to symmetric ones, so both are diagonalizable; for
 them a failure takes a mod-p coincidence for every prime tried.
 
+A symmetry splits the work without changing the argument.  Let sigma be a
+permutation of the indices with A[sigma x, sigma y] = A[x, y], verified
+before use, and k its order (the lcm of its cycle lengths).  The engine then
+works only with primes p = 1 (mod k), so F_p holds a primitive k-th root of
+unity omega.  For an orbit O of size s (s divides k) with representative r,
+the vector u_i(O) = sum over t < s of omega^(-i t) e(sigma^t r) is nonzero,
+and an omega^i-eigenvector of sigma, exactly when omega^(i s) = 1, that is
+when k | i s.  For each O these s vectors are the columns of an invertible
+s-point Fourier matrix, so all the u_i(O) together form a basis of F_p^v.
+A commutes with sigma, so it maps each eigenspace into itself; on the basis
+u_i(O) of the omega^i-eigenspace it acts by the block
+B_i[O', O] = sum over t < |O| of omega^(-i t) A[rep(O'), sigma^t rep(O)].
+So A mod p is similar to the direct sum of the B_i mod p, hence:
+
+- chi_A = prod over i of chi_{B_i} (mod p), so the root multiplicities of
+  step 2 are the sums of the blocks' root multiplicities;
+- f(A) = 0 (mod p) iff f(B_i) = 0 (mod p) for every i, so step 3 checks
+  prod (B_i - cI) on every block for each prime.
+
+Nothing else changes: the candidates, the entry bound and the number of
+primes still come from A's own row sums, and steps 1 to 3 hold as stated.
+The identity (k = 1) gives one block, A itself, and every prime in PRIMES.
+
 The arithmetic uses int64 numpy (values stay far below 2**63) and float64
 BLAS matmuls, both exact integer arithmetic in range: a product of two
 matrices with entries below p sums v terms below (p - 1)**2, which stays
-below 2**53 while v <= MAX_ORDER.  Larger matrices are refused.
+below 2**53 while v <= MAX_ORDER.  Blocks are built by an integer gather
+(at most k terms below p**2 per entry), and a block of order above
+MAX_ORDER is refused.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -41,21 +67,16 @@ import numpy as np
 _PRIME_CEILING = 1 << 20
 
 
-def _primes_below(ceiling, count):
+def _primes_below(ceiling, count, k=1):
+    """The largest count primes p < ceiling with p = 1 (mod k), descending;
+    fewer when there are not that many."""
+    step = k if k % 2 == 0 else 2 * k  # odd x = 1 (mod k) are 1 (mod step)
+    x = ceiling - 1 - (ceiling - 2) % step
     out = []
-    x = ceiling - 1
-    while len(out) < count:
-        if x % 2:
-            d = 3
-            is_prime = x > 2
-            while d * d <= x:
-                if x % d == 0:
-                    is_prime = False
-                    break
-                d += 2
-            if is_prime:
-                out.append(x)
-        x -= 1
+    while len(out) < count and x > 2:
+        if all(x % d for d in range(3, math.isqrt(x) + 1, 2)):
+            out.append(x)
+        x -= step
     return out
 
 
@@ -63,6 +84,102 @@ PRIMES = _primes_below(_PRIME_CEILING, 96)
 
 # Largest order v with v * (p - 1)**2 < 2**53 for every prime in PRIMES.
 MAX_ORDER = (2**53 - 1) // (max(PRIMES) - 1) ** 2
+
+
+@functools.cache
+def _primes_1_mod(k):
+    """The primes a symmetry of order k works with: PRIMES for k = 1, else
+    as many primes p = 1 (mod k) below the same ceiling, built on first use."""
+    return PRIMES if k == 1 else _primes_below(_PRIME_CEILING, len(PRIMES), k)
+
+
+def _root_of_unity(k, p):
+    """A primitive k-th root of unity mod the prime p, for k dividing p - 1."""
+    divisors = [j for j in range(1, k) if k % j == 0]
+    for g in range(2, p):
+        w = pow(g, (p - 1) // k, p)
+        if all(pow(w, j, p) != 1 for j in divisors):
+            return w
+    raise ValueError(f"{k} does not divide {p} - 1")
+
+
+class _Split:
+    """A square integer matrix a split by a verified symmetry sigma.
+
+    perm lists sigma(x) = perm[x] and must satisfy a[perm][:, perm] == a;
+    None is the identity.  k is the order of sigma, primes the primes
+    p = 1 (mod k) the proof uses and sizes the orders of the nonempty blocks
+    that blocks(p) returns.  Block i is a's restriction to the
+    omega^i-eigenspace of sigma mod p, on the orbit vectors
+    u(O) = sum over t < |O| of omega^(-i t) e(sigma^t rep(O)) of the orbits O
+    with k | i |O|:
+
+        B_i[O', O] = sum over t < |O| of omega^(-i t) a[rep(O'), sigma^t rep(O)].
+    """
+
+    def __init__(self, a, perm):
+        v = int(a.shape[0])
+        self._a = a
+        self._gathers = []
+        self.k = 1
+        self.sizes = [v] if v else []
+        if perm is not None:
+            perm = np.asarray(perm)
+            if (perm.shape != (v,) or perm.dtype.kind not in "iu"
+                    or not np.array_equal(np.sort(perm), np.arange(v))):
+                raise ValueError("perm is not a permutation of the matrix "
+                                 "indices")
+            if not np.array_equal(a[np.ix_(perm, perm)], a):
+                raise ValueError("perm is not a symmetry of the matrix")
+            # The cycles of sigma, one after another, each listed as
+            # rep, sigma(rep), sigma^2(rep), ... from its smallest index.
+            succ = perm.tolist()
+            seen = bytearray(v)
+            members, sizes = [], []
+            for x in range(v):
+                if not seen[x]:
+                    y, s = x, 0
+                    while not seen[y]:
+                        seen[y] = 1
+                        members.append(y)
+                        y, s = succ[y], s + 1
+                    sizes.append(s)
+            self.k = math.lcm(*sizes)
+        self.primes = _primes_1_mod(self.k)
+        if not self.primes:
+            raise ValueError(f"no prime p = 1 (mod {self.k}) lies below "
+                             f"{_PRIME_CEILING}")
+        if self.k > 1:
+            self._gather(np.array(members), np.array(sizes))
+
+    def _gather(self, members, sizes):
+        # Per block, the integer entries a[rep(O'), sigma^t rep(O)] with
+        # their exponents -i t mod k; blocks(p) weighs and sums them.
+        k = self.k
+        starts = np.cumsum(sizes) - sizes
+        ts = np.arange(len(members)) - np.repeat(starts, sizes)
+        self.sizes = []
+        # Block i is nonempty iff some orbit size s has (k / s) | i.
+        for i in sorted({j * (k // s) for s in set(sizes.tolist())
+                         for j in range(s)}):
+            kept = i * sizes % k == 0
+            cols = np.repeat(kept, sizes)
+            block_sizes = sizes[kept]
+            self._gathers.append((
+                self._a[np.ix_(members[starts[kept]], members[cols])],
+                -i * ts[cols] % k, np.cumsum(block_sizes) - block_sizes))
+            self.sizes.append(len(block_sizes))
+
+    def blocks(self, p):
+        """The blocks of a mod p, one per nonempty eigenspace."""
+        if self.k == 1:
+            return [self._a]
+        w = _root_of_unity(self.k, p)
+        powers = np.array([pow(w, e, p) for e in range(self.k)],
+                          dtype=np.int64)
+        # Each sum has at most k < p terms below p**2 < 2**40: exact in int64.
+        return [np.add.reduceat((g % p) * powers[exps], starts, axis=1) % p
+                for g, exps, starts in self._gathers]
 
 
 def hessenberg_mod(a, p):
@@ -180,24 +297,26 @@ def _annihilator_mod(a, eigenvalues, p):
     return b
 
 
-def annihilation_proved(a, eigenvalues, delta):
+def annihilation_proved(a, eigenvalues, delta, perm=None):
     """True iff prod over eigenvalues of (a - cI) is proven zero over Z.
 
     a: square int64 numpy matrix with max absolute row sum <= delta.
     The proof checks the product modulo enough primes that their product
-    exceeds twice the row-norm bound on the entries.
+    exceeds twice the row-norm bound on the entries; with a symmetry perm
+    (see certified_symmetric_spectrum) it checks it on every block.
     """
     v = a.shape[0]
     if v == 0 or not eigenvalues:
         return True
+    split = _Split(a, perm)
     bound_bits = 1.0
     for c in eigenvalues:
         bound_bits += float(np.log2(max(delta + abs(c), 2)))
     used_bits = 0.0
-    for p in PRIMES:
-        b = _annihilator_mod(a, eigenvalues, p)
-        if not np.all(b == 0.0):
-            return False
+    for p in split.primes:
+        for b in split.blocks(p):
+            if np.any(_annihilator_mod(b, eigenvalues, p)):
+                return False
         used_bits += float(np.log2(p))
         if used_bits > bound_bits:
             return True
@@ -222,34 +341,46 @@ class IncompleteSpectrum(Exception):
             f"{residual} unaccounted for")
 
 
-def certified_symmetric_spectrum(a):
+def certified_symmetric_spectrum(a, perm=None):
     """Exact integer spectrum of a square int64 matrix.
 
     Every integer within the max absolute row sum is a candidate.  Returns
-    descending (eigenvalue, multiplicity) pairs, proven exact.  Raises
-    IncompleteSpectrum when the matrix provably has non-integer eigenvalues,
-    and RuntimeError when the annihilation certificate fails for each of the
-    first four primes, as it does for every matrix that is not
-    diagonalizable.  Raises ValueError for an order above MAX_ORDER.
+    descending (eigenvalue, multiplicity) pairs, proven exact.  perm, if
+    given, is a symmetry sigma(x) = perm[x] of a: the work splits into one
+    block per eigenspace of sigma, and the answer is the same as without it.
+    Raises IncompleteSpectrum when the matrix provably has non-integer
+    eigenvalues, and RuntimeError when the annihilation certificate fails
+    for each of the first four primes, as it does for every matrix that is
+    not diagonalizable.  Raises ValueError when perm is not a permutation
+    commuting with a, and for a block order above MAX_ORDER.
     """
+    split = _Split(a, perm)
+    if max(split.sizes, default=0) > MAX_ORDER:
+        raise ValueError(f"block order {max(split.sizes)} exceeds "
+                         f"{MAX_ORDER}, the largest for which float64 "
+                         f"products mod p stay exact")
     v = int(a.shape[0])
-    if v > MAX_ORDER:
-        raise ValueError(f"matrix order {v} exceeds {MAX_ORDER}, the largest "
-                         f"for which float64 products mod p stay exact")
     if v == 0:
         return []
     delta = int(np.abs(a).sum(axis=1).max())
-    for p in PRIMES[:4]:
-        chi = charpoly_mod(a, p)
-        pairs = []
-        total = 0
-        for c in range(delta, -delta - 1, -1):
-            e = root_multiplicity(chi, c, p)
-            if e:
-                pairs.append((c, e))
-                total += e
+    for p in split.primes[:4]:
+        found = {}
+        for b in split.blocks(p):
+            chi = charpoly_mod(b, p)
+            # The block's root multiplicities add up to at most its order,
+            # so once they reach it no further candidate is a root.
+            total = 0
+            for c in range(delta, -delta - 1, -1):
+                if total == b.shape[0]:
+                    break
+                e = root_multiplicity(chi, c, p)
+                if e:
+                    found[c] = found.get(c, 0) + e
+                    total += e
+        pairs = sorted(found.items(), reverse=True)
+        total = sum(found.values())
         if total < v:
             raise IncompleteSpectrum(pairs, v - total)
-        if annihilation_proved(a, [c for c, _ in pairs], delta):
+        if annihilation_proved(a, [c for c, _ in pairs], delta, perm):
             return pairs
     raise RuntimeError("spectrum certificate failed for the first four primes")

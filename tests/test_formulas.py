@@ -9,7 +9,7 @@ from math import comb
 
 import pytest
 
-from rooklab.formulas import (PredictedSpectrum, UnsupportedParameters, binom,
+from rooklab.formulas import (UnsupportedParameters, binom,
                               bottom_multiplicity, common_quotient_spectrum,
                               independence_formula, independence_upper_bound,
                               johnson_spectrum, mahonian, predicted_spectrum,

@@ -111,6 +111,14 @@ class TestIntegralSpectrum:
         g = Graph(k33.labels, k33.rows, family="sr", params=(2, 1))
         assert integral_spectrum(g).pairs == ((3, 1), (0, 4), (-3, 1))
 
+    def test_shift_that_is_no_automorphism_refused(self):
+        # SR(3, 2)'s labels on C_6's edges: the coordinate shift permutes
+        # the labels but not the edges, so the engine refuses it.
+        g = Graph(sr_graph(3, 2).labels, cycle_graph(6).rows, family="sr",
+                  params=(3, 2))
+        with pytest.raises(ValueError):
+            integral_spectrum(g)
+
     def test_non_integral_graph_raises(self):
         with pytest.raises(IncompleteSpectrum):
             integral_spectrum(cycle_graph(5))

@@ -2,20 +2,29 @@
 
 sympy's charpoly over Z is the oracle for the mod-p coefficient pipeline;
 random symmetric integer matrices with planted eigenvalues exercise the
-certificate on both integral and non-integral inputs.
+certificate on both integral and non-integral inputs.  The symmetry-split
+engine is checked against the unsplit one (perm=None) and against numpy
+eigenvalues, on SR graphs, relabelled SR graphs, circulants and switching
+mates.
 """
 
+import math
 import random
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rooklab.graphs import complete_graph, cycle_graph, sr_graph
-from rooklab.modular import (MAX_ORDER, IncompleteSpectrum,
-                             annihilation_proved,
+from rooklab.modular import (MAX_ORDER, PRIMES, IncompleteSpectrum, _Split,
+                             _primes_1_mod, annihilation_proved,
                              certified_symmetric_spectrum, charpoly_mod,
                              hessenberg_mod, root_multiplicity)
+from rooklab.switching import enumerate_switching_sets, gm_switch
+
+property_test = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 def sympy_charpoly_mod(a, p):
@@ -115,11 +124,175 @@ class TestCertificate:
     def test_annihilation_rejects_wrong_eigenvalue_list(self):
         g = complete_graph(4)
         a = np.array(g.adjacency_matrix(), dtype=np.int64)
-        assert annihilation_proved(a, [3, -1], 3)
-        assert not annihilation_proved(a, [3, 1], 3)
-        assert not annihilation_proved(a, [3], 3)
+        for perm in (None, [1, 2, 3, 0]):
+            assert annihilation_proved(a, [3, -1], 3, perm)
+            assert not annihilation_proved(a, [3, 1], 3, perm)
+            assert not annihilation_proved(a, [3], 3, perm)
 
     def test_annihilation_empty_cases(self):
         assert annihilation_proved(np.zeros((0, 0), dtype=np.int64), [1], 0)
         a = np.zeros((2, 2), dtype=np.int64)
         assert annihilation_proved(a, [0], 0)
+
+
+def coordinate_shift(g):
+    return [g.index[lab[1:] + lab[:1]] for lab in g.labels]
+
+
+def circulant(c):
+    n = len(c)
+    return np.array([[c[(j - i) % n] for j in range(n)] for i in range(n)],
+                    dtype=np.int64)
+
+
+def numpy_spectrum(a):
+    """Descending integer pairs of a symmetric matrix, or None when an
+    eigenvalue is not within 1e-6 of an integer."""
+    values = np.linalg.eigvalsh(a.astype(np.float64))
+    rounded = np.rint(values)
+    if np.max(np.abs(values - rounded), initial=0.0) > 1e-6:
+        return None
+    ints, counts = np.unique(rounded.astype(np.int64), return_counts=True)
+    return [(int(c), int(e)) for c, e in zip(ints[::-1], counts[::-1])]
+
+
+class TestSymmetrySplit:
+    def test_prime_lists(self):
+        assert _primes_1_mod(1) is PRIMES
+        assert PRIMES[0] == (1 << 20) - 3 and len(PRIMES) == 96
+        for k in (2, 3, 13, 97):
+            primes = _primes_1_mod(k)
+            assert len(primes) == len(PRIMES)
+            assert primes == sorted(primes, reverse=True)
+            assert all(p % k == 1 and sympy.isprime(p) for p in primes)
+
+    def test_sr_graphs_with_coordinate_shift(self):
+        points = [(m, n) for m in range(2, 7) for n in range(6 - m // 2)]
+        points += [(1, 0), (1, 3), (97, 1)]
+        for m, n in points:
+            g = sr_graph(m, n)
+            a = g.adjacency_matrix()
+            assert certified_symmetric_spectrum(a, coordinate_shift(g)) == \
+                certified_symmetric_spectrum(a), (m, n)
+        # K_97 under a 97-cycle: 97 blocks of order 1, primes = 1 (mod 97).
+        g = sr_graph(97, 1)
+        split = _Split(g.adjacency_matrix(), coordinate_shift(g))
+        assert split.k == 97 and split.sizes == [1] * 97
+        assert split.primes[0] % 97 == 1
+
+    def test_block_orders_follow_orbit_sizes(self):
+        # SR(3, 3): the fixed vertex (1, 1, 1) and three 3-cycles; block 0
+        # keeps all four orbits, blocks 1 and 2 the three 3-cycles.
+        g = sr_graph(3, 3)
+        split = _Split(g.adjacency_matrix(), coordinate_shift(g))
+        assert split.k == 3 and split.sizes == [4, 3, 3]
+
+    @property_test
+    @given(st.data())
+    def test_relabelled_sr_graph(self, data):
+        m, n = data.draw(st.sampled_from([(3, 3), (4, 2), (4, 3), (5, 2),
+                                          (3, 5), (6, 1)]))
+        g = sr_graph(m, n)
+        pi = data.draw(st.permutations(range(g.order)))
+        h = g.relabeled(pi)
+        sigma = coordinate_shift(g)
+        # Vertex pi[x] of h is vertex x of g, so pi sigma pi^-1 is h's shift.
+        conjugated = [0] * g.order
+        for x in range(g.order):
+            conjugated[pi[x]] = pi[sigma[x]]
+        a = h.adjacency_matrix()
+        assert certified_symmetric_spectrum(a, conjugated) == \
+            certified_symmetric_spectrum(a) == \
+            certified_symmetric_spectrum(g.adjacency_matrix(), sigma)
+
+    def test_circulants_with_rotation(self):
+        # One or two integer circulants side by side, each rotated by the
+        # symmetry, so orbits of two sizes share the blocks.  A weight that
+        # depends only on gcd(t, n) gives an integral spectrum; a random
+        # symmetric weight usually does not.
+        rng = random.Random(7)
+        integral = 0
+        for trial in range(40):
+            sizes = rng.sample(range(1, 13), rng.randint(1, 2))
+            parts, perm = [], []
+            for n in sizes:
+                if trial % 2:
+                    f = {d: rng.randrange(-3, 4) for d in range(1, n + 1)}
+                    c = [f[math.gcd(t, n)] for t in range(n)]
+                else:
+                    c = [rng.randrange(-3, 4) for _ in range(n)]
+                    c = [c[min(t, n - t)] for t in range(n)]
+                perm += [len(perm) + (x + 1) % n for x in range(n)]
+                parts.append(circulant(c))
+            v = len(perm)
+            a = np.zeros((v, v), dtype=np.int64)
+            at = 0
+            for part in parts:
+                a[at:at + len(part), at:at + len(part)] = part
+                at += len(part)
+            expected = numpy_spectrum(a)
+            if expected is None:
+                for p in (perm, None):
+                    with pytest.raises(IncompleteSpectrum):
+                        certified_symmetric_spectrum(a, p)
+            else:
+                integral += 1
+                assert certified_symmetric_spectrum(a, perm) == \
+                    certified_symmetric_spectrum(a) == expected
+        assert integral >= 20
+
+    def test_switching_mates_get_no_symmetry(self):
+        # Mates lose the family label, so integral_spectrum gives them no
+        # symmetry; most are not invariant under SR(4, 3)'s shift at all.
+        g = sr_graph(4, 3)
+        shift = coordinate_shift(g)
+        base = certified_symmetric_spectrum(g.adjacency_matrix(), shift)
+        assert base == numpy_spectrum(g.adjacency_matrix())
+        refused = 0
+        for b in enumerate_switching_sets(g):
+            mate = gm_switch(g, b)
+            assert mate.family is None
+            a = mate.adjacency_matrix()
+            assert certified_symmetric_spectrum(a) == base
+            if np.array_equal(a[np.ix_(shift, shift)], a):
+                assert certified_symmetric_spectrum(a, shift) == base
+            else:
+                refused += 1
+                with pytest.raises(ValueError):
+                    certified_symmetric_spectrum(a, shift)
+        assert refused > 0
+
+    def test_refuses_what_is_no_symmetry(self):
+        a = cycle_graph(5).adjacency_matrix()
+        for perm in ([1, 0, 2, 3, 4],  # a transposition: no automorphism
+                     [0, 0, 1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4, 5],
+                     [1.0, 2.0, 3.0, 4.0, 0.0]):
+            with pytest.raises(ValueError):
+                certified_symmetric_spectrum(a, perm)
+            with pytest.raises(ValueError):
+                annihilation_proved(a, [2], 2, perm)
+
+    def test_order_beyond_the_primes(self):
+        # Cycles of lengths 2, 3, 5, 7 have order 210: the 17 orbit blocks
+        # sit at the multiples of 105, 70, 42 and 30 among 210 characters.
+        # Adding cycles up to 23 makes the order 223092870 > 2**20, so no
+        # prime p = 1 (mod k) lies below the ceiling and perm is refused.
+        def cycles(lengths):
+            perm, at = [], 0
+            for s in lengths:
+                perm += [at + (x + 1) % s for x in range(s)]
+                at += s
+            return perm
+
+        perm = cycles((2, 3, 5, 7))
+        a = np.zeros((17, 17), dtype=np.int64)
+        for lo, hi in ((0, 2), (2, 5), (5, 10), (10, 17)):
+            a[lo:hi, lo:hi] = 1
+        assert certified_symmetric_spectrum(a, perm) == \
+            certified_symmetric_spectrum(a) == \
+            [(7, 1), (5, 1), (3, 1), (2, 1), (0, 13)]
+        assert _Split(a, perm).k == 210
+        perm = cycles((2, 3, 5, 7, 11, 13, 17, 19, 23))
+        with pytest.raises(ValueError, match="no prime"):
+            certified_symmetric_spectrum(np.eye(len(perm), dtype=np.int64),
+                                         perm)

@@ -5,7 +5,7 @@ import pytest
 from rooklab.graphs import (Graph, complete_graph, cycle_graph, cube_graph,
                             sr_graph)
 from rooklab.invariants import is_isomorphic
-from rooklab.linalg import integral_spectrum, try_integral_spectrum
+from rooklab.linalg import integral_spectrum
 from rooklab.switching import (NotSwitchable, SwitchingSet,
                                enumerate_switching_sets, gm_switch,
                                named_switching_set, switching_closure,

@@ -82,11 +82,13 @@ class Graph:
     def adjacency_matrix(self):
         """Dense adjacency matrix as an int64 numpy array."""
         v = self.order
-        a = np.zeros((v, v), dtype=np.int64)
-        for i, row in enumerate(self.rows):
-            for j in _bits(row):
-                a[i, j] = 1
-        return a
+        width = (v + 7) // 8
+        # Bit j of a row is bit j % 8 of its byte j // 8, little end first.
+        data = b"".join(row.to_bytes(width, "little") for row in self.rows)
+        bits = np.unpackbits(
+            np.frombuffer(data, dtype=np.uint8).reshape(v, width),
+            axis=1, bitorder="little")
+        return bits[:, :v].astype(np.int64)
 
     def complement(self):
         v = self.order

@@ -42,12 +42,31 @@ So A mod p is similar to the direct sum of the B_i mod p, hence:
 
 - chi_A = prod over i of chi_{B_i} (mod p), so the root multiplicities of
   step 2 are the sums of the blocks' root multiplicities;
-- f(A) = 0 (mod p) iff f(B_i) = 0 (mod p) for every i, so step 3 checks
-  prod (B_i - cI) on every block for each prime.
+- f(A) = 0 (mod p) iff f(B_i) = 0 (mod p) for every i.
+
+A symmetric A (verified, A = A^T) proves each conjugate pair of blocks
+once.  Block k-i keeps the same orbits as block i, since k | i s iff
+k | (k-i) s.  Let S be the diagonal of the block's orbit sizes.  Using
+A^T = A and the symmetry, B_{k-i}[O, O'] = (|O'| / |O|) B_i[O', O], that is
+B_{k-i}^T = S B_i S^(-1) (mod p), and S is invertible because every orbit
+size is at most k < p.  So B_{k-i} is similar to B_i: the two have the same
+chi, and f(B_{k-i}) = 0 exactly when f(B_i) = 0.  B_{k-i} is B_i^T only
+when all of the block's orbits have the same size; on SR(6, 2) blocks 2 and
+4 mix orbits of sizes 3 and 6.  The engine keeps block i for i <= k - i
+only: the self-conjugate blocks i = 0 and, for even k, i = k/2 count once,
+every other kept block twice.
+
+Step 3 then checks each kept block B_i against g_i = prod (x - c) over the
+block's own roots c, found in its chi at the charpoly prime, rather than
+against F = prod (x - c) over every claimed c.  Each g_i divides F, so
+g_i(B_i) = 0 (mod p) proves F(B_i) = 0, hence F(A) = 0 (mod p); the choice
+of g_i affects only whether the check succeeds, never what it proves.
 
 Nothing else changes: the candidates, the entry bound and the number of
-primes still come from A's own row sums, and steps 1 to 3 hold as stated.
-The identity (k = 1) gives one block, A itself, and every prime in PRIMES.
+primes still come from A's own row sums and the full list of claimed
+eigenvalues, and steps 1 to 3 hold as stated.  The identity (k = 1), or no
+symmetry at all, gives one block, A itself, every prime in PRIMES and the
+full list of claimed eigenvalues as its roots.
 
 The arithmetic uses int64 numpy (values stay far below 2**63) and float64
 BLAS matmuls, both exact integer arithmetic in range: a product of two
@@ -108,13 +127,17 @@ class _Split:
 
     perm lists sigma(x) = perm[x] and must satisfy a[perm][:, perm] == a;
     None is the identity.  k is the order of sigma, primes the primes
-    p = 1 (mod k) the proof uses and sizes the orders of the nonempty blocks
-    that blocks(p) returns.  Block i is a's restriction to the
-    omega^i-eigenspace of sigma mod p, on the orbit vectors
-    u(O) = sum over t < |O| of omega^(-i t) e(sigma^t rep(O)) of the orbits O
-    with k | i |O|:
+    p = 1 (mod k) the proof uses, and sizes and weights the orders of the
+    blocks that blocks(p) returns and how many eigenspaces each stands for.
+    Block i is a's restriction to the omega^i-eigenspace of sigma mod p, on
+    the orbit vectors u(O) = sum over t < |O| of omega^(-i t) e(sigma^t rep(O))
+    of the orbits O with k | i |O|:
 
         B_i[O', O] = sum over t < |O| of omega^(-i t) a[rep(O'), sigma^t rep(O)].
+
+    Every nonempty block is kept, with weight 1, unless a is symmetric: then
+    only block i <= k - i of each pair {i, k - i} is, with weight 2 when
+    i != k - i (see the module docstring).
     """
 
     def __init__(self, a, perm):
@@ -123,6 +146,7 @@ class _Split:
         self._gathers = []
         self.k = 1
         self.sizes = [v] if v else []
+        self.weights = [1] * len(self.sizes)
         if perm is not None:
             perm = np.asarray(perm)
             if (perm.shape != (v,) or perm.dtype.kind not in "iu"
@@ -158,10 +182,15 @@ class _Split:
         k = self.k
         starts = np.cumsum(sizes) - sizes
         ts = np.arange(len(members)) - np.repeat(starts, sizes)
-        self.sizes = []
+        self.sizes, self.weights = [], []
         # Block i is nonempty iff some orbit size s has (k / s) | i.
-        for i in sorted({j * (k // s) for s in set(sizes.tolist())
-                         for j in range(s)}):
+        nonempty = sorted({j * (k // s) for s in set(sizes.tolist())
+                           for j in range(s)})
+        paired = np.array_equal(self._a, self._a.T)
+        for i in nonempty:
+            if paired and 2 * i > k:
+                continue
+            self.weights.append(2 if paired and 0 < 2 * i < k else 1)
             kept = i * sizes % k == 0
             cols = np.repeat(kept, sizes)
             block_sizes = sizes[kept]
@@ -171,7 +200,7 @@ class _Split:
             self.sizes.append(len(block_sizes))
 
     def blocks(self, p):
-        """The blocks of a mod p, one per nonempty eigenspace."""
+        """The kept blocks of a mod p, in the order of sizes and weights."""
         if self.k == 1:
             return [self._a]
         w = _root_of_unity(self.k, p)
@@ -297,25 +326,29 @@ def _annihilator_mod(a, eigenvalues, p):
     return b
 
 
-def annihilation_proved(a, eigenvalues, delta, perm=None):
-    """True iff prod over eigenvalues of (a - cI) is proven zero over Z.
+def annihilation_proved(split, roots, delta):
+    """True iff prod over the claimed eigenvalues of (a - cI) is proven
+    zero over Z, for the matrix a that split holds.
 
-    a: square int64 numpy matrix with max absolute row sum <= delta.
-    The proof checks the product modulo enough primes that their product
-    exceeds twice the row-norm bound on the entries; with a symmetry perm
-    (see certified_symmetric_spectrum) it checks it on every block.
+    roots[j] lists the claimed eigenvalues that split's block j should
+    satisfy; the claimed eigenvalues are all of them together, and delta
+    bounds a's max absolute row sum.  The proof checks prod over roots[j]
+    of (B_j - cI) on every kept block modulo enough primes that their
+    product exceeds twice the row-norm bound on the entries of the full
+    product (see the module docstring).  A nonempty block with no roots
+    fails the proof.
     """
-    v = a.shape[0]
-    if v == 0 or not eigenvalues:
-        return True
-    split = _Split(a, perm)
+    if len(roots) != len(split.sizes):
+        raise ValueError(f"{len(roots)} root lists for "
+                         f"{len(split.sizes)} blocks")
+    eigenvalues = sorted(set().union(*roots), reverse=True)
     bound_bits = 1.0
     for c in eigenvalues:
         bound_bits += float(np.log2(max(delta + abs(c), 2)))
     used_bits = 0.0
     for p in split.primes:
-        for b in split.blocks(p):
-            if np.any(_annihilator_mod(b, eigenvalues, p)):
+        for b, block_roots in zip(split.blocks(p), roots):
+            if np.any(_annihilator_mod(b, block_roots, p)):
                 return False
         used_bits += float(np.log2(p))
         if used_bits > bound_bits:
@@ -347,7 +380,8 @@ def certified_symmetric_spectrum(a, perm=None):
     Every integer within the max absolute row sum is a candidate.  Returns
     descending (eigenvalue, multiplicity) pairs, proven exact.  perm, if
     given, is a symmetry sigma(x) = perm[x] of a: the work splits into one
-    block per eigenspace of sigma, and the answer is the same as without it.
+    block per eigenspace of sigma, or per conjugate pair of eigenspaces when
+    a is symmetric, and the answer is the same as without it.
     Raises IncompleteSpectrum when the matrix provably has non-integer
     eigenvalues, and RuntimeError when the annihilation certificate fails
     for each of the first four primes, as it does for every matrix that is
@@ -364,9 +398,10 @@ def certified_symmetric_spectrum(a, perm=None):
         return []
     delta = int(np.abs(a).sum(axis=1).max())
     for p in split.primes[:4]:
-        found = {}
-        for b in split.blocks(p):
+        found, roots = {}, []
+        for b, weight in zip(split.blocks(p), split.weights):
             chi = charpoly_mod(b, p)
+            roots.append([])
             # The block's root multiplicities add up to at most its order,
             # so once they reach it no further candidate is a root.
             total = 0
@@ -375,12 +410,13 @@ def certified_symmetric_spectrum(a, perm=None):
                     break
                 e = root_multiplicity(chi, c, p)
                 if e:
-                    found[c] = found.get(c, 0) + e
+                    found[c] = found.get(c, 0) + weight * e
+                    roots[-1].append(c)
                     total += e
         pairs = sorted(found.items(), reverse=True)
         total = sum(found.values())
         if total < v:
             raise IncompleteSpectrum(pairs, v - total)
-        if annihilation_proved(a, [c for c, _ in pairs], delta, perm):
+        if annihilation_proved(split, roots, delta):
             return pairs
     raise RuntimeError("spectrum certificate failed for the first four primes")

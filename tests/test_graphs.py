@@ -4,9 +4,11 @@ networkx serves as the independent oracle for structural properties; the
 constructors under test never call it.
 """
 
+import random
 from math import comb
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from rooklab.graphs import (Graph, cartesian_product, complete_bipartite,
@@ -177,10 +179,17 @@ class TestGraphOps:
         assert list(h.labels) == [g.labels[i] for i in idx]
 
     def test_adjacency_matrix(self):
-        g = sr_graph(3, 2)
-        a = g.adjacency_matrix()
-        assert all(a[i][j] == int(g.has_edge(i, j))
-                   for i in range(g.order) for j in range(g.order))
+        # Orders 0, 1, 6, 9 and 66 (rows wider than one 64-bit word), and a
+        # relabelling, whose rows set bits in no particular order.
+        big = sr_graph(3, 10)
+        pi = list(range(big.order))
+        random.Random(3).shuffle(pi)
+        for g in (Graph((), ()), complete_graph(1), sr_graph(3, 2),
+                  cycle_graph(9), big, big.relabeled(pi)):
+            a = g.adjacency_matrix()
+            assert a.dtype == np.int64 and a.shape == (g.order, g.order)
+            assert all(a[i, j] == int(g.has_edge(i, j))
+                       for i in range(g.order) for j in range(g.order))
 
     def test_from_edges_roundtrip(self):
         g = Graph.from_edges(["a", "b", "c", "d"],

@@ -17,11 +17,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rooklab import modular
 from rooklab.graphs import complete_graph, cycle_graph, sr_graph
+from rooklab.linalg import integral_spectrum
 from rooklab.modular import (MAX_ORDER, PRIMES, IncompleteSpectrum, _Split,
-                             _primes_1_mod, annihilation_proved,
-                             certified_symmetric_spectrum, charpoly_mod,
-                             hessenberg_mod, root_multiplicity)
+                             _primes_1_mod, _root_of_unity,
+                             annihilation_proved, certified_symmetric_spectrum,
+                             charpoly_mod, hessenberg_mod, root_multiplicity)
 from rooklab.switching import enumerate_switching_sets, gm_switch
 
 property_test = settings(max_examples=150, deadline=None, derandomize=True)
@@ -125,14 +127,26 @@ class TestCertificate:
         g = complete_graph(4)
         a = np.array(g.adjacency_matrix(), dtype=np.int64)
         for perm in (None, [1, 2, 3, 0]):
-            assert annihilation_proved(a, [3, -1], 3, perm)
-            assert not annihilation_proved(a, [3, 1], 3, perm)
-            assert not annihilation_proved(a, [3], 3, perm)
+            split = _Split(a, perm)
+            blocks = len(split.sizes)
+            assert annihilation_proved(split, [[3, -1]] * blocks, 3)
+            assert not annihilation_proved(split, [[3, 1]] * blocks, 3)
+            assert not annihilation_proved(split, [[3]] * blocks, 3)
+        # Under the 4-cycle, K_4 splits into [3], [-1] (twice) and [-1]:
+        # each block needs only its own root, and every block needs one.
+        split = _Split(a, [1, 2, 3, 0])
+        assert split.weights == [1, 2, 1]
+        assert annihilation_proved(split, [[3], [-1], [-1]], 3)
+        assert not annihilation_proved(split, [[3], [-1], [3]], 3)
+        assert not annihilation_proved(split, [[3], [], [-1]], 3)
+        with pytest.raises(ValueError):
+            annihilation_proved(split, [[3], [-1]], 3)
 
     def test_annihilation_empty_cases(self):
-        assert annihilation_proved(np.zeros((0, 0), dtype=np.int64), [1], 0)
-        a = np.zeros((2, 2), dtype=np.int64)
-        assert annihilation_proved(a, [0], 0)
+        empty = _Split(np.zeros((0, 0), dtype=np.int64), None)
+        assert annihilation_proved(empty, [], 0)
+        assert annihilation_proved(_Split(np.zeros((2, 2), dtype=np.int64),
+                                          None), [[0]], 0)
 
 
 def coordinate_shift(g):
@@ -143,6 +157,31 @@ def circulant(c):
     n = len(c)
     return np.array([[c[(j - i) % n] for j in range(n)] for i in range(n)],
                     dtype=np.int64)
+
+
+def reference_blocks(a, perm, p):
+    """Every nonempty block B_i of a under sigma mod p, keyed by i, summed
+    entry by entry from the definition, and the orbit sizes of each."""
+    orbits, seen = [], set()
+    for x in range(len(perm)):
+        if x not in seen:
+            orbit = [x]
+            while perm[orbit[-1]] != x:
+                orbit.append(perm[orbit[-1]])
+            seen.update(orbit)
+            orbits.append(orbit)
+    k = math.lcm(*map(len, orbits))
+    w = _root_of_unity(k, p)
+    blocks, sizes = {}, {}
+    for i in range(k):
+        kept = [o for o in orbits if i * len(o) % k == 0]
+        if kept:
+            blocks[i] = np.array(
+                [[sum(pow(w, -i * t % k, p) * int(a[o2[0], o[t]])
+                      for t in range(len(o))) % p for o in kept]
+                 for o2 in kept], dtype=np.int64)
+            sizes[i] = [len(o) for o in kept]
+    return blocks, sizes
 
 
 def numpy_spectrum(a):
@@ -174,18 +213,86 @@ class TestSymmetrySplit:
             a = g.adjacency_matrix()
             assert certified_symmetric_spectrum(a, coordinate_shift(g)) == \
                 certified_symmetric_spectrum(a), (m, n)
-        # K_97 under a 97-cycle: 97 blocks of order 1, primes = 1 (mod 97).
+        # K_97 under a 97-cycle: 97 blocks of order 1, of which block 0 and
+        # one of each conjugate pair {i, 97 - i} are kept; primes = 1 (mod 97).
         g = sr_graph(97, 1)
         split = _Split(g.adjacency_matrix(), coordinate_shift(g))
-        assert split.k == 97 and split.sizes == [1] * 97
+        assert split.k == 97 and split.sizes == [1] * 49
+        assert split.weights == [1] + [2] * 48
         assert split.primes[0] % 97 == 1
 
     def test_block_orders_follow_orbit_sizes(self):
         # SR(3, 3): the fixed vertex (1, 1, 1) and three 3-cycles; block 0
-        # keeps all four orbits, blocks 1 and 2 the three 3-cycles.
+        # keeps all four orbits, blocks 1 and 2 the three 3-cycles.  Block 2
+        # is conjugate to block 1, so only block 1 is kept, counted twice.
         g = sr_graph(3, 3)
         split = _Split(g.adjacency_matrix(), coordinate_shift(g))
-        assert split.k == 3 and split.sizes == [4, 3, 3]
+        assert split.k == 3 and split.sizes == [4, 3]
+        assert split.weights == [1, 2]
+
+    def test_conjugate_blocks_are_similar(self):
+        # SR(6, 2) under its shift: three orbits of size 6 and one of size 3
+        # (the vertices (1, 0, 0, 1, 0, 0) and shifts), so k = 6 and the even
+        # blocks mix both sizes.  Every block, built entry by entry, has
+        # B_{k-i}^T = S B_i S^-1 with S the diagonal of its orbit sizes;
+        # B_4 is not B_2^T.  The engine keeps blocks 0..3.
+        g = sr_graph(6, 2)
+        a, perm = g.adjacency_matrix(), coordinate_shift(g)
+        split = _Split(a, perm)
+        assert split.k == 6
+        assert split.sizes == [4, 3, 4, 3] and split.weights == [1, 2, 2, 1]
+        for p in split.primes[:2]:
+            blocks, sizes = reference_blocks(a, perm, p)
+            assert sorted(blocks) == list(range(6))
+            for i, b in blocks.items():
+                s = np.diag(sizes[i])
+                s_inv = np.diag([pow(x, -1, p) for x in sizes[i]])
+                assert np.array_equal(blocks[-i % 6].T, s @ b @ s_inv % p), i
+            assert sorted(sizes[2]) == [3, 6, 6, 6]
+            assert not np.array_equal(blocks[4], blocks[2].T)
+            kept = split.blocks(p)
+            assert len(kept) == 4
+            for i, b in enumerate(kept):
+                assert np.array_equal(b, blocks[i]), i
+
+    def test_non_symmetric_matrix_keeps_every_block(self):
+        # A directed 5-cycle commutes with its rotation but is not symmetric:
+        # its blocks 1 and 4 are not conjugate, so all five are kept, each
+        # once, and the engine fails the same way as without the symmetry.
+        rotation = [(x + 1) % 5 for x in range(5)]
+        a = np.zeros((5, 5), dtype=np.int64)
+        a[range(5), rotation] = 1
+        split = _Split(a, rotation)
+        assert split.k == 5
+        assert split.sizes == [1] * 5 and split.weights == [1] * 5
+        errors = []
+        for perm in (rotation, None):
+            with pytest.raises(IncompleteSpectrum) as err:
+                certified_symmetric_spectrum(a, perm)
+            errors.append((err.value.pairs, err.value.residual))
+        assert errors[0] == errors[1] == (((1, 1),), 4)
+
+    def test_one_split_and_one_proof_per_spectrum(self, monkeypatch):
+        # The benchmark's per-layer metrics trace modular.annihilation_proved
+        # by name; the engine must reach it once, and build its split once.
+        calls, builds = [], []
+        proved = modular.annihilation_proved
+
+        def counted(*args):
+            calls.append(args)
+            return proved(*args)
+
+        class CountedSplit(modular._Split):
+            def __init__(self, *args):
+                builds.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(modular, "annihilation_proved", counted)
+        monkeypatch.setattr(modular, "_Split", CountedSplit)
+        g = sr_graph(4, 6)
+        spectrum = integral_spectrum(g)
+        assert list(spectrum.pairs) == numpy_spectrum(g.adjacency_matrix())
+        assert len(calls) == 1 and len(builds) == 1
 
     @property_test
     @given(st.data())
@@ -270,7 +377,7 @@ class TestSymmetrySplit:
             with pytest.raises(ValueError):
                 certified_symmetric_spectrum(a, perm)
             with pytest.raises(ValueError):
-                annihilation_proved(a, [2], 2, perm)
+                _Split(a, perm)
 
     def test_order_beyond_the_primes(self):
         # Cycles of lengths 2, 3, 5, 7 have order 210: the 17 orbit blocks

@@ -14,16 +14,19 @@ import os
 import sys
 from math import comb
 
-from .eigenvectors import classify_gamma, gamma_graph, inversion_count
+from .eigenvectors import (classify_gamma, gamma_graph, gamma_order,
+                           inversion_count)
 from .graphio import to_graph6
 from .graphs import johnson_graph, sr_graph, sr_order
-from .invariants import (SIZE_LIMIT, SizeLimit, automorphism_count,
-                         clique_number, coordinate_symmetries, diameter,
-                         has_induced_k114, independence_number, is_isomorphic)
-from .linalg import integral_spectrum, try_integral_spectrum
+from .invariants import (SIZE_LIMIT, Disconnected, SizeLimit,
+                         automorphism_count, clique_number,
+                         coordinate_symmetries, diameter, has_induced_k114,
+                         independence_number, is_isomorphic)
+from .linalg import LENIENT_LIMIT, integral_spectrum, try_integral_spectrum
 from .partitions import (check_equitable, quotient_spectrum,
                          support_partition, weight_partition)
-from .switching import NotSwitchable, gm_switch, named_switching_set
+from .switching import (NAMED_SETS, NotSwitchable, gm_switch,
+                        named_switching_set)
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -33,8 +36,6 @@ EXIT_USAGE = 2
 # Full Gamma classification enumerates every permutation with n inversions
 # for all m <= 2n; beyond this the sweep stops being interactive.
 GAMMA_BUDGET = 6
-
-_NAMED_SETS = ("v1", "e12", "ones")
 
 
 def _build_graph(kind, a, b):
@@ -102,6 +103,10 @@ def _parse_permutation(text):
 def cmd_gamma(args):
     if args.pi is not None:
         pi = _parse_permutation(args.pi)
+        order = gamma_order(pi)
+        if order > LENIENT_LIMIT:
+            raise SizeLimit(f"Gamma graph has {order} vertices; the spectrum "
+                            f"probe is capped at {LENIENT_LIMIT}")
         g = gamma_graph(len(pi), pi)
         probe = try_integral_spectrum(g)
         out = {
@@ -119,14 +124,14 @@ def cmd_gamma(args):
 
 def cmd_switch(args):
     g = _build_graph("sr", args.m, args.n)
-    if args.set in _NAMED_SETS:
+    if args.set in NAMED_SETS:
         b = named_switching_set(g, args.set)
     else:
         try:
             members = tuple(int(x) for x in args.set.split(","))
         except ValueError:
             raise ValueError(
-                f"--set expects one of {', '.join(_NAMED_SETS)} or four "
+                f"--set expects one of {', '.join(NAMED_SETS)} or four "
                 f"comma-separated vertex indices, got {args.set!r}")
         b = members
     mate = gm_switch(g, b)
@@ -203,7 +208,7 @@ def build_parser():
                                      "the mate")
     _add_mn(s)
     s.add_argument("--set", required=True,
-                   help=f"one of {', '.join(_NAMED_SETS)} or four "
+                   help=f"one of {', '.join(NAMED_SETS)} or four "
                         "comma-separated vertex indices")
     s.set_defaults(fn=cmd_switch)
 
@@ -229,7 +234,7 @@ def main(argv=None):
         code = args.fn(args)
         sys.stdout.flush()
         return code
-    except (SizeLimit, NotSwitchable, ValueError) as exc:
+    except (SizeLimit, NotSwitchable, Disconnected, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
+from math import comb, prod
 
 from .graphs import Graph, sr_vertices
 from .invariants import canonical_form
@@ -107,6 +107,15 @@ def admissible_set(pi) -> list:
 
     rec(0)
     return out
+
+
+def gamma_order(pi) -> int:
+    """|X_pi| = len(admissible_set(pi)), counted without listing it.  sigma
+    is admissible when sigma_i <= b_i = a_i + i; with b sorted ascending,
+    b_(j) + 1 - j values are left for the j-th smallest bound, at least one
+    because b_i >= i."""
+    b = sorted(a + i for i, a in enumerate(inversion_vector(pi)))
+    return prod(x + 1 - j for j, x in enumerate(b))
 
 
 def f_pi(pi) -> dict:
@@ -223,12 +232,9 @@ def classify_gamma(n: int) -> list:
     seen there.  Classes come back in first-discovery order."""
     if n < 0:
         raise ValueError("inversion count must be nonnegative")
-    if n == 0:
-        g = gamma_graph(1, (0,))
-        return [GammaClass(g, 1, (0,), 1, try_integral_spectrum(g))]
     found = {}
     order = []
-    for m in range(2, 2 * n + 1):
+    for m in range(1, max(2 * n, 1) + 1):
         for pi in permutations_with_inversions(m, n):
             g = gamma_graph(m, pi)
             cert = canonical_form(g).certificate

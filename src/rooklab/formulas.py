@@ -1,11 +1,11 @@
 """Closed-form spectra and counting formulas for simplicial rook graphs.
 
 Every function here is a pure predictor: it evaluates a formula at concrete
-(m, n) and returns numbers or a PredictedSpectrum.  Nothing in this module
-looks at an actual graph, so each prediction can be compared against the
-exact spectrum computed elsewhere.  Predictions carry a provenance tag:
-"proved" families must match exactly, "conjectured" ones (n = 5 and the
-m = 4 generator) are compared and reported.
+(m, n) and returns numbers or a Spectrum.  Nothing in this module looks at
+an actual graph, so each prediction can be compared against the exact
+spectrum computed elsewhere.  The families named in CONJECTURED (n = 5 and
+the m = 4 generator) are compared and reported; every other family is
+proved and must match exactly.
 
 Multiplicity bookkeeping follows the convention that multiplicities of
 equal eigenvalues are added and eigenvalues of multiplicity 0 are dropped.
@@ -16,7 +16,6 @@ With that convention the small-n families below are valid for every m >= 1
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .graphs import sr_order
 from .linalg import Spectrum
@@ -70,22 +69,7 @@ def bottom_multiplicity(m: int, n: int) -> int:
     return binom(n - binom(m - 1, 2), m - 1)
 
 
-@dataclass(frozen=True)
-class PredictedSpectrum:
-    """A formula-predicted spectrum plus its provenance tag."""
-
-    spectrum: Spectrum
-    provenance: str  # "proved" or "conjectured"
-
-    @property
-    def pairs(self):
-        return self.spectrum.pairs
-
-    def __str__(self) -> str:
-        return str(self.spectrum)
-
-
-def johnson_spectrum(v: int, n: int) -> PredictedSpectrum:
+def johnson_spectrum(v: int, n: int) -> Spectrum:
     """Spectrum of the Johnson graph J(v,n).
 
     Eigenvalues (n-i)(v-n-i) - i with multiplicity binom(v,i) - binom(v,i-1)
@@ -96,10 +80,10 @@ def johnson_spectrum(v: int, n: int) -> PredictedSpectrum:
         raise UnsupportedParameters(f"J({v},{n}) undefined")
     pairs = [((n - i) * (v - n - i) - i, binom(v, i) - binom(v, i - 1))
              for i in range(n + 1)]
-    return PredictedSpectrum(Spectrum(pairs), "proved")
+    return Spectrum(pairs)
 
 
-def common_quotient_spectrum(m: int, n: int) -> PredictedSpectrum:
+def common_quotient_spectrum(m: int, n: int) -> Spectrum:
     """Common part of the spectra of SR(m,n) and J(m+n-1,n).
 
     Eigenvalues (n-i)(m-i) - n with multiplicity binom(m,i) for
@@ -111,7 +95,7 @@ def common_quotient_spectrum(m: int, n: int) -> PredictedSpectrum:
     pairs = [((n - i) * (m - i) - n, binom(m, i)) for i in range(min(m, n))]
     if n < m:
         pairs.append((-n, binom(m, n) - 1))
-    return PredictedSpectrum(Spectrum(pairs), "proved")
+    return Spectrum(pairs)
 
 
 def _rest(pairs, m, n):
@@ -260,20 +244,23 @@ def _family_m4(m, n):
     return pairs
 
 
-# family name -> (parameter check, generator, provenance)
+# family name -> (parameter check, generator)
 _FAMILIES = {
-    "n0": (lambda m, n: n == 0 and m >= 1, _family_n0, "proved"),
-    "n1": (lambda m, n: n == 1 and m >= 1, _family_n1, "proved"),
-    "n2": (lambda m, n: n == 2 and m >= 1, _family_n2, "proved"),
-    "n3": (lambda m, n: n == 3 and m >= 1, _family_n3, "proved"),
-    "n4": (lambda m, n: n == 4 and m >= 1, _family_n4, "proved"),
-    "n5": (lambda m, n: n == 5 and m >= 1, _family_n5, "conjectured"),
-    "m3": (lambda m, n: m == 3 and n >= 1, _family_m3, "proved"),
-    "m4": (lambda m, n: m == 4 and n >= 6 and n != 7, _family_m4, "conjectured"),
+    "n0": (lambda m, n: n == 0 and m >= 1, _family_n0),
+    "n1": (lambda m, n: n == 1 and m >= 1, _family_n1),
+    "n2": (lambda m, n: n == 2 and m >= 1, _family_n2),
+    "n3": (lambda m, n: n == 3 and m >= 1, _family_n3),
+    "n4": (lambda m, n: n == 4 and m >= 1, _family_n4),
+    "n5": (lambda m, n: n == 5 and m >= 1, _family_n5),
+    "m3": (lambda m, n: m == 3 and n >= 1, _family_m3),
+    "m4": (lambda m, n: m == 4 and n >= 6 and n != 7, _family_m4),
 }
 
+# The families whose closed form is conjectured, not proved.
+CONJECTURED = frozenset({"n5", "m4"})
 
-def predicted_spectrum(family: str, m: int, n: int) -> PredictedSpectrum:
+
+def predicted_spectrum(family: str, m: int, n: int) -> Spectrum:
     """Closed-form spectrum of SR(m,n) from one of the named families.
 
     Families n0..n5 fix n and work for every m >= 1; m3 fixes m=3 (n >= 1)
@@ -282,14 +269,14 @@ def predicted_spectrum(family: str, m: int, n: int) -> PredictedSpectrum:
     """
     if family not in _FAMILIES:
         raise UnsupportedParameters(f"unknown family {family!r}")
-    check, generate, provenance = _FAMILIES[family]
+    check, generate = _FAMILIES[family]
     if not check(m, n):
         raise UnsupportedParameters(f"family {family} does not cover (m={m}, n={n})")
     spectrum = Spectrum(generate(m, n))
     if spectrum.total != sr_order(m, n):
         raise RuntimeError(
             f"family {family} at (m={m}, n={n}): total {spectrum.total} != vertex count")
-    return PredictedSpectrum(spectrum, provenance)
+    return spectrum
 
 
 def independence_upper_bound(m: int) -> int:

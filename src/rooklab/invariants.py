@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import NamedTuple
 
-from .graphs import Graph, _bits, induced_subgraph
+from .graphs import Graph, _bits, _coordinate_permutation, induced_subgraph
 
 
 class Disconnected(Exception):
@@ -69,7 +69,7 @@ def eccentricity(g: Graph, source: int) -> int:
 def diameter(g: Graph) -> int:
     """Largest BFS eccentricity; raises Disconnected on a broken graph."""
     if g.order == 0:
-        raise Disconnected("empty graph")
+        raise Disconnected("the empty graph has no diameter")
     return max(eccentricity(g, s) for s in range(g.order))
 
 
@@ -180,15 +180,10 @@ def coordinate_symmetries(g: Graph) -> list:
     m = len(labels[0]) if labels and isinstance(labels[0], tuple) else 0
     if m < 2:
         return []
-    gens = []
-    for coord_perm in ((1, 0) + tuple(range(2, m)), tuple(range(1, m)) + (0,)):
-        p = []
-        for lab in labels:
-            moved = tuple(lab[coord_perm[i]] for i in range(m))
-            if moved not in g.index:
-                raise ValueError("labels are not closed under coordinate permutation")
-            p.append(g.index[moved])
-        gens.append(p)
+    gens = [_coordinate_permutation(g, coords)
+            for coords in ((1, 0, *range(2, m)), (*range(1, m), 0))]
+    if None in gens:
+        raise ValueError("labels are not closed under coordinate permutation")
     return gens
 
 

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modular
-from .graphs import Graph, sr_vertices
+from .graphs import Graph, _coordinate_permutation, sr_graph, sr_vertices
 from .modular import IncompleteSpectrum
 
-_LENIENT_LIMIT = 512
+LENIENT_LIMIT = 512
 
 
 def merge_pairs(items):
@@ -152,24 +152,11 @@ def rank(rows):
     return r
 
 
-def nullity(rows, ncols=None):
+def nullity(rows):
     """Dimension of the integer kernel: columns minus rank."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("pass ncols for a matrix with zero rows")
-        ncols = len(rows[0])
-    return ncols - rank(rows)
-
-
-def _shifted_rows(g, c):
-    v = g.order
-    out = []
-    for i in range(v):
-        bits = g.rows[i]
-        row = [(bits >> j) & 1 for j in range(v)]
-        row[i] -= c
-        out.append(row)
-    return out
+    if not rows:
+        raise ValueError("nullity needs a matrix with at least one row")
+    return len(rows[0]) - rank(rows)
 
 
 def _self_check(g, pairs):
@@ -180,15 +167,6 @@ def _self_check(g, pairs):
     if total != v or first != 0 or second != 2 * g.edge_count():
         raise RuntimeError("internal spectrum self-check failed "
                            f"(totals {total}/{v}, moments {first}, {second})")
-
-
-def _coordinate_shift(g):
-    """The vertex permutation rotating each SR label one coordinate left,
-    or None unless g is an SR graph whose labels that rotation permutes."""
-    if g.family != "sr" or not all(isinstance(lab, tuple) for lab in g.labels):
-        return None
-    shift = [g.index.get(lab[1:] + lab[:1]) for lab in g.labels]
-    return None if None in shift else shift
 
 
 def integral_spectrum(g: Graph) -> Spectrum:
@@ -203,8 +181,9 @@ def integral_spectrum(g: Graph) -> Spectrum:
     integral after all, and ValueError for a graph labelled as SR whose
     edges the shift does not preserve.
     """
-    pairs = modular.certified_symmetric_spectrum(g.adjacency_matrix(),
-                                                 _coordinate_shift(g))
+    shift = (_coordinate_permutation(g, (*range(1, g.params[0]), 0))
+             if g.family == "sr" else None)
+    pairs = modular.certified_symmetric_spectrum(g.adjacency_matrix(), shift)
     _self_check(g, pairs)
     return Spectrum(tuple(pairs))
 
@@ -213,15 +192,17 @@ def try_integral_spectrum(g: Graph) -> SpectrumProbe:
     """Lenient sweep: report integer eigenvalues found and the residual
     dimension count instead of raising.  Pure Bareiss, so size-capped."""
     v = g.order
-    if v > _LENIENT_LIMIT:
+    if v > LENIENT_LIMIT:
         raise ValueError(f"lenient sweep is exact-only and capped at "
-                         f"{_LENIENT_LIMIT} vertices, got {v}")
+                         f"{LENIENT_LIMIT} vertices, got {v}")
     if v == 0:
         return SpectrumProbe((), 0)
     delta = max(g.degrees())
+    a = g.adjacency_matrix()
+    eye = np.eye(v, dtype=np.int64)
     pairs = []
     for c in range(delta, -delta - 1, -1):
-        mult = nullity(_shifted_rows(g, c), ncols=v)
+        mult = nullity((a - c * eye).tolist())
         if mult:
             pairs.append((c, mult))
     return SpectrumProbe(tuple(pairs), v - sum(m for _, m in pairs))
@@ -269,7 +250,6 @@ def halved_factorization_check(m: int, n: int) -> bool:
         for j, w in enumerate(low):
             if sum(1 for a, b in zip(u, w) if a != b) == 1:
                 nmat[i, j] = 1
-    from .graphs import sr_graph
     a = sr_graph(m, n).adjacency_matrix()
     return bool(np.array_equal(a + n * np.eye(v, dtype=np.int64),
                                nmat @ nmat.T))

@@ -85,14 +85,21 @@ def _grouped(g, label_of):
                            tuple(groups.keys()))
 
 
+def _check_sr(g, name):
+    if g.family != "sr" or g.params[1] < 1:
+        raise ValueError(f"{name} partition needs an SR(m,n) graph with n >= 1")
+    if g.params[0] < 1:
+        raise ValueError(f"SR{g.params} is the empty graph; it has no {name} "
+                         "partition")
+
+
 def weight_partition(g) -> VertexPartition:
     """Partition of SR(m,n) by number of nonzero coordinates.
 
     Block V_i has size binom(m,i) * binom(n-1,i-1); there are min(m,n)
     blocks, labelled by i.
     """
-    if g.family != "sr" or g.params[1] < 1:
-        raise ValueError("weight partition needs an SR(m,n) graph with n >= 1")
+    _check_sr(g, "weight")
     return _grouped(g, lambda v: sum(1 for x in v if x))
 
 
@@ -102,8 +109,7 @@ def support_partition(g) -> VertexPartition:
     One block per nonempty support S of size <= n; the block for |S| = i
     has binom(n-1, n-i) vertices.
     """
-    if g.family != "sr" or g.params[1] < 1:
-        raise ValueError("support partition needs an SR(m,n) graph with n >= 1")
+    _check_sr(g, "support")
     return _grouped(g, lambda v: tuple(i for i, x in enumerate(v) if x))
 
 

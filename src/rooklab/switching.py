@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, _bits
 from .invariants import SizeLimit, canonical_form
 
 
@@ -41,6 +41,15 @@ class SwitchingSet:
     kind: str
 
 
+def _odd_outside(rows, members, mask):
+    """Bit u is set for each vertex u outside `mask` with an odd number of
+    neighbours among the four members.  Bit u of the XOR of their rows is
+    the parity of u's count, and a count of 0..4 is odd exactly when it is
+    1 or 3, so the outside condition holds exactly when this is 0."""
+    a, b, c, d = members
+    return (rows[a] ^ rows[b] ^ rows[c] ^ rows[d]) & ~mask
+
+
 def validate_switching_set(g: Graph, b) -> SwitchingSet:
     """Check the Godsil-McKay conditions for the 4-set b and return the
     validated SwitchingSet; NotSwitchable otherwise."""
@@ -55,14 +64,13 @@ def validate_switching_set(g: Graph, b) -> SwitchingSet:
     inner = [(g.rows[u] & mask).bit_count() for u in members]
     if len(set(inner)) != 1:
         raise NotSwitchable(f"induced subgraph on {members} is not regular")
-    outside = ~mask
-    for u in range(g.order):
-        if (outside >> u) & 1:
-            count = (g.rows[u] & mask).bit_count()
-            if count not in (0, 2, 4):
-                raise NotSwitchable(
-                    f"vertex {u} is adjacent to {count} members of {members}",
-                    vertex=u)
+    odd = _odd_outside(g.rows, members, mask)
+    if odd:
+        u = next(_bits(odd))
+        count = (g.rows[u] & mask).bit_count()
+        raise NotSwitchable(
+            f"vertex {u} is adjacent to {count} members of {members}",
+            vertex=u)
     kind = "clique" if inner[0] == 3 else "regular"
     return SwitchingSet(members, kind)
 
@@ -97,7 +105,6 @@ def enumerate_switching_sets(g: Graph) -> list:
                         f"vertices, got {v}")
     out = []
     rows = g.rows
-    full = (1 << v) - 1
     for a in range(v):
         for b in range(a + 1, v):
             for c in range(b + 1, v):
@@ -109,15 +116,7 @@ def enumerate_switching_sets(g: Graph) -> list:
                     if any((rows[u] & mask).bit_count() != inner0
                            for u in (b, c, d)):
                         continue
-                    ok = True
-                    rest = full & ~mask
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        if (rows[low.bit_length() - 1] & mask).bit_count() not in (0, 2, 4):
-                            ok = False
-                            break
-                    if ok:
+                    if not _odd_outside(rows, members, mask):
                         out.append(SwitchingSet(
                             members, "clique" if inner0 == 3 else "regular"))
     return out
@@ -164,8 +163,12 @@ def switching_closure(g: Graph, limit: int) -> ClosureResult:
     return ClosureResult(tuple(reps), False)
 
 
+# The names named_switching_set accepts.
+NAMED_SETS = ("v1", "e12", "ones")
+
+
 def named_switching_set(g: Graph, name: str) -> SwitchingSet:
-    """The two switching families singled out on SR graphs, by name.
+    """The switching set of the SR graph g named `name`, one of NAMED_SETS.
 
     "v1": the four vertices n*e_i of SR(4, n).
     "e12": the four vertices a*e_1 + b*e_2, a+b = 3, of SR(m, 3), m >= 2.

@@ -62,6 +62,9 @@ class TestSpectrum:
             assert code == 2
             assert err == f"error: graph has {order} vertices; budget is 2000\n"
 
+    def test_empty_sr_graph(self, capsys):
+        assert run(capsys, "spectrum", "0", "3") == (0, "\n", "")
+
     def test_deterministic(self, capsys):
         first = run(capsys, "spectrum", "4", "5", "--format", "json")
         second = run(capsys, "spectrum", "4", "5", "--format", "json")
@@ -158,6 +161,16 @@ class TestGamma:
         assert code == 2
         assert "budget" in err
 
+    def test_oversized_pi_refused_before_building(self, capsys, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("Gamma graph built before the budget check")
+
+        monkeypatch.setattr(cli, "gamma_graph", unbuilt)
+        code, out, err = run(capsys, "gamma", "0", "--pi", "6,5,4,3,2,1,0")
+        assert (code, out) == (2, "")
+        assert err == ("error: Gamma graph has 5040 vertices; the spectrum "
+                       "probe is capped at 512\n")
+
     def test_bad_pi(self, capsys):
         code, _, err = run(capsys, "gamma", "3", "--pi", "0,0,1")
         assert code == 2
@@ -226,3 +239,23 @@ class TestExport:
                            "--graph", "johnson")
         assert code == 0
         assert nx_decode(out.strip()).order == 10
+
+
+DEGENERATE = ((0, 0), (0, 3), (1, 0), (1, 3), (2, 0), (3, 0))
+COMMANDS = (("spectrum",), ("spectrum", "--format", "json"), ("invariants",),
+            ("quotient",), ("quotient", "--partition", "weight"),
+            ("switch", "--set", "v1"), ("switch", "--set", "0,1,2,3"),
+            ("export-graph6",))
+
+
+@pytest.mark.parametrize("m,n", DEGENERATE)
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_degenerate_sr_graphs_exit_cleanly(capsys, command, m, n):
+    # Empty and one-vertex SR graphs: a result, or one error line, never a
+    # traceback.  SR(0, n > 0) is the empty graph.
+    code, out, err = run(capsys, command[0], str(m), str(n), *command[1:])
+    assert code in (0, 2)
+    if code == 2:
+        assert out == "" and re.fullmatch(r"error: [^\n]+\n", err)
+    if (m, n) == (0, 3) and command[0] in ("invariants", "quotient"):
+        assert code == 2 and "empty graph" in err

@@ -15,7 +15,7 @@ import pytest
 from rooklab.eigenvectors import (InvalidOrbit, SMALL_N_KINDS, admissible_set,
                                   canonical_w, cayley_transpositions, f_pi,
                                   f_pw, f_pw_family, gamma_graph,
-                                  inversion_count, inversion_vector,
+                                  gamma_order, inversion_count, inversion_vector,
                                   permutations_with_inversions, sign,
                                   small_n_eigenvalue, small_n_eigenvector)
 from rooklab.formulas import mahonian
@@ -156,6 +156,11 @@ class TestGammaGraph:
         with pytest.raises(ValueError):
             gamma_graph(3, (0, 0, 2))
 
+    def test_order_formula_counts_admissible_set(self):
+        for m in range(1, 7):
+            for pi in permutations(range(m)):
+                assert gamma_order(pi) == len(admissible_set(pi)), pi
+
 
 class TestCayley:
     def test_transposition_cayley_graph(self):
@@ -195,6 +200,11 @@ class TestClassifyGamma:
         for target in targets:
             assert any(nx.is_isomorphic(to_nx(c.graph), to_nx(target))
                        for c in classes)
+
+    def test_n0_is_one_vertex(self, gamma_classes):
+        [c] = gamma_classes(0)
+        assert (c.graph.order, c.m, c.pi, c.occurrences) == (1, 1, (0,), 1)
+        assert c.probe.to_json() == {"integral": True, "spectrum": "0^1"}
 
     def test_occurrence_counts(self, gamma_classes):
         # Total occurrences = sum over m <= 2n of mahonian(m, n).

@@ -9,7 +9,7 @@ from math import comb
 
 import pytest
 
-from rooklab.formulas import (UnsupportedParameters, binom,
+from rooklab.formulas import (CONJECTURED, UnsupportedParameters, binom,
                               bottom_multiplicity, common_quotient_spectrum,
                               independence_formula, independence_upper_bound,
                               johnson_spectrum, mahonian, predicted_spectrum,
@@ -83,7 +83,7 @@ class TestCommonQuotient:
     def test_submultiset_of_both_spectra(self, sr_spectrum):
         for m in range(2, 5):
             for n in range(1, 5):
-                common = common_quotient_spectrum(m, n).spectrum
+                common = common_quotient_spectrum(m, n)
                 sr_spec = sr_spectrum(m, n)
                 j_spec = integral_spectrum(johnson_graph(m + n - 1, n))
                 for ev, mult in common.pairs:
@@ -93,7 +93,7 @@ class TestCommonQuotient:
     def test_total_is_sum_of_binomials(self):
         for m in range(2, 6):
             for n in range(1, 6):
-                total = common_quotient_spectrum(m, n).spectrum.total
+                total = common_quotient_spectrum(m, n).total
                 assert total == sum(binom(m, i) for i in range(1, n + 1))
 
     def test_known_case(self):
@@ -104,19 +104,15 @@ class TestPredictedFamilies:
     def test_fixed_n_families_match_exact_spectra(self, sr_spectrum):
         for family, n in (("n0", 0), ("n1", 1), ("n2", 2), ("n3", 3), ("n4", 4)):
             for m in range(1, 6):
-                predicted = predicted_spectrum(family, m, n)
-                assert predicted.provenance == "proved"
-                assert predicted.pairs == sr_spectrum(m, n).pairs
+                assert predicted_spectrum(family, m, n).pairs == \
+                    sr_spectrum(m, n).pairs
 
     def test_m3_family_matches_exact_spectra(self, sr_spectrum):
         for n in range(1, 9):
-            predicted = predicted_spectrum("m3", 3, n)
-            assert predicted.provenance == "proved"
-            assert predicted.pairs == sr_spectrum(3, n).pairs
+            assert predicted_spectrum("m3", 3, n).pairs == sr_spectrum(3, n).pairs
 
-    def test_conjectured_families_are_tagged(self):
-        assert predicted_spectrum("n5", 3, 5).provenance == "conjectured"
-        assert predicted_spectrum("m4", 4, 8).provenance == "conjectured"
+    def test_conjectured_families_are_listed(self):
+        assert CONJECTURED == {"n5", "m4"}
 
     def test_n5_matches_exact_spectrum_small(self, sr_spectrum):
         for m in range(1, 5):
@@ -140,7 +136,7 @@ class TestPredictedFamilies:
     def test_family_totals_equal_vertex_count(self):
         for m in range(1, 9):
             for family, n in (("n3", 3), ("n4", 4), ("n5", 5)):
-                assert predicted_spectrum(family, m, n).spectrum.total == \
+                assert predicted_spectrum(family, m, n).total == \
                     sr_order(m, n)
 
     def test_unknown_family_rejected(self):

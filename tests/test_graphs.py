@@ -11,7 +11,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from rooklab.graphs import (Graph, cartesian_product, complete_bipartite,
+from rooklab.graphs import (Graph, _coordinate_permutation,
+                            cartesian_product, complete_bipartite,
                             complete_graph, cube_graph, cycle_graph,
                             induced_subgraph, johnson_graph, sr_graph,
                             sr_order, sr_vertices)
@@ -190,6 +191,20 @@ class TestGraphOps:
             assert a.dtype == np.int64 and a.shape == (g.order, g.order)
             assert all(a[i, j] == int(g.has_edge(i, j))
                        for i in range(g.order) for j in range(g.order))
+
+    def test_coordinate_permutation(self):
+        for m, n in ((4, 15), (5, 6), (13, 3)):
+            g = sr_graph(m, n)
+            assert _coordinate_permutation(g, (*range(1, m), 0)) == \
+                [g.index[lab[1:] + lab[:1]] for lab in g.labels]
+            assert _coordinate_permutation(g, (1, 0, *range(2, m))) == \
+                [g.index[(lab[1], lab[0]) + lab[2:]] for lab in g.labels]
+        # No symmetry: no vertex, one coordinate, labels that are no
+        # tuples or have the wrong length, or an image that is no label.
+        for g, coords in ((sr_graph(0, 3), (1, 0)), (sr_graph(1, 3), (0,)),
+                          (complete_graph(3), (1, 0)), (sr_graph(3, 2), (1, 0)),
+                          (Graph([(0, 1), (1, 2)], [2, 1]), (1, 0))):
+            assert _coordinate_permutation(g, coords) is None
 
     def test_from_edges_roundtrip(self):
         g = Graph.from_edges(["a", "b", "c", "d"],

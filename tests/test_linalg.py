@@ -84,6 +84,7 @@ class TestRankNullity:
 
 class TestIntegralSpectrum:
     def test_known_closed_forms(self):
+        assert integral_spectrum(sr_graph(0, 3)).pairs == ()
         assert integral_spectrum(complete_graph(5)).pairs == ((4, 1), (-1, 4))
         assert integral_spectrum(complete_bipartite(3, 3)).pairs == \
             ((3, 1), (0, 4), (-3, 1))

@@ -293,6 +293,7 @@ class TestSymmetrySplit:
         spectrum = integral_spectrum(g)
         assert list(spectrum.pairs) == numpy_spectrum(g.adjacency_matrix())
         assert len(calls) == 1 and len(builds) == 1
+        assert builds[0][1] == coordinate_shift(g)
 
     @property_test
     @given(st.data())

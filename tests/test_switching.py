@@ -1,12 +1,15 @@
 """Switching sets, the switch involution, and closure exploration."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from rooklab.graphs import (Graph, complete_graph, cycle_graph, cube_graph,
                             sr_graph)
 from rooklab.invariants import is_isomorphic
 from rooklab.linalg import integral_spectrum
-from rooklab.switching import (NotSwitchable, SwitchingSet,
+from rooklab.switching import (NotSwitchable, SwitchingSet, _odd_outside,
                                enumerate_switching_sets, gm_switch,
                                named_switching_set, switching_closure,
                                validate_switching_set)
@@ -15,6 +18,18 @@ from rooklab.invariants import SizeLimit
 
 def path_graph(n):
     return Graph.from_edges(range(n), [(i, i + 1) for i in range(n - 1)])
+
+
+def random_graph(rng, v):
+    p = rng.random()
+    return Graph.from_edges(range(v), [(i, j) for i, j in combinations(range(v), 2)
+                                       if rng.random() < p])
+
+
+def outside_counts(g, members):
+    """Neighbours in `members` of each outside vertex, counted one by one."""
+    return {u: sum(g.has_edge(u, b) for b in members)
+            for u in range(g.order) if u not in members}
 
 
 class TestValidate:
@@ -54,6 +69,29 @@ class TestValidate:
         with pytest.raises(NotSwitchable) as err:
             validate_switching_set(g, (0, 1, 4, 5))
         assert err.value.vertex == 2
+        assert str(err.value) == "vertex 2 is adjacent to 1 members of (0, 1, 4, 5)"
+
+    def test_outside_parity_is_the_count_condition(self):
+        # Bit u of the XOR of the members' rows is the parity of u's count,
+        # and 0..4 is odd exactly at 1 and 3.  Checked against counting on
+        # seeded random graphs, with validate's first witness and message.
+        rng = random.Random(9)
+        for _ in range(300):
+            g = random_graph(rng, rng.randrange(5, 12))
+            members = tuple(sorted(rng.sample(range(g.order), 4)))
+            mask = sum(1 << u for u in members)
+            counts = outside_counts(g, members)
+            bad = [u for u, count in counts.items() if count not in (0, 2, 4)]
+            odd = _odd_outside(g.rows, members, mask)
+            assert [u for u in range(g.order) if (odd >> u) & 1] == bad
+            inner = {(g.rows[u] & mask).bit_count() for u in members}
+            if len(inner) != 1 or not bad:
+                continue
+            with pytest.raises(NotSwitchable) as err:
+                validate_switching_set(g, members)
+            assert err.value.vertex == bad[0]
+            assert str(err.value) == (f"vertex {bad[0]} is adjacent to "
+                                      f"{counts[bad[0]]} members of {members}")
 
     def test_accepts_valid_set(self):
         g = cycle_graph(4)
@@ -147,6 +185,16 @@ class TestEnumeration:
         enumerated = {b.members for b in enumerate_switching_sets(g)}
         for name in ("v1", "e12", "ones"):
             assert named_switching_set(g, name).members in enumerated
+
+    def test_matches_brute_force_on_random_graphs(self):
+        rng = random.Random(4)
+        for _ in range(40):
+            g = random_graph(rng, rng.randrange(4, 10))
+            expected = [
+                b for b in combinations(range(g.order), 4)
+                if len({sum(g.has_edge(u, w) for w in b) for u in b}) == 1
+                and all(c in (0, 2, 4) for c in outside_counts(g, b).values())]
+            assert [b.members for b in enumerate_switching_sets(g)] == expected
 
     def test_cube_has_switching_sets(self):
         sets = enumerate_switching_sets(cube_graph(3))

@@ -1,27 +1,30 @@
-"""The benchmark's traced names all exist in rooklab.
+"""The benchmark's use of rooklab still works.
 
-perfbench/tracing.py wraps public rooklab functions by name, and a name
-that no longer resolves would otherwise fail only a traced benchmark run.
-That module imports only the standard library, so it is loaded here by
-file path.
+perfbench/tracing.py wraps public rooklab functions by name, and
+perfbench/workloads.py calls them and reads their results; a name that no
+longer resolves, or a result that changed shape, would otherwise fail only
+a benchmark run.  Both modules are loaded here by file path.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_names_resolve():
-    traced = load_tracing().TRACED
+    traced = load("tracing").TRACED
     missing = []
     for name in traced:
         module_name, *path = name.split(".")
@@ -32,3 +35,11 @@ def test_traced_names_resolve():
             missing.append(name)
     assert traced
     assert missing == []
+
+
+@pytest.mark.parametrize("workload", ("spectra-large", "small-many"))
+def test_workload_tasks_pass_their_oracles(workload):
+    tasks = load("workloads").build(workload, 1)
+    failed = [task.name for task in tasks
+              if task.facts(task.digest(task.run())) != task.expected()]
+    assert tasks and failed == []

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, prod
 
-from .graphs import Graph, sr_vertices
+from .graphs import Graph, _sr_rows, sr_vertices
 from .invariants import canonical_form
 from .linalg import SpectrumProbe, try_integral_spectrum
 
@@ -89,24 +89,26 @@ def admissible_set(pi) -> list:
     pi = _check_permutation(pi)
     a = inversion_vector(pi)
     m = len(a)
-    out = []
-    sigma = [0] * m
-    used = [False] * m
-
-    def rec(i):
+    out, sigma, used = [], [], [False] * m
+    nxt = 0  # the least value still to try at depth len(sigma)
+    while True:
+        i = len(sigma)
         if i == m:
-            s = tuple(sigma)
-            out.append((s, tuple(a[k] + k - s[k] for k in range(m))))
-            return
-        for v in range(min(a[i] + i, m - 1) + 1):
-            if not used[v]:
-                used[v] = True
-                sigma[i] = v
-                rec(i + 1)
-                used[v] = False
-
-    rec(0)
-    return out
+            out.append((tuple(sigma), tuple(a[k] + k - sigma[k] for k in range(m))))
+        else:
+            top = min(a[i] + i, m - 1)
+            while nxt <= top and used[nxt]:
+                nxt += 1
+            if nxt <= top:
+                used[nxt] = True
+                sigma.append(nxt)
+                nxt = 0
+                continue
+        if not sigma:
+            return out
+        nxt = sigma.pop()
+        used[nxt] = False
+        nxt += 1
 
 
 def gamma_order(pi) -> int:
@@ -171,9 +173,10 @@ def f_pw_family(m: int, n: int) -> list:
 
 
 def gamma_graph(m: int, pi) -> Graph:
-    """Induced subgraph of SR(m, n) on X_pi, built directly from the labels.
-    Construction postconditions: every edge joins permutations of opposite
-    sign (bipartite by sign) and the graph is n-regular, n = inversions(pi)."""
+    """Gamma(m, n, pi): SR(m, n) induced on X_pi, n = inversions(pi), with the
+    rows taken from the labels by the SR adjacency rule.  Construction
+    postconditions: every edge joins permutations of opposite sign
+    (bipartite by sign) and the graph is n-regular."""
     pi = _check_permutation(pi)
     if len(pi) != m:
         raise ValueError(f"pi has length {len(pi)}, expected {m}")
@@ -181,11 +184,7 @@ def gamma_graph(m: int, pi) -> Graph:
     n = inversion_count(pi)
     labels = [x for _, x in adm]
     sign_of = {x: sign(s) for s, x in adm}
-    edges = []
-    for u, v in combinations(labels, 2):
-        if sum(1 for k in range(m) if u[k] != v[k]) == 2:
-            edges.append((u, v))
-    g = Graph.from_edges(labels, edges, family="gamma", params=(m, n, pi))
+    g = Graph(labels, _sr_rows(labels), family="gamma", params=(m, n, pi))
     for i, j in g.edges():
         if sign_of[g.labels[i]] == sign_of[g.labels[j]]:
             raise RuntimeError("gamma graph edge inside one sign class")

@@ -7,6 +7,11 @@ usual conventions: SR(m, 0) and SR(1, n) are single vertices, SR(0, n) with
 n > 0 has no vertices at all, SR(m, 1) is the complete graph K_m and
 SR(2, n) is K_{n+1}.
 
+The companion graphs are SR induced on a subset of its vertices: the Johnson
+graph J(v, n) is SR(v, n) on the 0/1 vectors, and Gamma(m, n, pi) (built in
+eigenvectors) is SR(m, n) on the support X_pi of F_pi.  All three take their
+rows from one adjacency rule, _sr_rows.
+
 Vertices carry hashable labels (integer tuples for SR and Johnson graphs);
 adjacency is stored as one Python-int bit row per vertex, which keeps edge
 tests, common-neighbour counts and induced subgraphs cheap and exact.
@@ -99,18 +104,12 @@ class Graph:
 
     def relabeled(self, perm):
         """Image of the graph under perm: new vertex perm[i] is old vertex i."""
-        v = self.order
-        if sorted(perm) != list(range(v)):
+        if sorted(perm) != list(range(self.order)):
             raise ValueError("not a permutation of the vertex indices")
-        labels = [None] * v
-        rows = [0] * v
-        for i in range(v):
-            labels[perm[i]] = self.labels[i]
-            acc = 0
-            for j in _bits(self.rows[i]):
-                acc |= 1 << perm[j]
-            rows[perm[i]] = acc
-        return Graph(labels, rows)
+        labels = [None] * self.order
+        for lab, p in zip(self.labels, perm):
+            labels[p] = lab
+        return Graph(labels, _permuted_rows(self.rows, perm))
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -130,6 +129,43 @@ def _bits(row):
         low = row & -row
         yield low.bit_length() - 1
         row ^= low
+
+
+def _permuted_rows(rows, pos):
+    """Bit rows relabelled by the permutation pos: new vertex pos[i] is old
+    vertex i.  The caller validates pos."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        acc = 0
+        for j in _bits(row):
+            acc |= 1 << pos[j]
+        out[pos[i]] = acc
+    return tuple(out)
+
+
+def _sr_rows(vectors):
+    """Bit rows of SR induced on distinct nonnegative vectors (tuples) that
+    share one sum: y ~ x when y is x with d > 0 units moved from one
+    coordinate to another, which is exactly when they differ in two places."""
+    index = {x: i for i, x in enumerate(vectors)}
+    rows = []
+    for x in index:
+        acc = 0
+        w = list(x)
+        # Source, then amount, then target: a zero coordinate costs nothing.
+        for a, xa in enumerate(x):
+            for d in range(1, xa + 1):
+                w[a] = xa - d
+                for b in range(len(w)):
+                    if b != a:
+                        w[b] += d
+                        j = index.get(tuple(w))
+                        if j is not None:
+                            acc |= 1 << j
+                        w[b] -= d
+            w[a] = xa
+        rows.append(acc)
+    return rows
 
 
 def _coordinate_permutation(g, coords):
@@ -155,12 +191,12 @@ def sr_vertices(m, n):
         raise ValueError("m and n must be nonnegative")
     if m == 0:
         return [()] if n == 0 else []
-    if m == 1:
-        return [(n,)]
+    # Stars and bars: m - 1 bars among n + m - 1 slots, in lexicographic
+    # order; the parts are the gaps between consecutive bars.
     out = []
-    for first in range(n + 1):
-        for rest in sr_vertices(m - 1, n - first):
-            out.append((first,) + rest)
+    for bars in itertools.combinations(range(n + m - 1), m - 1):
+        cuts = (-1, *bars, n + m - 1)
+        out.append(tuple(b - a - 1 for a, b in itertools.pairwise(cuts)))
     return out
 
 
@@ -171,43 +207,18 @@ def sr_graph(m, n):
     coordinates.  The graph is n(m-1)-regular with C(n+m-1, n) vertices.
     """
     verts = sr_vertices(m, n)
-    index = {v: i for i, v in enumerate(verts)}
-    rows = [0] * len(verts)
-    # Generate each neighbour directly: move d units from coordinate i to j.
-    for u, ui in index.items():
-        acc = 0
-        for i in range(m):
-            for d in range(1, u[i] + 1):
-                for j in range(m):
-                    if j == i:
-                        continue
-                    w = list(u)
-                    w[i] -= d
-                    w[j] += d
-                    acc |= 1 << index[tuple(w)]
-        rows[ui] = acc
-    return Graph(verts, rows, family="sr", params=(m, n))
+    return Graph(verts, _sr_rows(verts), family="sr", params=(m, n))
 
 
 def johnson_graph(v, n):
     """The Johnson graph J(v, n): n-subsets of {0..v-1}, adjacent when the
-    intersection has size n-1.  Labels are sorted tuples."""
+    intersection has size n-1.  Labels are sorted tuples.  J(v, n) is SR(v, n)
+    induced on the 0/1 vectors, so the rows come from their indicators."""
     if v < 0 or n < 0:
         raise ValueError("parameters must be nonnegative")
-    verts = [tuple(c) for c in itertools.combinations(range(v), n)]
-    index = {s: i for i, s in enumerate(verts)}
-    rows = [0] * len(verts)
-    for s, si in index.items():
-        acc = 0
-        sset = set(s)
-        for out in s:
-            for inn in range(v):
-                if inn in sset:
-                    continue
-                t = tuple(sorted(sset - {out} | {inn}))
-                acc |= 1 << index[t]
-        rows[si] = acc
-    return Graph(verts, rows, family="johnson", params=(v, n))
+    verts = list(itertools.combinations(range(v), n))
+    indicators = [tuple(int(k in s) for k in range(v)) for s in map(set, verts)]
+    return Graph(verts, _sr_rows(indicators), family="johnson", params=(v, n))
 
 
 def complete_graph(n):

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import NamedTuple
 
-from .graphs import Graph, _bits, _coordinate_permutation, induced_subgraph
+from .graphs import (Graph, _bits, _coordinate_permutation, _permuted_rows,
+                     induced_subgraph)
 
 
 class Disconnected(Exception):
@@ -115,20 +116,20 @@ def _max_clique_size(rows, nrows, candidates, size, best):
     return best
 
 
-def _degeneracy_perm(g: Graph):
-    """Vertices in degeneracy order (repeatedly remove a minimum-degree
-    vertex); a good static order for branch-and-bound."""
+def _degeneracy_pos(g: Graph):
+    """pos[v] is v's place in degeneracy order (repeatedly remove a
+    minimum-degree vertex); a good static order for branch-and-bound."""
     remaining = set(range(g.order))
     degs = list(g.degrees())
-    out = []
-    while remaining:
+    pos = [0] * g.order
+    for place in range(g.order):
         u = min(remaining, key=lambda x: (degs[x], x))
-        out.append(u)
+        pos[u] = place
         remaining.discard(u)
         for w in _bits(g.rows[u]):
             if w in remaining:
                 degs[w] -= 1
-    return out
+    return pos
 
 
 def _find(parent, x):
@@ -156,12 +157,8 @@ def vertex_orbits(g: Graph, generators) -> list:
     for p in generators:
         if sorted(p) != idx:
             raise ValueError("generator is not a permutation of the vertices")
-        for u in range(n):
-            image = 0
-            for w in _bits(g.rows[u]):
-                image |= 1 << p[w]
-            if image != g.rows[p[u]]:
-                raise ValueError("generator does not preserve adjacency")
+        if _permuted_rows(g.rows, p) != g.rows:
+            raise ValueError("generator does not preserve adjacency")
     parent = idx[:]
     for p in generators:
         for u in range(n):
@@ -204,13 +201,8 @@ def clique_number(g: Graph, aut_generators=None) -> int:
     """
     if g.order == 0:
         return 0
-    perm = _degeneracy_perm(g)
-    pos = {old: new for new, old in enumerate(perm)}
-    rows = [0] * g.order
-    for i, j in g.edges():
-        a, b = pos[i], pos[j]
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
+    pos = _degeneracy_pos(g)
+    rows = _permuted_rows(g.rows, pos)
     nrows = [~row for row in rows]
     full = (1 << g.order) - 1
     if not aut_generators:
@@ -418,13 +410,7 @@ def _relabeled_rows(rows, pos):
     lab = [0] * len(pos)
     for v, p in enumerate(pos):
         lab[p] = v
-    out = []
-    for v in lab:
-        acc = 0
-        for u in _bits(rows[v]):
-            acc |= 1 << pos[u]
-        out.append(acc)
-    return lab, tuple(out)
+    return lab, _permuted_rows(rows, pos)
 
 
 class _Leaf(NamedTuple):

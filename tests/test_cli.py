@@ -171,6 +171,14 @@ class TestGamma:
         assert err == ("error: Gamma graph has 5040 vertices; the spectrum "
                        "probe is capped at 512\n")
 
+    def test_long_pi_with_one_admissible_point(self, capsys):
+        # The identity on 1 200 points: X_pi is one vertex, and listing it
+        # must not recurse once per coordinate.
+        code, out, _ = run(capsys, "gamma", "0", "--pi",
+                           ",".join(map(str, range(1200))))
+        assert code == 0
+        assert json.loads(out)["order"] == 1
+
     def test_bad_pi(self, capsys):
         code, _, err = run(capsys, "gamma", "3", "--pi", "0,0,1")
         assert code == 2

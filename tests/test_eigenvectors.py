@@ -6,7 +6,7 @@ rank for independence counts, and networkx isomorphism for graph identities.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import networkx as nx
@@ -145,6 +145,14 @@ class TestGammaGraph:
             n = inversion_count(pi)
             g = gamma_graph(m, pi)
             assert set(g.degrees()) == {n}
+
+    def test_edges_join_labels_differing_in_two_places(self):
+        for m in range(6):
+            for pi in permutations(range(m)):
+                g = gamma_graph(m, pi)
+                pairs = {(i, j) for i, j in combinations(range(g.order), 2)
+                         if sum(a != b for a, b in zip(g.labels[i], g.labels[j])) == 2}
+                assert set(g.edges()) == pairs, pi
 
     def test_reversal_gives_cayley_graph(self):
         for m in (3, 4):

@@ -5,13 +5,17 @@ constructors under test never call it.
 """
 
 import random
+import sys
+from itertools import product
 from math import comb
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rooklab.graphs import (Graph, _coordinate_permutation,
+from rooklab.graphs import (Graph, _coordinate_permutation, _sr_rows,
                             cartesian_product, complete_bipartite,
                             complete_graph, cube_graph, cycle_graph,
                             induced_subgraph, johnson_graph, sr_graph,
@@ -23,6 +27,16 @@ def to_nx(g):
     h.add_nodes_from(range(g.order))
     h.add_edges_from(g.edges())
     return h
+
+
+property_test = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def sr_vertex_subsets(draw):
+    g = sr_graph(draw(st.integers(0, 5)), draw(st.integers(0, 5)))
+    keep = draw(st.lists(st.booleans(), min_size=g.order, max_size=g.order))
+    return g, [i for i, k in enumerate(keep) if k]
 
 
 class TestSRVertices:
@@ -37,6 +51,10 @@ class TestSRVertices:
         assert vs == sorted(vs)
         assert vs[0] == (0, 0, 4)
         assert vs[-1] == (4, 0, 0)
+        for m in range(1, 6):
+            for n in range(0, 6):
+                brute = [x for x in product(range(n + 1), repeat=m) if sum(x) == n]
+                assert sr_vertices(m, n) == brute
 
     def test_sums_and_nonnegativity(self):
         for v in sr_vertices(4, 5):
@@ -54,14 +72,32 @@ class TestSRVertices:
         with pytest.raises(ValueError):
             sr_vertices(2, -1)
 
+    def test_no_recursion_proportional_to_m(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            vs = sr_vertices(1500, 1)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(vs) == 1500
+        assert vs[0] == (0,) * 1499 + (1,) and vs[-1] == (1,) + (0,) * 1499
+
 
 class TestSRGraph:
     def test_adjacency_is_two_coordinate_difference(self):
-        g = sr_graph(3, 3)
-        for i, u in enumerate(g.labels):
-            for j, v in enumerate(g.labels):
-                differ = sum(1 for a, b in zip(u, v) if a != b)
-                assert g.has_edge(i, j) == (differ == 2)
+        for m, n in ((3, 3), (0, 0), (1, 3), (2, 0), (5, 1), (4, 3)):
+            g = sr_graph(m, n)
+            for i, u in enumerate(g.labels):
+                for j, v in enumerate(g.labels):
+                    differ = sum(1 for a, b in zip(u, v) if a != b)
+                    assert g.has_edge(i, j) == (differ == 2)
+
+    @property_test
+    @given(sr_vertex_subsets())
+    def test_rows_of_a_vertex_subset_are_induced(self, case):
+        g, idx = case
+        rows = _sr_rows([g.labels[i] for i in idx])
+        assert tuple(rows) == induced_subgraph(g, idx).rows
 
     def test_regular_of_valency_n_times_m_minus_1(self):
         for m in range(2, 6):
@@ -99,12 +135,13 @@ class TestJohnson:
                 assert set(g.degrees()) == {n * (v - n)}
 
     def test_adjacency_is_intersection_size(self):
-        g = johnson_graph(5, 2)
-        for i, s in enumerate(g.labels):
-            for j, t in enumerate(g.labels):
-                if i == j:
-                    continue
-                assert g.has_edge(i, j) == (len(set(s) & set(t)) == 1)
+        for v, n in ((5, 2), (6, 3), (4, 0), (3, 3)):
+            g = johnson_graph(v, n)
+            for i, s in enumerate(g.labels):
+                for j, t in enumerate(g.labels):
+                    if i == j:
+                        continue
+                    assert g.has_edge(i, j) == (len(set(s) & set(t)) == n - 1)
 
     def test_j_v_1_is_complete(self):
         assert nx.is_isomorphic(to_nx(johnson_graph(6, 1)), nx.complete_graph(6))
@@ -178,6 +215,17 @@ class TestGraphOps:
             for b, j in enumerate(idx):
                 assert h.has_edge(a, b) == g.has_edge(i, j)
         assert list(h.labels) == [g.labels[i] for i in idx]
+
+    def test_relabeled_moves_labels_and_edges(self):
+        g = sr_graph(3, 3)
+        perm = list(range(g.order))
+        random.Random(5).shuffle(perm)
+        h = g.relabeled(perm)
+        assert all(h.labels[perm[i]] == lab for i, lab in enumerate(g.labels))
+        assert all(h.has_edge(perm[i], perm[j]) == g.has_edge(i, j)
+                   for i in range(g.order) for j in range(g.order))
+        with pytest.raises(ValueError):
+            g.relabeled([0] * g.order)
 
     def test_adjacency_matrix(self):
         # Orders 0, 1, 6, 9 and 66 (rows wider than one 64-bit word), and a

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, lt, mul
 
 import numpy as np
 
@@ -147,23 +147,25 @@ def _sr_rows(vectors):
     """Bit rows of SR induced on distinct nonnegative vectors (tuples) that
     share one sum: y ~ x when y is x with d > 0 units moved from one
     coordinate to another, which is exactly when they differ in two places."""
-    index = {x: i for i, x in enumerate(vectors)}
+    # Read in the mixed radix cap + 1 (cap[b] is the largest coordinate b), a
+    # vector is one integer key and a move one addition.  A move past a cap
+    # carries, lowering the digit sum, so it misses; full targets are skipped.
+    cap = [max(col) for col in zip(*vectors)]
+    weight = list(itertools.accumulate((c + 1 for c in cap), mul, initial=1))
+    index = {sum(map(mul, x, weight)): i for i, x in enumerate(vectors)}
     rows = []
-    for x in index:
+    for x, k in zip(vectors, index):
         acc = 0
-        w = list(x)
+        room = list(itertools.compress(range(len(x)), map(lt, x, cap)))
         # Source, then amount, then target: a zero coordinate costs nothing.
-        for a, xa in enumerate(x):
-            for d in range(1, xa + 1):
-                w[a] = xa - d
-                for b in range(len(w)):
+        for a in itertools.compress(range(len(x)), x):
+            for d in range(1, x[a] + 1):
+                rest = k - d * weight[a]
+                for b in room:
                     if b != a:
-                        w[b] += d
-                        j = index.get(tuple(w))
+                        j = index.get(rest + d * weight[b])
                         if j is not None:
                             acc |= 1 << j
-                        w[b] -= d
-            w[a] = xa
         rows.append(acc)
     return rows
 
@@ -213,11 +215,11 @@ def sr_graph(m, n):
 def johnson_graph(v, n):
     """The Johnson graph J(v, n): n-subsets of {0..v-1}, adjacent when the
     intersection has size n-1.  Labels are sorted tuples.  J(v, n) is SR(v, n)
-    induced on the 0/1 vectors, so the rows come from their indicators."""
+    induced on the 0/1 vectors: the rows come from indicators (bools, 0/1)."""
     if v < 0 or n < 0:
         raise ValueError("parameters must be nonnegative")
     verts = list(itertools.combinations(range(v), n))
-    indicators = [tuple(int(k in s) for k in range(v)) for s in map(set, verts)]
+    indicators = [tuple(map(set(s).__contains__, range(v))) for s in verts]
     return Graph(verts, _sr_rows(indicators), family="johnson", params=(v, n))
 
 

@@ -1,4 +1,5 @@
-"""Shared fixtures: one session-wide SpectrumCache.
+"""Shared fixtures: one session-wide SpectrumCache, and the hypothesis
+settings every property test uses.
 
 SR graphs, their spectra and the Gamma classifications are needed by many
 tests and by several acceptance criteria; the cache the verification
@@ -11,8 +12,12 @@ capture would otherwise swallow.
 import sys
 
 import pytest
+from hypothesis import settings
 
 from rooklab.verify import SpectrumCache
+
+# Fixed seed: the suite runs the same examples every time.
+property_test = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 @pytest.fixture(scope="session")

@@ -12,9 +12,10 @@ from math import comb
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import property_test
 from rooklab.graphs import (Graph, _coordinate_permutation, _sr_rows,
                             cartesian_product, complete_bipartite,
                             complete_graph, cube_graph, cycle_graph,
@@ -27,9 +28,6 @@ def to_nx(g):
     h.add_nodes_from(range(g.order))
     h.add_edges_from(g.edges())
     return h
-
-
-property_test = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 @st.composite
@@ -145,6 +143,9 @@ class TestJohnson:
 
     def test_j_v_1_is_complete(self):
         assert nx.is_isomorphic(to_nx(johnson_graph(6, 1)), nx.complete_graph(6))
+        # Complements give J(v, v-1) = J(v, 1) = K_v; wide 0/1 vectors.
+        for n in (1, 299):
+            assert johnson_graph(300, n).rows == complete_graph(300).rows
 
     def test_j_4_2_is_octahedron(self):
         assert nx.is_isomorphic(to_nx(johnson_graph(4, 2)),

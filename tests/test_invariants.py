@@ -12,9 +12,10 @@ from math import factorial
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import property_test
 from rooklab.graphs import (Graph, cartesian_product, complete_bipartite,
                             complete_graph, cube_graph, cycle_graph,
                             johnson_graph, sr_graph)
@@ -83,10 +84,6 @@ def planted_k114(draw, max_order=10):
                               max_size=8)):
         edges ^= {pair}
     return Graph.from_edges(range(n), edges)
-
-
-# Fixed seed: the suite runs the same examples every time.
-property_test = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 class TestDistances:

@@ -14,9 +14,10 @@ import random
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import property_test
 from rooklab import modular
 from rooklab.graphs import complete_graph, cycle_graph, sr_graph
 from rooklab.linalg import integral_spectrum
@@ -25,8 +26,6 @@ from rooklab.modular import (MAX_ORDER, PRIMES, IncompleteSpectrum, _Split,
                              annihilation_proved, certified_symmetric_spectrum,
                              charpoly_mod, hessenberg_mod, root_multiplicity)
 from rooklab.switching import enumerate_switching_sets, gm_switch
-
-property_test = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 def sympy_charpoly_mod(a, p):

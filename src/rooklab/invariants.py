@@ -95,24 +95,37 @@ def _color_classes(candidates, nrows):
 
 
 def _max_clique_size(rows, nrows, candidates, size, best):
-    if size + candidates.bit_count() <= best:
-        return best
-    classes = _color_classes(candidates, nrows)
-    for c in range(len(classes), 0, -1):
-        if size + c <= best:
-            return best
-        cls = classes[c - 1]
-        while cls:
-            low = cls & -cls
-            cls ^= low
-            sub = candidates & rows[low.bit_length() - 1]
-            if sub:
-                best = _max_clique_size(rows, nrows, sub, size + 1, best)
-                if size + c <= best:
-                    return best
-            elif size + 1 > best:
-                best = size + 1
-            candidates ^= low
+    """The largest clique extending a size-clique by candidates, or best if
+    none beats it.  Nodes are generators on an explicit stack, not calls."""
+
+    def node(candidates, size):
+        nonlocal best
+        if size + candidates.bit_count() <= best:
+            return
+        classes = _color_classes(candidates, nrows)
+        for c in range(len(classes), 0, -1):
+            if size + c <= best:
+                return
+            cls = classes[c - 1]
+            while cls:
+                low = cls & -cls
+                cls ^= low
+                sub = candidates & rows[low.bit_length() - 1]
+                if sub:
+                    yield sub, size + 1
+                    if size + c <= best:
+                        return
+                elif size + 1 > best:
+                    best = size + 1
+                candidates ^= low
+
+    stack = [node(candidates, size)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(node(*child))
     return best
 
 

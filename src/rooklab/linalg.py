@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modular
-from .graphs import Graph, _coordinate_permutation, sr_graph, sr_vertices
+from .graphs import Graph, sr_graph, sr_vertices
 from .modular import IncompleteSpectrum
 
 LENIENT_LIMIT = 512
@@ -174,16 +174,15 @@ def integral_spectrum(g: Graph) -> Spectrum:
 
     Every integer within the maximum degree is a candidate, so the answer
     assumes nothing about the graph's family.  For SR graphs the engine
-    also gets the cyclic coordinate shift, which splits the work by the
-    shift's eigenspaces.  The engine verifies that the shift is an
-    automorphism before using it, and the certified answer is the same
-    with or without it.  Raises IncompleteSpectrum when the spectrum is not
-    integral after all, and ValueError for a graph labelled as SR whose
-    edges the shift does not preserve.
+    also gets the vertex labels, whose coordinate permutations split the
+    work into one block per partition of m.  The engine verifies that they
+    are automorphisms before using them, and the certified answer is the
+    same with or without them.  Raises IncompleteSpectrum when the spectrum
+    is not integral after all, and ValueError for a graph labelled as SR
+    whose edges the coordinate permutations do not preserve.
     """
-    shift = (_coordinate_permutation(g, (*range(1, g.params[0]), 0))
-             if g.family == "sr" else None)
-    pairs = modular.certified_symmetric_spectrum(g.adjacency_matrix(), shift)
+    pairs = modular.certified_symmetric_spectrum(
+        g.adjacency_matrix(), g.labels if g.family == "sr" else None)
     _self_check(g, pairs)
     return Spectrum(tuple(pairs))
 

@@ -26,189 +26,214 @@ prime.  Adjacency matrices are symmetric and quotient matrices of equitable
 partitions are similar to symmetric ones, so both are diagonalizable; for
 them a failure takes a mod-p coincidence for every prime tried.
 
-A symmetry splits the work without changing the argument.  Let sigma be a
-permutation of the indices with A[sigma x, sigma y] = A[x, y], verified
-before use, and k its order (the lcm of its cycle lengths).  The engine then
-works only with primes p = 1 (mod k), so F_p holds a primitive k-th root of
-unity omega.  For an orbit O of size s (s divides k) with representative r,
-the vector u_i(O) = sum over t < s of omega^(-i t) e(sigma^t r) is nonzero,
-and an omega^i-eigenvector of sigma, exactly when omega^(i s) = 1, that is
-when k | i s.  For each O these s vectors are the columns of an invertible
-s-point Fourier matrix, so all the u_i(O) together form a basis of F_p^v.
-A commutes with sigma, so it maps each eigenspace into itself; on the basis
-u_i(O) of the omega^i-eigenspace it acts by the block
-B_i[O', O] = sum over t < |O| of omega^(-i t) A[rep(O'), sigma^t rep(O)].
-So A mod p is similar to the direct sum of the B_i mod p, hence:
+The coordinate permutations of an SR graph split the work without changing
+the argument.  Let A's indices carry labels, distinct integer m-tuples
+closed under permuting coordinates, with A[g x, g y] = A[x, y] for each
+coordinate permutation g (verified for a transposition and an m-cycle,
+which generate S_m).  For a partition lambda of m, fill its diagram with
+0..m-1 row by row; R and C keep each row and each column, and b is the sum
+over c in C of sgn(c) c.  J holds the R-orbits of labels whose row-sorted
+filling is semistandard (columns strictly increasing), and M the v x |J|
+integer columns b u(O), u(O) the indicator of O in J.  The engine checks
+that M's rows at the orbits' sorted labels are nonsingular mod a prime, so
+rank M = |J|, solves for B there, and checks M B = A M exactly over Z: A
+maps the column space W of M into itself, acting by the integer B_lambda.
 
-- chi_A = prod over i of chi_{B_i} (mod p), so the root multiplicities of
-  step 2 are the sums of the blocks' root multiplicities;
-- f(A) = 0 (mod p) iff f(B_i) = 0 (mod p) for every i.
+With a the sum over R, b a is a multiple of a primitive idempotent for the
+irreducible S^lambda, of dimension d_lambda (hook length formula; James,
+LNM 682), and W lies in b a Q^v, of dimension mult_lambda, the multiplicity
+of S^lambda in Q^v.  As the d_lambda mult_lambda sum to v, the verified sum
+of the d_lambda |J| = v forces W = b a Q^v for every lambda, so
+mult_lambda = 0 for each lambda skipped as dominating no label's content
+(its J is empty).  A commutes with S_m, so on the lambda-isotypic part
+S^lambda (x) Hom(S^lambda, Q^v) it is I (x) A_lambda, similar to A on
+b a Q^v, which is B_lambda.  So A is similar over Q to the sum of the
+B_lambda (x) I_d_lambda:
 
-A symmetric A (verified, A = A^T) proves each conjugate pair of blocks
-once.  Block k-i keeps the same orbits as block i, since k | i s iff
-k | (k-i) s.  Let S be the diagonal of the block's orbit sizes.  Using
-A^T = A and the symmetry, B_{k-i}[O, O'] = (|O'| / |O|) B_i[O', O], that is
-B_{k-i}^T = S B_i S^(-1) (mod p), and S is invertible because every orbit
-size is at most k < p.  So B_{k-i} is similar to B_i: the two have the same
-chi, and f(B_{k-i}) = 0 exactly when f(B_i) = 0.  B_{k-i} is B_i^T only
-when all of the block's orbits have the same size; on SR(6, 2) blocks 2 and
-4 mix orbits of sizes 3 and 6.  The engine keeps block i for i <= k - i
-only: the self-conjugate blocks i = 0 and, for even k, i = k/2 count once,
-every other kept block twice.
+- chi_A = prod of chi_(B_lambda)^(d_lambda), over Z: the root
+  multiplicities of step 2 are the d-weighted sums of the blocks';
+- f(A) = 0 iff f(B_lambda) = 0 for every lambda.
 
-Step 3 then checks each kept block B_i against g_i = prod (x - c) over the
-block's own roots c, found in its chi at the charpoly prime, rather than
-against F = prod (x - c) over every claimed c.  Each g_i divides F, so
-g_i(B_i) = 0 (mod p) proves F(B_i) = 0, hence F(A) = 0 (mod p); the choice
-of g_i affects only whether the check succeeds, never what it proves.
-
-Nothing else changes: the candidates, the entry bound and the number of
-primes still come from A's own row sums and the full list of claimed
-eigenvalues, and steps 1 to 3 hold as stated.  The identity (k = 1), or no
-symmetry at all, gives one block, A itself, every prime in PRIMES and the
-full list of claimed eigenvalues as its roots.
+Step 3 checks each block against g = prod (x - c) over its own roots c,
+found in its chi at the charpoly prime, not against F = prod (x - c) over
+every claimed c: g divides F, so g(B) = 0 proves F(B) = 0, and the choice
+of g decides only whether the check succeeds.  A block's row sums may
+exceed delta, so the entry bound uses the largest of delta and the blocks'
+row-sum norms.  The blocks are built and checked once, and every prime
+works on them.  A matrix without labels is one block, A itself.
 
 The arithmetic uses int64 numpy (values stay far below 2**63) and float64
 BLAS matmuls, both exact integer arithmetic in range: a product of two
 matrices with entries below p sums v terms below (p - 1)**2, which stays
-below 2**53 while v <= MAX_ORDER.  Blocks are built by an integer gather
-(at most k terms below p**2 per entry), and a block of order above
-MAX_ORDER is refused.
+below 2**53 while v <= MAX_ORDER.  The products A M and M B that build and
+check a block are bounded below 2**53 before they are trusted, and a block
+of order above MAX_ORDER is refused.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
-_PRIME_CEILING = 1 << 20
-
-
-def _primes_below(ceiling, count, k=1):
-    """The largest count primes p < ceiling with p = 1 (mod k), descending;
-    fewer when there are not that many."""
-    step = k if k % 2 == 0 else 2 * k  # odd x = 1 (mod k) are 1 (mod step)
-    x = ceiling - 1 - (ceiling - 2) % step
-    out = []
-    while len(out) < count and x > 2:
-        if all(x % d for d in range(3, math.isqrt(x) + 1, 2)):
-            out.append(x)
-        x -= step
-    return out
-
-
-PRIMES = _primes_below(_PRIME_CEILING, 96)
+# The 96 largest primes below 2**20, descending.
+PRIMES = list(itertools.islice(
+    (x for x in range((1 << 20) - 1, 2, -2)
+     if all(x % d for d in range(3, math.isqrt(x) + 1, 2))), 96))
 
 # Largest order v with v * (p - 1)**2 < 2**53 for every prime in PRIMES.
 MAX_ORDER = (2**53 - 1) // (max(PRIMES) - 1) ** 2
 
 
+def _shapes(m, contents, shape=()):
+    """The partitions of m extending shape, descending lexicographically,
+    that dominate one of contents: the shapes of its semistandard tableaux."""
+    top = sum(shape)
+    if top == m:
+        yield shape
+    for part in range(min(m - top, shape[-1] if shape else m), 0, -1):
+        contents = [mu for mu in contents
+                    if top + part >= sum(mu[:len(shape) + 1])]
+        if not contents:
+            break
+        yield from _shapes(m, contents, shape + (part,))
+
+
 @functools.cache
-def _primes_1_mod(k):
-    """The primes a symmetry of order k works with: PRIMES for k = 1, else
-    as many primes p = 1 (mod k) below the same ceiling, built on first use."""
-    return PRIMES if k == 1 else _primes_below(_PRIME_CEILING, len(PRIMES), k)
+def _tableau(shape):
+    """shape's diagram filled with 0..m-1 row by row: the row of each
+    position, the positions below another one and those just above them,
+    the permutations of 0..m-1 that keep each column (rows of an index
+    array) with their signs, and d_lambda, m! over the hook lengths."""
+    parts = np.array(shape)
+    rows = np.repeat(np.arange(len(parts)), parts)
+    starts = np.cumsum((0, *parts))
+    below = np.arange(parts[0], starts[-1])
+    above = below - np.repeat(parts[:-1], parts[1:])
+    # The columns of two or more positions, as many as the second row.
+    columns = [starts[:-1][parts > j] + j for j in range(sum(shape[1:2]))]
+    perms, signs = [], []
+    for images in itertools.product(*map(itertools.permutations, columns)):
+        c = np.arange(starts[-1])
+        for col, image in zip(columns, images):
+            c[col] = image
+        perms.append(c)
+        signs.append((-1) ** sum(x > y for image in images
+                                 for x, y in itertools.combinations(image, 2)))
+    hooks = math.prod(part - j + sum(p > j for p in shape[i + 1:])
+                      for i, part in enumerate(shape) for j in range(part))
+    return (rows, below, above, np.array(perms), np.array(signs),
+            math.factorial(sum(shape)) // hooks)
 
 
-def _root_of_unity(k, p):
-    """A primitive k-th root of unity mod the prime p, for k dividing p - 1."""
-    divisors = [j for j in range(1, k) if k % j == 0]
-    for g in range(2, p):
-        w = pow(g, (p - 1) // k, p)
-        if all(pow(w, j, p) != 1 for j in divisors):
-            return w
-    raise ValueError(f"{k} does not divide {p} - 1")
+def _solve_mod(a, b, p):
+    """X with a X = b (mod p) in symmetric residues, for a square integer a;
+    RuntimeError if a is singular mod p.  Products stay below p**2 < 2**40."""
+    r = a.shape[0]
+    aug = np.concatenate([a, b], axis=1) % p
+    for k in range(r):
+        nz = np.flatnonzero(aug[k:, k])
+        if nz.size == 0:
+            raise RuntimeError(f"a block's M is singular mod {p}")
+        if nz[0]:
+            aug[[k, k + nz[0]]] = aug[[k + nz[0], k]]
+        aug[k] = aug[k] * pow(int(aug[k, k]), p - 2, p) % p
+        # Only rows with an entry in column k change; on SR graphs, rarely any.
+        rows = np.flatnonzero(aug[:, k])
+        if len(rows) > 1:
+            rows = rows[rows != k]
+            aug[rows] = (aug[rows] - np.outer(aug[rows, k], aug[k])) % p
+    return np.where(aug[:, r:] > p // 2, aug[:, r:] - p, aug[:, r:])
 
 
 class _Split:
-    """A square integer matrix a split by a verified symmetry sigma.
+    """A square integer matrix a split into integer blocks, of orders sizes.
 
-    perm lists sigma(x) = perm[x] and must satisfy a[perm][:, perm] == a;
-    None is the identity.  k is the order of sigma, primes the primes
-    p = 1 (mod k) the proof uses, and sizes and weights the orders of the
-    blocks that blocks(p) returns and how many eigenspaces each stands for.
-    Block i is a's restriction to the omega^i-eigenspace of sigma mod p, on
-    the orbit vectors u(O) = sum over t < |O| of omega^(-i t) e(sigma^t rep(O))
-    of the orbits O with k | i |O|:
-
-        B_i[O', O] = sum over t < |O| of omega^(-i t) a[rep(O'), sigma^t rep(O)].
-
-    Every nonempty block is kept, with weight 1, unless a is symmetric: then
-    only block i <= k - i of each pair {i, k - i} is, with weight 2 when
-    i != k - i (see the module docstring).
+    labels, if not None, gives each index of a an integer m-tuple; verified
+    closed under permuting coordinates, which must be symmetries of a.  Then
+    blocks holds B_lambda for each partition lambda of m with J nonempty,
+    and weights its d_lambda (see the module docstring).  Otherwise, and
+    for m < 2, a itself is the one block, with weight 1.
     """
 
-    def __init__(self, a, perm):
+    def __init__(self, a, labels):
         v = int(a.shape[0])
-        self._a = a
-        self._gathers = []
-        self.k = 1
-        self.sizes = [v] if v else []
-        self.weights = [1] * len(self.sizes)
-        if perm is not None:
-            perm = np.asarray(perm)
-            if (perm.shape != (v,) or perm.dtype.kind not in "iu"
-                    or not np.array_equal(np.sort(perm), np.arange(v))):
-                raise ValueError("perm is not a permutation of the matrix "
-                                 "indices")
-            if not np.array_equal(a[np.ix_(perm, perm)], a):
-                raise ValueError("perm is not a symmetry of the matrix")
-            # The cycles of sigma, one after another, each listed as
-            # rep, sigma(rep), sigma^2(rep), ... from its smallest index.
-            succ = perm.tolist()
-            seen = bytearray(v)
-            members, sizes = [], []
-            for x in range(v):
-                if not seen[x]:
-                    y, s = x, 0
-                    while not seen[y]:
-                        seen[y] = 1
-                        members.append(y)
-                        y, s = succ[y], s + 1
-                    sizes.append(s)
-            self.k = math.lcm(*sizes)
-        self.primes = _primes_1_mod(self.k)
-        if not self.primes:
-            raise ValueError(f"no prime p = 1 (mod {self.k}) lies below "
-                             f"{_PRIME_CEILING}")
-        if self.k > 1:
-            self._gather(np.array(members), np.array(sizes))
+        self.blocks = [a] if v else []
+        self.weights = [1] * len(self.blocks)
+        if labels is not None and v:
+            lab = np.array(labels, dtype=np.int64)
+            lab = lab.reshape(v, lab.size // v)  # an integer is a 1-tuple
+            if lab.shape[1] >= 2:
+                self._isotypic(a, lab)
+        self.sizes = [int(b.shape[0]) for b in self.blocks]
 
-    def _gather(self, members, sizes):
-        # Per block, the integer entries a[rep(O'), sigma^t rep(O)] with
-        # their exponents -i t mod k; blocks(p) weighs and sums them.
-        k = self.k
-        starts = np.cumsum(sizes) - sizes
-        ts = np.arange(len(members)) - np.repeat(starts, sizes)
-        self.sizes, self.weights = [], []
-        # Block i is nonempty iff some orbit size s has (k / s) | i.
-        nonempty = sorted({j * (k // s) for s in set(sizes.tolist())
-                           for j in range(s)})
-        paired = np.array_equal(self._a, self._a.T)
-        for i in nonempty:
-            if paired and 2 * i > k:
-                continue
-            self.weights.append(2 if paired and 0 < 2 * i < k else 1)
-            kept = i * sizes % k == 0
-            cols = np.repeat(kept, sizes)
-            block_sizes = sizes[kept]
-            self._gathers.append((
-                self._a[np.ix_(members[starts[kept]], members[cols])],
-                -i * ts[cols] % k, np.cumsum(block_sizes) - block_sizes))
-            self.sizes.append(len(block_sizes))
+    def _isotypic(self, a, lab):
+        v, m = lab.shape
 
-    def blocks(self, p):
-        """The kept blocks of a mod p, in the order of sizes and weights."""
-        if self.k == 1:
-            return [self._a]
-        w = _root_of_unity(self.k, p)
-        powers = np.array([pow(w, e, p) for e in range(self.k)],
-                          dtype=np.int64)
-        # Each sum has at most k < p terms below p**2 < 2**40: exact in int64.
-        return [np.add.reduceat((g % p) * powers[exps], starts, axis=1) % p
-                for g, exps, starts in self._gathers]
+        def keys(rows):  # one opaque scalar per row of m entries
+            return np.ascontiguousarray(rows.reshape(-1, m)).view(
+                np.dtype((np.void, 8 * m))).ravel()
+
+        order = np.argsort(keys(lab))
+        table = keys(lab)[order]
+        if np.any(table[1:] == table[:-1]):
+            raise ValueError("labels are not distinct")
+
+        def find(rows):  # the index whose label is each row
+            q = keys(rows)
+            pos = np.minimum(np.searchsorted(table, q), v - 1)
+            if np.any(table[pos] != q):
+                raise ValueError("labels are not closed under coordinate "
+                                 "permutation")
+            return order[pos]
+
+        # perm is a symmetry iff it maps every nonzero entry to an equal
+        # one: a bijection of the positions then maps zeros to zeros.
+        x, y = np.nonzero(a)
+        entries = a[x, y]
+        for perm in find(lab[:, [(1, 0, *range(2, m)),
+                                 (*range(1, m), 0)]]).reshape(v, 2).T:
+            if not np.array_equal(a[perm[x], perm[y]], entries):
+                raise ValueError("coordinate permutations are not a "
+                                 "symmetry of the matrix")
+        delta = np.bincount(x, np.abs(entries)).max(initial=0)
+        # The contents of the labels, from one label per S_m-orbit.
+        ordered = np.sort(lab, axis=1)
+        contents = {tuple(sorted(Counter(t).values(), reverse=True)) for t in
+                    ordered[np.unique(keys(ordered), return_index=True)[1]]
+                    .tolist()}
+        af = a.astype(np.float64)
+        self.blocks, self.weights = [], []
+        width = int(lab.max() - lab.min()) + 1
+        for shape in _shapes(m, contents):
+            rows, below, above, perms, signs, d = _tableau(shape)
+            # Row-sorted labels (one sort: rows apart by width each), and
+            # whether each label's R-orbit is in J.
+            rs = np.sort(lab + rows * width, axis=1) - rows * width
+            in_j = (rs[:, below] > rs[:, above]).all(axis=1)
+            reps = np.flatnonzero(in_j & (rs == lab).all(axis=1))
+            k, ys = len(reps), np.flatnonzero(in_j)
+            # M[x, j] sums sgn(c) over the c in C taking x into orbit j, that
+            # is over the c y = x with y in orbit j (sgn(c) = sgn(c^-1)).
+            js = np.searchsorted(reps, find(rs[ys]))
+            mj = np.bincount(find(lab[ys][:, perms]) * k
+                             + np.repeat(js, len(signs)),
+                             np.tile(signs, len(ys)), v * k).reshape(v, k)
+            amj = af @ mj
+            b = _solve_mod(mj[reps].astype(np.int64),
+                           amj[reps].astype(np.int64), PRIMES[0])
+            # Both products are exact while every partial sum stays below
+            # 2**53; only then does the comparison prove M B = A M.
+            bound = np.abs(mj).max() * max(delta, np.abs(b).sum(axis=0).max())
+            if bound >= 2**53 or not np.array_equal(mj @ b, amj):
+                raise RuntimeError(f"block {shape} failed its exact check")
+            self.blocks.append(b)
+            self.weights.append(d)
+        if sum(w * len(b) for w, b in zip(self.weights, self.blocks)) != v:
+            raise RuntimeError("the blocks do not add up to the order")
 
 
 def hessenberg_mod(a, p):
@@ -333,21 +358,22 @@ def annihilation_proved(split, roots, delta):
     roots[j] lists the claimed eigenvalues that split's block j should
     satisfy; the claimed eigenvalues are all of them together, and delta
     bounds a's max absolute row sum.  The proof checks prod over roots[j]
-    of (B_j - cI) on every kept block modulo enough primes that their
-    product exceeds twice the row-norm bound on the entries of the full
-    product (see the module docstring).  A nonempty block with no roots
-    fails the proof.
+    of (B_j - cI) on every block modulo enough primes that their product
+    exceeds twice the row-norm bound (at least delta) on the entries of the
+    full product.  A nonempty block with no roots fails the proof.
     """
     if len(roots) != len(split.sizes):
         raise ValueError(f"{len(roots)} root lists for "
                          f"{len(split.sizes)} blocks")
     eigenvalues = sorted(set().union(*roots), reverse=True)
+    norm = max([delta] + [int(np.abs(b).sum(axis=1).max())
+                          for b in split.blocks])
     bound_bits = 1.0
     for c in eigenvalues:
-        bound_bits += float(np.log2(max(delta + abs(c), 2)))
+        bound_bits += float(np.log2(max(norm + abs(c), 2)))
     used_bits = 0.0
-    for p in split.primes:
-        for b, block_roots in zip(split.blocks(p), roots):
+    for p in PRIMES:
+        for b, block_roots in zip(split.blocks, roots):
             if np.any(_annihilator_mod(b, block_roots, p)):
                 return False
         used_bits += float(np.log2(p))
@@ -374,21 +400,22 @@ class IncompleteSpectrum(Exception):
             f"{residual} unaccounted for")
 
 
-def certified_symmetric_spectrum(a, perm=None):
+def certified_symmetric_spectrum(a, labels=None):
     """Exact integer spectrum of a square int64 matrix.
 
     Every integer within the max absolute row sum is a candidate.  Returns
-    descending (eigenvalue, multiplicity) pairs, proven exact.  perm, if
-    given, is a symmetry sigma(x) = perm[x] of a: the work splits into one
-    block per eigenspace of sigma, or per conjugate pair of eigenspaces when
-    a is symmetric, and the answer is the same as without it.
+    descending (eigenvalue, multiplicity) pairs, proven exact.  labels, if
+    given, are integer m-tuples whose coordinate permutations are symmetries
+    of a: the work splits into one block per partition of m, and the answer
+    is the same as without them.
     Raises IncompleteSpectrum when the matrix provably has non-integer
     eigenvalues, and RuntimeError when the annihilation certificate fails
     for each of the first four primes, as it does for every matrix that is
-    not diagonalizable.  Raises ValueError when perm is not a permutation
-    commuting with a, and for a block order above MAX_ORDER.
+    not diagonalizable, or when a block fails its exact check.  Raises
+    ValueError for labels that are no such symmetry, and for a block order
+    above MAX_ORDER.
     """
-    split = _Split(a, perm)
+    split = _Split(a, labels)
     if max(split.sizes, default=0) > MAX_ORDER:
         raise ValueError(f"block order {max(split.sizes)} exceeds "
                          f"{MAX_ORDER}, the largest for which float64 "
@@ -397,9 +424,9 @@ def certified_symmetric_spectrum(a, perm=None):
     if v == 0:
         return []
     delta = int(np.abs(a).sum(axis=1).max())
-    for p in split.primes[:4]:
+    for p in PRIMES[:4]:
         found, roots = {}, []
-        for b, weight in zip(split.blocks(p), split.weights):
+        for b, weight in zip(split.blocks, split.weights):
             chi = charpoly_mod(b, p)
             roots.append([])
             # The block's root multiplicities add up to at most its order,

@@ -27,10 +27,10 @@ from .formulas import (CONJECTURED, bottom_multiplicity,
                        predicted_spectrum, smallest_eigenvalue_formula)
 from .graphs import (cartesian_product, complete_bipartite, complete_graph,
                      cube_graph, johnson_graph, sr_graph, sr_order)
-from .invariants import (automorphism_count, classify_clique, clique_number,
-                         coordinate_symmetries, diameter, has_induced_k114,
-                         independence_number, is_isomorphic, maximal_cliques,
-                         vertex_orbits)
+from .invariants import (SIZE_LIMIT, automorphism_count, classify_clique,
+                         clique_number, coordinate_symmetries, diameter,
+                         has_induced_k114, independence_number, is_isomorphic,
+                         maximal_cliques, vertex_orbits)
 from .linalg import (Spectrum, halved_factorization_check, integral_spectrum,
                      rank, verify_eigenvector)
 from .partitions import (check_equitable, e_st_formula,
@@ -170,8 +170,8 @@ def suite_spectra(cache):
     for m in range(1, 12):
         if sr_order(m, 5) <= _SWEEP_CAP:
             items.append((f"conjectured.n5.m={m}", family_item("n5", m, 5)))
-    for n in list(range(6, 7)) + list(range(8, 20)):
-        if sr_order(4, n) <= _SWEEP_CAP:
+    for n in list(range(6, 7)) + list(range(8, 21)):
+        if sr_order(4, n) <= SIZE_LIMIT:
             items.append((f"conjectured.m4.n={n}", family_item("m4", 4, n)))
     return items
 

@@ -19,6 +19,7 @@ from math import comb
 import pytest
 
 from rooklab.graphs import sr_order
+from rooklab.invariants import SIZE_LIMIT
 from rooklab.verify import _run, battery
 
 
@@ -94,8 +95,9 @@ CRITERIA = {
                   + ("gamma.cayley.m=3", "gamma.cayley.m=4"), 6),
     13: Criterion("conjectured spectra",
                   ids("conjectured.n5.m={m}", grid(range(1, 12), [5]))
-                  + ids("conjectured.m4.n={n}", grid([4], [6, *range(8, 20)])),
-                  18),
+                  + ids("conjectured.m4.n={n}",
+                        grid([4], [6, *range(8, 21)], cap=SIZE_LIMIT)),
+                  22, each_s=15),
 }
 
 ACCEPTANCE_LINES = []

@@ -136,6 +136,15 @@ class TestCliqueNumber:
     def test_empty_graph(self):
         assert clique_number(Graph([], [])) == 0
 
+    def test_no_recursion_proportional_to_clique_size(self):
+        # The search descends once per clique vertex; K_400 goes 400 deep.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            assert clique_number(complete_graph(400)) == 400
+        finally:
+            sys.setrecursionlimit(limit)
+
     @property_test
     @given(circulants())
     def test_property_orbit_pruning_on_circulants(self, circulant):

@@ -103,13 +103,15 @@ class Graph:
         return Graph(self.labels, rows)
 
     def relabeled(self, perm):
-        """Image of the graph under perm: new vertex perm[i] is old vertex i."""
+        """Image of the graph under perm: new vertex perm[i] is old vertex i.
+        Each vertex keeps its label, so family and params stay true."""
         if sorted(perm) != list(range(self.order)):
             raise ValueError("not a permutation of the vertex indices")
         labels = [None] * self.order
         for lab, p in zip(self.labels, perm):
             labels[p] = lab
-        return Graph(labels, _permuted_rows(self.rows, perm))
+        return Graph(labels, _permuted_rows(self.rows, perm), self.family,
+                     self.params)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

@@ -94,9 +94,23 @@ def _color_classes(candidates, nrows):
     return classes
 
 
+def _depth_first(node, *root):
+    """Walk the search tree from node(*root) depth first.  A node is a
+    generator that yields the arguments of its children; nodes wait on an
+    explicit stack, not in calls, so depth is not bound by the recursion
+    limit."""
+    stack = [node(*root)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(node(*child))
+
+
 def _max_clique_size(rows, nrows, candidates, size, best):
     """The largest clique extending a size-clique by candidates, or best if
-    none beats it.  Nodes are generators on an explicit stack, not calls."""
+    none beats it."""
 
     def node(candidates, size):
         nonlocal best
@@ -119,13 +133,7 @@ def _max_clique_size(rows, nrows, candidates, size, best):
                     best = size + 1
                 candidates ^= low
 
-    stack = [node(candidates, size)]
-    while stack:
-        child = next(stack[-1], None)
-        if child is None:
-            stack.pop()
-        else:
-            stack.append(node(*child))
+    _depth_first(node, candidates, size)
     return best
 
 
@@ -241,22 +249,33 @@ def independence_number(g: Graph, aut_generators=None) -> int:
 
 
 def maximal_cliques(g: Graph):
-    """All maximal cliques, as sorted vertex tuples (Bron-Kerbosch, pivoted)."""
-    out = []
+    """All maximal cliques, as sorted vertex tuples (Bron-Kerbosch, pivoted,
+    walked on an explicit stack)."""
+    out, rows = [], g.rows
 
     def extend(r, p, x):
-        if not p and not x:
-            out.append(tuple(sorted(r)))
-            return
-        pivot_pool = p | x
-        pivot = max(_bits(pivot_pool), key=lambda u: (p & g.rows[u]).bit_count())
-        for u in _bits(p & ~g.rows[pivot]):
-            extend(r + [u], p & g.rows[u], x & g.rows[u])
+        # The pivot: the first vertex of p | x with the most neighbours in
+        # p.  None has more than all of p, so one that has them ends the scan.
+        most, top = -1, p.bit_count()
+        for u in _bits(p | x):
+            c = (p & rows[u]).bit_count()
+            if c > most:
+                most, pivot = c, u
+                if c == top:
+                    break
+        for u in _bits(p & ~rows[pivot]):
+            # A child with nothing left to add or exclude is a maximal
+            # clique, recorded here rather than as a node of its own.
+            pu, xu = p & rows[u], x & rows[u]
+            if pu or xu:
+                yield r + [u], pu, xu
+            else:
+                out.append(tuple(sorted(r + [u])))
             p &= ~(1 << u)
             x |= 1 << u
 
     if g.order:
-        extend([], (1 << g.order) - 1, 0)
+        _depth_first(extend, [], (1 << g.order) - 1, 0)
     return out
 
 

@@ -60,20 +60,10 @@ class Spectrum:
         return 0
 
     @property
-    def eigenvalues(self):
-        return tuple(c for c, _ in self.pairs)
-
-    @property
     def min_eigenvalue(self):
         if not self.pairs:
             raise ValueError("empty spectrum")
         return self.pairs[-1][0]
-
-    @property
-    def max_eigenvalue(self):
-        if not self.pairs:
-            raise ValueError("empty spectrum")
-        return self.pairs[0][0]
 
     def __str__(self):
         return " ".join(

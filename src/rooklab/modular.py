@@ -1,9 +1,10 @@
 """Certified modular engine: the one way rooklab computes an integral spectrum.
 
 Everything here proves exact integer statements; no step relies on a prime
-being lucky.  The argument needs only a square integer matrix A of order v
-whose max absolute row sum is delta, which bounds |lambda| for every complex
-eigenvalue lambda, so every integer eigenvalue lies in [-delta, delta]:
+being lucky.  The unit of proof is a block: a square integer matrix B of
+order v whose max absolute row sum ||B|| bounds |lambda| for every complex
+eigenvalue lambda, so every integer eigenvalue lies in [-||B||, ||B||].  A
+matrix A is one block, or several when labels split it (below):
 
 1. The characteristic polynomial mod p (computed by Hessenberg reduction
    followed by the standard leading-minor recurrence) equals the integer
@@ -11,20 +12,28 @@ eigenvalue lambda, so every integer eigenvalue lies in [-delta, delta]:
 2. Hence the multiplicity e_c of an integer root c mod p is an upper bound
    on the true algebraic multiplicity m_c, for every prime and candidate.
 3. The algebraic multiplicities of all complex eigenvalues add up to v.  If
-   sum of e_c over the candidates is < v, the spectrum provably is not
-   integral.  If it equals v, the claim {(c, e_c)} is certified by proving
-   prod over claimed c of (A - cI) = 0 over the integers: entries of that
-   product are bounded a priori by prod (delta + |c|) (the row-sum norm is
-   submultiplicative), so checking the product mod enough primes proves it
-   vanishes exactly.  Then the minimal polynomial divides prod (x - c), so
-   every eigenvalue is a claimed c, and m_c <= e_c with both summing to v
-   pins m_c = e_c.
+   sum of e_c over the candidates is < v, B provably has a non-integer
+   eigenvalue.  If it equals v, the claim {(c, e_c)} is certified by
+   proving prod over claimed c of (B - cI) = 0 over the integers: entries
+   of that product are bounded a priori by prod (||B|| + |c|) (the row-sum
+   norm is submultiplicative), so checking the product mod enough primes
+   proves it vanishes exactly.  Then the minimal polynomial divides
+   prod (x - c), so every eigenvalue is a claimed c, and m_c <= e_c with
+   both summing to v pins m_c = e_c.  The blocks give A's spectrum:
 
-A certified claim also proves A diagonalizable (its minimal polynomial has
-distinct roots), so a matrix that is not fails the certificate for every
+   - rho(B) <= ||B||, so the candidates -||B||..||B|| hold every integer
+     eigenvalue of B, even where ||B|| exceeds A's max absolute row sum;
+   - the verified similarity of A to the sum of the B_lambda (x) I_d_lambda
+     gives chi_A = prod chi_(B_lambda)^(d_lambda), over Z, so each block's
+     certified pairs, counted d_lambda times, are A's pairs;
+   - a block that provably lacks integer roots proves that A does too.
+
+A certified claim also proves B diagonalizable (its minimal polynomial has
+distinct roots), so a block that is not fails the certificate for every
 prime.  Adjacency matrices are symmetric and quotient matrices of equitable
-partitions are similar to symmetric ones, so both are diagonalizable; for
-them a failure takes a mod-p coincidence for every prime tried.
+partitions are similar to symmetric ones, so they and their blocks are
+diagonalizable; for them a failure takes a mod-p coincidence for every
+prime tried.
 
 The coordinate permutations of an SR graph split the work without changing
 the argument.  Let A's indices carry labels, distinct integer m-tuples
@@ -48,19 +57,8 @@ mult_lambda = 0 for each lambda skipped as dominating no label's content
 (its J is empty).  A commutes with S_m, so on the lambda-isotypic part
 S^lambda (x) Hom(S^lambda, Q^v) it is I (x) A_lambda, similar to A on
 b a Q^v, which is B_lambda.  So A is similar over Q to the sum of the
-B_lambda (x) I_d_lambda:
-
-- chi_A = prod of chi_(B_lambda)^(d_lambda), over Z: the root
-  multiplicities of step 2 are the d-weighted sums of the blocks';
-- f(A) = 0 iff f(B_lambda) = 0 for every lambda.
-
-Step 3 checks each block against g = prod (x - c) over its own roots c,
-found in its chi at the charpoly prime, not against F = prod (x - c) over
-every claimed c: g divides F, so g(B) = 0 proves F(B) = 0, and the choice
-of g decides only whether the check succeeds.  A block's row sums may
-exceed delta, so the entry bound uses the largest of delta and the blocks'
-row-sum norms.  The blocks are built and checked once, and every prime
-works on them.  A matrix without labels is one block, A itself.
+B_lambda (x) I_d_lambda, the similarity step 3 uses.  The blocks are built
+and checked once; each then runs steps 1-3 with its own primes.
 
 The arithmetic uses int64 numpy (values stay far below 2**63) and float64
 BLAS matmuls, both exact integer arithmetic in range: a product of two
@@ -262,8 +260,6 @@ def hessenberg_mod(a, p):
 def charpoly_mod(a, p):
     """Coefficients of det(xI - a) mod p, ascending, length v+1 (monic)."""
     v = int(a.shape[0])
-    if v == 0:
-        return [1]
     h = hessenberg_mod(a, p)
     # q_k = charpoly of the leading k x k block; expansion along the last
     # column gives q_k = (x - h[k-1,k-1]) q_{k-1}
@@ -351,31 +347,19 @@ def _annihilator_mod(a, eigenvalues, p):
     return b
 
 
-def annihilation_proved(split, roots, delta):
-    """True iff prod over the claimed eigenvalues of (a - cI) is proven
-    zero over Z, for the matrix a that split holds.
-
-    roots[j] lists the claimed eigenvalues that split's block j should
-    satisfy; the claimed eigenvalues are all of them together, and delta
-    bounds a's max absolute row sum.  The proof checks prod over roots[j]
-    of (B_j - cI) on every block modulo enough primes that their product
-    exceeds twice the row-norm bound (at least delta) on the entries of the
-    full product.  A nonempty block with no roots fails the proof.
-    """
-    if len(roots) != len(split.sizes):
-        raise ValueError(f"{len(roots)} root lists for "
-                         f"{len(split.sizes)} blocks")
-    eigenvalues = sorted(set().union(*roots), reverse=True)
-    norm = max([delta] + [int(np.abs(b).sum(axis=1).max())
-                          for b in split.blocks])
+def annihilation_proved(b, roots):
+    """True iff prod over roots of (b - cI) is proven zero over Z, modulo
+    enough primes that their product exceeds twice the bound
+    prod (||b|| + |c|) on its entries, ||b|| being b's own max absolute row
+    sum.  A nonempty b with no roots fails the proof."""
+    norm = int(np.abs(b).sum(axis=1).max(initial=0))
     bound_bits = 1.0
-    for c in eigenvalues:
+    for c in roots:
         bound_bits += float(np.log2(max(norm + abs(c), 2)))
     used_bits = 0.0
     for p in PRIMES:
-        for b, block_roots in zip(split.blocks, roots):
-            if np.any(_annihilator_mod(b, block_roots, p)):
-                return False
+        if np.any(_annihilator_mod(b, roots, p)):
+            return False
         used_bits += float(np.log2(p))
         if used_bits > bound_bits:
             return True
@@ -387,9 +371,10 @@ class IncompleteSpectrum(Exception):
     spectrum is not integral.
 
     residual is the missing dimension count.  pairs holds the integer
-    eigenvalues found.  Raised by certified_symmetric_spectrum (and so by
-    integral_spectrum and quotient_spectrum), their multiplicities are
-    mod-p upper bounds; linalg.try_integral_spectrum gives exact ones.
+    eigenvalues found, each block's d_lambda times.  Raised by
+    certified_symmetric_spectrum (and so by integral_spectrum and
+    quotient_spectrum), their multiplicities are mod-p upper bounds;
+    linalg.try_integral_spectrum gives exact ones.
     """
 
     def __init__(self, pairs, residual):
@@ -400,50 +385,54 @@ class IncompleteSpectrum(Exception):
             f"{residual} unaccounted for")
 
 
+def _block_spectrum(b):
+    """Descending (eigenvalue, multiplicity) pairs of the block b's integer
+    eigenvalues, proven exact if they add up to its order (steps 1-3 of the
+    module docstring); RuntimeError if the proof fails at four primes."""
+    norm = int(np.abs(b).sum(axis=1).max())
+    for p in PRIMES[:4]:
+        chi = charpoly_mod(b, p)
+        pairs, total = [], 0
+        # The root multiplicities add up to at most b's order, so once
+        # they reach it no further candidate is a root.
+        for c in range(norm, -norm - 1, -1):
+            if total == len(b):
+                break
+            e = root_multiplicity(chi, c, p)
+            if e:
+                pairs.append((c, e))
+                total += e
+        if total < len(b) or annihilation_proved(b, [c for c, _ in pairs]):
+            return pairs
+    raise RuntimeError("spectrum certificate failed for the first four primes")
+
+
 def certified_symmetric_spectrum(a, labels=None):
     """Exact integer spectrum of a square int64 matrix.
 
-    Every integer within the max absolute row sum is a candidate.  Returns
-    descending (eigenvalue, multiplicity) pairs, proven exact.  labels, if
-    given, are integer m-tuples whose coordinate permutations are symmetries
-    of a: the work splits into one block per partition of m, and the answer
-    is the same as without them.
-    Raises IncompleteSpectrum when the matrix provably has non-integer
-    eigenvalues, and RuntimeError when the annihilation certificate fails
-    for each of the first four primes, as it does for every matrix that is
-    not diagonalizable, or when a block fails its exact check.  Raises
-    ValueError for labels that are no such symmetry, and for a block order
-    above MAX_ORDER.
+    Returns descending (eigenvalue, multiplicity) pairs, proven exact.
+    labels, if given, are integer m-tuples whose coordinate permutations are
+    symmetries of a: the work splits into one block per partition of m.
+    Each block is certified as a matrix of its own, every integer within
+    its max absolute row sum a candidate, and the answer is the same as
+    without labels.  Raises IncompleteSpectrum when the matrix provably has
+    non-integer eigenvalues, and RuntimeError when a block's annihilation
+    certificate fails for each of the first four primes, as it does for
+    every matrix that is not diagonalizable, or when a block fails its
+    exact check.  Raises ValueError for labels that are no such symmetry,
+    and for a block order above MAX_ORDER.
     """
     split = _Split(a, labels)
     if max(split.sizes, default=0) > MAX_ORDER:
         raise ValueError(f"block order {max(split.sizes)} exceeds "
                          f"{MAX_ORDER}, the largest for which float64 "
                          f"products mod p stay exact")
-    v = int(a.shape[0])
-    if v == 0:
-        return []
-    delta = int(np.abs(a).sum(axis=1).max())
-    for p in PRIMES[:4]:
-        found, roots = {}, []
-        for b, weight in zip(split.blocks, split.weights):
-            chi = charpoly_mod(b, p)
-            roots.append([])
-            # The block's root multiplicities add up to at most its order,
-            # so once they reach it no further candidate is a root.
-            total = 0
-            for c in range(delta, -delta - 1, -1):
-                if total == b.shape[0]:
-                    break
-                e = root_multiplicity(chi, c, p)
-                if e:
-                    found[c] = found.get(c, 0) + weight * e
-                    roots[-1].append(c)
-                    total += e
-        pairs = sorted(found.items(), reverse=True)
-        total = sum(found.values())
-        if total < v:
-            raise IncompleteSpectrum(pairs, v - total)
-        if annihilation_proved(split, roots, delta):
-            return pairs
-    raise RuntimeError("spectrum certificate failed for the first four primes")
+    found = Counter()
+    for b, weight in zip(split.blocks, split.weights):
+        for c, e in _block_spectrum(b):
+            found[c] += weight * e
+    pairs = sorted(found.items(), reverse=True)
+    residual = int(a.shape[0]) - sum(found.values())
+    if residual:
+        raise IncompleteSpectrum(pairs, residual)
+    return pairs

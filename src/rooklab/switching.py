@@ -92,8 +92,7 @@ def gm_switch(g: Graph, b: SwitchingSet) -> Graph:
             rows[c] ^= mask
             for u in b.members:
                 rows[u] ^= 1 << c
-    return Graph(g.labels, rows, family=None,
-                 params=(g.family, g.params, b.members))
+    return Graph(g.labels, rows)
 
 
 def enumerate_switching_sets(g: Graph) -> list:

@@ -13,6 +13,7 @@ deterministic.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from math import comb, factorial
@@ -87,26 +88,10 @@ class SpectrumCache:
     across battery items."""
 
     def __init__(self):
-        self._spectra = {}
-        self._graphs = {}
-        self._gamma = {}
-
-    def graph(self, m, n):
-        key = (m, n)
-        if key not in self._graphs:
-            self._graphs[key] = sr_graph(m, n)
-        return self._graphs[key]
-
-    def spectrum(self, m, n) -> Spectrum:
-        key = (m, n)
-        if key not in self._spectra:
-            self._spectra[key] = integral_spectrum(self.graph(m, n))
-        return self._spectra[key]
-
-    def gamma_classes(self, n):
-        if n not in self._gamma:
-            self._gamma[n] = classify_gamma(n)
-        return self._gamma[n]
+        self.graph = functools.cache(sr_graph)
+        self.spectrum = functools.cache(
+            lambda m, n: integral_spectrum(self.graph(m, n)))
+        self.gamma_classes = functools.cache(classify_gamma)
 
 
 def _integrality_grid():
@@ -475,7 +460,7 @@ def suite_gamma(cache):
     def fpw_item(m, n):
         def run():
             fam = f_pw_family(m, n)
-            expected = comb(n - comb(m - 1, 2), m - 1) if n >= comb(m, 2) else 0
+            expected = bottom_multiplicity(m, n)
             if len(fam) != expected:
                 return "fail", f"{expected} orbit vectors", f"{len(fam)}"
             if fam:

@@ -5,9 +5,14 @@ of src/rooklab/*.py must be referenced by some other top-level statement of
 a file in src/, tests/ or perfbench/ (a use inside its own definition, such
 as recursion, does not count).  A reference is an identifier, an attribute
 name or a name in a `from ... import` list.  Dunder names are exempt.
+
+A public name reached from tests/ alone must be paper content, named in
+PAPER_CONTENT; the functions perfbench/tracing.py wraps by name count as
+used.
 """
 
 import ast
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -38,11 +43,13 @@ def _defined(stmt):
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def dead_definitions():
-    # DEFINING is part of USING, so every statement below was counted once.
+def unreferenced(using, extra=()):
+    """Definitions in DEFINING that no top-level statement of the files in
+    using references (beyond their own), nor any name in extra."""
+    # DEFINING is part of using, so every statement below was counted once.
     trees = {path: ast.parse(path.read_text(), filename=str(path))
-             for path in USING}
-    uses = Counter()
+             for path in using}
+    uses = Counter(extra)
     for tree in trees.values():
         for stmt in tree.body:
             uses.update(_references(stmt))
@@ -58,4 +65,26 @@ def dead_definitions():
 
 def test_no_dead_definitions():
     assert len(DEFINING) > 10
-    assert dead_definitions() == []
+    assert unreferenced(USING) == []
+
+
+# Public names that only tests reach, kept as content of the paper.
+PAPER_CONTENT = {"small_n_eigenvector", "small_n_eigenvalue", "SMALL_N_KINDS",
+                 "johnson_spectrum", "local_graph"}
+
+
+def traced_names():
+    """The names perfbench/tracing.py wraps, which it reaches by string."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {name.split(".")[-1] for name in module.TRACED}
+
+
+def test_no_public_api_for_tests_only():
+    traced = traced_names()
+    assert "cycle_graph" in traced
+    outside = [path for path in USING if path.parent.name != "tests"]
+    names = sorted(entry.split()[-1] for entry in unreferenced(outside, traced))
+    assert [n for n in names if not n.startswith("_")] == sorted(PAPER_CONTENT)

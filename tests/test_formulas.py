@@ -63,6 +63,13 @@ class TestEigenvalueFormulas:
     def test_bottom_multiplicity_vanishes_below_threshold(self):
         assert bottom_multiplicity(4, 5) == 0  # n < binom(4,2) = 6
         assert bottom_multiplicity(4, 6) == comb(6 - 3, 3)
+        # binom(n - binom(m-1,2), m-1) when n >= binom(m,2), else 0, on the
+        # grid of the battery's gamma.fpw claims.
+        for m in range(2, 5):
+            for n in range(1, 9):
+                assert bottom_multiplicity(m, n) == (
+                    comb(n - comb(m - 1, 2), m - 1) if n >= comb(m, 2)
+                    else 0), (m, n)
 
 
 class TestJohnsonSpectrum:

@@ -188,6 +188,15 @@ class TestMaximalCliques:
         sizes = sorted(len(c) for c in cliques)
         assert sizes[-1] == 4
 
+    def test_no_recursion_proportional_to_clique_size(self):
+        # Bron-Kerbosch descends once per clique vertex; K_400 goes 400 deep.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            assert maximal_cliques(complete_graph(400)) == [tuple(range(400))]
+        finally:
+            sys.setrecursionlimit(limit)
+
 
 class TestClassifyClique:
     def test_line_cliques_are_type1(self):

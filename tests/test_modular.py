@@ -23,6 +23,7 @@ from rooklab.linalg import integral_spectrum
 from rooklab.modular import (MAX_ORDER, PRIMES, IncompleteSpectrum, _Split,
                              annihilation_proved, certified_symmetric_spectrum,
                              charpoly_mod, hessenberg_mod, root_multiplicity)
+from rooklab.partitions import check_equitable, weight_partition
 from rooklab.switching import enumerate_switching_sets, gm_switch
 
 
@@ -126,45 +127,59 @@ class TestCertificate:
     def test_annihilation_rejects_wrong_eigenvalue_list(self):
         g = sr_graph(4, 1)  # K_4
         a = g.adjacency_matrix()
-        for labels in (None, g.labels):
-            split = _Split(a, labels)
-            blocks = len(split.sizes)
-            assert annihilation_proved(split, [[3, -1]] * blocks, 3)
-            assert not annihilation_proved(split, [[3, 1]] * blocks, 3)
-            assert not annihilation_proved(split, [[3]] * blocks, 3)
+        assert [b.tolist() for b in _Split(a, None).blocks] == [a.tolist()]
+        assert annihilation_proved(a, [3, -1])
+        assert not annihilation_proved(a, [3, 1])
+        assert not annihilation_proved(a, [3])
         # By its labels, K_4 splits into [3] and [-1] (three times): each
-        # block needs only its own root, and every block needs one.
+        # block needs only its own root, and another block's will not do.
+        split = _Split(a, g.labels)
         assert split.weights == [1, 3]
-        assert annihilation_proved(split, [[3], [-1]], 3)
-        assert not annihilation_proved(split, [[3], [3]], 3)
-        assert not annihilation_proved(split, [[3], []], 3)
-        with pytest.raises(ValueError):
-            annihilation_proved(split, [[3]], 3)
+        top, rest = split.blocks
+        assert annihilation_proved(top, [3])
+        assert annihilation_proved(rest, [-1])
+        assert not annihilation_proved(top, [-1])
+        assert not annihilation_proved(rest, [3])
+        assert not annihilation_proved(rest, [])
 
     def test_entry_bound_uses_block_norms(self, monkeypatch):
-        # A block's row sums may exceed the matrix's: SR(4, 14) has delta 42
-        # and a block of row-sum norm 47.  Its proof then needs eight
-        # primes, where delta alone would stop at seven.
-        g = sr_graph(4, 14)
+        # A block's row sums may exceed the matrix's: SR(5, 7) has delta 28
+        # and a block of order 25 and row-sum norm 34.  Its proof then
+        # needs five primes, where delta would stop at four.
+        g = sr_graph(5, 7)
         a = g.adjacency_matrix()
+        assert np.abs(a).sum(axis=1).max() == 28
         split = _Split(a, g.labels)
-        assert max(np.abs(b).sum(axis=1).max() for b in split.blocks) == 47
-        primes = set()
+        assert [int(np.abs(b).sum(axis=1).max()) for b in split.blocks
+                if len(b) == 25] == [34]
+        primes = {}
         annihilator = modular._annihilator_mod
 
         def counted(b, roots, p):
-            primes.add(p)
+            primes.setdefault(len(b), set()).add(p)
             return annihilator(b, roots, p)
 
         monkeypatch.setattr(modular, "_annihilator_mod", counted)
         assert certified_symmetric_spectrum(a, g.labels) == numpy_spectrum(a)
-        assert len(primes) == 8
+        assert len(primes[25]) == 5
 
     def test_annihilation_empty_cases(self):
-        empty = _Split(np.zeros((0, 0), dtype=np.int64), None)
-        assert annihilation_proved(empty, [], 0)
-        assert annihilation_proved(_Split(np.zeros((2, 2), dtype=np.int64),
-                                          None), [[0]], 0)
+        assert annihilation_proved(np.zeros((0, 0), dtype=np.int64), [])
+        assert annihilation_proved(np.zeros((2, 2), dtype=np.int64), [0])
+
+
+@pytest.fixture
+def split_builds(monkeypatch):
+    """The (arguments, split) of every _Split the engine builds."""
+    builds = []
+
+    class CountedSplit(modular._Split):
+        def __init__(self, *args):
+            super().__init__(*args)
+            builds.append((args, self))
+
+    monkeypatch.setattr(modular, "_Split", CountedSplit)
+    return builds
 
 
 def numpy_spectrum(a):
@@ -216,28 +231,37 @@ class TestSymmetrySplit:
                 == g.order, (m, n)
             assert m > 1 or split.sizes == [1]
 
-    def test_one_split_and_one_proof_per_spectrum(self, monkeypatch):
+    def test_one_split_and_one_proof_per_spectrum(self, monkeypatch,
+                                                  split_builds):
         # The benchmark's per-layer metrics trace modular.annihilation_proved
-        # by name; the engine must reach it once, and build its split once.
-        calls, builds = [], []
+        # by name; the engine must reach it once per block, and build its
+        # split once.
+        calls = []
         proved = modular.annihilation_proved
 
         def counted(*args):
             calls.append(args)
             return proved(*args)
 
-        class CountedSplit(modular._Split):
-            def __init__(self, *args):
-                builds.append(args)
-                super().__init__(*args)
-
         monkeypatch.setattr(modular, "annihilation_proved", counted)
-        monkeypatch.setattr(modular, "_Split", CountedSplit)
         g = sr_graph(4, 6)
         spectrum = integral_spectrum(g)
         assert list(spectrum.pairs) == numpy_spectrum(g.adjacency_matrix())
-        assert len(calls) == 1 and len(builds) == 1
-        assert builds[0][1] == g.labels
+        [(args, split)] = split_builds
+        assert args[1] == g.labels
+        assert len(calls) == len(split.blocks) == 5
+        assert all(b is call[0] for b, call in zip(split.blocks, calls))
+
+    def test_relabelled_sr_graph_keeps_its_split(self, split_builds):
+        # Relabelling keeps an SR graph's family: integral_spectrum splits
+        # it by its own labels, at their new indices.
+        g = sr_graph(4, 5)
+        h = g.relabeled(random.Random(7).sample(range(g.order), g.order))
+        assert h.family == g.family and h.params == g.params
+        assert integral_spectrum(h) == integral_spectrum(g)
+        assert split_builds[0][0][1] == h.labels != g.labels
+        assert check_equitable(h, weight_partition(h)) == \
+            check_equitable(g, weight_partition(g))
 
     @property_test
     @given(st.data())

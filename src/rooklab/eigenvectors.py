@@ -232,7 +232,6 @@ def classify_gamma(n: int) -> list:
     if n < 0:
         raise ValueError("inversion count must be nonnegative")
     found = {}
-    order = []
     for m in range(1, max(2 * n, 1) + 1):
         for pi in permutations_with_inversions(m, n):
             g = gamma_graph(m, pi)
@@ -241,11 +240,9 @@ def classify_gamma(n: int) -> list:
                 found[cert][3] += 1
             else:
                 found[cert] = [g, m, pi, 1]
-                order.append(cert)
-    return [
-        GammaClass(g, m, pi, count, try_integral_spectrum(g))
-        for g, m, pi, count in (found[cert] for cert in order)
-    ]
+    # Dicts keep insertion order, so this is first-discovery order.
+    return [GammaClass(g, m, pi, count, try_integral_spectrum(g))
+            for g, m, pi, count in found.values()]
 
 
 def cayley_transpositions(m: int) -> Graph:

@@ -348,13 +348,13 @@ def has_induced_k114(g: Graph) -> bool:
     return False
 
 
-def _equitable(rows, cell, cells, multi, start, trace, best=None, zeta=None,
+def _equitable(rows, cells, multi, start, trace, best=None, zeta=None,
                below=False):
     """Split an ordered partition until it is equitable; return False if
     the run was cut short (see `best` below), else True.
 
-    The partition is `cell[v]`, the start position of v's cell, and
-    `cells[s]`, the vertex mask of the cell that starts at position s.
+    The partition is `cells[s]`, the vertex mask of the cell that starts at
+    position s (entries at other positions are stale and never read).
     `multi` lists the starts of the cells with two or more vertices, in
     order; it is updated in place.  The cell at `start` is the first
     splitter.  Each splitter W, smallest start first, splits every cell C by
@@ -414,8 +414,6 @@ def _equitable(rows, cell, cells, multi, start, trace, best=None, zeta=None,
                 trace.append(size)
                 cells[at] = part
                 if at != t:
-                    for u in _bits(part):
-                        cell[u] = at
                     heappush(queue, at)
                 if size > 1:
                     kept.append(at)
@@ -436,13 +434,14 @@ def _equitable(rows, cell, cells, multi, start, trace, best=None, zeta=None,
     return True
 
 
-def _relabeled_rows(rows, pos):
-    """For a discrete partition pos (pos[v] is v's new label): its inverse
-    lab and the adjacency rows relabeled by pos, in new-label order."""
-    lab = [0] * len(pos)
-    for v, p in enumerate(pos):
-        lab[p] = v
-    return lab, _permuted_rows(rows, pos)
+def _relabeled_rows(rows, cells):
+    """For a discrete partition (each cells[s] one vertex): lab[s], the vertex
+    at s, its inverse pos[v], v's new label, and the rows relabeled by pos."""
+    lab = [c.bit_length() - 1 for c in cells]
+    pos = [0] * len(lab)
+    for s, v in enumerate(lab):
+        pos[v] = s
+    return lab, pos, _permuted_rows(rows, pos)
 
 
 class _Leaf(NamedTuple):
@@ -457,21 +456,22 @@ class _Leaf(NamedTuple):
 
 
 class _Node:
-    """A node of the search tree: the equitable ordered partition reached by
-    individualizing `path`, its refinement trace `inv`, and the state of the
-    walk over the children in its target cell, the first smallest one.
+    """A node of the search tree: the equitable ordered partition `cells`
+    reached by individualizing `path`, its refinement trace `inv`, and the
+    walk over the children in its target cell, the first smallest, at `start`.
     `first` marks the first path; `on_zeta` says the traces so far equal the
     first leaf's, and `vs_best` compares them with the best leaf's (-1, 0, 1)."""
 
-    __slots__ = ("cell", "cells", "multi", "path", "inv", "target",
-                 "others", "tried", "first", "on_zeta", "vs_best")
+    __slots__ = ("cells", "multi", "path", "inv", "start", "target",
+                 "untried", "tried", "first", "on_zeta", "vs_best")
 
-    def __init__(self, cell, cells, multi, path, inv, first, on_zeta, vs_best):
-        self.cell, self.cells, self.multi = cell, cells, multi
+    def __init__(self, cells, multi, path, inv, first, on_zeta, vs_best):
+        self.cells, self.multi = cells, multi
         self.path, self.inv = path, inv
         self.first, self.on_zeta, self.vs_best = first, on_zeta, vs_best
-        self.target = cells[min(multi, key=lambda s: cells[s].bit_count())]
-        self.others = None
+        self.start = min(multi, key=lambda s: cells[s].bit_count())
+        self.target = cells[self.start]
+        self.untried = _bits(self.target)
         self.tried = []
 
 
@@ -488,6 +488,9 @@ class _CanonicalSearch:
     a leaf equivalent to zeta is always walked, so that every orbit on
     zeta's path is found.
 
+    A node keeps its partition in the one array `cells`, which a child copies
+    and refines; at a leaf each position holds one vertex, in leaf order.
+
     The walk finishes zeta's path deepest node first, so every automorphism
     found while at zeta's node of depth d fixes zeta's first d vertices;
     `orbits` joins all of them, and when that node is done its target cell's
@@ -498,31 +501,28 @@ class _CanonicalSearch:
     def __init__(self, rows):
         self.rows = rows
         n = len(rows)
-        cell, cells = [0] * n, [0] * n
+        cells = [0] * n
         cells[0] = (1 << n) - 1
         multi = [0] if n > 1 else []
         trace = []
-        _equitable(rows, cell, cells, multi, 0, trace)
+        _equitable(rows, cells, multi, 0, trace)
         self.gens = []
         self.orbits = list(range(n))
         self.order = 1
         self.zeta = self.best = None
         if not multi:
-            lab, key = _relabeled_rows(rows, cell)
-            self.best = _Leaf([tuple(trace)], key, cell, (), lab)
+            lab, pos, key = _relabeled_rows(rows, cells)
+            self.best = _Leaf([tuple(trace)], key, pos, (), lab)
             return
-        self._walk(_Node(cell, cells, multi, (), tuple(trace), True, True, 0))
+        self._walk(_Node(cells, multi, (), tuple(trace), True, True, 0))
 
     def _next_child(self, node):
         """The next child of node that no known automorphism fixing the
         node's path maps onto an explored sibling, or None."""
         tried = node.tried
         if not tried:
-            w = (node.target & -node.target).bit_length() - 1
-            tried.append(w)
-            return w
-        if node.others is None:
-            node.others = _bits(node.target & (node.target - 1))
+            tried.append(next(node.untried))
+            return tried[0]
         if node.first:
             # Every automorphism found so far fixes a first-path node's path.
             parent = self.orbits
@@ -534,7 +534,7 @@ class _CanonicalSearch:
                     for u in parent:
                         _union(parent, u, g[u])
         roots = {_find(parent, c) for c in tried}
-        for w in node.others:
+        for w in node.untried:
             if _find(parent, w) not in roots:
                 tried.append(w)
                 return w
@@ -563,19 +563,19 @@ class _CanonicalSearch:
                     self.order *= sum(1 for u in _bits(node.target)
                                       if _find(parent, u) == r)
                 continue
-            # Individualize w: it leaves its cell for the cell's last position.
-            cell, cells, multi = node.cell[:], node.cells[:], node.multi[:]
-            t = cell[w]
+            # Individualize w: it leaves the target cell for its last position.
+            cells, multi = node.cells[:], node.multi[:]
+            t = node.start
             rest = cells[t] ^ 1 << w
             at = t + rest.bit_count()
-            cells[t], cells[at], cell[w] = rest, 1 << w, at
+            cells[t], cells[at] = rest, 1 << w
             if not rest & (rest - 1):
                 multi.remove(t)
             trace = []
             depth = len(stack)
             if self.zeta is None or node.vs_best > 0:
-                _equitable(rows, cell, cells, multi, at, trace)
-            elif not _equitable(rows, cell, cells, multi, at, trace,
+                _equitable(rows, cells, multi, at, trace)
+            elif not _equitable(rows, cells, multi, at, trace,
                                 () if node.vs_best else self.best.invs[depth],
                                 self.zeta.invs[depth] if node.on_zeta else None,
                                 node.vs_best < 0):
@@ -594,11 +594,11 @@ class _CanonicalSearch:
                 if vs_best < 0 and not on_zeta:
                     continue
             if multi:
-                stack.append(_Node(cell, cells, multi, path, inv, first, on_zeta,
+                stack.append(_Node(cells, multi, path, inv, first, on_zeta,
                                    vs_best))
                 continue
-            lab, key = _relabeled_rows(rows, cell)
-            leaf = _Leaf([x.inv for x in stack] + [inv], key, cell, path, lab)
+            lab, pos, key = _relabeled_rows(rows, cells)
+            leaf = _Leaf([x.inv for x in stack] + [inv], key, pos, path, lab)
             if self.zeta is None:
                 self.zeta = self.best = leaf
                 continue

@@ -212,33 +212,31 @@ def verify_eigenvector(g: Graph, vec, eigenvalue: int) -> bool:
             entries[idx] = int(val)
     if not entries:
         raise ValueError("eigenvector must be nonzero")
-    affected = set(entries)
-    for i in entries:
-        affected.update(g.neighbors(i))
-    for u in affected:
-        row = g.rows[u]
-        lhs = sum(val for i, val in entries.items() if (row >> i) & 1)
-        if lhs != eigenvalue * entries.get(u, 0):
-            return False
-    return True
+    # A x, seeded on the support so that a support vertex with no neighbour
+    # in the support is checked too.
+    image = dict.fromkeys(entries, 0)
+    for i, val in entries.items():
+        for u in g.neighbors(i):
+            image[u] = image.get(u, 0) + val
+    return all(lhs == eigenvalue * entries.get(u, 0)
+               for u, lhs in image.items())
 
 
 def halved_factorization_check(m: int, n: int) -> bool:
     """Check A + nI == N N^T for SR(m, n), where N is the bipartite
-    incidence between sum-n vectors and sum-<n vectors differing in exactly
-    one coordinate."""
+    incidence between sum-n vectors u and the sum-<n vectors one coordinate
+    away from them, u - d e_a with 1 <= d <= u_a."""
     if m < 1 or n < 0:
         raise ValueError("need m >= 1, n >= 0")
     top = sr_vertices(m, n)
-    low = []
-    for s in range(n):
-        low.extend(sr_vertices(m, s))
+    low = {w: j for j, w in enumerate(
+        w for s in range(n) for w in sr_vertices(m, s))}
     v = len(top)
     nmat = np.zeros((v, max(len(low), 1)), dtype=np.int64)
     for i, u in enumerate(top):
-        for j, w in enumerate(low):
-            if sum(1 for a, b in zip(u, w) if a != b) == 1:
-                nmat[i, j] = 1
+        for a, x in enumerate(u):
+            for d in range(1, x + 1):
+                nmat[i, low[u[:a] + (x - d,) + u[a + 1:]]] = 1
     a = sr_graph(m, n).adjacency_matrix()
     return bool(np.array_equal(a + n * np.eye(v, dtype=np.int64),
                                nmat @ nmat.T))

@@ -27,8 +27,6 @@ class NotEquitable(Exception):
     with different neighbor counts into block j."""
 
     def __init__(self, block_i, block_j, x, y, count_x, count_y):
-        self.block_i = block_i
-        self.block_j = block_j
         self.x = x
         self.y = y
         self.count_x = count_x

@@ -12,7 +12,6 @@ and on SR(m,3) so do the four vertices a*e_1 + b*e_2 with a+b=3.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .graphs import Graph, _bits
@@ -34,11 +33,9 @@ _ENUM_LIMIT = 100
 @dataclass(frozen=True)
 class SwitchingSet:
     """Four vertex indices inducing a regular subgraph such that every
-    outside vertex sees 0, 2 or 4 of them.  kind records the induced
-    subgraph: "clique" when it is K_4, otherwise "regular"."""
+    outside vertex sees 0, 2 or 4 of them."""
 
     members: tuple
-    kind: str
 
 
 def _odd_outside(rows, members, mask):
@@ -71,8 +68,7 @@ def validate_switching_set(g: Graph, b) -> SwitchingSet:
         raise NotSwitchable(
             f"vertex {u} is adjacent to {count} members of {members}",
             vertex=u)
-    kind = "clique" if inner[0] == 3 else "regular"
-    return SwitchingSet(members, kind)
+    return SwitchingSet(members)
 
 
 def gm_switch(g: Graph, b: SwitchingSet) -> Graph:
@@ -116,8 +112,7 @@ def enumerate_switching_sets(g: Graph) -> list:
                            for u in (b, c, d)):
                         continue
                     if not _odd_outside(rows, members, mask):
-                        out.append(SwitchingSet(
-                            members, "clique" if inner0 == 3 else "regular"))
+                        out.append(SwitchingSet(members))
     return out
 
 
@@ -146,9 +141,8 @@ def switching_closure(g: Graph, limit: int) -> ClosureResult:
         raise ValueError("class cap must be positive")
     seen = {canonical_form(g).certificate}
     reps = [g]
-    queue = deque([g])
-    while queue:
-        current = queue.popleft()
+    # reps is also the BFS queue: the loop reaches each class as it is added.
+    for current in reps:
         for b in enumerate_switching_sets(current):
             mate = gm_switch(current, b)
             cert = canonical_form(mate).certificate
@@ -158,7 +152,6 @@ def switching_closure(g: Graph, limit: int) -> ClosureResult:
                 return ClosureResult(tuple(reps), True)
             seen.add(cert)
             reps.append(mate)
-            queue.append(mate)
     return ClosureResult(tuple(reps), False)
 
 

@@ -9,6 +9,11 @@ name or a name in a `from ... import` list.  Dunder names are exempt.
 A public name reached from tests/ alone must be paper content, named in
 PAPER_CONTENT; the functions perfbench/tracing.py wraps by name count as
 used.
+
+The same holds one level down: each public method, property and dataclass
+field of a public class must be read outside tests/, unless named in
+TESTED_MEMBERS.  There only attribute reads and keyword names count as
+uses: a bare identifier (a local `kind`, say) does not read `x.kind`.
 """
 
 import ast
@@ -88,3 +93,56 @@ def test_no_public_api_for_tests_only():
     outside = [path for path in USING if path.parent.name != "tests"]
     names = sorted(entry.split()[-1] for entry in unreferenced(outside, traced))
     assert [n for n in names if not n.startswith("_")] == sorted(PAPER_CONTENT)
+
+
+# Public members that only tests read: the canonical labelling, which the
+# canonicity tests check by relabelling each graph with it.
+TESTED_MEMBERS = {"CanonicalForm.relabeling"}
+
+
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def public_members():
+    """(Class.member, member) for each public method, property and
+    dataclass field of each public top-level class in DEFINING."""
+    out = []
+    for path in DEFINING:
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            fields = any(map(_is_dataclass, cls.decorator_list))
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef):
+                    name = item.name
+                elif fields and isinstance(item, ast.AnnAssign):
+                    name = item.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    out.append((f"{cls.name}.{name}", name))
+    return out
+
+
+def member_reads(path):
+    """The attribute names read and the keyword names passed in path."""
+    names = set()
+    for sub in ast.walk(ast.parse(path.read_text())):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.keyword) and sub.arg:
+            names.add(sub.arg)
+    return names
+
+
+def test_no_public_member_for_tests_only():
+    members = public_members()
+    assert ("SwitchingSet.members", "members") in members
+    reads = set(traced_names())
+    for path in USING:
+        if path.parent.name != "tests":
+            reads |= member_reads(path)
+    unread = sorted(q for q, name in members if name not in reads)
+    assert unread == sorted(TESTED_MEMBERS)

@@ -5,9 +5,13 @@ rank over the rationals); the code under test never imports it.
 """
 
 import random
+from itertools import combinations
 
+import numpy as np
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rooklab.graphs import (Graph, complete_bipartite, complete_graph,
                             cycle_graph, johnson_graph, sr_graph)
@@ -16,6 +20,8 @@ from rooklab.linalg import (IncompleteSpectrum, Spectrum,
                             merge_pairs, nullity, rank, try_integral_spectrum,
                             verify_eigenvector)
 from rooklab.switching import enumerate_switching_sets, gm_switch
+
+from conftest import property_test
 
 
 def sympy_spectrum(g):
@@ -137,7 +143,34 @@ class TestIntegralSpectrum:
             "integral": True, "spectrum": "2^1 (-1)^2"}
 
 
+@st.composite
+def eigen_problems(draw, max_order=12):
+    """A graph on up to max_order vertices (edgeless ones included), a
+    sparse integer vector on it and a candidate eigenvalue in -3..3."""
+    n = draw(st.integers(1, max_order))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(range(n), [e for e, k in zip(pairs, keep) if k])
+    vec = draw(st.dictionaries(st.integers(0, n - 1), st.integers(-3, 3),
+                               min_size=1, max_size=4))
+    return g, vec, draw(st.integers(-3, 3))
+
+
 class TestVerifyEigenvector:
+    @property_test
+    @given(eigen_problems())
+    def test_property_matches_numpy(self, problem):
+        g, vec, eigenvalue = problem
+        x = np.zeros(g.order, dtype=np.int64)
+        for i, val in vec.items():
+            x[i] = val
+        if not x.any():
+            with pytest.raises(ValueError):
+                verify_eigenvector(g, vec, eigenvalue)
+        else:
+            expected = np.array_equal(g.adjacency_matrix() @ x, eigenvalue * x)
+            assert verify_eigenvector(g, vec, eigenvalue) == expected
+
     def test_accepts_true_eigenvector(self):
         g = complete_graph(4)
         assert verify_eigenvector(g, {0: 1, 1: -1}, -1)

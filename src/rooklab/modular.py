@@ -65,7 +65,12 @@ BLAS matmuls, both exact integer arithmetic in range: a product of two
 matrices with entries below p sums v terms below (p - 1)**2, which stays
 below 2**53 while v <= MAX_ORDER.  The products A M and M B that build and
 check a block are bounded below 2**53 before they are trusted, and a block
-of order above MAX_ORDER is refused.
+of order above MAX_ORDER is refused.  A float64 product is reduced mod p by
+converting it to int64 and taking integer %, exact for every integer below
+2**53 in magnitude.  libm's fmod, which np.fmod calls on floats, gives the
+same residues but divides bit by bit, so its cost grows with the length of
+the quotient, here up to v * p: it takes many times as long as the
+conversion and % together, and longer than the matmul it follows.
 """
 
 from __future__ import annotations
@@ -315,6 +320,12 @@ def _poly_from_roots(roots, p):
     return coeffs
 
 
+def _reduce(x, p):
+    """x mod p, in [0, p), as float64, for an array of integers below 2**53
+    in magnitude: integer % on the exact int64 values (module docstring)."""
+    return (x.astype(np.int64) % p).astype(np.float64)
+
+
 def _annihilator_mod(a, eigenvalues, p):
     """prod over eigenvalues of (a - cI), reduced mod p, as float64.
 
@@ -322,28 +333,30 @@ def _annihilator_mod(a, eigenvalues, p):
     of powers a^0..a^s plus a block Horner loop, about 2*sqrt(d) matrix
     products instead of d.  All intermediates stay below 2**53 because
     entries are reduced below p < 2**20 between products and the matrix
-    order is at most MAX_ORDER.
+    order is at most MAX_ORDER, so each float64 product holds an exact
+    integer, and _reduce takes it mod p with integer % rather than libm's
+    fmod, whose cost grows with the quotient's bits.
     """
     v = a.shape[0]
     d = len(eigenvalues)
-    af = np.mod(a.astype(np.float64), p)
+    af = _reduce(a, p)
     coeffs = _poly_from_roots(eigenvalues, p)
     s = max(2, math.isqrt(d) + 1)
     powers = [np.eye(v), af]
     for _ in range(2, s + 1):
-        powers.append(np.fmod(powers[-1] @ af, p))
+        powers.append(_reduce(powers[-1] @ af, p))
 
     def block(j):
         out = np.zeros((v, v))
         for i, q in enumerate(coeffs[j * s:(j + 1) * s]):
             if q:
                 out += q * powers[i]
-        return np.fmod(out, p)
+        return _reduce(out, p)
 
     nblocks = -(-len(coeffs) // s)
     b = block(nblocks - 1)
     for j in range(nblocks - 2, -1, -1):
-        b = np.fmod(b @ powers[s] + block(j), p)
+        b = _reduce(b @ powers[s] + block(j), p)
     return b
 
 

@@ -23,17 +23,8 @@ from .linalg import Spectrum
 
 
 class NotEquitable(Exception):
-    """Witness that a partition is not equitable: two vertices in block i
-    with different neighbor counts into block j."""
-
-    def __init__(self, block_i, block_j, x, y, count_x, count_y):
-        self.x = x
-        self.y = y
-        self.count_x = count_x
-        self.count_y = count_y
-        super().__init__(
-            f"block {block_i} -> {block_j}: vertex {x} has {count_x} neighbors, "
-            f"vertex {y} has {count_y}")
+    """A partition is not equitable; the message names the witness, two
+    vertices in block i with different neighbor counts into block j."""
 
 
 def _label_key(label):
@@ -172,7 +163,9 @@ def check_equitable(g, p: VertexPartition) -> QuotientMatrix:
             for j in range(p.size):
                 c = (g.rows[x] & masks[j]).bit_count()
                 if c != row[j]:
-                    raise NotEquitable(i, j, ref, x, row[j], c)
+                    raise NotEquitable(
+                        f"block {i} -> {j}: vertex {ref} has {row[j]} "
+                        f"neighbors, vertex {x} has {c}")
         entries.append(tuple(row))
     q = QuotientMatrix(tuple(entries), p.labels)
     if g.is_regular():

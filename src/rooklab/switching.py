@@ -19,12 +19,9 @@ from .invariants import SizeLimit, canonical_form
 
 
 class NotSwitchable(Exception):
-    """Carries the first outside vertex violating the 0/2/4 condition, or a
-    description of the induced-regularity failure."""
-
-    def __init__(self, message, vertex=None):
-        super().__init__(message)
-        self.vertex = vertex
+    """A 4-set that is no switching set; the message names the first outside
+    vertex violating the 0/2/4 condition, or the induced-regularity
+    failure."""
 
 
 _ENUM_LIMIT = 100
@@ -66,8 +63,7 @@ def validate_switching_set(g: Graph, b) -> SwitchingSet:
         u = next(_bits(odd))
         count = (g.rows[u] & mask).bit_count()
         raise NotSwitchable(
-            f"vertex {u} is adjacent to {count} members of {members}",
-            vertex=u)
+            f"vertex {u} is adjacent to {count} members of {members}")
     return SwitchingSet(members)
 
 

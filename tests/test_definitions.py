@@ -11,9 +11,10 @@ PAPER_CONTENT; the functions perfbench/tracing.py wraps by name count as
 used.
 
 The same holds one level down: each public method, property and dataclass
-field of a public class must be read outside tests/, unless named in
-TESTED_MEMBERS.  There only attribute reads and keyword names count as
-uses: a bare identifier (a local `kind`, say) does not read `x.kind`.
+field of a public class, and each public attribute its __init__ assigns on
+self, must be read outside tests/, unless named in TESTED_MEMBERS.  There
+only attribute reads and keyword names count as uses: a bare identifier (a
+local `kind`, say) does not read `x.kind`.
 """
 
 import ast
@@ -114,16 +115,26 @@ def public_members():
             if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
                 continue
             fields = any(map(_is_dataclass, cls.decorator_list))
+            names = []
             for item in cls.body:
                 if isinstance(item, ast.FunctionDef):
-                    name = item.name
+                    names.append(item.name)
+                    if item.name == "__init__":
+                        names += _self_attributes(item)
                 elif fields and isinstance(item, ast.AnnAssign):
-                    name = item.target.id
-                else:
-                    continue
+                    names.append(item.target.id)
+            for name in dict.fromkeys(names):
                 if not name.startswith("_"):
                     out.append((f"{cls.name}.{name}", name))
     return out
+
+
+def _self_attributes(init):
+    """The names an __init__ assigns as self.<name>, tuple targets too."""
+    self_name = init.args.args[0].arg
+    return [sub.attr for sub in ast.walk(init)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+            and isinstance(sub.value, ast.Name) and sub.value.id == self_name]
 
 
 def member_reads(path):

@@ -201,11 +201,19 @@ class TestHalvedFactorization:
                 assert halved_factorization_check(m, n)
 
     def test_hand_expansion_sr22(self):
-        # SR(2,2) = K_3, valency 2: A + 2I must equal N N^T where N maps
-        # vertices to the n-multisets refining them.
+        # SR(2, 2) = K_3, valency 2: A + 2I must equal N N^T, where N joins
+        # each vertex u to the sum-<2 vectors u - d e_a, 1 <= d <= u_a.
         g = sr_graph(2, 2)
+        assert g.labels == ((0, 2), (1, 1), (2, 0))
         a = g.adjacency_matrix()
         target = [[a[i][j] + (2 if i == j else 0) for j in range(3)]
                   for i in range(3)]
-        assert all(target[i][i] == 2 for i in range(3))
-        assert halved_factorization_check(2, 2)
+        assert target == [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
+        # Columns (0, 0), (0, 1), (1, 0): (0, 2) reaches (0, 1) and (0, 0),
+        # (1, 1) reaches (0, 1) and (1, 0), (2, 0) reaches (1, 0) and (0, 0).
+        n = [[1, 1, 0],
+             [0, 1, 1],
+             [1, 0, 1]]
+        nnt = [[sum(x * y for x, y in zip(n[i], n[j])) for j in range(3)]
+               for i in range(3)]
+        assert target == nnt

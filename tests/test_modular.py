@@ -8,7 +8,9 @@ one (labels=None) and against numpy eigenvalues, on SR graphs, relabelled
 SR graphs and switching mates.
 """
 
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +23,9 @@ from rooklab import modular
 from rooklab.graphs import complete_graph, cycle_graph, sr_graph, sr_order
 from rooklab.linalg import integral_spectrum
 from rooklab.modular import (MAX_ORDER, PRIMES, IncompleteSpectrum, _Split,
-                             annihilation_proved, certified_symmetric_spectrum,
-                             charpoly_mod, hessenberg_mod, root_multiplicity)
+                             _annihilator_mod, _reduce, annihilation_proved,
+                             certified_symmetric_spectrum, charpoly_mod,
+                             hessenberg_mod, root_multiplicity)
 from rooklab.partitions import check_equitable, weight_partition
 from rooklab.switching import enumerate_switching_sets, gm_switch
 
@@ -166,6 +169,83 @@ class TestCertificate:
     def test_annihilation_empty_cases(self):
         assert annihilation_proved(np.zeros((0, 0), dtype=np.int64), [])
         assert annihilation_proved(np.zeros((2, 2), dtype=np.int64), [0])
+
+
+def exact_annihilator_mod(a, roots, p):
+    """prod over roots of (a - cI), in Python ints, reduced mod p."""
+    v = len(a)
+    out = [[int(i == j) for j in range(v)] for i in range(v)]
+    for c in roots:
+        shifted = [[int(a[i][j]) - c * (i == j) for j in range(v)]
+                   for i in range(v)]
+        out = [[sum(out[i][k] * shifted[k][j] for k in range(v))
+                for j in range(v)] for i in range(v)]
+    return [[x % p for x in row] for row in out]
+
+
+class TestReduction:
+    """Every mod-p reduction of the annihilation proof is exact integer %."""
+
+    def test_matches_python_integers(self):
+        # Seeded random integer blocks of order 1-12, negative entries
+        # included, with 0-6 roots, at the largest and the smallest prime.
+        # From two roots on, the Horner loop runs one or two steps.
+        rng = random.Random(14)
+        for p in (PRIMES[0], PRIMES[-1]):
+            for _ in range(60):
+                v = rng.randrange(1, 13)
+                a = np.array([[rng.randrange(-40, 41) for _ in range(v)]
+                              for _ in range(v)], dtype=np.int64)
+                roots = [rng.randrange(-30, 31)
+                         for _ in range(rng.randrange(0, 7))]
+                got = _annihilator_mod(a, roots, p)
+                assert got.dtype == np.float64
+                assert got.tolist() == exact_annihilator_mod(a, roots, p), \
+                    (p, a.tolist(), roots)
+
+    def test_products_near_the_top_of_the_range(self):
+        # -J of order 300 reduces to p - 1 in every entry, so every matmul
+        # sums 300 products (p - 1)**2.  J / 300 is idempotent, so
+        # f(-J) = f(-300) J / 300 + f(0) (I - J / 300) for f = prod (x - c).
+        v = 300
+        a = -np.ones((v, v), dtype=np.int64)
+        for p in (PRIMES[0], PRIMES[-1]):
+            for roots in ([5, -3, 299, 0, -17, 1, 42, -299, 7],
+                          [1, 2, 3, 4], [-301]):
+                f0 = f300 = 1
+                for c in roots:
+                    f0 *= -c
+                    f300 *= -300 - c
+                off = (f300 - f0) // v
+                expected = np.full((v, v), off % p, dtype=np.float64)
+                np.fill_diagonal(expected, (off + f0) % p)
+                assert np.array_equal(_annihilator_mod(a, roots, p),
+                                      expected), (p, roots)
+
+    def test_reduce_matches_python_percent(self):
+        for p in (PRIMES[0], PRIMES[-1]):
+            top = (2**53 - 1) // p
+            xs = [0, 1, p - 1, p, p + 1, 2 * p - 1, 2 * p, 7 * p + 1,
+                  top * p - 1, top * p, top * p + 1, 2**53 - 1]
+            xs += [-x for x in xs]
+            assert max(xs) == 2**53 - 1
+            for dtype in (np.float64, np.int64):
+                got = _reduce(np.array(xs, dtype=dtype), p)
+                assert got.dtype == np.float64
+                assert got.tolist() == [x % p for x in xs], (p, dtype)
+
+    def test_modular_calls_no_float_remainder(self):
+        # np.fmod on float64 calls libm's fmod, whose cost grows with the
+        # quotient; np.mod and np.remainder on floats go through the same
+        # division.  The engine reduces through _reduce alone.
+        tree = ast.parse(Path(modular.__file__).read_text())
+        calls = sorted(f"{node.value.id}.{node.attr}"
+                       for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute)
+                       and isinstance(node.value, ast.Name)
+                       and node.value.id in ("np", "numpy")
+                       and node.attr in ("fmod", "mod", "remainder"))
+        assert calls == []
 
 
 @pytest.fixture

@@ -79,9 +79,10 @@ class TestCheckEquitable:
         p = VertexPartition(((0, 1), (2, 3, 4)), ("a", "b"))
         with pytest.raises(NotEquitable) as err:
             check_equitable(g, p)
-        w = err.value
-        assert (w.count_x, w.count_y) != (None, None)
-        assert w.x != w.y
+        # Block 1 = {2, 3, 4}: vertex 2 has neighbor 1 in block 0, vertex
+        # 3 has none (its neighbors are 2 and 4).
+        assert str(err.value) == \
+            "block 1 -> 0: vertex 2 has 1 neighbors, vertex 3 has 0"
 
     def test_weight_quotient_tridiagonal(self):
         # Weight blocks only interact with adjacent weights: moving one

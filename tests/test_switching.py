@@ -77,7 +77,6 @@ class TestValidate:
         g = path_graph(6)
         with pytest.raises(NotSwitchable) as err:
             validate_switching_set(g, (0, 1, 4, 5))
-        assert err.value.vertex == 2
         assert str(err.value) == "vertex 2 is adjacent to 1 members of (0, 1, 4, 5)"
 
     def test_outside_parity_is_the_count_condition(self):
@@ -98,7 +97,6 @@ class TestValidate:
                 continue
             with pytest.raises(NotSwitchable) as err:
                 validate_switching_set(g, members)
-            assert err.value.vertex == bad[0]
             assert str(err.value) == (f"vertex {bad[0]} is adjacent to "
                                       f"{counts[bad[0]]} members of {members}")
 

@@ -10,7 +10,10 @@ SR(2, n) is K_{n+1}.
 The companion graphs are SR induced on a subset of its vertices: the Johnson
 graph J(v, n) is SR(v, n) on the 0/1 vectors, and Gamma(m, n, pi) (built in
 eigenvectors) is SR(m, n) on the support X_pi of F_pi.  All three take their
-rows from one adjacency rule, _sr_rows.
+rows from one adjacency rule, _sr_rows, which counts for every pair of
+vectors the places where they agree as one matrix product of one-hot
+encodings, 32 rows at a time; the counts are small integers, exact in
+float32, and a pair is adjacent when it agrees in all but two places.
 
 Vertices carry hashable labels (integer tuples for SR and Johnson graphs);
 adjacency is stored as one Python-int bit row per vertex, which keeps edge
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from operator import itemgetter, lt, mul
+from operator import itemgetter
 
 import numpy as np
 
@@ -135,40 +138,49 @@ def _bits(row):
 
 def _permuted_rows(rows, pos):
     """Bit rows relabelled by the permutation pos: new vertex pos[i] is old
-    vertex i.  The caller validates pos."""
-    out = [0] * len(rows)
+    vertex i.  The caller validates pos.  A row with more than half of the
+    vertices is relabelled through its complement in the full vertex set,
+    since a permutation commutes with complement."""
+    v = len(rows)
+    full = (1 << v) - 1
+    out = [0] * v
     for i, row in enumerate(rows):
+        dense = 2 * row.bit_count() > v
         acc = 0
-        for j in _bits(row):
+        for j in _bits(full & ~row if dense else row):
             acc |= 1 << pos[j]
-        out[pos[i]] = acc
+        out[pos[i]] = full & ~acc if dense else acc
     return tuple(out)
 
 
 def _sr_rows(vectors):
-    """Bit rows of SR induced on distinct nonnegative vectors (tuples) that
-    share one sum: y ~ x when y is x with d > 0 units moved from one
-    coordinate to another, which is exactly when they differ in two places."""
-    # Read in the mixed radix cap + 1 (cap[b] is the largest coordinate b), a
-    # vector is one integer key and a move one addition.  A move past a cap
-    # carries, lowering the digit sum, so it misses; full targets are skipped.
-    cap = [max(col) for col in zip(*vectors)]
-    weight = list(itertools.accumulate((c + 1 for c in cap), mul, initial=1))
-    index = {sum(map(mul, x, weight)): i for i, x in enumerate(vectors)}
+    """Bit rows of SR induced on distinct vectors (tuples of nonnegative
+    integers or bools) that share one sum: x ~ y when they differ in exactly
+    two places, that is when they agree in exactly m - 2 of their m places.
+
+    Column (b, t) of the one-hot is 1 when coordinate b equals t, for t from
+    0 to the largest value of coordinate b, so onehot @ onehot.T counts the
+    places where two vectors agree.  A vector agrees with itself in all m
+    places, so no loop appears.  Each count is a sum of at most m products
+    of 0 and 1, every partial sum an integer at most m, so float32 holds it
+    exactly while m <= 2**24; longer vectors are refused.  The product runs
+    32 rows at a time, so no v x v array is formed."""
+    if not vectors:
+        return []
+    x = np.array(vectors)
+    v, m = x.shape
+    if m > 2**24:
+        raise ValueError("agreement counts are exact up to 2**24 places")
+    start = np.cumsum([0, *(x.max(axis=0) + 1)])
+    onehot = np.zeros((v, start[-1]), dtype=np.float32)
+    at = np.arange(v)
+    for b in range(m):
+        onehot[at, start[b] + x[:, b]] = 1
     rows = []
-    for x, k in zip(vectors, index):
-        acc = 0
-        room = list(itertools.compress(range(len(x)), map(lt, x, cap)))
-        # Source, then amount, then target: a zero coordinate costs nothing.
-        for a in itertools.compress(range(len(x)), x):
-            for d in range(1, x[a] + 1):
-                rest = k - d * weight[a]
-                for b in room:
-                    if b != a:
-                        j = index.get(rest + d * weight[b])
-                        if j is not None:
-                            acc |= 1 << j
-        rows.append(acc)
+    for lo in range(0, v, 32):
+        agree = onehot[lo:lo + 32] @ onehot.T
+        bits = np.packbits(agree == m - 2, axis=1, bitorder="little")
+        rows += (int.from_bytes(row, "little") for row in bits)
     return rows
 
 

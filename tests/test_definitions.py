@@ -15,6 +15,10 @@ field of a public class, and each public attribute its __init__ assigns on
 self, must be read outside tests/, unless named in TESTED_MEMBERS.  There
 only attribute reads and keyword names count as uses: a bare identifier (a
 local `kind`, say) does not read `x.kind`.
+
+Floating point appears only in the functions of FLOAT_SITES, each of which
+proves its float values exact: the scan lists every np.float16/32/64,
+np.floor, np.rint, np.fmod and builtin float with the function around it.
 """
 
 import ast
@@ -157,3 +161,37 @@ def test_no_public_member_for_tests_only():
             reads |= member_reads(path)
     unread = sorted(q for q, name in members if name not in reads)
     assert unread == sorted(TESTED_MEMBERS)
+
+
+# The functions that may compute in floating point: each keeps its values
+# inside a range it proves exact (module and function docstrings).
+FLOAT_SITES = {"modular._Split._isotypic", "modular._reduce",
+               "modular.annihilation_proved", "graphs._sr_rows"}
+FLOAT_ATTRS = {"float16", "float32", "float64", "floor", "rint", "fmod"}
+
+
+def float_uses():
+    """(module.function, line) of every np.float16/32/64, np.floor, np.rint,
+    np.fmod and builtin float in DEFINING, function being the qualified name
+    of the innermost enclosing def (the module itself at the top level)."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr in FLOAT_ATTRS \
+                    and getattr(child.value, "id", None) in ("np", "numpy"):
+                out.append((scope, child.lineno))
+            elif isinstance(child, ast.Name) and child.id == "float":
+                out.append((scope, child.lineno))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    for path in DEFINING:
+        visit(ast.parse(path.read_text()), path.stem)
+    return out
+
+
+def test_float_only_where_proven_exact():
+    uses = float_uses()
+    assert {scope for scope, _ in uses} == FLOAT_SITES, sorted(uses)

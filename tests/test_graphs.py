@@ -4,6 +4,7 @@ networkx serves as the independent oracle for structural properties; the
 constructors under test never call it.
 """
 
+import operator
 import random
 import sys
 from itertools import product
@@ -35,6 +36,30 @@ def sr_vertex_subsets(draw):
     g = sr_graph(draw(st.integers(0, 5)), draw(st.integers(0, 5)))
     keep = draw(st.lists(st.booleans(), min_size=g.order, max_size=g.order))
     return g, [i for i, k in enumerate(keep) if k]
+
+
+@st.composite
+def equal_sum_vectors(draw):
+    """Distinct vectors of one length and one sum, in any order: integer
+    tuples, or 0/1 vectors as bool tuples."""
+    pool = sr_vertices(draw(st.integers(0, 7)), draw(st.integers(0, 7)))
+    if draw(st.booleans()):
+        pool = [tuple(map(bool, x)) for x in pool if max(x, default=0) <= 1]
+    if not pool:
+        return []
+    return draw(st.lists(st.sampled_from(pool), max_size=40, unique=True))
+
+
+@st.composite
+def dense_relabelings(draw):
+    """A graph on up to 40 vertices, most of its rows more than half full,
+    and a permutation of its vertices."""
+    v = draw(st.integers(0, 40))
+    p = draw(st.sampled_from((0.5, 0.8, 0.95, 1.0)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    h = nx.gnp_random_graph(v, p, seed=seed)
+    perm = draw(st.permutations(range(v)))
+    return Graph.from_edges(range(v), h.edges()), perm
 
 
 class TestSRVertices:
@@ -97,6 +122,23 @@ class TestSRGraph:
         rows = _sr_rows([g.labels[i] for i in idx])
         assert tuple(rows) == induced_subgraph(g, idx).rows
 
+    @property_test
+    @given(equal_sum_vectors())
+    def test_rows_differ_in_exactly_two_places(self, vectors):
+        rows = _sr_rows(vectors)
+        assert rows == [sum(1 << j for j, y in enumerate(vectors)
+                            if sum(map(operator.ne, x, y)) == 2)
+                        for x in vectors]
+        assert _sr_rows([tuple(map(int, x)) for x in vectors]) == rows
+
+    def test_row_corners(self):
+        assert _sr_rows([]) == []
+        for m in (0, 1, 4, 100_000):
+            assert _sr_rows([(0,) * m]) == [0]
+        assert sr_graph(100_000, 0).rows == (0,)
+        assert _sr_rows([(False, True, True), (True, False, True)]) == \
+            _sr_rows([(0, 1, 1), (1, 0, 1)]) == [2, 1]
+
     def test_regular_of_valency_n_times_m_minus_1(self):
         for m in range(2, 6):
             for n in range(1, 5):
@@ -143,9 +185,12 @@ class TestJohnson:
 
     def test_j_v_1_is_complete(self):
         assert nx.is_isomorphic(to_nx(johnson_graph(6, 1)), nx.complete_graph(6))
-        # Complements give J(v, v-1) = J(v, 1) = K_v; wide 0/1 vectors.
-        for n in (1, 299):
-            assert johnson_graph(300, n).rows == complete_graph(300).rows
+        # Complements give J(v, v-1) = J(v, 1) = K_v = SR(v, 1); wide 0/1
+        # and unit vectors.
+        k600 = complete_graph(600).rows
+        assert johnson_graph(600, 1).rows == k600
+        assert johnson_graph(600, 599).rows == k600
+        assert sr_graph(600, 1).rows == k600
 
     def test_j_4_2_is_octahedron(self):
         assert nx.is_isomorphic(to_nx(johnson_graph(4, 2)),
@@ -227,6 +272,14 @@ class TestGraphOps:
                    for i in range(g.order) for j in range(g.order))
         with pytest.raises(ValueError):
             g.relabeled([0] * g.order)
+
+    @property_test
+    @given(dense_relabelings())
+    def test_relabeled_dense_rows_match_edge_by_edge(self, case):
+        g, perm = case
+        edges = [(perm[i], perm[j]) for i, j in g.edges()]
+        assert g.relabeled(perm).rows == \
+            Graph.from_edges(range(g.order), edges).rows
 
     def test_adjacency_matrix(self):
         # Orders 0, 1, 6, 9 and 66 (rows wider than one 64-bit word), and a

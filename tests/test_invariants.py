@@ -374,6 +374,11 @@ class TestAutomorphisms:
         for m in (3, 4, 5):
             assert automorphism_count(sr_graph(m, 1)) == factorial(m)
 
+    def test_dense_leaves_relabel_through_the_complement(self):
+        # Every leaf relabels K_300's rows: 89 700 bits edge by edge, 300
+        # through the rows' complements.
+        assert automorphism_count(complete_graph(300)) == factorial(300)
+
 
 class TestOrbits:
     def test_coordinate_symmetries_are_automorphisms(self):

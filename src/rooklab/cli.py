@@ -19,9 +19,8 @@ from .eigenvectors import (classify_gamma, gamma_graph, gamma_order,
 from .graphio import to_graph6
 from .graphs import johnson_graph, sr_graph, sr_order
 from .invariants import (SIZE_LIMIT, Disconnected, SizeLimit,
-                         automorphism_count, clique_number,
-                         coordinate_symmetries, diameter, has_induced_k114,
-                         independence_number, is_isomorphic)
+                         automorphism_count, clique_number, diameter,
+                         has_induced_k114, independence_number, is_isomorphic)
 from .linalg import LENIENT_LIMIT, integral_spectrum, try_integral_spectrum
 from .partitions import (check_equitable, quotient_spectrum,
                          support_partition, weight_partition)
@@ -83,11 +82,10 @@ def cmd_verify(args):
 
 def cmd_invariants(args):
     g = _build_graph("sr", args.m, args.n)
-    syms = coordinate_symmetries(g)
     out = {
         "diameter": diameter(g),
-        "clique_number": clique_number(g, aut_generators=syms),
-        "independence_number": independence_number(g, aut_generators=syms),
+        "clique_number": clique_number(g),
+        "independence_number": independence_number(g),
         "aut_order": automorphism_count(g),
         "k114_free": not has_induced_k114(g),
     }

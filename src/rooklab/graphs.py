@@ -205,15 +205,16 @@ def sr_vertices(m, n):
     """
     if m < 0 or n < 0:
         raise ValueError("m and n must be nonnegative")
-    if m == 0:
-        return [()] if n == 0 else []
-    # Stars and bars: m - 1 bars among n + m - 1 slots, in lexicographic
-    # order; the parts are the gaps between consecutive bars.
+    # x[i] counts the copies of place i in a multiset of n places.  Of two
+    # multisets, as sorted tuples, the smaller has more copies of the first
+    # place where they differ, so the reversed list of vectors ascends.
     out = []
-    for bars in itertools.combinations(range(n + m - 1), m - 1):
-        cuts = (-1, *bars, n + m - 1)
-        out.append(tuple(b - a - 1 for a, b in itertools.pairwise(cuts)))
-    return out
+    for places in itertools.combinations_with_replacement(range(m), n):
+        x = [0] * m
+        for i in places:
+            x[i] += 1
+        out.append(tuple(x))
+    return out[::-1]
 
 
 def sr_graph(m, n):

@@ -205,6 +205,13 @@ def coordinate_symmetries(g: Graph) -> list:
     return gens
 
 
+def _generators(g: Graph, aut_generators):
+    """The given generators, or by default an SR graph's coordinate ones."""
+    if aut_generators is None and g.family == "sr":
+        return coordinate_symmetries(g)
+    return aut_generators
+
+
 def clique_number(g: Graph, aut_generators=None) -> int:
     """Exact maximum clique size, branch-and-bound with coloring bound.
 
@@ -218,8 +225,11 @@ def clique_number(g: Graph, aut_generators=None) -> int:
     clique through one orbit representative is counted, the whole orbit
     is discarded, because any clique meeting the orbit has an image
     through the representative avoiding previously removed orbits
-    (orbits are setwise invariant under the whole group).
+    (orbits are setwise invariant under the whole group).  By default an
+    SR graph, as in `linalg.integral_spectrum`, prunes by its coordinate
+    symmetries and any other graph not at all; `()` turns pruning off.
     """
+    aut_generators = _generators(g, aut_generators)
     if g.order == 0:
         return 0
     pos = _degeneracy_pos(g)
@@ -245,7 +255,7 @@ def clique_number(g: Graph, aut_generators=None) -> int:
 def independence_number(g: Graph, aut_generators=None) -> int:
     """Exact maximum independent set size (clique number of the complement).
     Automorphism generators carry over: complementation preserves them."""
-    return clique_number(g.complement(), aut_generators=aut_generators)
+    return clique_number(g.complement(), _generators(g, aut_generators))
 
 
 def maximal_cliques(g: Graph):

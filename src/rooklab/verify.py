@@ -29,9 +29,9 @@ from .formulas import (CONJECTURED, bottom_multiplicity,
 from .graphs import (cartesian_product, complete_bipartite, complete_graph,
                      cube_graph, johnson_graph, sr_graph, sr_order)
 from .invariants import (SIZE_LIMIT, automorphism_count, classify_clique,
-                         clique_number, coordinate_symmetries, diameter,
-                         has_induced_k114, independence_number, is_isomorphic,
-                         maximal_cliques, vertex_orbits)
+                         clique_number, diameter, has_induced_k114,
+                         independence_number, is_isomorphic, maximal_cliques,
+                         vertex_orbits)
 from .linalg import (Spectrum, halved_factorization_check, integral_spectrum,
                      rank, verify_eigenvector)
 from .partitions import (check_equitable, e_st_formula,
@@ -234,33 +234,19 @@ def suite_invariants(cache):
             items.append((f"prop.diameter.m={m}.n={n}", diameter_item(m, n)))
 
     def clique_item(m, n):
-        def run():
-            g = cache.graph(m, n)
-            return _eq(max(m, n + 1),
-                       clique_number(g, aut_generators=coordinate_symmetries(g)))
-        return run
+        return lambda: _eq(max(m, n + 1), clique_number(cache.graph(m, n)))
 
     for m in range(2, 7):
         for n in range(1, 7):
             if sr_order(m, n) <= _CLIQUE_CAP:
                 items.append((f"prop.clique.m={m}.n={n}", clique_item(m, n)))
 
-    def alpha_3n_item(n):
-        return lambda: _eq((2 * n + 3) // 3,
-                           independence_number(cache.graph(3, n)))
+    def alpha_item(m, n):
+        return lambda: _eq(independence_formula(m, n),
+                           independence_number(cache.graph(m, n)))
 
-    for n in range(1, 11):
-        items.append((f"prop.alpha.m=3.n={n}", alpha_3n_item(n)))
-
-    def alpha_m3_item(m):
-        def run():
-            g = cache.graph(m, 3)
-            return _eq(independence_formula(m, 3),
-                       independence_number(g, aut_generators=coordinate_symmetries(g)))
-        return run
-
-    for m in range(3, 10):
-        items.append((f"prop.alpha.m={m}.n=3", alpha_m3_item(m)))
+    for m, n in [(3, n) for n in range(1, 11)] + [(m, 3) for m in range(4, 10)]:
+        items.append((f"prop.alpha.m={m}.n={n}", alpha_item(m, n)))
 
     def classify_item(m, n):
         def run():

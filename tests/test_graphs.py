@@ -74,10 +74,10 @@ class TestSRVertices:
         assert vs == sorted(vs)
         assert vs[0] == (0, 0, 4)
         assert vs[-1] == (4, 0, 0)
-        for m in range(1, 6):
-            for n in range(0, 6):
-                brute = [x for x in product(range(n + 1), repeat=m) if sum(x) == n]
-                assert sr_vertices(m, n) == brute
+        points = [(m, n) for m in range(1, 6) for n in range(0, 6)]
+        for m, n in points + [(2, 10), (7, 5)]:
+            brute = [x for x in product(range(n + 1), repeat=m) if sum(x) == n]
+            assert sr_vertices(m, n) == brute
 
     def test_sums_and_nonnegativity(self):
         for v in sr_vertices(4, 5):

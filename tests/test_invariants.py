@@ -16,6 +16,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import property_test
+from rooklab import invariants
+from rooklab.eigenvectors import gamma_graph
 from rooklab.graphs import (Graph, cartesian_product, complete_bipartite,
                             complete_graph, cube_graph, cycle_graph,
                             johnson_graph, sr_graph)
@@ -131,7 +133,8 @@ class TestCliqueNumber:
         for m, n in ((4, 3), (5, 2), (3, 4)):
             g = sr_graph(m, n)
             syms = coordinate_symmetries(g)
-            assert clique_number(g, aut_generators=syms) == clique_number(g)
+            assert (clique_number(g, aut_generators=syms)
+                    == clique_number(g, aut_generators=()))
 
     def test_empty_graph(self):
         assert clique_number(Graph([], [])) == 0
@@ -154,6 +157,45 @@ class TestCliqueNumber:
         alpha = max(len(c) for c in nx.find_cliques(nx.complement(h)))
         assert clique_number(g, aut_generators=[rotation]) == omega
         assert independence_number(g, aut_generators=[rotation]) == alpha
+
+
+class TestSRDefaultSymmetries:
+    """Without explicit generators, the searches prune an SR graph by its
+    coordinate symmetries and leave every other graph unpruned."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def spy(g):
+            seen.append(g)
+            return coordinate_symmetries(g)
+
+        monkeypatch.setattr(invariants, "coordinate_symmetries", spy)
+        return seen
+
+    @pytest.mark.parametrize("search", [clique_number, independence_number])
+    def test_sr_graphs_take_their_labels(self, calls, search):
+        relabeled = sr_graph(4, 4).relabeled(
+            random.Random(3).sample(range(35), 35))
+        for g in (sr_graph(4, 3), relabeled):
+            calls.clear()
+            search(g)
+            assert calls == [g]
+
+    @pytest.mark.parametrize("search", [clique_number, independence_number])
+    def test_other_graphs_are_not_pruned(self, calls, search):
+        search(johnson_graph(6, 3))
+        search(gamma_graph(4, (1, 3, 0, 2)))
+        assert calls == []
+
+    def test_default_agrees_with_plain_search(self):
+        for m in range(2, 6):
+            for n in range(1, 5):
+                g = sr_graph(m, n)
+                assert clique_number(g) == clique_number(g, aut_generators=())
+                assert (independence_number(g)
+                        == independence_number(g, aut_generators=()))
 
 
 class TestIndependenceNumber:

@@ -3,7 +3,7 @@
 import pytest
 
 from rooklab.verify import (SUITES, SpectrumCache, VerificationReport, _run,
-                            run_suites)
+                            battery, run_suites)
 
 
 class TestRun:
@@ -35,6 +35,10 @@ class TestSuites:
         reports = run_suites(["partitions"])
         assert reports
         assert all(r.status == "pass" for r in reports)
+
+    def test_claim_ids_are_unique(self):
+        claims = [claim for claim, _ in battery()]
+        assert len(set(claims)) == len(claims)
 
     def test_cache_shared_between_items(self):
         cache = SpectrumCache()

@@ -90,14 +90,7 @@ class Graph:
 
     def adjacency_matrix(self):
         """Dense adjacency matrix as an int64 numpy array."""
-        v = self.order
-        width = (v + 7) // 8
-        # Bit j of a row is bit j % 8 of its byte j // 8, little end first.
-        data = b"".join(row.to_bytes(width, "little") for row in self.rows)
-        bits = np.unpackbits(
-            np.frombuffer(data, dtype=np.uint8).reshape(v, width),
-            axis=1, bitorder="little")
-        return bits[:, :v].astype(np.int64)
+        return _bit_matrix(self.rows).astype(np.int64)
 
     def complement(self):
         v = self.order
@@ -134,6 +127,18 @@ def _bits(row):
         low = row & -row
         yield low.bit_length() - 1
         row ^= low
+
+
+def _bit_matrix(rows):
+    """The bit rows of v vertices as a v x v uint8 0/1 matrix: entry [i, j]
+    is bit j of rows[i]."""
+    v = len(rows)
+    width = (v + 7) // 8
+    # Bit j of a row is bit j % 8 of its byte j // 8, little end first.
+    data = b"".join(row.to_bytes(width, "little") for row in rows)
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(v, width),
+                         axis=1, bitorder="little")
+    return bits[:, :v]
 
 
 def _permuted_rows(rows, pos):

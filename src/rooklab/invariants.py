@@ -7,6 +7,20 @@ type 1 cliques live on a fixed coordinate pair (j,k), type 2 cliques are
 several descriptions at once and classify as type 1 by fiat; triangles and
 larger are unambiguous.
 
+Clique and independence numbers come from one colour-class branch-and-bound
+with orbital branching (Ostrowski, Linderoth, Rossi & Smriglio, "Orbital
+branching").  After a node with clique K branches on u, it drops from its
+candidates u's whole orbit under a group H fixing K pointwise.  That is
+sound while the candidate set is H-invariant, for then any clique through
+an image h(u) maps under h^-1 to one through u, already counted; and it
+stays H-invariant: the common neighbourhood of K is invariant under K's
+stabiliser, and every earlier exclusion is a whole orbit of a group that
+contains the current stabiliser.  On an SR graph, whose coordinate
+permutations are automorphisms once a transposition and an m-cycle are
+checked, H is the Young subgroup keeping each group of coordinates with
+equal values over K, so the orbits come from the labels with no group code.
+Each search is bounded by NODE_BUDGET nodes.
+
 Canonical forms come from one individualization-refinement search (McKay &
 Piperno, "Practical graph isomorphism, II").  Each node refines an ordered
 partition to an equitable one by cell splitting, records the refinement
@@ -29,10 +43,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import NamedTuple
 
-from .graphs import (Graph, _bits, _coordinate_permutation, _permuted_rows,
-                     induced_subgraph)
+import numpy as np
+
+from .graphs import (Graph, _bit_matrix, _bits, _coordinate_permutation,
+                     _permuted_rows, induced_subgraph)
 
 
 class Disconnected(Exception):
@@ -48,6 +65,11 @@ class SizeLimit(Exception):
 
 
 SIZE_LIMIT = 2000
+
+# The clique searches' bound on branch-and-bound nodes.  No battery claim
+# needs more than alpha(9, 3)'s 2 268 and alpha(5, 6) needs 35 423, while
+# alpha(10, 3), alpha(6, 5) and alpha(6, 6) reach the bound in 1-2 CPU s.
+NODE_BUDGET = 100_000
 
 
 def eccentricity(g: Graph, source: int) -> int:
@@ -108,49 +130,99 @@ def _depth_first(node, *root):
             stack.append(node(*child))
 
 
-def _max_clique_size(rows, nrows, candidates, size, best):
-    """The largest clique extending a size-clique by candidates, or best if
-    none beats it."""
+def _young_orbits(candidates, labels, groups):
+    """u -> the mask of u's orbit among the candidates under the coordinate
+    permutations that keep every group of coordinates: the candidates whose
+    values, sorted within each group, equal u's."""
+    singles = [grp[0] for grp in groups if len(grp) == 1]
+    multis = [itemgetter(*grp) for grp in groups if len(grp) > 1]
+    fixed = itemgetter(*singles) if singles else tuple
+    key_of, masks = {}, {}
+    for u in _bits(candidates):
+        lab = labels[u]
+        key = (fixed(lab), *(tuple(sorted(get(lab))) for get in multis))
+        key_of[u] = key
+        masks[key] = masks.get(key, 0) | 1 << u
+    return {u: masks[key] for u, key in key_of.items()}
 
-    def node(candidates, size):
-        nonlocal best
+
+def _split(groups, values):
+    """The coordinate groups refined by one more clique vertex's values, or
+    None once every group is a single coordinate (only the identity fixes
+    the clique)."""
+    out = []
+    for grp in groups:
+        if len(grp) == 1:
+            out.append(grp)
+            continue
+        parts = {}
+        for i in grp:
+            parts.setdefault(values[i], []).append(i)
+        out += parts.values()
+    return None if len(out) == len(values) else out
+
+
+def _max_clique_size(rows, nrows, candidates, size, best, labels=None,
+                     orbits=None):
+    """The largest clique extending a size-clique by candidates, or best if
+    none beats it.  Raises SizeLimit past NODE_BUDGET nodes.
+
+    With `labels` (tuples whose coordinate permutations are automorphisms;
+    the search then starts from the empty clique), a node drops, after
+    branching on u, u's orbit under the permutations that fix its clique
+    pointwise; `orbits[u]`, the mask of u's orbit under a larger group, is
+    dropped at the root instead.  See `clique_number` for why."""
+    nodes = 0
+
+    def node(candidates, size, groups, orbit):
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > NODE_BUDGET:
+            raise SizeLimit(f"clique search passed its budget of "
+                            f"{NODE_BUDGET} nodes")
         if size + candidates.bit_count() <= best:
             return
         classes = _color_classes(candidates, nrows)
         for c in range(len(classes), 0, -1):
             if size + c <= best:
                 return
-            cls = classes[c - 1]
+            cls = classes[c - 1] & candidates
             while cls:
                 low = cls & -cls
-                cls ^= low
-                sub = candidates & rows[low.bit_length() - 1]
+                u = low.bit_length() - 1
+                sub = candidates & rows[u]
                 if sub:
-                    yield sub, size + 1
+                    yield (sub, size + 1,
+                           groups and _split(groups, labels[u]), None)
                     if size + c <= best:
                         return
                 elif size + 1 > best:
                     best = size + 1
-                candidates ^= low
+                if groups and orbit is None:
+                    orbit = _young_orbits(candidates, labels, groups)
+                drop = orbit[u] if orbit else low
+                cls &= ~drop
+                candidates &= ~drop
 
-    _depth_first(node, candidates, size)
+    groups = [tuple(range(len(labels[0])))] if labels else None
+    _depth_first(node, candidates, size, groups, orbits)
     return best
 
 
-def _degeneracy_pos(g: Graph):
-    """pos[v] is v's place in degeneracy order (repeatedly remove a
-    minimum-degree vertex); a good static order for branch-and-bound."""
-    remaining = set(range(g.order))
-    degs = list(g.degrees())
-    pos = [0] * g.order
-    for place in range(g.order):
-        u = min(remaining, key=lambda x: (degs[x], x))
-        pos[u] = place
-        remaining.discard(u)
-        for w in _bits(g.rows[u]):
-            if w in remaining:
-                degs[w] -= 1
-    return pos
+def _degeneracy_order(a):
+    """The vertices in degeneracy order: repeatedly remove a vertex of least
+    degree among those left, the lowest index among ties.  A good static
+    order for branch-and-bound; a is the 0/1 adjacency matrix."""
+    v = len(a)
+    deg = a.sum(axis=1, dtype=np.int64)
+    order = np.empty(v, dtype=np.intp)
+    for place in range(v):
+        u = deg.argmin()
+        order[place] = u
+        deg -= a[u]
+        # Above every degree left, even after v - 1 more subtractions.
+        deg[u] = 2 * v
+    return order
 
 
 def _find(parent, x):
@@ -166,21 +238,21 @@ def _union(parent, x, y):
         parent[a] = b
 
 
-def vertex_orbits(g: Graph, generators) -> list:
-    """Orbits of the group generated by the given vertex permutations.
-
-    Every generator is checked against the adjacency structure first and a
-    non-automorphism raises ValueError, so downstream symmetry pruning never
-    depends on an unproven claim about the graph.
-    """
-    n = g.order
-    idx = list(range(n))
+def _check_automorphisms(a, generators):
+    """Raise ValueError unless every generator is a permutation of the
+    vertices that preserves the 0/1 adjacency matrix a."""
+    idx = list(range(len(a)))
     for p in generators:
         if sorted(p) != idx:
             raise ValueError("generator is not a permutation of the vertices")
-        if _permuted_rows(g.rows, p) != g.rows:
+        p = np.array(p, dtype=np.intp)
+        if not np.array_equal(a[p[:, None], p], a):
             raise ValueError("generator does not preserve adjacency")
-    parent = idx[:]
+
+
+def _orbits(n, generators):
+    """Orbits of the group the permutations generate, largest first."""
+    parent = list(range(n))
     for p in generators:
         for u in range(n):
             _union(parent, u, p[u])
@@ -188,6 +260,17 @@ def vertex_orbits(g: Graph, generators) -> list:
     for u in range(n):
         groups.setdefault(_find(parent, u), []).append(u)
     return sorted((tuple(v) for v in groups.values()), key=lambda t: (-len(t), t))
+
+
+def vertex_orbits(g: Graph, generators) -> list:
+    """Orbits of the group generated by the given vertex permutations.
+
+    Every generator is checked against the adjacency structure first and a
+    non-automorphism raises ValueError, so downstream symmetry pruning never
+    depends on an unproven claim about the graph.
+    """
+    _check_automorphisms(_bit_matrix(g.rows), generators)
+    return _orbits(g.order, generators)
 
 
 def coordinate_symmetries(g: Graph) -> list:
@@ -205,57 +288,71 @@ def coordinate_symmetries(g: Graph) -> list:
     return gens
 
 
-def _generators(g: Graph, aut_generators):
-    """The given generators, or by default an SR graph's coordinate ones."""
-    if aut_generators is None and g.family == "sr":
-        return coordinate_symmetries(g)
-    return aut_generators
-
-
 def clique_number(g: Graph, aut_generators=None) -> int:
-    """Exact maximum clique size, branch-and-bound with coloring bound.
+    """Exact maximum clique size: colour-class branch-and-bound with orbital
+    branching, in degeneracy order from incumbent 0.  The colouring bound
+    alone proves optimality, so any incumbent witnessed by a clique is sound.
 
-    The search starts from incumbent 0, or from 1 under orbit pruning,
-    where the graph has a vertex.  The coloring bound alone proves
-    optimality: a branch is cut only when no clique in it can beat the
-    incumbent, so any incumbent witnessed by an actual clique is sound.
+    After branching on u, a node with clique K drops u's whole orbit under a
+    group H fixing K pointwise: a clique through an image h(u) maps under
+    h^-1 to one through u, already counted, if the candidates are
+    H-invariant.  They stay so: the common neighbourhood of K is invariant
+    under K's stabiliser, and every earlier exclusion is a whole orbit of a
+    group that contains the current stabiliser.
 
-    `aut_generators` (vertex permutations, each verified to be an
-    automorphism) enables isomorph rejection at the root: once every
-    clique through one orbit representative is counted, the whole orbit
-    is discarded, because any clique meeting the orbit has an image
-    through the representative avoiding previously removed orbits
-    (orbits are setwise invariant under the whole group).  By default an
-    SR graph, as in `linalg.integral_spectrum`, prunes by its coordinate
-    symmetries and any other graph not at all; `()` turns pruning off.
+    On an SR graph (`family` "sr") the transposition and the m-cycle of
+    `coordinate_symmetries` are first checked to be automorphisms, which
+    proves that every coordinate permutation is one.  H is then the Young
+    subgroup keeping each group of coordinates with equal values over K, and
+    u's orbit is the candidates whose values, sorted within each group,
+    equal u's; a node whose groups are single coordinates drops u alone.
+    The root drops orbits of all coordinate permutations together with any
+    `aut_generators` given.  On another graph, given generators prune the
+    root alone and by default nothing is pruned; `()` turns pruning off on
+    every graph.  Every generator is verified to be an automorphism
+    (ValueError otherwise).  Raises SizeLimit past NODE_BUDGET nodes.
     """
-    aut_generators = _generators(g, aut_generators)
-    if g.order == 0:
-        return 0
-    pos = _degeneracy_pos(g)
-    rows = _permuted_rows(g.rows, pos)
-    nrows = [~row for row in rows]
-    full = (1 << g.order) - 1
-    if not aut_generators:
-        return _max_clique_size(rows, nrows, full, 0, 0)
-    best = 1
-    cands = full
-    for orbit in vertex_orbits(g, aut_generators):
-        mask = 0
-        for u in orbit:
-            mask |= 1 << pos[u]
-        low = mask & -mask
-        sub = cands & rows[low.bit_length() - 1]
-        if sub:
-            best = _max_clique_size(rows, nrows, sub, 1, best)
-        cands &= ~mask
-    return best
+    return _clique_search(g, _bit_matrix(g.rows), aut_generators)
 
 
 def independence_number(g: Graph, aut_generators=None) -> int:
-    """Exact maximum independent set size (clique number of the complement).
-    Automorphism generators carry over: complementation preserves them."""
-    return clique_number(g.complement(), _generators(g, aut_generators))
+    """Exact maximum independent set size: the clique number of the
+    complement, searched with g's symmetries as `clique_number` would use
+    them on g (complementation preserves every automorphism)."""
+    a = _bit_matrix(g.rows) ^ 1
+    np.fill_diagonal(a, 0)
+    return _clique_search(g, a, aut_generators)
+
+
+def _clique_search(g: Graph, a, aut_generators):
+    """The clique number of the graph with 0/1 adjacency matrix a, which has
+    g's vertices and automorphisms: g itself or its complement."""
+    v = len(a)
+    if v == 0:
+        return 0
+    gens = list(aut_generators or ())
+    sym = []
+    if g.family == "sr" and (aut_generators is None or gens):
+        sym = coordinate_symmetries(g)
+    gens = sym + gens
+    _check_automorphisms(a, gens)
+    order = _degeneracy_order(a)
+    packed = np.packbits(a[order[:, None], order], axis=1, bitorder="little")
+    rows = [int.from_bytes(row, "little") for row in packed]
+    nrows = [~row for row in rows]
+    full = (1 << v) - 1
+    if not gens:
+        return _max_clique_size(rows, nrows, full, 0, 0)
+    pos = np.argsort(order).tolist()
+    root = [0] * v
+    for orbit in _orbits(v, gens):
+        mask = 0
+        for u in orbit:
+            mask |= 1 << pos[u]
+        for u in orbit:
+            root[pos[u]] = mask
+    labels = [g.labels[u] for u in order] if sym else None
+    return _max_clique_size(rows, nrows, full, 0, 0, labels, root)
 
 
 def maximal_cliques(g: Graph):

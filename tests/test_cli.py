@@ -2,11 +2,12 @@
 
 import json
 import re
+import time
 
 import networkx as nx
 import pytest
 
-from rooklab import cli
+from rooklab import cli, invariants
 from rooklab.graphs import Graph, johnson_graph, sr_graph
 from rooklab.linalg import integral_spectrum
 
@@ -133,6 +134,15 @@ class TestInvariants:
         payload = json.loads(out)
         assert payload["aut_order"] == 6227020800
         assert payload["clique_number"] == 13
+
+    def test_node_budget_exit_2(self, capsys):
+        # alpha(10, 3) passes the clique searches' node budget within seconds.
+        start = time.process_time()
+        code, out, err = run(capsys, "invariants", "10", "3")
+        assert (code, out) == (2, "")
+        assert err == ("error: clique search passed its budget of "
+                       f"{invariants.NODE_BUDGET} nodes\n")
+        assert time.process_time() - start < 30
 
     def test_key_order_stable(self, capsys):
         _, out, _ = run(capsys, "invariants", "3", "2")

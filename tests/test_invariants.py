@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from conftest import property_test
 from rooklab import invariants
 from rooklab.eigenvectors import gamma_graph
-from rooklab.graphs import (Graph, cartesian_product, complete_bipartite,
-                            complete_graph, cube_graph, cycle_graph,
-                            johnson_graph, sr_graph)
+from rooklab.graphs import (Graph, _bit_matrix, cartesian_product,
+                            complete_bipartite, complete_graph, cube_graph,
+                            cycle_graph, johnson_graph, sr_graph, sr_order)
 from rooklab.invariants import (CliqueType, Disconnected, NotAClique,
                                 SizeLimit, automorphism_count, canonical_form,
                                 classify_clique, clique_number,
@@ -74,6 +74,16 @@ def circulants(draw, max_order=16):
     jumps = [d for d, k in zip(range(1, n // 2 + 1), keep) if k]
     edges = [(i, (i + d) % n) for i in range(n) for d in jumps]
     return Graph.from_edges(range(n), edges), [(i + 1) % n for i in range(n)]
+
+
+@st.composite
+def relabeled_sr_graphs(draw):
+    """SR(m, n) with m <= 5 and at most 84 vertices, randomly relabelled:
+    the labels still give the coordinate symmetries, the order does not."""
+    m, n = draw(st.sampled_from([(m, n) for m in range(1, 6) for n in range(8)
+                                 if sr_order(m, n) <= 84]))
+    g = sr_graph(m, n)
+    return g.relabeled(draw(st.permutations(range(g.order))))
 
 
 @st.composite
@@ -196,6 +206,62 @@ class TestSRDefaultSymmetries:
                 assert clique_number(g) == clique_number(g, aut_generators=())
                 assert (independence_number(g)
                         == independence_number(g, aut_generators=()))
+
+
+class TestOrbitalBranching:
+    """The SR searches drop orbits of the clique's stabiliser at every node;
+    they must agree with the plain search, refuse labels whose coordinate
+    permutations are not automorphisms, and stay inside the node budget."""
+
+    @property_test
+    @given(relabeled_sr_graphs())
+    def test_property_agrees_with_plain_search(self, g):
+        syms = coordinate_symmetries(g)
+        for search in (clique_number, independence_number):
+            plain = search(g, aut_generators=())
+            assert search(g) == plain
+            assert search(g, aut_generators=syms) == plain
+
+    @property_test
+    @given(relabeled_graphs(max_order=24))
+    def test_property_degeneracy_order(self, pair):
+        # Reference: remove a least-degree vertex, the lowest index among
+        # ties, and lower its neighbours' degrees.
+        g, _ = pair
+        degs, left, expected = g.degrees(), set(range(g.order)), []
+        while left:
+            u = min(left, key=lambda x: (degs[x], x))
+            expected.append(u)
+            left.discard(u)
+            for w in g.neighbors(u):
+                degs[w] -= 1
+        order = invariants._degeneracy_order(_bit_matrix(g.rows))
+        assert order.tolist() == expected
+
+    def test_flipped_edge_is_refused(self):
+        # No pair of SR(3, 3) is fixed by all of S_3, so flipping any one
+        # breaks the coordinate symmetry that the labels claim.
+        g = sr_graph(3, 3)
+        for u, w in combinations(range(g.order), 2):
+            rows = list(g.rows)
+            rows[u] ^= 1 << w
+            rows[w] ^= 1 << u
+            broken = Graph(g.labels, rows, g.family, g.params)
+            for search in (clique_number, independence_number):
+                with pytest.raises(ValueError, match="preserve adjacency"):
+                    search(broken)
+                with pytest.raises(ValueError, match="preserve adjacency"):
+                    search(broken, aut_generators=coordinate_symmetries(g))
+                search(broken, aut_generators=())
+
+    def test_battery_points_fit_a_small_budget(self, monkeypatch):
+        # The orbital search needs 1 759 and 2 268 nodes; pruning at the
+        # root alone needs far more than 5 000.
+        monkeypatch.setattr(invariants, "NODE_BUDGET", 5000)
+        assert independence_number(sr_graph(8, 3)) == 13
+        assert independence_number(sr_graph(9, 3)) == 18
+        with pytest.raises(SizeLimit, match="budget of 5000 nodes"):
+            independence_number(sr_graph(8, 3), aut_generators=())
 
 
 class TestIndependenceNumber:

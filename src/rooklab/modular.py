@@ -43,10 +43,12 @@ which generate S_m).  For a partition lambda of m, fill its diagram with
 0..m-1 row by row; R and C keep each row and each column, and b is the sum
 over c in C of sgn(c) c.  J holds the R-orbits of labels whose row-sorted
 filling is semistandard (columns strictly increasing), and M the v x |J|
-integer columns b u(O), u(O) the indicator of O in J.  The engine checks
-that M's rows at the orbits' sorted labels are nonsingular mod a prime, so
-rank M = |J|, solves for B there, and checks M B = A M exactly over Z: A
-maps the column space W of M into itself, acting by the integer B_lambda.
+integer columns b u(O), u(O) the indicator of O in J, taken in increasing
+order of the orbits' sorted labels.  The engine checks that M's rows at
+those labels form an upper unitriangular U, so rank M = |J|, solves
+U B = (A M)[those rows] by exact back substitution, and checks M B = A M
+exactly over Z: A maps the column space W of M into itself, acting by the
+integer B_lambda.
 
 With a the sum over R, b a is a multiple of a primitive idempotent for the
 irreducible S^lambda, of dimension d_lambda (hook length formula; James,
@@ -132,111 +134,106 @@ def _tableau(shape):
             math.factorial(sum(shape)) // hooks)
 
 
-def _solve_mod(a, b, p):
-    """X with a X = b (mod p) in symmetric residues, for a square integer a;
-    RuntimeError if a is singular mod p.  Products stay below p**2 < 2**40."""
-    r = a.shape[0]
-    aug = np.concatenate([a, b], axis=1) % p
-    for k in range(r):
-        nz = np.flatnonzero(aug[k:, k])
-        if nz.size == 0:
-            raise RuntimeError(f"a block's M is singular mod {p}")
-        if nz[0]:
-            aug[[k, k + nz[0]]] = aug[[k + nz[0], k]]
-        aug[k] = aug[k] * pow(int(aug[k, k]), p - 2, p) % p
-        # Only rows with an entry in column k change; on SR graphs, rarely any.
-        rows = np.flatnonzero(aug[:, k])
-        if len(rows) > 1:
-            rows = rows[rows != k]
-            aug[rows] = (aug[rows] - np.outer(aug[rows, k], aug[k])) % p
-    return np.where(aug[:, r:] > p // 2, aug[:, r:] - p, aug[:, r:])
+def _unitriangular_solve(u, c):
+    """X with u X = c, exactly, for an upper unitriangular int64 u, by back
+    substitution over u's rows that are not identity rows; RuntimeError for
+    any other u."""
+    off = u - np.eye(len(u), dtype=np.int64)
+    if np.any(np.tril(off)):
+        raise RuntimeError("a block's M is not unitriangular in label order")
+    x = c.copy()
+    for i in np.flatnonzero(off.any(axis=1))[::-1]:
+        x[i] -= off[i] @ x
+    return x
 
 
-class _Split:
-    """A square integer matrix a split into integer blocks, of orders sizes.
+def _blocks(a, labels):
+    """The (B_lambda, d_lambda) pairs of a square integer matrix a.
 
     labels, if not None, gives each index of a an integer m-tuple; verified
     closed under permuting coordinates, which must be symmetries of a.  Then
-    blocks holds B_lambda for each partition lambda of m with J nonempty,
-    and weights its d_lambda (see the module docstring).  Otherwise, and
-    for m < 2, a itself is the one block, with weight 1.
+    each partition lambda of m with J nonempty gives a pair (see the module
+    docstring).  Otherwise, and for m < 2, the one pair is (a, 1).
     """
+    v = int(a.shape[0])
+    if labels is not None and v:
+        lab = np.array(labels, dtype=np.int64)
+        lab = lab.reshape(v, lab.size // v)  # an integer is a 1-tuple
+        if lab.shape[1] >= 2:
+            return _isotypic(a, lab)
+    return [(a, 1)] if v else []
 
-    def __init__(self, a, labels):
-        v = int(a.shape[0])
-        self.blocks = [a] if v else []
-        self.weights = [1] * len(self.blocks)
-        if labels is not None and v:
-            lab = np.array(labels, dtype=np.int64)
-            lab = lab.reshape(v, lab.size // v)  # an integer is a 1-tuple
-            if lab.shape[1] >= 2:
-                self._isotypic(a, lab)
-        self.sizes = [int(b.shape[0]) for b in self.blocks]
 
-    def _isotypic(self, a, lab):
-        v, m = lab.shape
+def _isotypic(a, lab):
+    """The (B_lambda, d_lambda) of a, split by the v x m labels lab."""
+    v, m = lab.shape
 
-        def keys(rows):  # one opaque scalar per row of m entries
-            return np.ascontiguousarray(rows.reshape(-1, m)).view(
-                np.dtype((np.void, 8 * m))).ravel()
+    def keys(rows):  # one opaque scalar per row of m entries
+        return np.ascontiguousarray(rows.reshape(-1, m)).view(
+            np.dtype((np.void, 8 * m))).ravel()
 
-        order = np.argsort(keys(lab))
-        table = keys(lab)[order]
-        if np.any(table[1:] == table[:-1]):
-            raise ValueError("labels are not distinct")
+    order = np.argsort(keys(lab))
+    table = keys(lab)[order]
+    if np.any(table[1:] == table[:-1]):
+        raise ValueError("labels are not distinct")
 
-        def find(rows):  # the index whose label is each row
-            q = keys(rows)
-            pos = np.minimum(np.searchsorted(table, q), v - 1)
-            if np.any(table[pos] != q):
-                raise ValueError("labels are not closed under coordinate "
-                                 "permutation")
-            return order[pos]
+    def find(rows):  # the index whose label is each row
+        q = keys(rows)
+        pos = np.minimum(np.searchsorted(table, q), v - 1)
+        if np.any(table[pos] != q):
+            raise ValueError("labels are not closed under coordinate "
+                             "permutation")
+        return order[pos]
 
-        # perm is a symmetry iff it maps every nonzero entry to an equal
-        # one: a bijection of the positions then maps zeros to zeros.
-        x, y = np.nonzero(a)
-        entries = a[x, y]
-        for perm in find(lab[:, [(1, 0, *range(2, m)),
-                                 (*range(1, m), 0)]]).reshape(v, 2).T:
-            if not np.array_equal(a[perm[x], perm[y]], entries):
-                raise ValueError("coordinate permutations are not a "
-                                 "symmetry of the matrix")
-        delta = np.bincount(x, np.abs(entries)).max(initial=0)
-        # The contents of the labels, from one label per S_m-orbit.
-        ordered = np.sort(lab, axis=1)
-        contents = {tuple(sorted(Counter(t).values(), reverse=True)) for t in
-                    ordered[np.unique(keys(ordered), return_index=True)[1]]
-                    .tolist()}
-        af = a.astype(np.float64)
-        self.blocks, self.weights = [], []
-        width = int(lab.max() - lab.min()) + 1
-        for shape in _shapes(m, contents):
-            rows, below, above, perms, signs, d = _tableau(shape)
-            # Row-sorted labels (one sort: rows apart by width each), and
-            # whether each label's R-orbit is in J.
-            rs = np.sort(lab + rows * width, axis=1) - rows * width
-            in_j = (rs[:, below] > rs[:, above]).all(axis=1)
-            reps = np.flatnonzero(in_j & (rs == lab).all(axis=1))
-            k, ys = len(reps), np.flatnonzero(in_j)
-            # M[x, j] sums sgn(c) over the c in C taking x into orbit j, that
-            # is over the c y = x with y in orbit j (sgn(c) = sgn(c^-1)).
-            js = np.searchsorted(reps, find(rs[ys]))
-            mj = np.bincount(find(lab[ys][:, perms]) * k
-                             + np.repeat(js, len(signs)),
-                             np.tile(signs, len(ys)), v * k).reshape(v, k)
-            amj = af @ mj
-            b = _solve_mod(mj[reps].astype(np.int64),
-                           amj[reps].astype(np.int64), PRIMES[0])
-            # Both products are exact while every partial sum stays below
-            # 2**53; only then does the comparison prove M B = A M.
-            bound = np.abs(mj).max() * max(delta, np.abs(b).sum(axis=0).max())
-            if bound >= 2**53 or not np.array_equal(mj @ b, amj):
-                raise RuntimeError(f"block {shape} failed its exact check")
-            self.blocks.append(b)
-            self.weights.append(d)
-        if sum(w * len(b) for w, b in zip(self.weights, self.blocks)) != v:
-            raise RuntimeError("the blocks do not add up to the order")
+    # perm is a symmetry iff it maps every nonzero entry to an equal
+    # one: a bijection of the positions then maps zeros to zeros.
+    x, y = np.nonzero(a)
+    entries = a[x, y]
+    for perm in find(lab[:, [(1, 0, *range(2, m)),
+                             (*range(1, m), 0)]]).reshape(v, 2).T:
+        if not np.array_equal(a[perm[x], perm[y]], entries):
+            raise ValueError("coordinate permutations are not a "
+                             "symmetry of the matrix")
+    delta = np.bincount(x, np.abs(entries)).max(initial=0)
+    # The contents of the labels, from one label per S_m-orbit.
+    ordered = np.sort(lab, axis=1)
+    contents = {tuple(sorted(Counter(t).values(), reverse=True)) for t in
+                ordered[np.unique(keys(ordered), return_index=True)[1]]
+                .tolist()}
+    af = a.astype(np.float64)
+    blocks = []
+    width = int(lab.max() - lab.min()) + 1
+    col = np.empty(v, dtype=np.int64)
+    for shape in _shapes(m, contents):
+        rows, below, above, perms, signs, d = _tableau(shape)
+        # Row-sorted labels (one sort: rows apart by width each), and
+        # whether each label's R-orbit is in J.
+        rs = np.sort(lab + rows * width, axis=1) - rows * width
+        in_j = (rs[:, below] > rs[:, above]).all(axis=1)
+        reps = np.flatnonzero(in_j & (rs == lab).all(axis=1))
+        # Column j of M is the orbit of the j-th representative in numeric
+        # label order, the order in which M[reps] is upper unitriangular.
+        reps = reps[np.lexsort(lab[reps].T[::-1])]
+        k, ys = len(reps), np.flatnonzero(in_j)
+        col[reps] = np.arange(k)
+        # M[x, j] sums sgn(c) over the c in C taking x into orbit j, that
+        # is over the c y = x with y in orbit j (sgn(c) = sgn(c^-1)).
+        js = col[find(rs[ys])]
+        mj = np.bincount(find(lab[ys][:, perms]) * k
+                         + np.repeat(js, len(signs)),
+                         np.tile(signs, len(ys)), v * k).reshape(v, k)
+        amj = af @ mj
+        b = _unitriangular_solve(mj[reps].astype(np.int64),
+                                 amj[reps].astype(np.int64))
+        # Both products are exact while every partial sum stays below
+        # 2**53; only then does the comparison prove M B = A M.
+        bound = np.abs(mj).max() * max(delta, np.abs(b).sum(axis=0).max())
+        if bound >= 2**53 or not np.array_equal(mj @ b, amj):
+            raise RuntimeError(f"block {shape} failed its exact check")
+        blocks.append((b, d))
+    if sum(d * len(b) for b, d in blocks) != v:
+        raise RuntimeError("the blocks do not add up to the order")
+    return blocks
 
 
 def hessenberg_mod(a, p):
@@ -431,17 +428,18 @@ def certified_symmetric_spectrum(a, labels=None):
     without labels.  Raises IncompleteSpectrum when the matrix provably has
     non-integer eigenvalues, and RuntimeError when a block's annihilation
     certificate fails for each of the first four primes, as it does for
-    every matrix that is not diagonalizable, or when a block fails its
-    exact check.  Raises ValueError for labels that are no such symmetry,
-    and for a block order above MAX_ORDER.
+    every matrix that is not diagonalizable, or when a block's M is not
+    unitriangular in label order or fails its exact check.  Raises
+    ValueError for labels that are no such symmetry, and for a block order
+    above MAX_ORDER.
     """
-    split = _Split(a, labels)
-    if max(split.sizes, default=0) > MAX_ORDER:
-        raise ValueError(f"block order {max(split.sizes)} exceeds "
-                         f"{MAX_ORDER}, the largest for which float64 "
-                         f"products mod p stay exact")
+    blocks = _blocks(a, labels)
+    size = max((len(b) for b, _ in blocks), default=0)
+    if size > MAX_ORDER:
+        raise ValueError(f"block order {size} exceeds {MAX_ORDER}, the largest"
+                         f" for which float64 products mod p stay exact")
     found = Counter()
-    for b, weight in zip(split.blocks, split.weights):
+    for b, weight in blocks:
         for c, e in _block_spectrum(b):
             found[c] += weight * e
     pairs = sorted(found.items(), reverse=True)

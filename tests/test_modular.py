@@ -22,8 +22,9 @@ from conftest import property_test
 from rooklab import modular
 from rooklab.graphs import complete_graph, cycle_graph, sr_graph, sr_order
 from rooklab.linalg import integral_spectrum
-from rooklab.modular import (MAX_ORDER, PRIMES, IncompleteSpectrum, _Split,
-                             _annihilator_mod, _reduce, annihilation_proved,
+from rooklab.modular import (MAX_ORDER, PRIMES, IncompleteSpectrum,
+                             _annihilator_mod, _blocks, _reduce,
+                             _unitriangular_solve, annihilation_proved,
                              certified_symmetric_spectrum, charpoly_mod,
                              hessenberg_mod, root_multiplicity)
 from rooklab.partitions import check_equitable, weight_partition
@@ -130,15 +131,15 @@ class TestCertificate:
     def test_annihilation_rejects_wrong_eigenvalue_list(self):
         g = sr_graph(4, 1)  # K_4
         a = g.adjacency_matrix()
-        assert [b.tolist() for b in _Split(a, None).blocks] == [a.tolist()]
+        assert [(b.tolist(), d) for b, d in _blocks(a, None)] == \
+            [(a.tolist(), 1)]
         assert annihilation_proved(a, [3, -1])
         assert not annihilation_proved(a, [3, 1])
         assert not annihilation_proved(a, [3])
         # By its labels, K_4 splits into [3] and [-1] (three times): each
         # block needs only its own root, and another block's will not do.
-        split = _Split(a, g.labels)
-        assert split.weights == [1, 3]
-        top, rest = split.blocks
+        (top, d_top), (rest, d_rest) = _blocks(a, g.labels)
+        assert (d_top, d_rest) == (1, 3)
         assert annihilation_proved(top, [3])
         assert annihilation_proved(rest, [-1])
         assert not annihilation_proved(top, [-1])
@@ -152,9 +153,8 @@ class TestCertificate:
         g = sr_graph(5, 7)
         a = g.adjacency_matrix()
         assert np.abs(a).sum(axis=1).max() == 28
-        split = _Split(a, g.labels)
-        assert [int(np.abs(b).sum(axis=1).max()) for b in split.blocks
-                if len(b) == 25] == [34]
+        assert [int(np.abs(b).sum(axis=1).max())
+                for b, _ in _blocks(a, g.labels) if len(b) == 25] == [34]
         primes = {}
         annihilator = modular._annihilator_mod
 
@@ -250,15 +250,15 @@ class TestReduction:
 
 @pytest.fixture
 def split_builds(monkeypatch):
-    """The (arguments, split) of every _Split the engine builds."""
+    """The (arguments, blocks) of every _blocks call the engine makes."""
     builds = []
+    blocks = modular._blocks
 
-    class CountedSplit(modular._Split):
-        def __init__(self, *args):
-            super().__init__(*args)
-            builds.append((args, self))
+    def counted(*args):
+        builds.append((args, blocks(*args)))
+        return builds[-1][1]
 
-    monkeypatch.setattr(modular, "_Split", CountedSplit)
+    monkeypatch.setattr(modular, "_blocks", counted)
     return builds
 
 
@@ -294,22 +294,21 @@ class TestSymmetrySplit:
         # SR(4, 18): one block per partition of 4, (4), (3, 1), (2, 2),
         # (2, 1, 1) and (1, 1, 1, 1), counted d = 1, 3, 2, 3 and 1 times.
         g = sr_graph(4, 18)
-        split = _Split(g.adjacency_matrix(), g.labels)
-        assert split.sizes == [84, 190, 111, 140, 34]
-        assert split.weights == [1, 3, 2, 3, 1]
-        assert all(b.dtype == np.int64 for b in split.blocks)
+        blocks = _blocks(g.adjacency_matrix(), g.labels)
+        assert [len(b) for b, _ in blocks] == [84, 190, 111, 140, 34]
+        assert [d for _, d in blocks] == [1, 3, 2, 3, 1]
+        assert all(b.dtype == np.int64 for b, _ in blocks)
         # K_97 = SR(97, 1) keeps (97) and (96, 1) only: 96 = 1 + 96 * 1.
         g = sr_graph(97, 1)
-        split = _Split(g.adjacency_matrix(), g.labels)
-        assert split.sizes == [1, 1] and split.weights == [1, 96]
-        assert [b.tolist() for b in split.blocks] == [[[96]], [[-1]]]
+        assert [(b.tolist(), d) for b, d in
+                _blocks(g.adjacency_matrix(), g.labels)] == \
+            [([[96]], 1), ([[-1]], 96)]
         # The weighted orders fill the matrix; one coordinate is one block.
         for m, n in SMALL_SR:
             g = sr_graph(m, n)
-            split = _Split(g.adjacency_matrix(), g.labels)
-            assert sum(w * s for w, s in zip(split.weights, split.sizes)) \
-                == g.order, (m, n)
-            assert m > 1 or split.sizes == [1]
+            blocks = _blocks(g.adjacency_matrix(), g.labels)
+            assert sum(d * len(b) for b, d in blocks) == g.order, (m, n)
+            assert m > 1 or [len(b) for b, _ in blocks] == [1]
 
     def test_one_split_and_one_proof_per_spectrum(self, monkeypatch,
                                                   split_builds):
@@ -327,10 +326,10 @@ class TestSymmetrySplit:
         g = sr_graph(4, 6)
         spectrum = integral_spectrum(g)
         assert list(spectrum.pairs) == numpy_spectrum(g.adjacency_matrix())
-        [(args, split)] = split_builds
+        [(args, blocks)] = split_builds
         assert args[1] == g.labels
-        assert len(calls) == len(split.blocks) == 5
-        assert all(b is call[0] for b, call in zip(split.blocks, calls))
+        assert len(calls) == len(blocks) == 5
+        assert all(b is call[0] for (b, _), call in zip(blocks, calls))
 
     def test_relabelled_sr_graph_keeps_its_split(self, split_builds):
         # Relabelling keeps an SR graph's family: integral_spectrum splits
@@ -393,14 +392,56 @@ class TestSymmetrySplit:
     def test_failed_integrality_check_raises(self, monkeypatch):
         # A block must satisfy M B = A M exactly over Z; a solver that is one
         # off in a single entry must be caught, not certified.
-        solve = modular._solve_mod
+        solve = modular._unitriangular_solve
 
         def off_by_one(*args):
-            b = solve(*args).copy()
+            b = solve(*args)
             b[0, 0] += 1
             return b
 
-        monkeypatch.setattr(modular, "_solve_mod", off_by_one)
+        monkeypatch.setattr(modular, "_unitriangular_solve", off_by_one)
         g = sr_graph(4, 3)
         with pytest.raises(RuntimeError, match="exact check"):
             certified_symmetric_spectrum(g.adjacency_matrix(), g.labels)
+
+    def test_unitriangular_solve_is_exact(self):
+        # Back substitution over the non-identity rows 0 and 1; row 2 is an
+        # identity row.  Entries near 2**40 stay exact in int64.
+        u = np.array([[1, 2, -1], [0, 1, 3], [0, 0, 1]], dtype=np.int64)
+        x = np.array([[5, -(2**40)], [-7, 3], [2**40, 0]], dtype=np.int64)
+        got = _unitriangular_solve(u, u @ x)
+        assert got.dtype == np.int64 and got.tolist() == x.tolist()
+        eye = np.eye(4, dtype=np.int64)
+        c = np.arange(8, dtype=np.int64).reshape(4, 2)
+        assert _unitriangular_solve(eye, c).tolist() == c.tolist()
+
+    def test_unitriangular_solve_refuses_other_matrices(self):
+        # The check is the proof that rank M = |J|: a unit diagonal and
+        # nothing below it, or RuntimeError.
+        for bad in ([[1, 1], [0, 2]], [[1, 0], [1, 1]], [[0, 1], [1, 0]],
+                    [[-1, 0], [0, 1]], [[1, 4, 0], [0, 1, 0], [0, -1, 1]]):
+            u = np.array(bad, dtype=np.int64)
+            with pytest.raises(RuntimeError, match="unitriangular"):
+                _unitriangular_solve(u, np.ones((len(u), 1), dtype=np.int64))
+
+    def test_blocks_do_not_depend_on_vertex_order(self):
+        # Columns follow the representatives' numeric labels, not their
+        # indices, so a relabelled graph gives the very same blocks.
+        for m, n in ((4, 5), (5, 4)):
+            g = sr_graph(m, n)
+            h = g.relabeled(random.Random(m * n).sample(range(g.order),
+                                                        g.order))
+            assert h.labels != g.labels
+            before = _blocks(g.adjacency_matrix(), g.labels)
+            after = _blocks(h.adjacency_matrix(), h.labels)
+            assert [d for _, d in after] == [d for _, d in before]
+            assert all(np.array_equal(b, c)
+                       for (b, _), (c, _) in zip(after, before)), (m, n)
+
+    def test_blocks_need_no_prime(self, monkeypatch):
+        g = sr_graph(4, 6)
+        a = g.adjacency_matrix()
+        expected = [(b.tolist(), d) for b, d in _blocks(a, g.labels)]
+        monkeypatch.setattr(modular, "PRIMES", [])
+        assert [(b.tolist(), d) for b, d in _blocks(a, g.labels)] == expected
+        assert sum(d * len(b) for b, d in expected) == g.order

@@ -738,15 +738,23 @@ def _check_size(g: Graph):
         raise SizeLimit(f"{g.order} vertices exceeds limit {SIZE_LIMIT}")
 
 
-def canonical_form(g: Graph) -> CanonicalForm:
+def _canonical_form_and_gens(g: Graph):
+    """The canonical form of g and the automorphisms its search found on
+    the way, each a list gen with gen[u] the image of vertex u: one search
+    for both."""
     _check_size(g)
     if g.order == 0:
-        return CanonicalForm((), b"0:0:")
-    best = _CanonicalSearch(list(g.rows)).best
+        return CanonicalForm((), b"0:0:"), []
+    search = _CanonicalSearch(list(g.rows))
+    best = search.best
     width = (g.order + 7) // 8
     cert = (f"{g.order}:{g.edge_count()}:".encode()
             + b"".join(r.to_bytes(width, "big") for r in best.key))
-    return CanonicalForm(tuple(best.pos), cert)
+    return CanonicalForm(tuple(best.pos), cert), search.gens
+
+
+def canonical_form(g: Graph) -> CanonicalForm:
+    return _canonical_form_and_gens(g)[0]
 
 
 def automorphism_count(g: Graph) -> int:

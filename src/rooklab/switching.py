@@ -8,6 +8,13 @@ hundreds of pairwise nonisomorphic graphs sharing its spectrum.
 
 Named sets: on SR(4,n) the four vertices n*e_i form a switching 4-clique,
 and on SR(m,3) so do the four vertices a*e_1 + b*e_2 with a+b=3.
+
+The closure switches one set per orbit.  If an automorphism s of G maps the
+switching set B onto B', then s maps the vertices with 2 neighbours in B onto
+those with 2 in B', so it carries every flipped pair of GM(G, B) onto one of
+GM(G, B'): s is an isomorphism GM(G, B) -> GM(G, B').  The automorphisms the
+canonical search of G finds along the way therefore tell, for free, which
+mates are isomorphic to one already formed.
 """
 
 from __future__ import annotations
@@ -15,13 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, _bits
-from .invariants import SizeLimit, canonical_form
+from .invariants import SizeLimit, _canonical_form_and_gens, _orbits
 
 
 class NotSwitchable(Exception):
-    """A 4-set that is no switching set; the message names the first outside
-    vertex violating the 0/2/4 condition, or the induced-regularity
-    failure."""
+    """A 4-set that is no switching set of the graph; the message names the
+    first outside vertex violating the 0/2/4 condition, or the
+    induced-regularity failure."""
 
 
 _ENUM_LIMIT = 100
@@ -30,7 +37,8 @@ _ENUM_LIMIT = 100
 @dataclass(frozen=True)
 class SwitchingSet:
     """Four vertex indices inducing a regular subgraph such that every
-    outside vertex sees 0, 2 or 4 of them."""
+    outside vertex sees 0, 2 or 4 of them, in the graph it was found in;
+    the object does not hold that graph, so gm_switch checks it again."""
 
     members: tuple
 
@@ -70,9 +78,11 @@ def validate_switching_set(g: Graph, b) -> SwitchingSet:
 def gm_switch(g: Graph, b: SwitchingSet) -> Graph:
     """Switched graph: adjacency flipped exactly for pairs (x in B, c not in
     B) where c has 2 neighbours in B.  Same degree sequence, same spectrum;
-    applying the same set twice returns the original graph."""
-    if not isinstance(b, SwitchingSet):
-        b = validate_switching_set(g, b)
+    applying the same set twice returns the original graph.  b, a
+    SwitchingSet or four vertex indices, is validated on g first."""
+    if isinstance(b, SwitchingSet):
+        b = b.members
+    b = validate_switching_set(g, b)
     mask = 0
     for u in b.members:
         mask |= 1 << u
@@ -129,27 +139,48 @@ class ClosureResult:
         return len(self.graphs)
 
 
+def _orbit_firsts(sets, gens):
+    """The first set of each orbit of `sets` under the group the vertex
+    automorphisms gens generate, in the order of `sets`, which must be
+    every switching set of the graph: an automorphism permutes them."""
+    index = {b.members: i for i, b in enumerate(sets)}
+    perms = [[index[tuple(sorted(gen[u] for u in b.members))] for b in sets]
+             for gen in gens]
+    return [sets[orbit[0]] for orbit in sorted(_orbits(len(sets), perms))]
+
+
 def switching_closure(g: Graph, limit: int) -> ClosureResult:
     """BFS over graphs reachable by repeated switching at any valid 4-set,
-    deduplicated by canonical certificate, capped at `limit` classes."""
+    deduplicated by canonical certificate, capped at `limit` classes.
+
+    Each graph switches only the first set of each orbit under the
+    automorphisms its own canonical search found (see the module
+    docstring).  A later set B' = s(B) of B's orbit gives a mate isomorphic
+    to B's, whose certificate was already in `seen` or was added when B was
+    switched, unless the cap ended the walk there; so B' would have been
+    passed over anyway, and the result is the one of switching every set.
+    """
     if g.order > _ENUM_LIMIT:
         raise SizeLimit(f"closure exploration is capped at {_ENUM_LIMIT} "
                         f"vertices, got {g.order}")
     if limit < 1:
         raise ValueError("class cap must be positive")
-    seen = {canonical_form(g).certificate}
+    form, gens = _canonical_form_and_gens(g)
+    seen = {form.certificate}
     reps = [g]
-    # reps is also the BFS queue: the loop reaches each class as it is added.
-    for current in reps:
-        for b in enumerate_switching_sets(current):
+    queue = [(g, gens)]
+    # The loop reaches each class as it is appended to the queue.
+    for current, gens in queue:
+        for b in _orbit_firsts(enumerate_switching_sets(current), gens):
             mate = gm_switch(current, b)
-            cert = canonical_form(mate).certificate
-            if cert in seen:
+            form, mate_gens = _canonical_form_and_gens(mate)
+            if form.certificate in seen:
                 continue
             if len(reps) >= limit:
                 return ClosureResult(tuple(reps), True)
-            seen.add(cert)
+            seen.add(form.certificate)
             reps.append(mate)
+            queue.append((mate, mate_gens))
     return ClosureResult(tuple(reps), False)
 
 

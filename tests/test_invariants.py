@@ -484,6 +484,16 @@ class TestAutomorphisms:
         for m in (3, 4, 5):
             assert automorphism_count(sr_graph(m, 1)) == factorial(m)
 
+    def test_search_generators_are_automorphisms(self):
+        sr43 = sr_graph(4, 3)
+        mate = gm_switch(sr43, named_switching_set(sr43, "v1"))
+        for g in (sr43, sr_graph(5, 3), complete_graph(6), cube_graph(3), mate):
+            form, gens = invariants._canonical_form_and_gens(g)
+            assert form == canonical_form(g)
+            assert gens
+            for gen in gens:
+                assert g.relabeled(gen).rows == g.rows
+
     def test_dense_leaves_relabel_through_the_complement(self):
         # Every leaf relabels K_300's rows: 89 700 bits edge by edge, 300
         # through the rows' complements.

@@ -4,10 +4,14 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import property_test
+from rooklab import invariants
 from rooklab.graphs import (Graph, complete_graph, cycle_graph, cube_graph,
                             sr_graph)
-from rooklab.invariants import is_isomorphic
+from rooklab.invariants import canonical_form, is_isomorphic
 from rooklab.linalg import integral_spectrum
 from rooklab.switching import (NotSwitchable, SwitchingSet, _odd_outside,
                                enumerate_switching_sets, gm_switch,
@@ -133,6 +137,19 @@ class TestSwitch:
         mate = gm_switch(g, (0, 1, 2, 3))
         assert mate.rows == g.rows
 
+    def test_switching_set_of_another_graph_raises(self):
+        # A SwitchingSet does not hold its graph: gm_switch checks it again.
+        g, h = sr_graph(4, 3), sr_graph(4, 4)
+        b = SwitchingSet((0, 1, 2, 3))
+        assert validate_switching_set(g, b.members) == b
+        with pytest.raises(NotSwitchable, match="vertex 8 is adjacent to 1"):
+            gm_switch(h, b)
+        for b in enumerate_switching_sets(cube_graph(3)):
+            with pytest.raises(NotSwitchable):
+                gm_switch(cycle_graph(8), b)
+        with pytest.raises(ValueError):
+            gm_switch(g, SwitchingSet((0, 1, 2)))
+
     def test_raw_member_tuple_accepted(self):
         g = sr_graph(4, 3)
         named = named_switching_set(g, "v1")
@@ -244,3 +261,60 @@ class TestClosure:
         result = switching_closure(g, 50)
         assert result.count == 1
         assert not result.capped
+
+
+def reference_closure(g, limit):
+    """The closure by plain BFS: every enumerated set of every class is
+    switched, and each mate gets a canonical form of its own."""
+    seen = {canonical_form(g).certificate}
+    reps = [g]
+    for current in reps:
+        for b in enumerate_switching_sets(current):
+            mate = gm_switch(current, b)
+            cert = canonical_form(mate).certificate
+            if cert in seen:
+                continue
+            if len(reps) >= limit:
+                return reps, True
+            seen.add(cert)
+            reps.append(mate)
+    return reps, False
+
+
+def assert_closure_matches_reference(g, limit):
+    result = switching_closure(g, limit)
+    reps, capped = reference_closure(g, limit)
+    assert [(h.labels, h.rows) for h in result.graphs] == \
+        [(h.labels, h.rows) for h in reps]
+    assert result.capped == capped
+
+
+class TestClosureOrbits:
+    """The closure switches one set per orbit of each class's automorphisms
+    and still returns what switching every set returns."""
+
+    @pytest.mark.parametrize("g, limit", [
+        (sr_graph(4, 3), 1), (sr_graph(4, 3), 12), (sr_graph(4, 3), 60),
+        (cube_graph(3), 50), (cycle_graph(5), 50)],
+        ids=["sr43-cap1", "sr43-cap12", "sr43-cap60", "cube3", "cycle5"])
+    def test_matches_plain_bfs(self, g, limit):
+        assert_closure_matches_reference(g, limit)
+
+    @settings(property_test, max_examples=10)
+    @given(st.permutations(range(20)))
+    def test_property_matches_plain_bfs_relabelled(self, perm):
+        assert_closure_matches_reference(sr_graph(4, 3).relabeled(perm), 12)
+
+    def test_one_search_per_switched_orbit(self, monkeypatch):
+        # One search for the start graph and one per orbit representative;
+        # switching every set takes 74.
+        calls = []
+
+        class Counting(invariants._CanonicalSearch):
+            def __init__(self, rows):
+                calls.append(len(rows))
+                super().__init__(rows)
+
+        monkeypatch.setattr(invariants, "_CanonicalSearch", Counting)
+        assert switching_closure(sr_graph(4, 3), 12).count == 12
+        assert len(calls) == 28

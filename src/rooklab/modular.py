@@ -84,10 +84,26 @@ from collections import Counter
 
 import numpy as np
 
+
+def _top_primes(count, below, span):
+    """The count largest primes below `below`, descending, sieved from the
+    span integers under it by the primes up to its square root, all of
+    which must lie under that segment."""
+    root = math.isqrt(below - 1)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if small[p]:
+            small[p * p::p] = False
+    low = below - span
+    segment = np.ones(span, dtype=bool)
+    for p in np.flatnonzero(small).tolist():
+        segment[-low % p::p] = False
+    return (low + np.flatnonzero(segment)[::-1][:count]).tolist()
+
+
 # The 96 largest primes below 2**20, descending.
-PRIMES = list(itertools.islice(
-    (x for x in range((1 << 20) - 1, 2, -2)
-     if all(x % d for d in range(3, math.isqrt(x) + 1, 2))), 96))
+PRIMES = _top_primes(96, 1 << 20, 4096)
 
 # Largest order v with v * (p - 1)**2 < 2**53 for every prime in PRIMES.
 MAX_ORDER = (2**53 - 1) // (max(PRIMES) - 1) ** 2

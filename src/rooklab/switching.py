@@ -6,6 +6,13 @@ adjacency between each outside vertex with exactly 2 neighbours in B and all
 of B, which preserves the spectrum; repeated switching from SR(4,3) yields
 hundreds of pairwise nonisomorphic graphs sharing its spectrum.
 
+Enumeration is one parity scan over pairs of pairs.  A quadruple passes the
+outside condition exactly when the XOR of its four rows, outside its
+members, is zero: the pairs (a, b) with a < b, for each middle vertex b, are
+tested against every pair (c, d) with c > b in one numpy expression on the
+rows packed into uint64 words, and only the quadruples that pass are checked
+for inner regularity in Python.
+
 Named sets: on SR(4,n) the four vertices n*e_i form a switching 4-clique,
 and on SR(m,3) so do the four vertices a*e_1 + b*e_2 with a+b=3.
 
@@ -19,7 +26,10 @@ mates are isomorphic to one already formed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graphs import Graph, _bits
 from .invariants import SizeLimit, _canonical_form_and_gens, _orbits
@@ -31,6 +41,9 @@ class NotSwitchable(Exception):
     induced-regularity failure."""
 
 
+# The scan is quartic: a random 100-vertex graph takes 30-35 ms of CPU and
+# holds 1.5 MB of numpy arrays at its peak (tracemalloc), 1.1 MB of them
+# the two step buffers; SR(3, 12), 91 vertices, takes 22-25 ms.
 _ENUM_LIMIT = 100
 
 
@@ -53,9 +66,10 @@ def _odd_outside(rows, members, mask):
 
 
 def validate_switching_set(g: Graph, b) -> SwitchingSet:
-    """Check the Godsil-McKay conditions for the 4-set b and return the
-    validated SwitchingSet; NotSwitchable otherwise."""
-    members = tuple(sorted(b))
+    """Check the Godsil-McKay conditions for the 4-set b, whose members may
+    be any integer type (numpy's too, read with operator.index), and return
+    the validated SwitchingSet of Python ints; NotSwitchable otherwise."""
+    members = tuple(sorted(map(operator.index, b)))
     if len(members) != 4 or len(set(members)) != 4:
         raise ValueError("a switching set consists of 4 distinct vertices")
     if not all(0 <= u < g.order for u in members):
@@ -97,30 +111,71 @@ def gm_switch(g: Graph, b: SwitchingSet) -> Graph:
     return Graph(g.labels, rows)
 
 
+def _words(rows, width):
+    """Bit rows as a len(rows) x width uint64 array: bit j of a row is bit
+    j % 64 of its word j // 64."""
+    data = b"".join(row.to_bytes(8 * width, "little") for row in rows)
+    return np.frombuffer(data, dtype="<u8").reshape(len(rows), width)
+
+
 def enumerate_switching_sets(g: Graph) -> list:
-    """Every valid switching 4-set, ordered by sorted member tuple.  The
-    vertex count is capped: the scan is quartic.  The outside parity
-    (`_odd_outside`), one XOR per quadruple, rejects most of them before
-    any induced degree is counted."""
+    """Every valid switching 4-set, ordered by sorted member tuple.
+
+    One vectorised parity scan.  With the bit rows packed into uint64
+    words, pair (a, b) holds x_ab = rows[a] ^ rows[b] and the member mask
+    m_ab; a quadruple a < b < c < d passes the outside parity
+    (`_odd_outside`) exactly when (x_ab ^ x_cd) & ~(m_ab | m_cd) is zero in
+    every word.  For each middle vertex b one numpy expression tests the b
+    pairs (a, b) against the pairs (c, d) with c > b, a suffix of the pairs
+    in lexicographic order, so the scan meets each quadruple once in about
+    v steps; the few that pass are checked for inner regularity in Python.
+    The vertex count is capped: the scan is still quartic, 30-35 ms of CPU
+    and 1.5 MB of transient arrays at the cap of 100 vertices."""
     v = g.order
     if v > _ENUM_LIMIT:
         raise SizeLimit(f"switching enumeration is capped at {_ENUM_LIMIT} "
                         f"vertices, got {v}")
-    out = []
+    if v < 4:
+        return []
     rows = g.rows
-    for a in range(v):
-        for b in range(a + 1, v):
-            for c in range(b + 1, v):
-                mask3 = (1 << a) | (1 << b) | (1 << c)
-                odd3 = rows[a] ^ rows[b] ^ rows[c]
-                for d in range(c + 1, v):
-                    mask = mask3 | (1 << d)
-                    if (odd3 ^ rows[d]) & ~mask:
-                        continue
-                    inner0 = (rows[a] & mask).bit_count()
-                    if all((rows[u] & mask).bit_count() == inner0
-                           for u in (b, c, d)):
-                        out.append(SwitchingSet((a, b, c, d)))
+    width = (v + 63) // 64
+    # Word-major: bits[w, u] is word w of rows[u], units[w, u] of 1 << u.
+    bits = _words(rows, width).T
+    units = _words([1 << u for u in range(v)], width).T
+    first, second = np.triu_indices(v, 1)
+    xors = bits[:, first] ^ bits[:, second]
+    outside = ~(units[:, first] | units[:, second])
+    # starts[c]: index of the first pair (c, d) in lexicographic order.
+    starts = np.concatenate(([0], np.cumsum(np.arange(v - 1, 0, -1))))
+    # Two buffers sized for the largest step, b * C(v - b - 1, 2) words.
+    size = max(b * (len(first) - starts[b + 1]) for b in range(1, v - 2))
+    buffers = np.empty((2, size), np.uint64)
+    found = []
+    for b in range(1, v - 2):
+        tail = starts[b + 1]
+        # odd[a, k]: the outside vertices with an odd count in the
+        # quadruple of pairs (a, b) and tail + k.
+        odd, part = buffers[:, :b * (len(first) - tail)].reshape(2, b, -1)
+        odd[:] = 0
+        for w in range(width):
+            np.bitwise_xor((bits[w, :b] ^ bits[w, b])[:, None],
+                           xors[w, tail:], out=part)
+            part &= outside[w, tail:]
+            part &= ~(units[w, :b] | units[w, b])[:, None]
+            odd |= part
+        a, k = np.nonzero(odd == 0)
+        k += tail
+        found += zip(a.tolist(), [b] * len(a), first[k].tolist(),
+                     second[k].tolist())
+    found.sort()
+    out = []
+    for members in found:
+        mask = 0
+        for u in members:
+            mask |= 1 << u
+        inner = {(rows[u] & mask).bit_count() for u in members}
+        if len(inner) == 1:
+            out.append(SwitchingSet(members))
     return out
 
 

@@ -9,6 +9,7 @@ SR graphs and switching mates.
 """
 
 import ast
+import math
 import random
 from pathlib import Path
 
@@ -117,6 +118,14 @@ class TestCertificate:
         jordan = np.array([[1, 1], [0, 1]], dtype=np.int64)
         with pytest.raises(RuntimeError):
             certified_symmetric_spectrum(jordan)
+
+    def test_primes_match_trial_division(self):
+        # The sieve gives what the definition by trial division gives.
+        trial = [x for x in range((1 << 20) - 1, (1 << 20) - 4096, -2)
+                 if all(x % d for d in range(3, math.isqrt(x) + 1, 2))]
+        assert PRIMES == trial[:96]
+        assert len(PRIMES) == 96 and MAX_ORDER == 8192
+        assert all(type(p) is int for p in PRIMES)
 
     def test_order_above_exact_float_range_refused(self):
         assert PRIMES[0] == (1 << 20) - 3 and len(PRIMES) == 96

@@ -3,6 +3,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import property_test
 from rooklab import invariants
 from rooklab.graphs import (Graph, complete_graph, cycle_graph, cube_graph,
-                            sr_graph)
+                            johnson_graph, sr_graph)
 from rooklab.invariants import canonical_form, is_isomorphic
 from rooklab.linalg import integral_spectrum
 from rooklab.switching import (NotSwitchable, SwitchingSet, _odd_outside,
@@ -28,6 +29,28 @@ def random_graph(rng, v):
     p = rng.random()
     return Graph.from_edges(range(v), [(i, j) for i, j in combinations(range(v), 2)
                                        if rng.random() < p])
+
+
+def quartic_sets(g):
+    """Every switching 4-set by a plain quartic loop over the quadruples in
+    lexicographic order: the outside parity first, then inner regularity.
+    The oracle for the vectorised scan of enumerate_switching_sets."""
+    v, rows = g.order, g.rows
+    out = []
+    for a in range(v):
+        for b in range(a + 1, v):
+            for c in range(b + 1, v):
+                mask3 = (1 << a) | (1 << b) | (1 << c)
+                odd3 = rows[a] ^ rows[b] ^ rows[c]
+                for d in range(c + 1, v):
+                    mask = mask3 | (1 << d)
+                    if (odd3 ^ rows[d]) & ~mask:
+                        continue
+                    inner0 = (rows[a] & mask).bit_count()
+                    if all((rows[u] & mask).bit_count() == inner0
+                           for u in (b, c, d)):
+                        out.append(SwitchingSet((a, b, c, d)))
+    return out
 
 
 def inner_degree(g, members):
@@ -103,6 +126,17 @@ class TestValidate:
                 validate_switching_set(g, members)
             assert str(err.value) == (f"vertex {bad[0]} is adjacent to "
                                       f"{counts[bad[0]]} members of {members}")
+
+    def test_numpy_integer_members_past_63_vertices(self):
+        # J(12, 2) has 66 vertices; members given as np.int64 are converted
+        # to int before any shift, so bit 64 is not lost or refused.
+        g = johnson_graph(12, 2)
+        members = np.array([0, 8, 20, 64], dtype=np.int64)
+        b = validate_switching_set(g, members)
+        assert b.members == (0, 8, 20, 64)
+        assert all(type(u) is int for u in b.members)
+        assert gm_switch(g, members).rows == gm_switch(g, b).rows
+        assert gm_switch(g, members).rows != g.rows
 
     def test_accepts_valid_set(self):
         g = cycle_graph(4)
@@ -219,6 +253,58 @@ class TestEnumeration:
                 if len({sum(g.has_edge(u, w) for w in b) for u in b}) == 1
                 and all(c in (0, 2, 4) for c in outside_counts(g, b).values())]
             assert [b.members for b in enumerate_switching_sets(g)] == expected
+
+    @pytest.mark.parametrize("v, p", [
+        (v, p) for v in (63, 64, 65) for p in (0.02, 0.5, 0.98)] + [(100, 0.02)])
+    def test_matches_quartic_loop_across_word_boundary(self, v, p):
+        # Rows of one word, of two, and at the 100-vertex cap.  The sparse
+        # and dense graphs have over a thousand sets each.
+        rng = random.Random(v)
+        g = Graph.from_edges(range(v), [e for e in combinations(range(v), 2)
+                                        if rng.random() < p])
+        sets = enumerate_switching_sets(g)
+        assert sets == quartic_sets(g)
+        if p != 0.5:
+            assert len(sets) > 1000
+        if (v, p) in ((65, 0.98), (100, 0.02)):
+            assert any(b.members[0] < 64 <= b.members[3] for b in sets)
+
+    @pytest.mark.parametrize("v", [0, 1, 2, 3])
+    def test_fewer_than_four_vertices(self, v):
+        assert enumerate_switching_sets(complete_graph(v)) == []
+        assert enumerate_switching_sets(Graph.from_edges(range(v), [])) == []
+
+    def test_matches_quartic_loop_on_sr43_mates(self):
+        g = sr_graph(4, 3)
+        for b in enumerate_switching_sets(g):
+            mate = gm_switch(g, b)
+            assert enumerate_switching_sets(mate) == quartic_sets(mate)
+
+    def test_johnson_8_2(self):
+        g = johnson_graph(8, 2)
+        sets = enumerate_switching_sets(g)
+        assert len(sets) == 315
+        assert sets == quartic_sets(g)
+
+    def test_members_are_python_ints(self):
+        for g in (sr_graph(4, 3), johnson_graph(12, 2)):
+            sets = enumerate_switching_sets(g)
+            assert sets
+            assert all(type(u) is int for b in sets for u in b.members)
+
+    @settings(property_test, max_examples=10)
+    @given(st.sampled_from([(4, 3), (4, 4)]).flatmap(
+        lambda mn: st.tuples(st.just(mn),
+                             st.permutations(range(sr_graph(*mn).order)))))
+    def test_property_relabelling_maps_sets(self, case):
+        # New vertex perm[u] is old vertex u, so each set maps onto the
+        # sorted tuple of its members' images.
+        (m, n), perm = case
+        g = sr_graph(m, n)
+        images = sorted(tuple(sorted(perm[u] for u in b.members))
+                        for b in enumerate_switching_sets(g))
+        assert [b.members for b in
+                enumerate_switching_sets(g.relabeled(perm))] == images
 
     def test_cube_has_switching_sets(self):
         g = cube_graph(3)

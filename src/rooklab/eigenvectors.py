@@ -248,17 +248,10 @@ def classify_gamma(n: int) -> list:
 def cayley_transpositions(m: int) -> Graph:
     """Cayley graph of Sym(m) with respect to all transpositions: vertices
     are the permutations of range(m), adjacent when they differ in exactly
-    two positions."""
+    two positions.  Permutations of range(m) share one sum, so this is the
+    SR adjacency rule (`_sr_rows`) on them."""
     labels = list(permutations(range(m)))
-    edges = []
-    for lab in labels:
-        for i, j in combinations(range(m), 2):
-            swapped = list(lab)
-            swapped[i], swapped[j] = swapped[j], swapped[i]
-            other = tuple(swapped)
-            if lab < other:
-                edges.append((lab, other))
-    return Graph.from_edges(labels, edges, family="cayley", params=(m,))
+    return Graph(labels, _sr_rows(labels), family="cayley", params=(m,))
 
 
 SMALL_N_KINDS = ("n3_m-3", "n4_2m-5", "n4_m-6")

@@ -45,20 +45,6 @@ class Graph:
         self.family = family
         self.params = params
 
-    @classmethod
-    def from_edges(cls, labels, edges, family=None, params=None):
-        """Build a graph from vertex labels and an iterable of label pairs."""
-        labels = tuple(labels)
-        index = {lab: i for i, lab in enumerate(labels)}
-        rows = [0] * len(labels)
-        for a, b in edges:
-            i, j = index[a], index[b]
-            if i == j:
-                raise ValueError("loops are not allowed")
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        return cls(labels, rows, family=family, params=params)
-
     @property
     def order(self):
         return len(self.labels)

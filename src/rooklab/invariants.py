@@ -37,6 +37,11 @@ canonical one.  The automorphisms found while finishing the node at depth d
 on the first path generate the stabilizer G_d of its first d vertices, so
 orbit-stabiliser gives |Aut| as the product, along the first path, of the
 orbit sizes of the first path's next vertex under G_d.
+
+`canonical_form` runs this search, the only one, and returns all it finds:
+the canonical relabeling, the certificate, the automorphisms found and
+|Aut|.  `automorphism_count`, `is_isomorphic` and the switching closure
+read their answers off that result.
 """
 
 from __future__ import annotations
@@ -652,7 +657,7 @@ class _CanonicalSearch:
         g = [0] * len(lab_to)
         for a, b in zip(lab_from, lab_to):
             g[a] = b
-        self.gens.append(g)
+        self.gens.append(tuple(g))
         for u, v in enumerate(g):
             _union(self.orbits, u, v)
 
@@ -726,47 +731,40 @@ class _CanonicalSearch:
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """relabeling[old_index] = new_index; certificate is a stable encoding
-    of the relabeled graph, equal for two graphs iff they are isomorphic."""
+    """What one canonical search finds.  relabeling[old_index] = new_index;
+    certificate is a stable encoding of the relabeled graph, equal for two
+    graphs iff they are isomorphic; generators are the automorphisms found
+    on the way, each a tuple gen with gen[u] the image of vertex u; and
+    aut_order is the order of the automorphism group."""
 
     relabeling: tuple
     certificate: bytes
+    generators: tuple
+    aut_order: int
 
 
-def _check_size(g: Graph):
+def canonical_form(g: Graph) -> CanonicalForm:
+    """The one canonical search of g.  |Aut| is the product, along the
+    first path, of the orbit sizes of the path's next vertex under the
+    automorphisms found, which by then generate the stabilizer of the path
+    so far (orbit-stabiliser; see the module docstring).  Raises SizeLimit
+    past SIZE_LIMIT vertices."""
     if g.order > SIZE_LIMIT:
         raise SizeLimit(f"{g.order} vertices exceeds limit {SIZE_LIMIT}")
-
-
-def _canonical_form_and_gens(g: Graph):
-    """The canonical form of g and the automorphisms its search found on
-    the way, each a list gen with gen[u] the image of vertex u: one search
-    for both."""
-    _check_size(g)
     if g.order == 0:
-        return CanonicalForm((), b"0:0:"), []
+        return CanonicalForm((), b"0:0:", (), 1)
     search = _CanonicalSearch(list(g.rows))
     best = search.best
     width = (g.order + 7) // 8
     cert = (f"{g.order}:{g.edge_count()}:".encode()
             + b"".join(r.to_bytes(width, "big") for r in best.key))
-    return CanonicalForm(tuple(best.pos), cert), search.gens
-
-
-def canonical_form(g: Graph) -> CanonicalForm:
-    return _canonical_form_and_gens(g)[0]
+    return CanonicalForm(tuple(best.pos), cert, tuple(search.gens),
+                         search.order)
 
 
 def automorphism_count(g: Graph) -> int:
-    """Exact order of the automorphism group: the product, along the first
-    path of the canonical search, of the orbit sizes of the path's next
-    vertex under the automorphisms found, which by then generate the
-    stabilizer of the path so far (orbit-stabiliser; see the module
-    docstring)."""
-    _check_size(g)
-    if g.order == 0:
-        return 1
-    return _CanonicalSearch(list(g.rows)).order
+    """Exact order of the automorphism group, from `canonical_form`."""
+    return canonical_form(g).aut_order
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -19,9 +19,9 @@ and on SR(m,3) so do the four vertices a*e_1 + b*e_2 with a+b=3.
 The closure switches one set per orbit.  If an automorphism s of G maps the
 switching set B onto B', then s maps the vertices with 2 neighbours in B onto
 those with 2 in B', so it carries every flipped pair of GM(G, B) onto one of
-GM(G, B'): s is an isomorphism GM(G, B) -> GM(G, B').  The automorphisms the
-canonical search of G finds along the way therefore tell, for free, which
-mates are isomorphic to one already formed.
+GM(G, B'): s is an isomorphism GM(G, B) -> GM(G, B').  The `generators` of
+`canonical_form(G)`, the automorphisms its one search finds on the way,
+therefore tell, for free, which mates are isomorphic to one already formed.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, _bits
-from .invariants import SizeLimit, _canonical_form_and_gens, _orbits
+from .invariants import SizeLimit, _orbits, canonical_form
 
 
 class NotSwitchable(Exception):
@@ -209,33 +209,34 @@ def switching_closure(g: Graph, limit: int) -> ClosureResult:
     deduplicated by canonical certificate, capped at `limit` classes.
 
     Each graph switches only the first set of each orbit under the
-    automorphisms its own canonical search found (see the module
-    docstring).  A later set B' = s(B) of B's orbit gives a mate isomorphic
-    to B's, whose certificate was already in `seen` or was added when B was
-    switched, unless the cap ended the walk there; so B' would have been
-    passed over anyway, and the result is the one of switching every set.
+    `generators` of its own `canonical_form`, the search that also gives
+    its certificate (see the module docstring).  A later set B' = s(B) of
+    B's orbit gives a mate isomorphic to B's, whose certificate was already
+    in `seen` or was added when B was switched, unless the cap ended the
+    walk there; so B' would have been passed over anyway, and the result
+    is the one of switching every set.
     """
     if g.order > _ENUM_LIMIT:
         raise SizeLimit(f"closure exploration is capped at {_ENUM_LIMIT} "
                         f"vertices, got {g.order}")
     if limit < 1:
         raise ValueError("class cap must be positive")
-    form, gens = _canonical_form_and_gens(g)
+    form = canonical_form(g)
     seen = {form.certificate}
     reps = [g]
-    queue = [(g, gens)]
+    queue = [(g, form.generators)]
     # The loop reaches each class as it is appended to the queue.
     for current, gens in queue:
         for b in _orbit_firsts(enumerate_switching_sets(current), gens):
             mate = gm_switch(current, b)
-            form, mate_gens = _canonical_form_and_gens(mate)
+            form = canonical_form(mate)
             if form.certificate in seen:
                 continue
             if len(reps) >= limit:
                 return ClosureResult(tuple(reps), True)
             seen.add(form.certificate)
             reps.append(mate)
-            queue.append((mate, mate_gens))
+            queue.append((mate, form.generators))
     return ClosureResult(tuple(reps), False)
 
 

@@ -4,11 +4,11 @@ import json
 import re
 import time
 
-import networkx as nx
 import pytest
 
+from conftest import nx_decode
 from rooklab import cli, invariants
-from rooklab.graphs import Graph, johnson_graph, sr_graph
+from rooklab.graphs import johnson_graph, sr_graph
 from rooklab.linalg import integral_spectrum
 
 
@@ -16,11 +16,6 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
-
-
-def nx_decode(text):
-    h = nx.from_graph6_bytes(text.encode())
-    return Graph.from_edges(range(h.number_of_nodes()), h.edges())
 
 
 class TestSpectrum:

@@ -12,6 +12,7 @@ from math import comb
 import networkx as nx
 import pytest
 
+from conftest import to_nx
 from rooklab.eigenvectors import (InvalidOrbit, SMALL_N_KINDS, admissible_set,
                                   canonical_w, cayley_transpositions, f_pi,
                                   f_pw, f_pw_family, gamma_graph,
@@ -22,13 +23,6 @@ from rooklab.formulas import mahonian
 from rooklab.graphs import (cartesian_product, complete_bipartite,
                             complete_graph, cube_graph)
 from rooklab.linalg import rank, verify_eigenvector
-
-
-def to_nx(g):
-    h = nx.Graph()
-    h.add_nodes_from(range(g.order))
-    h.add_edges_from(g.edges())
-    return h
 
 
 def brute_inversions(pi):

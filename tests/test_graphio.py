@@ -4,6 +4,7 @@ import random
 
 import networkx as nx
 
+from conftest import from_edges, nx_decode
 from rooklab.graphio import to_graph6
 from rooklab.graphs import (Graph, complete_graph, cycle_graph, johnson_graph,
                             sr_graph)
@@ -14,11 +15,6 @@ def nx_encode(g):
     h.add_nodes_from(range(g.order))
     h.add_edges_from(g.edges())
     return nx.to_graph6_bytes(h, header=False).decode().strip()
-
-
-def nx_decode(text):
-    h = nx.from_graph6_bytes(text.encode())
-    return Graph.from_edges(range(h.number_of_nodes()), h.edges())
 
 
 class TestGraph6:
@@ -37,7 +33,7 @@ class TestGraph6:
         for trial in range(30):
             n = rng.randrange(1, 40)
             h = nx.gnp_random_graph(n, rng.random(), seed=rng.randrange(10**6))
-            g = Graph.from_edges(range(n), h.edges())
+            g = from_edges(range(n), h.edges())
             assert to_graph6(g) == nx.to_graph6_bytes(h, header=False).decode().strip()
 
     def test_roundtrip(self):
@@ -45,7 +41,7 @@ class TestGraph6:
         for trial in range(20):
             n = rng.randrange(1, 70)
             h = nx.gnp_random_graph(n, rng.random(), seed=rng.randrange(10**6))
-            g = Graph.from_edges(range(n), h.edges())
+            g = from_edges(range(n), h.edges())
             back = nx_decode(to_graph6(g))
             assert back.order == g.order
             assert back.rows == g.rows

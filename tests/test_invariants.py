@@ -15,15 +15,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import property_test
+from conftest import from_edges, property_test, to_nx
 from rooklab import invariants
 from rooklab.eigenvectors import gamma_graph
 from rooklab.graphs import (Graph, _bit_matrix, cartesian_product,
                             complete_bipartite, complete_graph, cube_graph,
                             cycle_graph, johnson_graph, sr_graph, sr_order)
-from rooklab.invariants import (CliqueType, Disconnected, NotAClique,
-                                SizeLimit, automorphism_count, canonical_form,
-                                classify_clique, clique_number,
+from rooklab.invariants import (CanonicalForm, CliqueType, Disconnected,
+                                NotAClique, SizeLimit, automorphism_count,
+                                canonical_form, classify_clique, clique_number,
                                 coordinate_symmetries, diameter, eccentricity,
                                 has_induced_k114, independence_number,
                                 is_isomorphic, local_graph, maximal_cliques,
@@ -31,16 +31,9 @@ from rooklab.invariants import (CliqueType, Disconnected, NotAClique,
 from rooklab.switching import gm_switch, named_switching_set
 
 
-def to_nx(g):
-    h = nx.Graph()
-    h.add_nodes_from(range(g.order))
-    h.add_edges_from(g.edges())
-    return h
-
-
 def random_graph(rng, n, p):
     h = nx.gnp_random_graph(n, p, seed=rng.randrange(10**6))
-    return Graph.from_edges(range(n), h.edges()), h
+    return from_edges(range(n), h.edges()), h
 
 
 def nx_aut_count(h, cap=None):
@@ -51,8 +44,8 @@ def nx_aut_count(h, cap=None):
 
 def paley_graph(q):
     squares = {x * x % q for x in range(1, q)}
-    return Graph.from_edges(range(q), [(a, b) for a, b in combinations(range(q), 2)
-                                       if (b - a) % q in squares])
+    return from_edges(range(q), [(a, b) for a, b in combinations(range(q), 2)
+                                 if (b - a) % q in squares])
 
 
 @st.composite
@@ -61,7 +54,7 @@ def relabeled_graphs(draw, max_order=10):
     n = draw(st.integers(0, max_order))
     pairs = list(combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    g = Graph.from_edges(range(n), [e for e, k in zip(pairs, keep) if k])
+    g = from_edges(range(n), [e for e, k in zip(pairs, keep) if k])
     return g, g.relabeled(draw(st.permutations(range(n))))
 
 
@@ -73,7 +66,7 @@ def circulants(draw, max_order=16):
     keep = draw(st.lists(st.booleans(), min_size=n // 2, max_size=n // 2))
     jumps = [d for d, k in zip(range(1, n // 2 + 1), keep) if k]
     edges = [(i, (i + d) % n) for i in range(n) for d in jumps]
-    return Graph.from_edges(range(n), edges), [(i + 1) % n for i in range(n)]
+    return from_edges(range(n), edges), [(i + 1) % n for i in range(n)]
 
 
 @st.composite
@@ -95,7 +88,7 @@ def planted_k114(draw, max_order=10):
     for pair in draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
                               max_size=8)):
         edges ^= {pair}
-    return Graph.from_edges(range(n), edges)
+    return from_edges(range(n), edges)
 
 
 class TestDistances:
@@ -115,7 +108,7 @@ class TestDistances:
             assert diameter(g) == nx.diameter(to_nx(g))
 
     def test_disconnected_raises(self):
-        g = Graph.from_edges([0, 1, 2, 3], [(0, 1), (2, 3)])
+        g = from_edges([0, 1, 2, 3], [(0, 1), (2, 3)])
         with pytest.raises(Disconnected):
             diameter(g)
 
@@ -368,7 +361,7 @@ class TestLocalStructure:
         edges = [("a", "b")]
         for k in range(4):
             edges += [("a", k), ("b", k)]
-        g = Graph.from_edges(["a", "b", 0, 1, 2, 3], edges)
+        g = from_edges(["a", "b", 0, 1, 2, 3], edges)
         assert has_induced_k114(g)
 
     def test_k114_absent_in_clique(self):
@@ -398,7 +391,7 @@ class TestCanonicalForm:
         for g in graphs():
             perm = list(range(g.order))
             rng.shuffle(perm)
-            relabeled = Graph.from_edges(
+            relabeled = from_edges(
                 range(g.order), [(perm[a], perm[b]) for a, b in g.edges()])
             cg, ch = canonical_form(g), canonical_form(relabeled)
             assert cg.certificate == ch.certificate
@@ -407,8 +400,8 @@ class TestCanonicalForm:
 
     def test_distinguishes_nonisomorphic(self):
         a = cycle_graph(6)
-        b = Graph.from_edges(range(6), [(0, 1), (1, 2), (2, 0),
-                                        (3, 4), (4, 5), (5, 3)])
+        b = from_edges(range(6), [(0, 1), (1, 2), (2, 0),
+                                  (3, 4), (4, 5), (5, 3)])
         assert canonical_form(a).certificate != canonical_form(b).certificate
 
     def test_is_isomorphic_matches_networkx(self):
@@ -420,8 +413,16 @@ class TestCanonicalForm:
             assert is_isomorphic(g, f) == nx.is_isomorphic(hg, hf)
 
     def test_size_limit(self):
-        with pytest.raises(SizeLimit):
-            canonical_form(Graph(range(2001), [0] * 2001))
+        # One guard, in canonical_form, serves every entry point.
+        big = Graph(range(2001), [0] * 2001)
+        for entry in (canonical_form, automorphism_count):
+            with pytest.raises(SizeLimit, match="2001 vertices exceeds limit"):
+                entry(big)
+
+    def test_empty_graph(self):
+        empty = Graph((), ())
+        assert canonical_form(empty) == CanonicalForm((), b"0:0:", (), 1)
+        assert automorphism_count(empty) == 1
 
     @property_test
     @given(relabeled_graphs())
@@ -477,7 +478,7 @@ class TestAutomorphisms:
 
     def test_petersen(self):
         h = nx.petersen_graph()
-        g = Graph.from_edges(range(10), h.edges())
+        g = from_edges(range(10), h.edges())
         assert automorphism_count(g) == 120
 
     def test_sr_m_1_is_symmetric_group(self):
@@ -488,10 +489,11 @@ class TestAutomorphisms:
         sr43 = sr_graph(4, 3)
         mate = gm_switch(sr43, named_switching_set(sr43, "v1"))
         for g in (sr43, sr_graph(5, 3), complete_graph(6), cube_graph(3), mate):
-            form, gens = invariants._canonical_form_and_gens(g)
-            assert form == canonical_form(g)
-            assert gens
-            for gen in gens:
+            form = canonical_form(g)
+            assert form.aut_order == automorphism_count(g)
+            assert form.generators and isinstance(form.generators, tuple)
+            for gen in form.generators:
+                assert isinstance(gen, tuple)
                 assert g.relabeled(gen).rows == g.rows
 
     def test_dense_leaves_relabel_through_the_complement(self):

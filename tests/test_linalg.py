@@ -21,7 +21,7 @@ from rooklab.linalg import (IncompleteSpectrum, Spectrum,
                             verify_eigenvector)
 from rooklab.switching import enumerate_switching_sets, gm_switch
 
-from conftest import property_test
+from conftest import from_edges, property_test
 
 
 def sympy_spectrum(g):
@@ -150,7 +150,7 @@ def eigen_problems(draw, max_order=12):
     n = draw(st.integers(1, max_order))
     pairs = list(combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    g = Graph.from_edges(range(n), [e for e, k in zip(pairs, keep) if k])
+    g = from_edges(range(n), [e for e, k in zip(pairs, keep) if k])
     vec = draw(st.dictionaries(st.integers(0, n - 1), st.integers(-3, 3),
                                min_size=1, max_size=4))
     return g, vec, draw(st.integers(-3, 3))

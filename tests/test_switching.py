@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import property_test
+from conftest import from_edges, property_test
 from rooklab import invariants
-from rooklab.graphs import (Graph, complete_graph, cycle_graph, cube_graph,
+from rooklab.graphs import (complete_graph, cycle_graph, cube_graph,
                             johnson_graph, sr_graph)
 from rooklab.invariants import canonical_form, is_isomorphic
 from rooklab.linalg import integral_spectrum
@@ -22,13 +22,13 @@ from rooklab.invariants import SizeLimit
 
 
 def path_graph(n):
-    return Graph.from_edges(range(n), [(i, i + 1) for i in range(n - 1)])
+    return from_edges(range(n), [(i, i + 1) for i in range(n - 1)])
 
 
 def random_graph(rng, v):
     p = rng.random()
-    return Graph.from_edges(range(v), [(i, j) for i, j in combinations(range(v), 2)
-                                       if rng.random() < p])
+    return from_edges(range(v), [(i, j) for i, j in combinations(range(v), 2)
+                                 if rng.random() < p])
 
 
 def quartic_sets(g):
@@ -93,9 +93,9 @@ class TestValidate:
     def test_rejects_irregular_induced_subgraph(self):
         # K_5 minus one edge: degrees inside any 4-set containing both
         # endpoints of the missing edge are unbalanced.
-        g = Graph.from_edges(range(5), [(i, j) for i in range(5)
-                                        for j in range(i + 1, 5)
-                                        if (i, j) != (3, 4)])
+        g = from_edges(range(5), [(i, j) for i in range(5)
+                                  for j in range(i + 1, 5)
+                                  if (i, j) != (3, 4)])
         with pytest.raises(NotSwitchable):
             validate_switching_set(g, (1, 2, 3, 4))
 
@@ -260,8 +260,8 @@ class TestEnumeration:
         # Rows of one word, of two, and at the 100-vertex cap.  The sparse
         # and dense graphs have over a thousand sets each.
         rng = random.Random(v)
-        g = Graph.from_edges(range(v), [e for e in combinations(range(v), 2)
-                                        if rng.random() < p])
+        g = from_edges(range(v), [e for e in combinations(range(v), 2)
+                                  if rng.random() < p])
         sets = enumerate_switching_sets(g)
         assert sets == quartic_sets(g)
         if p != 0.5:
@@ -272,7 +272,7 @@ class TestEnumeration:
     @pytest.mark.parametrize("v", [0, 1, 2, 3])
     def test_fewer_than_four_vertices(self, v):
         assert enumerate_switching_sets(complete_graph(v)) == []
-        assert enumerate_switching_sets(Graph.from_edges(range(v), [])) == []
+        assert enumerate_switching_sets(from_edges(range(v), [])) == []
 
     def test_matches_quartic_loop_on_sr43_mates(self):
         g = sr_graph(4, 3)

@@ -3,7 +3,9 @@
 perfbench/tracing.py wraps public rooklab functions by name, and
 perfbench/workloads.py calls them and reads their results; a name that no
 longer resolves, or a result that changed shape, would otherwise fail only
-a benchmark run.  Both modules are loaded here by file path.
+a benchmark run.  Both modules are loaded here by file path.  A traced
+switching closure must also show its canonical searches under its own
+span, which `switching.closure_canon_per_class` counts.
 """
 
 import importlib
@@ -11,6 +13,9 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+from rooklab import switching
+from rooklab.graphs import sr_graph
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -43,3 +48,21 @@ def test_workload_tasks_pass_their_oracles(workload):
     failed = [task.name for task in tasks
               if task.facts(task.digest(task.run())) != task.expected()]
     assert tasks and failed == []
+
+
+def test_traced_closure_counts_its_searches():
+    # The closure's canonical searches go through the traced name, so the
+    # tracer sees them under the closure's span.  The closure is called
+    # through its module, where the tracer installs its wrapper.
+    tracing = load("tracing")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        result = switching.switching_closure(sr_graph(4, 3), 12)
+    finally:
+        left = tracer.restore()
+    assert result.count == 12 and result.capped
+    assert left == []
+    metrics = tracing.round_metrics(tracer.spans)
+    assert metrics["switching.closure_classes"] == 12
+    assert metrics["switching.closure_canon_per_class"] > 0

@@ -11,6 +11,7 @@ whose spectrum need not be integral.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -200,12 +201,14 @@ def try_integral_spectrum(g: Graph) -> SpectrumProbe:
 def verify_eigenvector(g: Graph, vec, eigenvalue: int) -> bool:
     """Exact check that A @ vec == eigenvalue * vec.
 
-    vec is a sparse mapping whose keys are vertex indices or vertex labels;
-    zero entries may be omitted.  An all-zero vector is rejected.
+    vec is a sparse mapping whose keys are vertex indices (any integer
+    type, numpy's too) or vertex labels; zero entries may be omitted.  An
+    all-zero vector is rejected.
     """
     entries = {}
     for key, val in vec.items():
-        idx = key if isinstance(key, int) else g.index[key]
+        idx = (operator.index(key) if isinstance(key, (int, np.integer))
+               else g.index[key])
         if not 0 <= idx < g.order:
             raise IndexError(f"vertex index {idx} out of range")
         if val:

@@ -6,9 +6,12 @@ order v whose max absolute row sum ||B|| bounds |lambda| for every complex
 eigenvalue lambda, so every integer eigenvalue lies in [-||B||, ||B||].  A
 matrix A is one block, or several when labels split it (below):
 
-1. The characteristic polynomial mod p (computed by Hessenberg reduction
-   followed by the standard leading-minor recurrence) equals the integer
-   characteristic polynomial reduced mod p, for every prime p.
+1. The characteristic polynomial mod p equals the integer characteristic
+   polynomial reduced mod p, for every prime p.  charpoly_mod computes it
+   from the power sums tr(B^j) mod p by Newton's identities up to order
+   _POWER_SUM_ORDER (300), and by Hessenberg reduction followed by the
+   standard leading-minor recurrence above it; both are exact for p > v
+   with v (p - 1)**2 < 2**53.
 2. Hence the multiplicity e_c of an integer root c mod p is an upper bound
    on the true algebraic multiplicity m_c, for every prime and candidate.
 3. The algebraic multiplicities of all complex eigenvalues add up to v.  If
@@ -80,6 +83,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 
 import numpy as np
@@ -107,6 +111,10 @@ PRIMES = _top_primes(96, 1 << 20, 4096)
 
 # Largest order v with v * (p - 1)**2 < 2**53 for every prime in PRIMES.
 MAX_ORDER = (2**53 - 1) // (max(PRIMES) - 1) ** 2
+
+# Largest order whose characteristic polynomial charpoly_mod takes from
+# power sums; above it, Hessenberg reduction (see charpoly_mod).
+_POWER_SUM_ORDER = 300
 
 
 def _shapes(m, contents, shape=()):
@@ -275,8 +283,9 @@ def hessenberg_mod(a, p):
     return m
 
 
-def charpoly_mod(a, p):
-    """Coefficients of det(xI - a) mod p, ascending, length v+1 (monic)."""
+def _hessenberg_charpoly(a, p):
+    """Coefficients of det(xI - a) mod p, ascending, by Hessenberg reduction
+    and the leading-minor recurrence (charpoly_mod's exact range)."""
     v = int(a.shape[0])
     h = hessenberg_mod(a, p)
     # q_k = charpoly of the leading k x k block; expansion along the last
@@ -299,6 +308,79 @@ def charpoly_mod(a, p):
             row[0:k] = (row[0:k] - w) % p
         coeffs[k] = row
     return [int(x) % p for x in coeffs[v]]
+
+
+def _power_sums(a, p):
+    """tr(a^j) mod p for j = 1..v, v >= 1 the order of a, as a list.
+
+    Baby steps a^1..a^b, b = isqrt(v), kept transposed, and giant steps
+    a^0, a^b, ..., a^((g - 1) b), g = ceil(v / b): tr(a^(ib + j)) is the
+    dot of the flattened a^(ib) and (a^j)^T, so one product of the two
+    flattened stacks gives every trace.  The steps take b - 1 and at most
+    g - 2 matrix products, about 2 sqrt(v) in all.
+
+    Exact while v (p - 1)**2 < 2**53, which charpoly_mod checks.  Each
+    float64 power product sums v products of residues below p, and _reduce
+    takes it mod p.  A trace sums v**2 such products, so the trace product
+    runs in chunks of t = (2**53 - 1) // (p - 1)**2 >= v terms (at least
+    MAX_ORDER at the engine's primes, so one chunk up to order 90): each
+    chunk's traces are exact in float64, and their residues add up in
+    int64.
+    """
+    v = len(a)
+    b = math.isqrt(v)
+    g = -(-v // b)
+    af = _reduce(a, p)
+    babies = np.empty((b, v, v))
+    giants = np.zeros((g, v, v))
+    flat, flat_t = giants.reshape(g, v * v), babies.reshape(b, v * v)
+    flat[0, ::v + 1] = 1
+    babies[0] = af.T
+    for j in range(1, b):
+        babies[j] = _reduce(babies[j - 1] @ af.T, p)
+    if g > 1:
+        giants[1] = babies[-1].T
+    for i in range(2, g):
+        giants[i] = _reduce(giants[i - 1] @ giants[1], p)
+    t = (2**53 - 1) // (p - 1) ** 2
+    traces = 0
+    for lo in range(0, v * v, t):
+        traces += (flat[:, lo:lo + t] @ flat_t[:, lo:lo + t].T) \
+            .astype(np.int64) % p
+    return (traces.ravel()[:v] % p).tolist()
+
+
+def charpoly_mod(a, p):
+    """Coefficients of det(xI - a) mod p, ascending, length v+1 (monic).
+
+    Up to order _POWER_SUM_ORDER, from the power sums s_j = tr(a^j) mod p
+    (_power_sums) by Newton's identities: the coefficient c_j of x^(v - j)
+    has j c_j = -(s_1 c_(j-1) + ... + s_j c_0), and j <= v < p is
+    invertible mod p.  Above it, by Hessenberg reduction (hessenberg_mod)
+    and the leading-minor recurrence.  The power sums' stacks hold about
+    2 sqrt(v) matrices, 25 MB at order 300, where the Hessenberg route
+    needs two; there the two tie in CPU time with two BLAS threads, while
+    on one the power sums stay about 1.3x faster up to order 800 (2-vCPU
+    x86-64 VM).
+
+    Both routes are exact for p > v with v (p - 1)**2 < 2**53, so for every
+    prime in PRIMES at every order up to MAX_ORDER: each float64 or int64
+    product of residues sums at most v terms below (p - 1)**2 (the power
+    sums' trace product in chunks of such sums), and Newton's identities
+    divide only by j <= v < p.  ValueError for any other p.
+    """
+    v, p = int(a.shape[0]), operator.index(p)
+    if v * (p - 1) ** 2 >= 2**53 or p <= v:
+        raise ValueError(f"p = {p} is outside charpoly_mod's exact range "
+                         f"for order {v}")
+    if v > _POWER_SUM_ORDER:
+        return _hessenberg_charpoly(a, p)
+    s = _power_sums(a, p) if v else []
+    c = [1 % p]
+    for j in range(1, v + 1):
+        c.append(-sum(map(operator.mul, reversed(c), s)) % p
+                 * pow(j, -1, p) % p)
+    return c[::-1]
 
 
 def root_multiplicity(coeffs, c, p):
@@ -344,11 +426,13 @@ def _annihilator_mod(a, eigenvalues, p):
 
     Paterson-Stockmeyer evaluation of the product polynomial: one batch
     of powers a^0..a^s plus a block Horner loop, about 2*sqrt(d) matrix
-    products instead of d.  All intermediates stay below 2**53 because
-    entries are reduced below p < 2**20 between products and the matrix
-    order is at most MAX_ORDER, so each float64 product holds an exact
-    integer, and _reduce takes it mod p with integer % rather than libm's
-    fmod, whose cost grows with the quotient's bits.
+    products instead of d.  Everything is float64 (np.eye and np.zeros
+    included), and all intermediates stay exact integers below 2**53:
+    entries are reduced below p < 2**20 between products, the matrix
+    order is at most MAX_ORDER, so a product sums at most MAX_ORDER terms
+    below (p - 1)**2, and a block sums at most s <= MAX_ORDER terms q x
+    with q and x below p.  _reduce takes each mod p with integer % rather
+    than libm's fmod, whose cost grows with the quotient's bits.
     """
     v = a.shape[0]
     d = len(eigenvalues)

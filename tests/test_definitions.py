@@ -18,7 +18,9 @@ local `kind`, say) does not read `x.kind`.
 
 Floating point appears only in the functions of FLOAT_SITES, each of which
 proves its float values exact: the scan lists every np.float16/32/64,
-np.floor, np.rint, np.fmod and builtin float with the function around it.
+np.floor, np.rint, np.fmod and builtin float, and every np.eye, np.zeros,
+np.ones, np.empty, np.identity and np.full that passes no dtype (their
+default is float64), with the function around it.
 """
 
 import ast
@@ -166,28 +168,47 @@ def test_no_public_member_for_tests_only():
 # The functions that may compute in floating point: each keeps its values
 # inside a range it proves exact (module and function docstrings).
 FLOAT_SITES = {"modular._isotypic", "modular._reduce",
+               "modular._annihilator_mod", "modular._annihilator_mod.block",
+               "modular._power_sums",
                "modular.annihilation_proved", "graphs._sr_rows"}
 FLOAT_ATTRS = {"float16", "float32", "float64", "floor", "rint", "fmod"}
+# Constructors whose dtype defaults to float64, with the position at which
+# dtype may be passed without its keyword.
+FLOAT_DEFAULTS = {"eye": 3, "zeros": 1, "ones": 1, "empty": 1,
+                  "identity": 1, "full": 2}
 
 
-def float_uses():
+def _numpy_attr(node):
+    """The name of np.<name> or numpy.<name>, or None."""
+    if isinstance(node, ast.Attribute) and \
+            getattr(node.value, "id", None) in ("np", "numpy"):
+        return node.attr
+    return None
+
+
+def float_uses(paths=DEFINING):
     """(module.function, line) of every np.float16/32/64, np.floor, np.rint,
-    np.fmod and builtin float in DEFINING, function being the qualified name
-    of the innermost enclosing def (the module itself at the top level)."""
+    np.fmod, builtin float and FLOAT_DEFAULTS call passing no dtype in
+    paths, function being the qualified name of the innermost enclosing
+    def (the module itself at the top level)."""
     out = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Attribute) and child.attr in FLOAT_ATTRS \
-                    and getattr(child.value, "id", None) in ("np", "numpy"):
+            if _numpy_attr(child) in FLOAT_ATTRS:
                 out.append((scope, child.lineno))
             elif isinstance(child, ast.Name) and child.id == "float":
+                out.append((scope, child.lineno))
+            elif isinstance(child, ast.Call) and \
+                    _numpy_attr(child.func) in FLOAT_DEFAULTS and \
+                    len(child.args) <= FLOAT_DEFAULTS[child.func.attr] and \
+                    all(k.arg != "dtype" for k in child.keywords):
                 out.append((scope, child.lineno))
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                        ast.ClassDef))
             visit(child, f"{scope}.{child.name}" if named else scope)
 
-    for path in DEFINING:
+    for path in paths:
         visit(ast.parse(path.read_text()), path.stem)
     return out
 
@@ -195,3 +216,20 @@ def float_uses():
 def test_float_only_where_proven_exact():
     uses = float_uses()
     assert {scope for scope, _ in uses} == FLOAT_SITES, sorted(uses)
+
+
+def test_float_scan_sees_default_dtypes(tmp_path):
+    # A constructor without a dtype makes float64; a dtype passed by
+    # keyword or in its place makes none.
+    src = tmp_path / "m.py"
+    src.write_text("def f(v):\n"
+                   "    a = np.eye(v)\n"
+                   "    b = np.zeros((v, v))\n"
+                   "    c = numpy.full((v, v), 1)\n"
+                   "    d = np.empty((2, v), np.uint64)\n"
+                   "    e = np.eye(v, v, 0, np.int64)\n"
+                   "    f = np.ones(v, dtype=bool)\n"
+                   "    g = np.identity(v, np.int64)\n"
+                   "    h = np.full(v, 0, np.int64)\n"
+                   "    return np.zeros_like(a)\n")
+    assert float_uses([src]) == [("m.f", 2), ("m.f", 3), ("m.f", 4)]

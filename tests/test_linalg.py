@@ -13,6 +13,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rooklab.eigenvectors import f_pi
 from rooklab.graphs import (Graph, complete_bipartite, complete_graph,
                             cycle_graph, johnson_graph, sr_graph)
 from rooklab.linalg import (IncompleteSpectrum, Spectrum,
@@ -192,6 +193,18 @@ class TestVerifyEigenvector:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             verify_eigenvector(complete_graph(3), {}, 0)
+
+    def test_numpy_integer_indices(self):
+        # F_pi of pi = (2, 0, 1), two inversions, keyed by numpy int64
+        # indices: SR(3, 2), eigenvalue -2.  Indices past either end are
+        # out of range.
+        g = sr_graph(3, 2)
+        vec = {np.int64(g.index[x]): s for x, s in f_pi((2, 0, 1)).items()}
+        assert len(vec) > 1 and verify_eigenvector(g, vec, -2)
+        assert not verify_eigenvector(g, vec, 2)
+        for bad in (np.int64(g.order), np.int32(-1)):
+            with pytest.raises(IndexError):
+                verify_eigenvector(g, {bad: 1}, 0)
 
 
 class TestHalvedFactorization:

@@ -23,8 +23,9 @@ from conftest import property_test
 from rooklab import modular
 from rooklab.graphs import complete_graph, cycle_graph, sr_graph, sr_order
 from rooklab.linalg import integral_spectrum
-from rooklab.modular import (MAX_ORDER, PRIMES, IncompleteSpectrum,
-                             _annihilator_mod, _blocks, _reduce,
+from rooklab.modular import (_POWER_SUM_ORDER, MAX_ORDER, PRIMES,
+                             IncompleteSpectrum, _annihilator_mod, _blocks,
+                             _hessenberg_charpoly, _reduce,
                              _unitriangular_solve, annihilation_proved,
                              certified_symmetric_spectrum, charpoly_mod,
                              hessenberg_mod, root_multiplicity)
@@ -47,6 +48,13 @@ def random_symmetric(rng, v, lo=-4, hi=5):
     return a
 
 
+def random_square(rng, v, lo=-40, hi=41):
+    """A seeded random integer matrix, not symmetric, as the S_m blocks
+    B_lambda are not."""
+    return np.array([[rng.randrange(lo, hi) for _ in range(v)]
+                     for _ in range(v)], dtype=np.int64)
+
+
 class TestCharpolyMod:
     def test_matches_sympy_on_random_matrices(self):
         rng = random.Random(5)
@@ -55,6 +63,74 @@ class TestCharpolyMod:
                 v = rng.randrange(1, 9)
                 a = random_symmetric(rng, v)
                 assert charpoly_mod(a, p) == sympy_charpoly_mod(a, p)
+        # Every order 1-8 at the engine's primes, symmetric and not, with
+        # entries far outside [0, p).
+        for p in (PRIMES[0], PRIMES[-1]):
+            for v in range(1, 9):
+                for a in (random_symmetric(rng, v), random_square(rng, v),
+                          random_square(rng, v, -2**40, 2**40)):
+                    got = charpoly_mod(a, p)
+                    assert got == sympy_charpoly_mod(a, p), (p, a.tolist())
+                    assert all(type(x) is int for x in got)
+
+    def test_power_sums_match_hessenberg(self):
+        # The Hessenberg route is the oracle at every order the engine
+        # meets up to 40, and at 77, 120 and both sides of the crossover.
+        rng = random.Random(23)
+        orders = [*range(1, 41), 77, 120, _POWER_SUM_ORDER - 1,
+                  _POWER_SUM_ORDER]
+        for p in (PRIMES[0], PRIMES[-1]):
+            for v in orders:
+                a = (random_symmetric(rng, v) if v % 2 else
+                     random_square(rng, v))
+                assert charpoly_mod(a, p) == _hessenberg_charpoly(a, p), \
+                    (p, v)
+
+    def test_top_of_range_in_chunks(self):
+        # -J reduces to p - 1 in every entry, so each product sums
+        # (p - 1)**2 terms; at order 120 and at the crossover the traces
+        # take two and eleven chunks.  det(xI + J) = x^(v-1) (x + v).
+        for v in (120, _POWER_SUM_ORDER, _POWER_SUM_ORDER + 1):
+            a = -np.ones((v, v), dtype=np.int64)
+            for p in (PRIMES[0], PRIMES[-1]):
+                assert charpoly_mod(a, p) == [0] * (v - 1) + [v, 1], (v, p)
+        assert -(-_POWER_SUM_ORDER**2 // MAX_ORDER) == 11
+
+    def test_route_chosen_by_order(self, monkeypatch):
+        # Power sums up to _POWER_SUM_ORDER, Hessenberg reduction above.
+        calls = []
+        power_sums = modular._power_sums
+
+        def counted(a, p):
+            calls.append(len(a))
+            return power_sums(a, p)
+
+        monkeypatch.setattr(modular, "_power_sums", counted)
+        for v in (1, _POWER_SUM_ORDER, _POWER_SUM_ORDER + 1):
+            a = random_symmetric(random.Random(v), v)
+            assert charpoly_mod(a, PRIMES[0]) == \
+                _hessenberg_charpoly(a, PRIMES[0])
+        assert calls == [1, _POWER_SUM_ORDER]
+
+    def test_refuses_primes_outside_the_exact_range(self):
+        # At p = 2**31 - 1, products of residues leave the exact range: the
+        # int64 Hessenberg products would wrap silently.
+        rng = random.Random(24)
+        for p in (2**31 - 1, 2**61 - 1, np.int64(2**61 - 1)):
+            for v in range(1, 10):
+                with pytest.raises(ValueError):
+                    charpoly_mod(random_symmetric(rng, v), p)
+            assert charpoly_mod(np.zeros((0, 0), dtype=np.int64), p) == [1]
+        # p must exceed the order, for Newton's identities to divide by it.
+        a = random_symmetric(rng, 5)
+        with pytest.raises(ValueError):
+            charpoly_mod(a, 5)
+        assert charpoly_mod(a, 7) == sympy_charpoly_mod(a, 7)
+        # Past MAX_ORDER the largest engine prime is not exact; refused
+        # before any work.
+        big = np.broadcast_to(np.int64(0), (MAX_ORDER + 1, MAX_ORDER + 1))
+        with pytest.raises(ValueError):
+            charpoly_mod(big, PRIMES[0])
 
     def test_hessenberg_preserves_charpoly(self):
         rng = random.Random(6)

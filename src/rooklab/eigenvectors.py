@@ -20,8 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, prod
+from operator import getitem, sub
 
 from .graphs import Graph, _sr_rows, sr_vertices
 from .invariants import canonical_form
@@ -52,8 +54,20 @@ def inversion_count(pi) -> int:
 
 
 def sign(pi) -> int:
-    """Permutation sign from inversion parity (= transposition parity)."""
-    return -1 if inversion_count(pi) & 1 else 1
+    """Permutation sign, (-1)^(m - #cycles) for pi a permutation of
+    range(m): a cycle of length l is l - 1 transpositions, so this is the
+    inversion parity, counted in O(m)."""
+    pi = _check_permutation(pi)
+    seen = [False] * len(pi)
+    flips = len(pi)
+    for i in range(len(pi)):
+        if not seen[i]:
+            flips -= 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = pi[j]
+    return -1 if flips & 1 else 1
 
 
 def permutations_with_inversions(m: int, n: int):
@@ -86,17 +100,16 @@ def admissible_set(pi) -> list:
     """All (sigma, x(sigma)) with x(sigma)_i = a_i + i - sigma_i >= 0 for all
     i; x(sigma) then sums to the inversion count of pi, so it is a vertex of
     SR(m, n).  The map sigma -> x(sigma) is injective."""
-    pi = _check_permutation(pi)
-    a = inversion_vector(pi)
-    m = len(a)
+    b = [a + i for i, a in enumerate(inversion_vector(pi))]
+    m = len(b)
     out, sigma, used = [], [], [False] * m
     nxt = 0  # the least value still to try at depth len(sigma)
     while True:
         i = len(sigma)
         if i == m:
-            out.append((tuple(sigma), tuple(a[k] + k - sigma[k] for k in range(m))))
+            out.append((tuple(sigma), tuple(map(sub, b, sigma))))
         else:
-            top = min(a[i] + i, m - 1)
+            top = b[i]  # below m, as a_i <= m - 1 - i
             while nxt <= top and used[nxt]:
                 nxt += 1
             if nxt <= top:
@@ -142,18 +155,32 @@ def f_pw(p, w, m: int, n: int) -> dict:
     w = tuple(Fraction(t) for t in w)
     if len(p) != m or len(w) != m:
         raise ValueError("p and w must both have length m")
+    # Coordinate i of p + sigma(w) is table[i][sigma_i] = p_i + w_(sigma_i);
+    # coords holds it as an int where it is a lattice coordinate, else None.
+    table = [[a + b for b in w] for a in p]
+    coords = [[int(t) if t.denominator == 1 and t >= 0 else None for t in row]
+              for row in table]
     vec = {}
-    for sig in permutations(range(m)):
-        point = tuple(p[i] + w[sig[i]] for i in range(m))
-        if any(t.denominator != 1 or t < 0 for t in point):
+    for sig, sgn in _signed_permutations(m):
+        label = tuple(map(getitem, coords, sig))
+        if None in label:
+            point = tuple(map(getitem, table, sig))
             raise InvalidOrbit(f"orbit point {point} is not a lattice point")
-        label = tuple(int(t) for t in point)
         if sum(label) != n:
             raise InvalidOrbit(f"orbit point {label} does not sum to {n}")
         if label in vec:
             raise InvalidOrbit(f"orbit points collide at {label}")
-        vec[label] = sign(sig)
+        vec[label] = sgn
     return vec
+
+
+@lru_cache(maxsize=1)
+def _signed_permutations(m: int) -> tuple:
+    """(sigma, sgn sigma) for every sigma in Sym(m), in the order of
+    itertools.permutations.  One m is kept: f_pw_family calls f_pw once per
+    base point with the same m, and the m! pairs of a large m are not held
+    on to."""
+    return tuple((s, sign(s)) for s in permutations(range(m)))
 
 
 def f_pw_family(m: int, n: int) -> list:

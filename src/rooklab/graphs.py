@@ -115,15 +115,15 @@ def _bits(row):
         row ^= low
 
 
-def _bit_matrix(rows):
-    """The bit rows of v vertices as a v x v uint8 0/1 matrix: entry [i, j]
-    is bit j of rows[i]."""
-    v = len(rows)
+def _bit_matrix(rows, v=None):
+    """Bit rows over v vertices (default: one row per vertex) as a
+    len(rows) x v uint8 0/1 matrix: entry [i, j] is bit j of rows[i]."""
+    v = len(rows) if v is None else v
     width = (v + 7) // 8
     # Bit j of a row is bit j % 8 of its byte j // 8, little end first.
     data = b"".join(row.to_bytes(width, "little") for row in rows)
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(v, width),
-                         axis=1, bitorder="little")
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8)
+                         .reshape(len(rows), width), axis=1, bitorder="little")
     return bits[:, :v]
 
 

@@ -2,11 +2,16 @@
 
 Everything is integer-exact.  integral_spectrum takes its answer from the
 certified modular engine in modular.py, which proves it exact before
-returning it, and checks it against the graph's edge count.  rank/nullity
-run fraction-free Bareiss elimination on Python ints, so entries stay exact
-determinantal minors and no rounding ever happens; try_integral_spectrum
-uses them for exact multiplicities of the integer eigenvalues of graphs
-whose spectrum need not be integral.
+returning it, and checks it against the graph's edge count.  rank first
+eliminates mod the prime p = modular.PRIMES[0] in int64.  A minor that is
+nonzero mod p is nonzero over Q, so rank_p <= rank_Q <= min(rows, cols),
+and a mod-p rank of min(rows, cols) is the exact rank.  Every other
+matrix, and every nullity, goes to fraction-free Bareiss elimination on
+Python ints, whose entries stay exact determinantal minors, so no rounding
+ever happens.  try_integral_spectrum uses nullity for exact multiplicities
+of the integer eigenvalues of graphs whose spectrum need not be integral,
+at the candidates that are roots of the characteristic polynomial mod p;
+at any other candidate c, det(A - cI) is nonzero mod p and so over Q.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modular
-from .graphs import Graph, sr_graph, sr_vertices
+from .graphs import Graph, _bit_matrix, sr_graph, sr_vertices
 from .modular import IncompleteSpectrum
 
 LENIENT_LIMIT = 512
@@ -108,14 +113,26 @@ class SpectrumProbe:
 
 
 def rank(rows):
-    """Rank of an integer matrix (list of rows) via Bareiss elimination.
+    """Exact rank of an integer matrix (list of rows).
 
-    Fraction-free: every intermediate entry is a minor of the input, every
-    division is exact.  Pivots are the first nonzero entry in column order.
+    Certified mod p = modular.PRIMES[0] first: a minor nonzero mod p is
+    nonzero over Q, so rank_p <= rank_Q <= min(rows, cols), and a matrix
+    whose mod-p rank is min(rows, cols) has that rank.  Otherwise Bareiss
+    elimination decides (_bareiss_rank).
     """
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    if _rank_mod(rows, nr, nc, modular.PRIMES[0]) == min(nr, nc):
+        return min(nr, nc)
+    return _bareiss_rank(rows, nr, nc)
+
+
+def _bareiss_rank(rows, nr, nc):
+    """Rank of the nr x nc integer matrix rows by Bareiss elimination:
+    fraction-free, every intermediate entry is a minor of the input and
+    every division is exact.  Its pivots are the first nonzero entry in
+    column order."""
     m = [[int(x) for x in row] for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
     prev = 1
     r = 0
     for c in range(nc):
@@ -143,11 +160,41 @@ def rank(rows):
     return r
 
 
+def _rank_mod(rows, nr, nc, p):
+    """Rank over GF(p) of the nr x nc integer matrix rows, for a prime
+    p < 2**31: Gaussian elimination in int64 over the shorter side's lines,
+    whose products of residues stay below p**2 < 2**62.  The dtype numpy
+    infers for rows decides how the entries get there: one that casts
+    safely to int64 is taken as is; any other (entries beyond int64, which
+    numpy holds as uint64, object or even float64) is only looked at, and
+    the entries are reduced mod p as Python ints instead."""
+    a = np.asarray(rows)
+    if not np.can_cast(a.dtype, np.int64):
+        a = np.array([[int(x) % p for x in row] for row in rows],
+                     dtype=np.int64)
+    a = a.astype(np.int64, copy=False).reshape(nr, nc)
+    a = (a.T if nr > nc else a) % p
+    r = 0
+    for i in range(len(a)):
+        nz = a[i].nonzero()[0]
+        if nz.size:
+            r += 1
+            below = a[i + 1:]
+            f = below[:, nz[0]] * pow(int(a[i, nz[0]]), -1, p) % p
+            below -= f[:, None] * a[i]
+            below %= p
+    return r
+
+
 def nullity(rows):
-    """Dimension of the integer kernel: columns minus rank."""
+    """Dimension of the integer kernel: columns minus rank, by Bareiss
+    elimination alone.  rank's mod-p pass only ever proves full rank, and
+    a nullity is asked for where a kernel is expected: try_integral_spectrum
+    asks at the roots c of the characteristic polynomial mod p, where A - cI
+    is singular mod p, so that pass could not succeed."""
     if not rows:
         raise ValueError("nullity needs a matrix with at least one row")
-    return len(rows[0]) - rank(rows)
+    return len(rows[0]) - _bareiss_rank(rows, len(rows), len(rows[0]))
 
 
 def _self_check(g, pairs):
@@ -180,7 +227,11 @@ def integral_spectrum(g: Graph) -> Spectrum:
 
 def try_integral_spectrum(g: Graph) -> SpectrumProbe:
     """Lenient sweep: report integer eigenvalues found and the residual
-    dimension count instead of raising.  Pure Bareiss, so size-capped."""
+    dimension count instead of raising.  Each candidate's multiplicity is
+    a nullity, so the sweep is size-capped.  The characteristic polynomial
+    chi mod p = modular.PRIMES[0] screens the candidates first: chi(c) =
+    det(cI - A), so chi(c) nonzero mod p proves nullity 0, and only the
+    roots of chi mod p get an exact nullity."""
     v = g.order
     if v > LENIENT_LIMIT:
         raise ValueError(f"lenient sweep is exact-only and capped at "
@@ -189,9 +240,13 @@ def try_integral_spectrum(g: Graph) -> SpectrumProbe:
         return SpectrumProbe((), 0)
     delta = max(g.degrees())
     a = g.adjacency_matrix()
+    p = modular.PRIMES[0]
+    chi = modular.charpoly_mod(a, p)
     eye = np.eye(v, dtype=np.int64)
     pairs = []
     for c in range(delta, -delta - 1, -1):
+        if not modular.root_multiplicity(chi, c, p):
+            continue
         mult = nullity((a - c * eye).tolist())
         if mult:
             pairs.append((c, mult))
@@ -203,7 +258,13 @@ def verify_eigenvector(g: Graph, vec, eigenvalue: int) -> bool:
 
     vec is a sparse mapping whose keys are vertex indices (any integer
     type, numpy's too) or vertex labels; zero entries may be omitted.  An
-    all-zero vector is rejected.
+    all-zero vector is rejected, and the eigenvalue must be an integer.
+
+    A x is one product, the support's entries times its unpacked bit rows,
+    compared with eigenvalue * x at every vertex.  No entry of either side
+    exceeds S = sum |x_i| * max(1, |eigenvalue|) in absolute value, so the
+    product runs in int64 while S < 2**63 and on exact Python ints (numpy
+    dtype object) from there on.
     """
     entries = {}
     for key, val in vec.items():
@@ -215,14 +276,17 @@ def verify_eigenvector(g: Graph, vec, eigenvalue: int) -> bool:
             entries[idx] = int(val)
     if not entries:
         raise ValueError("eigenvector must be nonzero")
-    # A x, seeded on the support so that a support vertex with no neighbour
-    # in the support is checked too.
-    image = dict.fromkeys(entries, 0)
-    for i, val in entries.items():
-        for u in g.neighbors(i):
-            image[u] = image.get(u, 0) + val
-    return all(lhs == eigenvalue * entries.get(u, 0)
-               for u, lhs in image.items())
+    lam = operator.index(eigenvalue)
+    vals = list(entries.values())
+    bound = sum(map(abs, vals)) * max(1, abs(lam))
+    dtype = np.int64 if bound < 2**63 else object
+    x = np.zeros(g.order, dtype=dtype)
+    x[list(entries)] = vals
+    rows = _bit_matrix([g.rows[i] for i in entries], g.order)
+    # einsum casts the 0/1 rows buffer by buffer, where a matmul would copy
+    # all of them to dtype first.
+    image = np.einsum("i,ij->j", np.array(vals, dtype=dtype), rows)
+    return bool(np.array_equal(image, lam * x))
 
 
 def halved_factorization_check(m: int, n: int) -> bool:

@@ -260,10 +260,27 @@ def _isotypic(a, lab):
     return blocks
 
 
+def _exact_prime(p, v):
+    """p as a Python int, for a prime p with p > v and v (p - 1)**2 < 2**53,
+    the range where charpoly_mod and hessenberg_mod are exact at order v;
+    ValueError for any other p."""
+    p = operator.index(p)
+    if v * (p - 1) ** 2 >= 2**53 or p <= v:
+        raise ValueError(f"p = {p} is outside charpoly_mod's exact range "
+                         f"for order {v}")
+    return p
+
+
 def hessenberg_mod(a, p):
-    """Upper Hessenberg form of a mod p under similarity; returns a copy."""
-    m = np.array(a, dtype=np.int64) % p
+    """Upper Hessenberg form of a mod p under similarity; returns a copy.
+
+    Exact in int64 in charpoly_mod's range (_exact_prime), where a row
+    update's products stay below p**2 and a column update sums v of them;
+    ValueError for a prime outside it."""
+    m = np.array(a, dtype=np.int64)
     v = m.shape[0]
+    p = _exact_prime(p, v)
+    m %= p
     for k in range(v - 2):
         col = m[k + 1:, k]
         nz = np.nonzero(col)[0]
@@ -369,10 +386,8 @@ def charpoly_mod(a, p):
     sums' trace product in chunks of such sums), and Newton's identities
     divide only by j <= v < p.  ValueError for any other p.
     """
-    v, p = int(a.shape[0]), operator.index(p)
-    if v * (p - 1) ** 2 >= 2**53 or p <= v:
-        raise ValueError(f"p = {p} is outside charpoly_mod's exact range "
-                         f"for order {v}")
+    v = int(a.shape[0])
+    p = _exact_prime(p, v)
     if v > _POWER_SUM_ORDER:
         return _hessenberg_charpoly(a, p)
     s = _power_sums(a, p) if v else []

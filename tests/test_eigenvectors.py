@@ -5,9 +5,13 @@ verify_eigenvector (validated in test_linalg) for eigenvector claims, exact
 rank for independence counts, and networkx isomorphism for graph identities.
 """
 
+import random
+from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 from math import comb
+from operator import le, sub
 
 import networkx as nx
 import pytest
@@ -21,13 +25,58 @@ from rooklab.eigenvectors import (InvalidOrbit, SMALL_N_KINDS, admissible_set,
                                   small_n_eigenvalue, small_n_eigenvector)
 from rooklab.formulas import mahonian
 from rooklab.graphs import (cartesian_product, complete_bipartite,
-                            complete_graph, cube_graph)
+                            complete_graph, cube_graph, sr_vertices)
 from rooklab.linalg import rank, verify_eigenvector
 
 
 def brute_inversions(pi):
     return sum(1 for i in range(len(pi)) for j in range(i + 1, len(pi))
                if pi[i] > pi[j])
+
+
+@cache
+def brute_sign(pi):
+    return -1 if brute_inversions(pi) & 1 else 1
+
+
+def brute_admissible(pi):
+    """(sigma, x(sigma)) for the sigma with sigma_i <= b_i = a_i + i,
+    filtered from all of Sym(m) in lexicographic order."""
+    b = [a + i for i, a in enumerate(inversion_vector(pi))]
+    return [(s, tuple(map(sub, b, s))) for s in permutations(range(len(b)))
+            if all(map(le, s, b))]
+
+
+def loop_f_pi(pi):
+    """F_pi as the loop over the admissible set, signs by inversions."""
+    return {x: brute_sign(s) for s, x in brute_admissible(pi)}
+
+
+def loop_f_pw(p, w, m, n):
+    """F_pw point by point in Fractions, the loop f_pw ran before it used
+    the table of p_i + w_j."""
+    p = tuple(Fraction(t) for t in p)
+    w = tuple(Fraction(t) for t in w)
+    vec = {}
+    for sig in permutations(range(m)):
+        point = tuple(p[i] + w[sig[i]] for i in range(m))
+        if any(t.denominator != 1 or t < 0 for t in point):
+            raise InvalidOrbit(f"orbit point {point} is not a lattice point")
+        label = tuple(int(t) for t in point)
+        if sum(label) != n:
+            raise InvalidOrbit(f"orbit point {label} does not sum to {n}")
+        if label in vec:
+            raise InvalidOrbit(f"orbit points collide at {label}")
+        vec[label] = brute_sign(sig)
+    return vec
+
+
+def outcome(build, *args):
+    """A builder's dict as an ordered item list, or its InvalidOrbit text."""
+    try:
+        return list(build(*args).items())
+    except InvalidOrbit as exc:
+        return str(exc)
 
 
 class TestInversions:
@@ -47,14 +96,18 @@ class TestInversions:
             assert sum(inversion_vector(pi)) == inversion_count(pi)
 
     def test_sign_is_inversion_parity(self):
-        for pi in permutations(range(4)):
-            assert sign(pi) == (-1) ** inversion_count(pi)
+        for m in range(7):
+            for pi in permutations(range(m)):
+                assert sign(pi) == (-1) ** inversion_count(pi)
 
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             inversion_vector((0, 0, 2))
         with pytest.raises(ValueError):
             inversion_count((1, 2, 3))
+        for pi in ((0, 0, 2), (1, 2, 3), (1, 1)):
+            with pytest.raises(ValueError):
+                sign(pi)
 
 
 class TestPermutationsWithInversions:
@@ -86,6 +139,13 @@ class TestFPi:
         # No inversions: only the identity summand survives.
         vec = f_pi((0, 1, 2))
         assert vec == {(0, 0, 0): 1}
+
+    def test_matches_loop_on_every_permutation(self):
+        # Same entries in the same insertion order, for every pi, m <= 6.
+        for m in range(1, 7):
+            for pi in permutations(range(m)):
+                assert admissible_set(pi) == brute_admissible(pi), pi
+                assert list(f_pi(pi).items()) == list(loop_f_pi(pi).items())
 
     def test_admissible_set_injective(self):
         for pi in permutations(range(4)):
@@ -120,6 +180,50 @@ class TestFPW:
         # Negative coordinates.
         with pytest.raises(InvalidOrbit):
             f_pw((0, 0, 3), canonical_w(3), 3, 3)
+
+    def test_invalid_orbit_messages(self):
+        # The first failing orbit point names the fault.
+        cases = {
+            ((1, 1, 1), (0, 0, 1), 3, 4): "orbit points collide at (1, 1, 2)",
+            ((0, 0, 0), (0, 1, 2), 3, 4): "orbit point (0, 1, 2) does not sum to 4",
+            ((0, 0, 0, 6), canonical_w(4), 4, 6):
+                "orbit point (Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2),"
+                " Fraction(15, 2)) is not a lattice point",
+        }
+        for args, text in cases.items():
+            with pytest.raises(InvalidOrbit) as exc:
+                f_pw(*args)
+            assert str(exc.value) == text == outcome(loop_f_pw, *args)
+
+    def test_matches_loop_on_random_orbits(self):
+        # Half-integral p and w, valid or not, sums right or not: the same
+        # vector in the same order, or the same InvalidOrbit message.
+        rng = random.Random(43)
+        kinds = Counter()
+        for _ in range(400):
+            m = rng.randrange(1, 5)
+            e = rng.randrange(2)
+            f = e if rng.random() < 0.8 else 1 - e
+            p = [Fraction(2 * rng.randrange(0, 5) + e, 2) for _ in range(m)]
+            w = [Fraction(2 * rng.randrange(-2, 3) + f, 2) for _ in range(m)]
+            n = int(sum(p) + sum(w)) + rng.choice((0, 0, 1))
+            got = outcome(f_pw, p, w, m, n)
+            assert got == outcome(loop_f_pw, p, w, m, n), (p, w, m, n)
+            kinds[next((k for k in ("collide", "sum", "lattice")
+                        if k in str(got)), "vector")] += 1
+        assert min(kinds.values()) >= 40 and len(kinds) == 4, kinds
+
+    def test_family_matches_loop(self):
+        for m in range(1, 6):
+            w = canonical_w(m)
+            for n in range(0, 12):
+                fam = f_pw_family(m, n)
+                rest = n - comb(m, 2)
+                assert [p for p, _ in fam] == [
+                    tuple(Fraction(m - 1, 2) + t for t in q)
+                    for q in (sr_vertices(m, rest) if rest >= 0 else [])]
+                for p, vec in fam:
+                    assert list(vec.items()) == outcome(loop_f_pw, p, w, m, n)
 
     def test_orbit_signs(self):
         fam = f_pw_family(3, 3)
@@ -157,6 +261,17 @@ class TestGammaGraph:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             gamma_graph(3, (0, 0, 2))
+
+    def test_labels_and_rows_match_loop(self):
+        # Labels in admissible order, rows by the SR rule on them.
+        for m in range(1, 6):
+            for pi in permutations(range(m)):
+                g = gamma_graph(m, pi)
+                labels = tuple(x for _, x in brute_admissible(pi))
+                rows = [sum(1 << j for j, y in enumerate(labels)
+                            if sum(a != b for a, b in zip(x, y)) == 2)
+                        for x in labels]
+                assert g.labels == labels and list(g.rows) == rows, pi
 
     def test_order_formula_counts_admissible_set(self):
         for m in range(1, 7):

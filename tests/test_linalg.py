@@ -4,8 +4,10 @@ sympy provides the independent exact oracle (charpoly factorization and
 rank over the rationals); the code under test never imports it.
 """
 
+import operator
 import random
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -13,13 +15,14 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rooklab.eigenvectors import f_pi
+from rooklab.eigenvectors import f_pi, f_pw_family, permutations_with_inversions
 from rooklab.graphs import (Graph, complete_bipartite, complete_graph,
                             cycle_graph, johnson_graph, sr_graph)
 from rooklab.linalg import (IncompleteSpectrum, Spectrum,
                             halved_factorization_check, integral_spectrum,
                             merge_pairs, nullity, rank, try_integral_spectrum,
                             verify_eigenvector)
+from rooklab.modular import PRIMES
 from rooklab.switching import enumerate_switching_sets, gm_switch
 
 from conftest import from_edges, property_test
@@ -85,6 +88,73 @@ class TestRankNullity:
     def test_empty_and_zero(self):
         assert rank([]) == 0
         assert nullity([[0, 0], [0, 0]]) == 2
+
+    def test_low_rank_products_against_sympy(self):
+        # A product of nr x k and k x nc factors has rank at most k, so
+        # most of these miss full rank and go to Bareiss.
+        rng = random.Random(23)
+        for trial in range(40):
+            nr, nc, k = (rng.randrange(1, 9) for _ in range(3))
+            left = sympy.Matrix(nr, k, lambda i, j: rng.randrange(-4, 5))
+            right = sympy.Matrix(k, nc, lambda i, j: rng.randrange(-4, 5))
+            rows = (left * right).tolist()
+            assert rank(rows) == sympy.Matrix(rows).rank(), rows
+
+    def test_full_rank_but_deficient_mod_p(self):
+        # Full rank over Q, yet a multiple of PRIMES[0] in one row drops the
+        # rank mod PRIMES[0]: Bareiss must still answer.
+        p = PRIMES[0]
+        cases = [[[p, 0], [0, 1]], [[1, 2], [3, 6 + p]]]
+        rng = random.Random(29)
+        for nr, nc in ((3, 3), (4, 6), (6, 4), (5, 5)):
+            rows = [[rng.randrange(-9, 10) for _ in range(nc)]
+                    for _ in range(nr)]
+            i = rng.randrange(nr)
+            rows[i] = [p * x for x in rows[i]]
+            cases.append(rows)
+        for rows in cases:
+            assert rank(rows) == sympy.Matrix(rows).rank() == \
+                min(len(rows), len(rows[0])), rows
+
+    def test_entries_beyond_int64(self):
+        # 2**63 - 2**63 = 0 while int64 wraps, and 2**64 + 1 reduces to 1
+        # only as a Python int.
+        cases = [[[2**63, 2**62], [2, 1]],
+                 [[2**64 + 1, 1], [1, 1]],
+                 [[2**100, 3], [2**101, 6]],
+                 [[-2**70, 5, 7], [1, 2**65, 0]],
+                 [[2**63 - 1, -2**63], [1, 1]]]
+        rng = random.Random(31)
+        for _ in range(10):
+            nr, nc = rng.randrange(1, 6), rng.randrange(1, 6)
+            cases.append([[rng.randrange(-2**80, 2**80) for _ in range(nc)]
+                          for _ in range(nr)])
+        for rows in cases:
+            assert rank(rows) == sympy.Matrix(rows).rank(), rows
+
+    def test_shapes(self):
+        rng = random.Random(37)
+        for nr, nc in ((1, 9), (2, 12), (9, 1), (12, 3), (1, 1), (7, 7)):
+            rows = [[rng.randrange(-3, 4) for _ in range(nc)]
+                    for _ in range(nr)]
+            assert rank(rows) == sympy.Matrix(rows).rank(), rows
+            zero = [[0] * nc for _ in range(nr)]
+            assert rank(zero) == sympy.Matrix(zero).rank() == 0
+        assert rank([]) == sympy.zeros(0, 0).rank() == 0
+        assert rank([[], []]) == sympy.zeros(2, 0).rank() == 0
+
+    def test_numpy_integer_entries(self):
+        rng = np.random.default_rng(41)
+        for dtype in (np.int8, np.int32, np.int64, np.uint8, np.uint64):
+            a = rng.integers(0, 3, size=(5, 7)).astype(dtype)
+            a[4] = a[0] + a[1]  # rank at most 4
+            expected = sympy.Matrix(a.tolist()).rank()
+            assert rank(a) == rank(a.tolist()) == expected
+            assert rank(list(a)) == expected
+            assert rank([[dtype(x) for x in row] for row in a]) == expected
+        # uint64 beyond 2**63 must not wrap: rank 1 here, but 2 in int64.
+        a = np.array([[2**63, 2**62], [2, 1]], dtype=np.uint64)
+        assert rank(a) == sympy.Matrix(a.tolist()).rank() == 1
 
 
 class TestIntegralSpectrum:
@@ -157,7 +227,110 @@ def eigen_problems(draw, max_order=12):
     return g, vec, draw(st.integers(-3, 3))
 
 
+def sympy_integer_roots(g):
+    """(c, multiplicity) for the integer roots of g's characteristic
+    polynomial, descending, from its factorization over Q."""
+    x = sympy.Symbol("x")
+    chi = sympy.Matrix(g.adjacency_matrix()).charpoly(x)
+    return tuple(sorted(((int(-f.TC()), k) for f, k in chi.factor_list()[1]
+                         if f.degree() == 1), reverse=True))
+
+
+class TestProbeSweep:
+    @property_test
+    @given(eigen_problems())
+    def test_property_matches_sympy(self, problem):
+        # Adjacency matrices are symmetric, so a root's multiplicity is
+        # the nullity of A - cI.
+        g = problem[0]
+        pairs = sympy_integer_roots(g)
+        probe = try_integral_spectrum(g)
+        assert probe.pairs == pairs
+        assert probe.residual == g.order - sum(k for _, k in pairs)
+
+
+def loop_verify_eigenvector(g, vec, eigenvalue):
+    """The dict loop verify_eigenvector used before A x became one array
+    product, kept as its oracle: A x summed neighbour by neighbour, seeded
+    on the support, then compared with eigenvalue * x on its keys."""
+    entries = {}
+    for key, val in vec.items():
+        idx = (operator.index(key) if isinstance(key, (int, np.integer))
+               else g.index[key])
+        if not 0 <= idx < g.order:
+            raise IndexError(f"vertex index {idx} out of range")
+        if val:
+            entries[idx] = int(val)
+    if not entries:
+        raise ValueError("eigenvector must be nonzero")
+    image = dict.fromkeys(entries, 0)
+    for i, val in entries.items():
+        for u in g.neighbors(i):
+            image[u] = image.get(u, 0) + val
+    return all(lhs == eigenvalue * entries.get(u, 0)
+               for u, lhs in image.items())
+
+
 class TestVerifyEigenvector:
+    @property_test
+    @given(eigen_problems())
+    def test_property_matches_loop(self, problem):
+        g, vec, eigenvalue = problem
+        try:
+            expected = loop_verify_eigenvector(g, vec, eigenvalue)
+        except ValueError:
+            with pytest.raises(ValueError):
+                verify_eigenvector(g, vec, eigenvalue)
+        else:
+            assert verify_eigenvector(g, vec, eigenvalue) == expected
+
+    def test_families_match_loop(self, sr):
+        # F_pi for -n and F_pw for -binom(m, 2), at their own eigenvalue and
+        # at wrong ones, keyed by label and by index.
+        cases = [(sr(m, n), f_pi(pi), -n)
+                 for m in range(2, 6) for n in range(1, comb(m, 2) + 1)
+                 for pi in permutations_with_inversions(m, n)[:4]]
+        cases += [(sr(m, n), vec, -comb(m, 2))
+                  for m, n in ((2, 3), (3, 4), (3, 6), (4, 8))
+                  for _, vec in f_pw_family(m, n)[:4]]
+        assert len(cases) > 60
+        for g, vec, lam in cases:
+            by_index = {g.index[x]: s for x, s in vec.items()}
+            for guess in (lam, lam + 1, -lam, 0):
+                expected = loop_verify_eigenvector(g, vec, guess)
+                assert expected == (guess == lam)
+                assert verify_eigenvector(g, vec, guess) == expected
+                assert verify_eigenvector(g, by_index, guess) == expected
+
+    def test_exact_beyond_int64(self):
+        # Sum |x_i| * max(1, |eigenvalue|) < 2**63 keeps int64; from 2**63
+        # on the products are Python ints.  Both sides of that bound, on
+        # true and perturbed eigenvectors.
+        k4 = complete_graph(4)
+        edge = 2**63 // 12  # all-t on K_4 at eigenvalue 3: bound 12 t
+        for t in (edge - 1, edge, edge + 1, 2**70):
+            ones = dict.fromkeys(range(4), t)
+            assert verify_eigenvector(k4, ones, 3)
+            off = {**ones, 3: t - 1}
+            assert not verify_eigenvector(k4, off, 3)
+            assert not loop_verify_eigenvector(k4, off, 3)
+        for t in (2**61, 2**62 - 1, 2**62, 2**64):
+            assert verify_eigenvector(k4, {0: t, 1: -t}, -1)
+        # 2**64 - 1 is -1 in wrapped int64: exact, it is no eigenvalue.
+        assert not verify_eigenvector(k4, {0: 1, 1: -1}, 2**64 - 1)
+        assert verify_eigenvector(k4, {0: 1, 1: -1}, -1)
+        # The star K_{1,4} with 2**62 on each leaf: A x at the centre is
+        # 2**64, which int64 would wrap to 0 = 0 * x.
+        star = complete_bipartite(1, 4)
+        leaves = dict.fromkeys(range(1, 5), 2**62)
+        assert not verify_eigenvector(star, leaves, 0)
+        assert not loop_verify_eigenvector(star, leaves, 0)
+        assert verify_eigenvector(star, {1: 2**62, 2: -2**62}, 0)
+        # Eigenvalues beyond int64 with entries inside it, and numpy ints.
+        assert not verify_eigenvector(k4, {0: 1}, 2**80)
+        assert verify_eigenvector(k4, {0: np.int64(2**62), 1: -2**62},
+                                  np.int64(-1))
+
     @property_test
     @given(eigen_problems())
     def test_property_matches_numpy(self, problem):

@@ -132,6 +132,21 @@ class TestCharpolyMod:
         with pytest.raises(ValueError):
             charpoly_mod(big, PRIMES[0])
 
+    def test_hessenberg_refuses_primes_outside_the_exact_range(self):
+        # At p = 2**31 - 1 the int64 row and column updates wrap, and the
+        # returned matrix's charpoly differs from a's mod p on some of these
+        # matrices; hessenberg_mod refuses such p as charpoly_mod does.
+        rng = random.Random(50)
+        for p in (2**31 - 1, 2**61 - 1, np.int64(2**31 - 1),
+                  np.int64(2**61 - 1)):
+            for v in range(3, 10):
+                a = random_symmetric(rng, v)
+                with pytest.raises(ValueError) as direct:
+                    hessenberg_mod(a, p)
+                with pytest.raises(ValueError) as via_charpoly:
+                    charpoly_mod(a, p)
+                assert str(direct.value) == str(via_charpoly.value)
+
     def test_hessenberg_preserves_charpoly(self):
         rng = random.Random(6)
         p = 10007

@@ -12,7 +12,7 @@ graph J(v, n) is SR(v, n) on the 0/1 vectors, and Gamma(m, n, pi) (built in
 eigenvectors) is SR(m, n) on the support X_pi of F_pi.  All three take their
 rows from one adjacency rule, _sr_rows, which counts for every pair of
 vectors the places where they agree as one matrix product of one-hot
-encodings, 32 rows at a time; the counts are small integers, exact in
+encodings, a block of rows at a time; the counts are small integers, exact in
 float32, and a pair is adjacent when it agrees in all but two places.
 
 Vertices carry hashable labels (integer tuples for SR and Johnson graphs);
@@ -48,9 +48,6 @@ class Graph:
     @property
     def order(self):
         return len(self.labels)
-
-    def has_edge(self, i, j):
-        return (self.rows[i] >> j) & 1 == 1
 
     def degree(self, i):
         return self.rows[i].bit_count()
@@ -131,15 +128,21 @@ def _permuted_rows(rows, pos):
     """Bit rows relabelled by the permutation pos: new vertex pos[i] is old
     vertex i.  The caller validates pos.  A row with more than half of the
     vertices is relabelled through its complement in the full vertex set,
-    since a permutation commutes with complement."""
+    since a permutation commutes with complement.  The image bits 1 << pos[j]
+    are built once per call, and each row is walked lowest bit first."""
     v = len(rows)
     full = (1 << v) - 1
+    image = [1 << p for p in pos]
     out = [0] * v
     for i, row in enumerate(rows):
         dense = 2 * row.bit_count() > v
+        if dense:
+            row = full & ~row
         acc = 0
-        for j in _bits(full & ~row if dense else row):
-            acc |= 1 << pos[j]
+        while row:
+            low = row & -row
+            acc |= image[low.bit_length() - 1]
+            row ^= low
         out[pos[i]] = full & ~acc if dense else acc
     return tuple(out)
 
@@ -155,7 +158,8 @@ def _sr_rows(vectors):
     places, so no loop appears.  Each count is a sum of at most m products
     of 0 and 1, every partial sum an integer at most m, so float32 holds it
     exactly while m <= 2**24; longer vectors are refused.  The product runs
-    32 rows at a time, so no v x v array is formed."""
+    max(32, 2**18 // v) rows at a time, so a block holds at most 2**18
+    counts up to 8 192 vertices, and BLAS packs onehot.T once per block."""
     if not vectors:
         return []
     x = np.array(vectors)
@@ -168,8 +172,9 @@ def _sr_rows(vectors):
     for b in range(m):
         onehot[at, start[b] + x[:, b]] = 1
     rows = []
-    for lo in range(0, v, 32):
-        agree = onehot[lo:lo + 32] @ onehot.T
+    step = max(32, 2**18 // v)
+    for lo in range(0, v, step):
+        agree = onehot[lo:lo + step] @ onehot.T
         bits = np.packbits(agree == m - 2, axis=1, bitorder="little")
         rows += (int.from_bytes(row, "little") for row in bits)
     return rows

@@ -21,6 +21,14 @@ checked, H is the Young subgroup keeping each group of coordinates with
 equal values over K, so the orbits come from the labels with no group code.
 Each search is bounded by NODE_BUDGET nodes.
 
+The diameter and K_{1,1,4} checks scan the whole graph, and on an SR graph
+they too check those two permutations first and then use only what the
+symmetry proves.  Eccentricity is constant on vertex orbits, so the
+diameter needs one BFS source per orbit.  An induced K_{1,1,4} on one edge
+maps to one on each image of the edge, and every orbit of edges holds an
+edge {r, b} with r the lowest vertex of its orbit and b > r, so only those
+edges are searched.
+
 Canonical forms come from one individualization-refinement search (McKay &
 Piperno, "Practical graph isomorphism, II").  Each node refines an ordered
 partition to an equitable one by cell splitting, records the refinement
@@ -48,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -78,13 +86,16 @@ NODE_BUDGET = 100_000
 
 
 def eccentricity(g: Graph, source: int) -> int:
+    rows = g.rows
     full = (1 << g.order) - 1
     visited = frontier = 1 << source
     dist = 0
     while visited != full:
         nxt = 0
-        for i in _bits(frontier):
-            nxt |= g.rows[i]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= rows[low.bit_length() - 1]
+            frontier ^= low
         nxt &= ~visited
         if not nxt:
             raise Disconnected(f"no path out of component of vertex {source}")
@@ -95,10 +106,32 @@ def eccentricity(g: Graph, source: int) -> int:
 
 
 def diameter(g: Graph) -> int:
-    """Largest BFS eccentricity; raises Disconnected on a broken graph."""
+    """Largest BFS eccentricity; raises Disconnected on a broken graph.
+
+    An automorphism maps the BFS layers from u onto those from its image,
+    so eccentricity is constant on orbits.  On an SR graph the coordinate
+    permutations are first checked to be automorphisms (ValueError
+    otherwise), and one source per orbit, the lowest, is searched; vertex 0
+    is one of them and goes first, so a disconnected graph is reported from
+    vertex 0 on every graph."""
     if g.order == 0:
         raise Disconnected("the empty graph has no diameter")
-    return max(eccentricity(g, s) for s in range(g.order))
+    reps = _orbit_representatives(g)
+    return max(eccentricity(g, s)
+               for s in (range(g.order) if reps is None else reps))
+
+
+def _orbit_representatives(g: Graph):
+    """On an SR graph with m >= 2, the lowest vertex of each orbit of the
+    coordinate permutations, in increasing order, once `vertex_orbits` has
+    checked that they are automorphisms (ValueError otherwise); None on
+    every other graph."""
+    if g.family != "sr":
+        return None
+    gens = coordinate_symmetries(g)
+    if not gens:
+        return None
+    return sorted(orbit[0] for orbit in vertex_orbits(g, gens))
 
 
 def _color_classes(candidates, nrows):
@@ -361,33 +394,45 @@ def _clique_search(g: Graph, a, aut_generators):
 
 
 def maximal_cliques(g: Graph):
-    """All maximal cliques, as sorted vertex tuples (Bron-Kerbosch, pivoted,
-    walked on an explicit stack)."""
+    """All maximal cliques, as sorted vertex tuples (Bron-Kerbosch, pivoted).
+
+    Each node is a frame [clique r, candidates p, excluded x, branch], where
+    branch is what is left to try of p minus the pivot's neighbours; the
+    frames wait on an explicit stack, so depth is not bound by the recursion
+    limit."""
     out, rows = [], g.rows
 
-    def extend(r, p, x):
+    def frame(r, p, x):
         # The pivot: the first vertex of p | x with the most neighbours in
         # p.  None has more than all of p, so one that has them ends the scan.
-        most, top = -1, p.bit_count()
-        for u in _bits(p | x):
+        most, top, scan = -1, p.bit_count(), p | x
+        while scan:
+            low = scan & -scan
+            u = low.bit_length() - 1
             c = (p & rows[u]).bit_count()
             if c > most:
                 most, pivot = c, u
                 if c == top:
                     break
-        for u in _bits(p & ~rows[pivot]):
-            # A child with nothing left to add or exclude is a maximal
-            # clique, recorded here rather than as a node of its own.
-            pu, xu = p & rows[u], x & rows[u]
-            if pu or xu:
-                yield r + [u], pu, xu
-            else:
-                out.append(tuple(sorted(r + [u])))
-            p &= ~(1 << u)
-            x |= 1 << u
+            scan ^= low
+        return [r, p, x, p & ~rows[pivot]]
 
-    if g.order:
-        _depth_first(extend, [], (1 << g.order) - 1, 0)
+    stack = [frame([], (1 << g.order) - 1, 0)] if g.order else []
+    while stack:
+        node = stack[-1]
+        r, p, x, branch = node
+        if not branch:
+            stack.pop()
+            continue
+        low = branch & -branch
+        u = low.bit_length() - 1
+        node[1], node[2], node[3] = p ^ low, x | low, branch ^ low
+        pu, xu = p & rows[u], x & rows[u]
+        if pu:
+            stack.append(frame(r + [u], pu, xu))
+        elif not xu:
+            # Nothing left to add or exclude: r + [u] is maximal.
+            out.append(tuple(sorted(r + [u])))
     return out
 
 
@@ -414,26 +459,33 @@ def classify_clique(g: Graph, clique) -> CliqueType:
     verts = sorted(set(clique))
     if len(verts) < 2:
         raise NotAClique("need at least two vertices")
+    rows, mask = g.rows, 0
     for a in verts:
-        for b in verts:
-            if a != b and not g.has_edge(a, b):
-                raise NotAClique(f"vertices {a} and {b} are not adjacent")
+        mask |= 1 << a
+    for a in verts:
+        # The members other than a that are not a's neighbours, lowest first.
+        missing = (mask ^ 1 << a) & ~rows[a]
+        if missing:
+            b = (missing & -missing).bit_length() - 1
+            raise NotAClique(f"vertices {a} and {b} are not adjacent")
     vecs = [g.labels[i] for i in verts]
     m = len(vecs[0])
-    diff_coords = {i for v in vecs for i in range(m) if v[i] != vecs[0][i]}
+    columns = list(zip(*vecs))
+    lo, hi = tuple(map(min, columns)), tuple(map(max, columns))
+    diff_coords = [i for i in range(m) if lo[i] != hi[i]]
     if len(diff_coords) <= 2:
-        j, k = sorted(diff_coords) if len(diff_coords) == 2 else (0, 1)
+        j, k = diff_coords if len(diff_coords) == 2 else (0, 1)
         return CliqueType("type1", (j, k))
-    lo = tuple(min(v[i] for v in vecs) for i in range(m))
     a = sum(vecs[0]) - sum(lo)
-    deltas = [tuple(v[i] - lo[i] for i in range(m)) for v in vecs]
-    if all(sorted(d) == [0] * (m - 1) + [a] for d in deltas):
+    shape = [0] * (m - 1) + [a]
+    deltas = [list(map(sub, v, lo)) for v in vecs]
+    if all(sorted(d) == shape for d in deltas):
         support = tuple(sorted(d.index(a) for d in deltas))
         return CliqueType("type2", (a, lo, support))
-    hi = tuple(max(v[i] for v in vecs) for i in range(m))
     a = sum(hi) - sum(vecs[0])
-    deltas = [tuple(hi[i] - v[i] for i in range(m)) for v in vecs]
-    if all(sorted(d) == [0] * (m - 1) + [a] for d in deltas):
+    shape = [0] * (m - 1) + [a]
+    deltas = [list(map(sub, hi, v)) for v in vecs]
+    if all(sorted(d) == shape for d in deltas):
         support = tuple(sorted(d.index(a) for d in deltas))
         if all(hi[i] >= a for i in support):
             return CliqueType("type3", (a, hi, support))
@@ -449,14 +501,30 @@ def has_induced_k114(g: Graph) -> bool:
     """Search for an induced K_{1,1,4}: an edge plus four pairwise
     nonadjacent common neighbors of its ends, that is a 4-clique of the
     complement inside the common neighborhood (the clique search on the
-    complement's rows, started from incumbent 3)."""
-    crows = [~row ^ (1 << u) for u, row in enumerate(g.rows)]
-    nrows = [row | (1 << u) for u, row in enumerate(g.rows)]
-    for u, v in g.edges():
-        common = g.rows[u] & g.rows[v]
-        if (common.bit_count() >= 4
-                and _max_clique_size(crows, nrows, common, 0, 3) > 3):
-            return True
+    complement's rows, started from incumbent 3).
+
+    Each edge {a, b} with a < b is searched once.  An automorphism maps an
+    induced K_{1,1,4} on one edge to one on the edge's image.  On an SR graph
+    the coordinate permutations are first checked to be automorphisms
+    (ValueError otherwise), and a runs over the lowest vertex of each orbit
+    only.  That still meets every edge orbit: take an edge between orbits O
+    and O' (perhaps equal), with r, the lowest vertex of O, below that of
+    O'.  A permutation taking the edge's end in O to r maps the edge to
+    {r, b} with b in O', and every vertex of O' but r lies above r."""
+    rows = g.rows
+    reps = _orbit_representatives(g)
+    crows = [~row ^ (1 << u) for u, row in enumerate(rows)]
+    nrows = [row | (1 << u) for u, row in enumerate(rows)]
+    for a in range(g.order) if reps is None else reps:
+        row = rows[a]
+        ends = row >> (a + 1) << (a + 1)
+        while ends:
+            low = ends & -ends
+            common = row & rows[low.bit_length() - 1]
+            if (common.bit_count() >= 4
+                    and _max_clique_size(crows, nrows, common, 0, 3) > 3):
+                return True
+            ends ^= low
     return False
 
 
@@ -495,9 +563,11 @@ def _equitable(rows, cells, multi, start, trace, best=None, zeta=None,
         if single:
             nbr = rows[mask.bit_length() - 1]
         else:
-            nbr = 0
-            for u in _bits(mask):
-                nbr |= rows[u]
+            nbr, rest = 0, mask
+            while rest:
+                low = rest & -rest
+                nbr |= rows[low.bit_length() - 1]
+                rest ^= low
         kept = []
         for t in multi:
             c = cells[t]
@@ -509,9 +579,12 @@ def _equitable(rows, cells, multi, start, trace, best=None, zeta=None,
                 frags = [(0, c ^ hit), (1, hit)]
             else:
                 groups = {0: c ^ hit} if hit != c else {}
-                for u in _bits(hit):
-                    k = (rows[u] & mask).bit_count()
-                    groups[k] = groups.get(k, 0) | 1 << u
+                rest = hit
+                while rest:
+                    low = rest & -rest
+                    k = (rows[low.bit_length() - 1] & mask).bit_count()
+                    groups[k] = groups.get(k, 0) | low
+                    rest ^= low
                 if len(groups) == 1:
                     kept.append(t)
                     continue

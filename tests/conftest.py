@@ -37,6 +37,14 @@ def from_edges(labels, edges):
     return Graph(labels, rows)
 
 
+def bits(row):
+    """The set bits of a bit row, lowest first."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
+
+
 def to_nx(g):
     h = nx.Graph()
     h.add_nodes_from(range(g.order))

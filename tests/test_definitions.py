@@ -3,8 +3,10 @@
 A stdlib-ast scan: each function, class or assigned name at the top level
 of src/rooklab/*.py must be referenced by some other top-level statement of
 a file in src/, tests/ or perfbench/ (a use inside its own definition, such
-as recursion, does not count).  A reference is an identifier, an attribute
-name or a name in a `from ... import` list.  Dunder names are exempt.
+as recursion, does not count).  A reference is an attribute name, a name in
+an import list, or an identifier read in the name's defining module or in a
+file that imports the name: elsewhere an identifier of the same spelling
+is some other binding, a local variable say.  Dunder names are exempt.
 
 A public name reached from tests/ alone must be paper content, named in
 PAPER_CONTENT; the functions perfbench/tracing.py wraps by name count as
@@ -36,15 +38,16 @@ USING = sorted((ROOT / "src").rglob("*.py")) + \
 
 
 def _references(node):
-    names = set()
+    """(identifiers read, attribute and imported names) under node."""
+    bare, named = set(), set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
-            names.add(sub.id)
+            bare.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
+            named.add(sub.attr)
         elif isinstance(sub, ast.alias):
-            names.add(sub.name.split(".")[-1])
-    return names
+            named.add(sub.name.split(".")[-1])
+    return bare, named
 
 
 def _defined(stmt):
@@ -55,23 +58,37 @@ def _defined(stmt):
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def unreferenced(using, extra=()):
-    """Definitions in DEFINING that no top-level statement of the files in
-    using references (beyond their own), nor any name in extra."""
-    # DEFINING is part of using, so every statement below was counted once.
+def unreferenced(using, extra=(), defining=DEFINING, root=ROOT):
+    """Definitions in `defining` that no top-level statement of the files
+    in using references (beyond their own), nor any name in extra."""
+    # `defining` is part of using, so every statement below is counted once.
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in using}
-    uses = Counter(extra)
-    for tree in trees.values():
-        for stmt in tree.body:
-            uses.update(_references(stmt))
+    statements = {path: [_references(stmt) for stmt in tree.body]
+                  for path, tree in trees.items()}
+    imported = {path: {alias.name.split(".")[-1] for alias in ast.walk(tree)
+                       if isinstance(alias, ast.alias)}
+                for path, tree in trees.items()}
+
+    def uses(module):
+        """Per name, the statements that reference it as seen from module."""
+        count = Counter(extra)
+        for path, refs in statements.items():
+            mine = path == module
+            for bare, named in refs:
+                count.update(named | {name for name in bare
+                                      if mine or name in imported[path]})
+        return count
+
     dead = []
-    for path in DEFINING:
-        for stmt in trees[path].body:
-            own = _references(stmt)
+    for path in defining:
+        counted = uses(path)
+        for stmt, (bare, named) in zip(trees[path].body, statements[path]):
+            own = bare | named
             for name in _defined(stmt):
-                if not name.startswith("__") and uses[name] - (name in own) == 0:
-                    dead.append(f"{path.relative_to(ROOT)}:{stmt.lineno} {name}")
+                if name.startswith("__") or counted[name] - (name in own):
+                    continue
+                dead.append(f"{path.relative_to(root)}:{stmt.lineno} {name}")
     return dead
 
 
@@ -100,6 +117,25 @@ def test_no_public_api_for_tests_only():
     outside = [path for path in USING if path.parent.name != "tests"]
     names = sorted(entry.split()[-1] for entry in unreferenced(outside, traced))
     assert [n for n in names if not n.startswith("_")] == sorted(PAPER_CONTENT)
+
+
+def test_local_variable_is_no_use(tmp_path):
+    # A public function whose only use outside the tests is a local
+    # variable of the same spelling is reported; an identifier in a file
+    # that imports the name, or an attribute read, is a use.
+    (tmp_path / "src").mkdir()
+    lib = tmp_path / "src" / "lib.py"
+    lib.write_text("def sign(pi):\n    return 1\n\n\n"
+                   "def parity(pi):\n    return 0\n\n\n"
+                   "def order(pi):\n    return 2\n")
+    bench = tmp_path / "bench.py"
+    bench.write_text("from lib import parity\n"
+                     "import lib\n\n\n"
+                     "def task(tag, pi):\n"
+                     "    sign = 1 if tag else -1\n"
+                     "    return sign * parity(pi) * lib.order(pi)\n")
+    assert unreferenced([lib, bench], defining=[lib], root=tmp_path) == \
+        ["src/lib.py:1 sign"]
 
 
 # Public members that only tests read: the canonical labelling, which the

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import from_edges, property_test, to_nx
-from rooklab.graphs import (Graph, _coordinate_permutation, _sr_rows,
-                            cartesian_product, complete_bipartite,
+from conftest import bits, from_edges, property_test, to_nx
+from rooklab.graphs import (Graph, _coordinate_permutation, _permuted_rows,
+                            _sr_rows, cartesian_product, complete_bipartite,
                             complete_graph, cube_graph, cycle_graph,
                             induced_subgraph, johnson_graph, sr_graph,
                             sr_order, sr_vertices)
@@ -106,7 +106,7 @@ class TestSRGraph:
             for i, u in enumerate(g.labels):
                 for j, v in enumerate(g.labels):
                     differ = sum(1 for a, b in zip(u, v) if a != b)
-                    assert g.has_edge(i, j) == (differ == 2)
+                    assert g.rows[i] >> j & 1 == (differ == 2)
 
     @property_test
     @given(sr_vertex_subsets())
@@ -174,7 +174,8 @@ class TestJohnson:
                 for j, t in enumerate(g.labels):
                     if i == j:
                         continue
-                    assert g.has_edge(i, j) == (len(set(s) & set(t)) == n - 1)
+                    meet = len(set(s) & set(t))
+                    assert g.rows[i] >> j & 1 == (meet == n - 1)
 
     def test_j_v_1_is_complete(self):
         assert nx.is_isomorphic(to_nx(johnson_graph(6, 1)), nx.complete_graph(6))
@@ -229,6 +230,21 @@ class TestStandardGraphs:
         assert nx.is_isomorphic(to_nx(q3), to_nx(cube_graph(3)))
 
 
+def oracle_permuted_rows(rows, pos):
+    """Relabel by pos one bit at a time, each image bit built as used, and
+    dense rows through their complements."""
+    v = len(rows)
+    full = (1 << v) - 1
+    out = [0] * v
+    for i, row in enumerate(rows):
+        dense = 2 * row.bit_count() > v
+        acc = 0
+        for j in bits(full & ~row if dense else row):
+            acc |= 1 << pos[j]
+        out[pos[i]] = full & ~acc if dense else acc
+    return tuple(out)
+
+
 class TestGraphOps:
     def test_complement(self):
         g = sr_graph(3, 2)
@@ -243,7 +259,7 @@ class TestGraphOps:
         g = sr_graph(3, 3)
         for u in range(g.order):
             assert set(g.neighbors(u)) == {v for v in range(g.order)
-                                           if g.has_edge(u, v)}
+                                           if g.rows[u] >> v & 1}
 
     def test_induced_subgraph(self):
         g = sr_graph(3, 3)
@@ -252,7 +268,7 @@ class TestGraphOps:
         assert h.order == 5
         for a, i in enumerate(idx):
             for b, j in enumerate(idx):
-                assert h.has_edge(a, b) == g.has_edge(i, j)
+                assert h.rows[a] >> b & 1 == g.rows[i] >> j & 1
         assert list(h.labels) == [g.labels[i] for i in idx]
 
     def test_relabeled_moves_labels_and_edges(self):
@@ -261,10 +277,29 @@ class TestGraphOps:
         random.Random(5).shuffle(perm)
         h = g.relabeled(perm)
         assert all(h.labels[perm[i]] == lab for i, lab in enumerate(g.labels))
-        assert all(h.has_edge(perm[i], perm[j]) == g.has_edge(i, j)
+        assert all(h.rows[perm[i]] >> perm[j] & 1 == g.rows[i] >> j & 1
                    for i in range(g.order) for j in range(g.order))
         with pytest.raises(ValueError):
             g.relabeled([0] * g.order)
+
+    def test_permuted_rows_against_oracle(self):
+        # Every SR(m, n) with m <= 6 and n <= 5 and its complement, each
+        # under a seeded permutation.
+        rng = random.Random(24)
+        for m in range(7):
+            for n in range(6):
+                g = sr_graph(m, n)
+                for rows in (g.rows, g.complement().rows):
+                    pos = rng.sample(range(g.order), g.order)
+                    assert _permuted_rows(rows, pos) == \
+                        oracle_permuted_rows(rows, pos)
+
+    @property_test
+    @given(dense_relabelings())
+    def test_permuted_rows_against_oracle_on_dense_graphs(self, case):
+        g, perm = case
+        assert _permuted_rows(g.rows, perm) == \
+            oracle_permuted_rows(g.rows, perm)
 
     @property_test
     @given(dense_relabelings())
@@ -284,7 +319,7 @@ class TestGraphOps:
                   cycle_graph(9), big, big.relabeled(pi)):
             a = g.adjacency_matrix()
             assert a.dtype == np.int64 and a.shape == (g.order, g.order)
-            assert all(a[i, j] == int(g.has_edge(i, j))
+            assert all(a[i, j] == g.rows[i] >> j & 1
                        for i in range(g.order) for j in range(g.order))
 
     def test_coordinate_permutation(self):

@@ -15,12 +15,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import from_edges, property_test, to_nx
+from conftest import bits, from_edges, property_test, to_nx
 from rooklab import invariants
 from rooklab.eigenvectors import gamma_graph
 from rooklab.graphs import (Graph, _bit_matrix, cartesian_product,
                             complete_bipartite, complete_graph, cube_graph,
-                            cycle_graph, johnson_graph, sr_graph, sr_order)
+                            cycle_graph, johnson_graph, sr_graph, sr_order,
+                            sr_vertices)
 from rooklab.invariants import (CanonicalForm, CliqueType, Disconnected,
                                 NotAClique, SizeLimit, automorphism_count,
                                 canonical_form, classify_clique, clique_number,
@@ -77,6 +78,31 @@ def relabeled_sr_graphs(draw):
                                  if sr_order(m, n) <= 84]))
     g = sr_graph(m, n)
     return g.relabeled(draw(st.permutations(range(g.order))))
+
+
+@st.composite
+def invariant_sr_graphs(draw):
+    """SR(m, n)'s labels, family and params on a graph that every coordinate
+    permutation preserves: a union of orbits of vertex pairs, on up to 35
+    vertices.  Two pairs lie in one orbit when their multisets of
+    coordinate pairs agree up to swapping the ends."""
+    grid = [(m, n) for m in range(2, 5) for n in range(1, 5)
+            if sr_order(m, n) <= 35]
+    m, n = draw(st.sampled_from(grid))
+    labels = sr_vertices(m, n)
+    keys = {}
+    for i, j in combinations(range(len(labels)), 2):
+        x, y = labels[i], labels[j]
+        key = min(tuple(sorted(zip(x, y))), tuple(sorted(zip(y, x))))
+        keys.setdefault(key, []).append((i, j))
+    size = len(keys)
+    keep = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    rows = [0] * len(labels)
+    for pairs, kept in zip(keys.values(), keep):
+        for i, j in pairs if kept else ():
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return Graph(labels, rows, "sr", (m, n))
 
 
 @st.composite
@@ -164,7 +190,10 @@ class TestCliqueNumber:
 
 class TestSRDefaultSymmetries:
     """Without explicit generators, the searches prune an SR graph by its
-    coordinate symmetries and leave every other graph unpruned."""
+    coordinate symmetries and leave every other graph unpruned; the
+    diameter and K_{1,1,4} checks take the same symmetries."""
+
+    SEARCHES = [clique_number, independence_number, diameter, has_induced_k114]
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -177,7 +206,7 @@ class TestSRDefaultSymmetries:
         monkeypatch.setattr(invariants, "coordinate_symmetries", spy)
         return seen
 
-    @pytest.mark.parametrize("search", [clique_number, independence_number])
+    @pytest.mark.parametrize("search", SEARCHES)
     def test_sr_graphs_take_their_labels(self, calls, search):
         relabeled = sr_graph(4, 4).relabeled(
             random.Random(3).sample(range(35), 35))
@@ -186,7 +215,7 @@ class TestSRDefaultSymmetries:
             search(g)
             assert calls == [g]
 
-    @pytest.mark.parametrize("search", [clique_number, independence_number])
+    @pytest.mark.parametrize("search", SEARCHES)
     def test_other_graphs_are_not_pruned(self, calls, search):
         search(johnson_graph(6, 3))
         search(gamma_graph(4, (1, 3, 0, 2)))
@@ -334,7 +363,7 @@ class TestClassifyClique:
     def test_non_clique_rejected(self):
         g = sr_graph(3, 3)
         non_adjacent = [g.index[(0, 0, 3)], g.index[(1, 1, 1)]]
-        assert not g.has_edge(*non_adjacent)
+        assert not g.rows[non_adjacent[0]] >> non_adjacent[1] & 1
         with pytest.raises(NotAClique):
             classify_clique(g, non_adjacent)
         with pytest.raises(NotAClique):
@@ -373,6 +402,181 @@ class TestLocalStructure:
         k114 = nx.complete_multipartite_graph(1, 1, 4)
         gm = nx.algorithms.isomorphism.GraphMatcher(to_nx(g), k114)
         assert has_induced_k114(g) == gm.subgraph_is_isomorphic()
+
+
+def oracle_maximal_cliques(g):
+    """Pivoted Bron-Kerbosch with nodes as generators on a stack."""
+    out, rows = [], g.rows
+
+    def extend(r, p, x):
+        most, top = -1, p.bit_count()
+        for u in bits(p | x):
+            c = (p & rows[u]).bit_count()
+            if c > most:
+                most, pivot = c, u
+                if c == top:
+                    break
+        for u in bits(p & ~rows[pivot]):
+            pu, xu = p & rows[u], x & rows[u]
+            if pu or xu:
+                yield r + [u], pu, xu
+            else:
+                out.append(tuple(sorted(r + [u])))
+            p &= ~(1 << u)
+            x |= 1 << u
+
+    if g.order:
+        stack = [extend([], (1 << g.order) - 1, 0)]
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+            else:
+                stack.append(extend(*child))
+    return out
+
+
+def oracle_classify_clique(g, clique):
+    """The trichotomy, testing every ordered pair for an edge."""
+    verts = sorted(set(clique))
+    if len(verts) < 2:
+        raise NotAClique("need at least two vertices")
+    for a in verts:
+        for b in verts:
+            if a != b and not g.rows[a] >> b & 1:
+                raise NotAClique(f"vertices {a} and {b} are not adjacent")
+    vecs = [g.labels[i] for i in verts]
+    m = len(vecs[0])
+    diff_coords = {i for v in vecs for i in range(m) if v[i] != vecs[0][i]}
+    if len(diff_coords) <= 2:
+        j, k = sorted(diff_coords) if len(diff_coords) == 2 else (0, 1)
+        return CliqueType("type1", (j, k))
+    lo = tuple(min(v[i] for v in vecs) for i in range(m))
+    a = sum(vecs[0]) - sum(lo)
+    deltas = [tuple(v[i] - lo[i] for i in range(m)) for v in vecs]
+    if all(sorted(d) == [0] * (m - 1) + [a] for d in deltas):
+        support = tuple(sorted(d.index(a) for d in deltas))
+        return CliqueType("type2", (a, lo, support))
+    hi = tuple(max(v[i] for v in vecs) for i in range(m))
+    a = sum(hi) - sum(vecs[0])
+    deltas = [tuple(hi[i] - v[i] for i in range(m)) for v in vecs]
+    if all(sorted(d) == [0] * (m - 1) + [a] for d in deltas):
+        support = tuple(sorted(d.index(a) for d in deltas))
+        if all(hi[i] >= a for i in support):
+            return CliqueType("type3", (a, hi, support))
+    raise RuntimeError(f"clique {verts} fits no type; trichotomy violated")
+
+
+def oracle_diameter(g):
+    """The largest eccentricity over every source."""
+    if g.order == 0:
+        raise Disconnected("the empty graph has no diameter")
+    return max(eccentricity(g, s) for s in range(g.order))
+
+
+def oracle_has_induced_k114(g):
+    """The K_{1,1,4} search on every edge."""
+    crows = [~row ^ (1 << u) for u, row in enumerate(g.rows)]
+    nrows = [row | (1 << u) for u, row in enumerate(g.rows)]
+    for u, v in g.edges():
+        common = g.rows[u] & g.rows[v]
+        if (common.bit_count() >= 4 and invariants._max_clique_size(
+                crows, nrows, common, 0, 3) > 3):
+            return True
+    return False
+
+
+def outcome(f, *args):
+    """f's value, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - the oracles raise alike
+        return type(exc), str(exc)
+
+
+def sr_grid_variants():
+    """Every SR(m, n) with m <= 6 and n <= 5 (at most 252 vertices), the
+    same relabelled by a seeded permutation (family kept) and its
+    complement, with the SR family and without; each with whether its
+    maximal cliques are few enough to list in the suite's time (the
+    complements of SR(4, 4) and SR(5, 3) have 658 and 634, those of the
+    56-vertex SR(4, 5) and SR(6, 3) 13 220 and 17 080)."""
+    rng = random.Random(24)
+    for m in range(7):
+        for n in range(6):
+            if sr_order(m, n) > 300:
+                continue
+            g = sr_graph(m, n)
+            c = g.complement()
+            few = g.order <= 35
+            yield g, True
+            yield g.relabeled(rng.sample(range(g.order), g.order)), True
+            yield Graph(g.labels, c.rows, g.family, g.params), few
+            yield c, few
+
+
+class TestScansAgainstOracles:
+    """The bit-loop scans and the orbit-representative searches give the
+    lists, clique types, values and errors of the plain scans above."""
+
+    def check(self, g, cliques=True):
+        assert outcome(diameter, g) == outcome(oracle_diameter, g)
+        assert outcome(has_induced_k114, g) == \
+            outcome(oracle_has_induced_k114, g)
+        if not cliques:
+            return
+        cliques = maximal_cliques(g)
+        assert cliques == oracle_maximal_cliques(g)
+        outside = (1 << g.order) - 1
+        for c in cliques:
+            # A maximal clique plus its first outside vertex is no clique.
+            rest = outside & ~sum(1 << u for u in c)
+            for members in (c, c + tuple(bits(rest & -rest))):
+                assert outcome(classify_clique, g, members) == \
+                    outcome(oracle_classify_clique, g, members)
+
+    def test_sr_grid(self):
+        for g, cliques in sr_grid_variants():
+            self.check(g, cliques)
+
+    def test_named_graphs(self):
+        for g in (complete_graph(50), cycle_graph(9), johnson_graph(6, 3),
+                  gamma_graph(4, (1, 3, 0, 2)), Graph((), ())):
+            self.check(g)
+
+    def test_labels_on_other_rows_are_refused(self):
+        # SR(3, 2)'s labels on C_6's rows: the labels claim a coordinate
+        # symmetry that the edges do not have.
+        g = Graph(sr_graph(3, 2).labels, cycle_graph(6).rows, "sr", (3, 2))
+        for search in (diameter, has_induced_k114, clique_number):
+            with pytest.raises(ValueError, match="preserve adjacency"):
+                search(g)
+
+    @property_test
+    @given(relabeled_sr_graphs())
+    def test_property_relabeled_sr_graphs(self, g):
+        self.check(g)
+
+    @property_test
+    @given(invariant_sr_graphs())
+    def test_property_invariant_sr_graphs(self, g):
+        self.check(g)
+
+    @property_test
+    @given(relabeled_graphs(max_order=14))
+    def test_property_relabeled_graphs(self, pair):
+        for g in pair:
+            self.check(g)
+
+    @property_test
+    @given(planted_k114())
+    def test_property_planted_k114(self, g):
+        self.check(g)
+
+    @property_test
+    @given(circulants())
+    def test_property_circulants(self, circulant):
+        self.check(circulant[0])
 
 
 class TestCanonicalForm:
@@ -508,7 +712,7 @@ class TestOrbits:
         for perm in coordinate_symmetries(g):
             for u in range(g.order):
                 for v in g.neighbors(u):
-                    assert g.has_edge(perm[u], perm[v])
+                    assert g.rows[perm[u]] >> perm[v] & 1
 
     def test_sr_m3_has_three_orbits(self):
         # 3e_i / 2e_i + e_j / e_i + e_j + e_k

@@ -226,8 +226,8 @@ class GammaClass:
 
     graph is the first representative found (scan order: m ascending, then
     inversion-vector order); occurrences counts the (m, pi) pairs landing in
-    the class; probe is the lenient integer spectrum sweep of the
-    representative, whose residual is 0 exactly when the spectrum is integral.
+    the class; probe is the representative's try_integral_spectrum, whose
+    residual is 0 exactly when the spectrum is integral.
     """
 
     graph: Graph

@@ -8,10 +8,10 @@ nonzero mod p is nonzero over Q, so rank_p <= rank_Q <= min(rows, cols),
 and a mod-p rank of min(rows, cols) is the exact rank.  Every other
 matrix, and every nullity, goes to fraction-free Bareiss elimination on
 Python ints, whose entries stay exact determinantal minors, so no rounding
-ever happens.  try_integral_spectrum uses nullity for exact multiplicities
-of the integer eigenvalues of graphs whose spectrum need not be integral,
-at the candidates that are roots of the characteristic polynomial mod p;
-at any other candidate c, det(A - cI) is nonzero mod p and so over Q.
+ever happens.  try_integral_spectrum asks the engine too; only when the
+engine proves the spectrum not integral does it take nullity for the exact
+multiplicities, at the integer roots mod p the engine reports, which hold
+every integer eigenvalue.
 """
 
 from __future__ import annotations
@@ -190,8 +190,8 @@ def nullity(rows):
     """Dimension of the integer kernel: columns minus rank, by Bareiss
     elimination alone.  rank's mod-p pass only ever proves full rank, and
     a nullity is asked for where a kernel is expected: try_integral_spectrum
-    asks at the roots c of the characteristic polynomial mod p, where A - cI
-    is singular mod p, so that pass could not succeed."""
+    asks at the integer roots c of the characteristic polynomial mod p,
+    where A - cI is singular mod p, so that pass could not succeed."""
     if not rows:
         raise ValueError("nullity needs a matrix with at least one row")
     return len(rows[0]) - _bareiss_rank(rows, len(rows), len(rows[0]))
@@ -226,31 +226,27 @@ def integral_spectrum(g: Graph) -> Spectrum:
 
 
 def try_integral_spectrum(g: Graph) -> SpectrumProbe:
-    """Lenient sweep: report integer eigenvalues found and the residual
-    dimension count instead of raising.  Each candidate's multiplicity is
-    a nullity, so the sweep is size-capped.  The characteristic polynomial
-    chi mod p = modular.PRIMES[0] screens the candidates first: chi(c) =
-    det(cI - A), so chi(c) nonzero mod p proves nullity 0, and only the
-    roots of chi mod p get an exact nullity."""
+    """Lenient integral_spectrum: report the integer eigenvalues and the
+    residual dimension count instead of raising.  An integral spectrum is
+    the certified engine's.  When the engine proves it is not, its pairs
+    are the integer roots of the characteristic polynomial mod p, which
+    hold every integer eigenvalue, and each one's exact multiplicity is a
+    nullity, so the sweep is size-capped.  Raises ValueError, as
+    integral_spectrum does, for a graph labelled as SR whose edges the
+    coordinate permutations do not preserve."""
     v = g.order
     if v > LENIENT_LIMIT:
         raise ValueError(f"lenient sweep is exact-only and capped at "
                          f"{LENIENT_LIMIT} vertices, got {v}")
-    if v == 0:
-        return SpectrumProbe((), 0)
-    delta = max(g.degrees())
+    try:
+        return SpectrumProbe(integral_spectrum(g).pairs, 0)
+    except IncompleteSpectrum as e:
+        candidates = [c for c, _ in e.pairs]
     a = g.adjacency_matrix()
-    p = modular.PRIMES[0]
-    chi = modular.charpoly_mod(a, p)
     eye = np.eye(v, dtype=np.int64)
-    pairs = []
-    for c in range(delta, -delta - 1, -1):
-        if not modular.root_multiplicity(chi, c, p):
-            continue
-        mult = nullity((a - c * eye).tolist())
-        if mult:
-            pairs.append((c, mult))
-    return SpectrumProbe(tuple(pairs), v - sum(m for _, m in pairs))
+    pairs = [(c, k) for c in candidates
+             if (k := nullity((a - c * eye).tolist()))]
+    return SpectrumProbe(tuple(pairs), v - sum(k for _, k in pairs))
 
 
 def verify_eigenvector(g: Graph, vec, eigenvalue: int) -> bool:

@@ -15,14 +15,16 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rooklab.eigenvectors import f_pi, f_pw_family, permutations_with_inversions
+from rooklab import linalg
+from rooklab.eigenvectors import (f_pi, f_pw_family, gamma_graph, gamma_order,
+                                  permutations_with_inversions)
 from rooklab.graphs import (Graph, complete_bipartite, complete_graph,
                             cycle_graph, johnson_graph, sr_graph)
-from rooklab.linalg import (IncompleteSpectrum, Spectrum,
+from rooklab.linalg import (IncompleteSpectrum, Spectrum, SpectrumProbe,
                             halved_factorization_check, integral_spectrum,
                             merge_pairs, nullity, rank, try_integral_spectrum,
                             verify_eigenvector)
-from rooklab.modular import PRIMES
+from rooklab.modular import PRIMES, charpoly_mod, root_multiplicity
 from rooklab.switching import enumerate_switching_sets, gm_switch
 
 from conftest import from_edges, property_test
@@ -32,6 +34,29 @@ def sympy_spectrum(g):
     a = sympy.Matrix(g.adjacency_matrix())
     pairs = sorted(a.eigenvals().items(), key=lambda kv: -kv[0])
     return tuple((int(ev), int(mult)) for ev, mult in pairs)
+
+
+def bareiss_probe(g):
+    """The Bareiss sweep try_integral_spectrum ran before it asked the
+    certified engine, kept as its oracle: every integer within the maximum
+    degree that is a root of the characteristic polynomial mod PRIMES[0]
+    gets the exact nullity of A - cI."""
+    v = g.order
+    if v == 0:
+        return SpectrumProbe((), 0)
+    delta = max(g.degrees())
+    a = g.adjacency_matrix()
+    p = PRIMES[0]
+    chi = charpoly_mod(a, p)
+    eye = np.eye(v, dtype=np.int64)
+    pairs = []
+    for c in range(delta, -delta - 1, -1):
+        if not root_multiplicity(chi, c, p):
+            continue
+        mult = nullity((a - c * eye).tolist())
+        if mult:
+            pairs.append((c, mult))
+    return SpectrumProbe(tuple(pairs), v - sum(m for _, m in pairs))
 
 
 class TestSpectrum:
@@ -177,8 +202,9 @@ class TestIntegralSpectrum:
     def test_engine_agrees_with_bareiss(self):
         g = sr_graph(4, 4)
         for h in [g] + [gm_switch(g, b) for b in enumerate_switching_sets(g)]:
-            assert integral_spectrum(h).pairs == \
-                try_integral_spectrum(h).spectrum().pairs
+            probe = try_integral_spectrum(h)
+            assert probe.to_json() == bareiss_probe(h).to_json()
+            assert integral_spectrum(h).pairs == probe.spectrum().pairs
 
     def test_candidates_do_not_assume_the_theorem(self):
         # K_{3,3} mislabelled as SR(2, 1): the theorem's bound for SR(2, 1)
@@ -194,6 +220,8 @@ class TestIntegralSpectrum:
                   params=(3, 2))
         with pytest.raises(ValueError):
             integral_spectrum(g)
+        with pytest.raises(ValueError):
+            try_integral_spectrum(g)
 
     def test_non_integral_graph_raises(self):
         with pytest.raises(IncompleteSpectrum):
@@ -212,6 +240,47 @@ class TestIntegralSpectrum:
             "integral": False, "spectrum": {"pairs": [[2, 1]], "residual": 4}}
         assert try_integral_spectrum(complete_graph(3)).to_json() == {
             "integral": True, "spectrum": "2^1 (-1)^2"}
+
+    def test_probe_agrees_with_bareiss_on_gamma_graphs(self):
+        graphs = [gamma_graph(m, pi) for m in range(1, 7) for k in range(8)
+                  for pi in permutations_with_inversions(m, k)
+                  if gamma_order(pi) <= 32]
+        assert len(graphs) == 278
+        for g in graphs:
+            assert try_integral_spectrum(g).to_json() == \
+                bareiss_probe(g).to_json()
+
+    def test_probe_agrees_with_bareiss_on_small_graphs(self):
+        graphs = [cycle_graph(5), cycle_graph(7), cycle_graph(9),
+                  complete_graph(3), Graph((), []), from_edges(range(4), [])]
+        for g in graphs:
+            assert try_integral_spectrum(g).to_json() == \
+                bareiss_probe(g).to_json()
+
+    @pytest.fixture
+    def nullity_shifts(self, monkeypatch):
+        """The shifts c of every nullity(A - cI) the probe asks for."""
+        shifts = []
+
+        def spy(rows):
+            shifts.append(-rows[0][0])
+            return nullity(rows)
+        monkeypatch.setattr(linalg, "nullity", spy)
+        return shifts
+
+    def test_integral_graphs_skip_bareiss(self, nullity_shifts,
+                                          gamma_classes):
+        graphs = [c.graph for n in range(5) for c in gamma_classes(n)]
+        graphs += [sr_graph(3, 3), complete_graph(3)]
+        for g in graphs:
+            assert try_integral_spectrum(g).is_integral
+        assert nullity_shifts == []
+
+    def test_non_integral_graphs_take_nullity_at_roots_only(
+            self, nullity_shifts):
+        for n in (5, 7):
+            assert try_integral_spectrum(cycle_graph(n)).pairs == ((2, 1),)
+        assert set(nullity_shifts) <= {2}
 
 
 @st.composite
@@ -247,6 +316,7 @@ class TestProbeSweep:
         probe = try_integral_spectrum(g)
         assert probe.pairs == pairs
         assert probe.residual == g.order - sum(k for _, k in pairs)
+        assert probe.to_json() == bareiss_probe(g).to_json()
 
 
 def loop_verify_eigenvector(g, vec, eigenvalue):

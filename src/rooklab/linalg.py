@@ -213,14 +213,21 @@ def integral_spectrum(g: Graph) -> Spectrum:
     Every integer within the maximum degree is a candidate, so the answer
     assumes nothing about the graph's family.  For SR graphs the engine
     also gets the vertex labels, whose coordinate permutations split the
-    work into one block per partition of m.  The engine verifies that they
-    are automorphisms before using them, and the certified answer is the
-    same with or without them.  Raises IncompleteSpectrum when the spectrum
-    is not integral after all, and ValueError for a graph labelled as SR
-    whose edges the coordinate permutations do not preserve.
+    work into one block per partition of m; a Johnson graph J(v, n), SR(v, n)
+    on the 0/1 vectors, gets its n-subsets' indicator vectors, split by
+    S_v.  The engine verifies that they are automorphisms before using
+    them, and the certified answer is the same with or without them.
+    Raises IncompleteSpectrum when the spectrum is not integral after all,
+    and ValueError for a graph labelled as SR whose edges the coordinate
+    permutations do not preserve.
     """
-    pairs = modular.certified_symmetric_spectrum(
-        g.adjacency_matrix(), g.labels if g.family == "sr" else None)
+    labels = None
+    if g.family == "sr":
+        labels = g.labels
+    elif g.family == "johnson":
+        points = range(g.params[0])
+        labels = [tuple(map(set(s).__contains__, points)) for s in g.labels]
+    pairs = modular.certified_symmetric_spectrum(g.adjacency_matrix(), labels)
     _self_check(g, pairs)
     return Spectrum(tuple(pairs))
 

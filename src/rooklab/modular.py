@@ -66,16 +66,21 @@ B_lambda (x) I_d_lambda, the similarity step 3 uses.  The blocks are built
 and checked once; each then runs steps 1-3 with its own primes.
 
 The arithmetic uses int64 numpy (values stay far below 2**63) and float64
-BLAS matmuls, both exact integer arithmetic in range: a product of two
-matrices with entries below p sums v terms below (p - 1)**2, which stays
-below 2**53 while v <= MAX_ORDER.  The products A M and M B that build and
-check a block are bounded below 2**53 before they are trusted, and a block
-of order above MAX_ORDER is refused.  A float64 product is reduced mod p by
-converting it to int64 and taking integer %, exact for every integer below
-2**53 in magnitude.  libm's fmod, which np.fmod calls on floats, gives the
-same residues but divides bit by bit, so its cost grows with the length of
-the quotient, here up to v * p: it takes many times as long as the
-conversion and % together, and longer than the matmul it follows.
+BLAS matmuls, both exact integer arithmetic in range.  The products A M and
+M B that build and check a block are bounded below 2**53 before they are
+trusted, and a block of order above MAX_ORDER is refused.  A block's own
+entries are known only to lie below 2**53 in magnitude, so a proof or a
+characteristic polynomial first takes them mod p with integer % on int64.
+From then on every matrix holds balanced residues r, |r| <= p/2 + 2, and a
+product of two such matrices sums at most v <= MAX_ORDER terms of at most
+((p + 4)/2)**2: below 2**51.01 for p < 2**20.  _reduce brings such an x
+back to a balanced residue as x - q p, q = rint(x fl(1/p)).  For
+|x| < 2**52 the float product x fl(1/p) lies within 2/p of x/p, so q lies
+within 1/2 + 2/p of it and |x - q p| <= p/2 + 2; q p and x - q p are
+integers below 2**53, so both are exact.  Integer % on int64 would be
+exact too, but its division takes longer than the matmul it follows at
+order 77, and libm's fmod, which np.fmod calls on floats, divides bit by
+bit, slower still.
 """
 
 from __future__ import annotations
@@ -211,8 +216,9 @@ def _isotypic(a, lab):
 
     # perm is a symmetry iff it maps every nonzero entry to an equal
     # one: a bijection of the positions then maps zeros to zeros.
-    x, y = np.nonzero(a)
-    entries = a[x, y]
+    nonzero = a != 0
+    x, y = np.nonzero(nonzero)
+    entries = a[nonzero]
     for perm in find(lab[:, [(1, 0, *range(2, m)),
                              (*range(1, m), 0)]]).reshape(v, 2).T:
         if not np.array_equal(a[perm[x], perm[y]], entries):
@@ -336,18 +342,22 @@ def _power_sums(a, p):
     flattened stacks gives every trace.  The steps take b - 1 and at most
     g - 2 matrix products, about 2 sqrt(v) in all.
 
-    Exact while v (p - 1)**2 < 2**53, which charpoly_mod checks.  Each
-    float64 power product sums v products of residues below p, and _reduce
-    takes it mod p.  A trace sums v**2 such products, so the trace product
-    runs in chunks of t = (2**53 - 1) // (p - 1)**2 >= v terms (at least
-    MAX_ORDER at the engine's primes, so one chunk up to order 90): each
-    chunk's traces are exact in float64, and their residues add up in
+    Exact while v (p - 1)**2 < 2**53, which charpoly_mod checks.  a's
+    entries are taken mod p with integer % first, and every power is a
+    matrix of balanced residues (module docstring).  A power product sums
+    v terms of at most ((p + 4)/2)**2 <= (p - 1)**2 / 2 for p >= 17, so
+    it stays below 2**52, the range of _reduce; for p < 17, v < p keeps
+    every sum, traces included, below 2**14.  A trace sums v**2 such
+    terms, so the trace product runs in chunks of
+    t = (2**53 - 1) // (p - 1)**2 >= v terms (at least MAX_ORDER at the
+    engine's primes, so one chunk up to order 90): each chunk's traces are
+    exact in float64, and their residues, taken with integer %, add up in
     int64.
     """
     v = len(a)
     b = math.isqrt(v)
     g = -(-v // b)
-    af = _reduce(a, p)
+    af = _reduce(a % p, p)
     babies = np.empty((b, v, v))
     giants = np.zeros((g, v, v))
     flat, flat_t = giants.reshape(g, v * v), babies.reshape(b, v * v)
@@ -398,77 +408,83 @@ def charpoly_mod(a, p):
     return c[::-1]
 
 
-def root_multiplicity(coeffs, c, p):
-    """Multiplicity of the root c in the mod-p polynomial (ascending coeffs)."""
-    cur = [x % p for x in coeffs]
-    cval = c % p
-    mult = 0
-    while len(cur) > 1:
+def _divide_out(coeffs, c, p):
+    """(e, q): the multiplicity e of the root c of the mod-p polynomial
+    coeffs (ascending), and the quotient q = coeffs / (x - c)**e, reduced
+    mod p (coeffs itself when e = 0)."""
+    e = 0
+    while len(coeffs) > 1:
         # Synthetic division by (x - c), descending order internally; the
         # accumulator is both quotient coefficient and running remainder.
-        rem = 0
-        quot = []
-        for coef in reversed(cur):
-            rem = (rem * cval + coef) % p
+        rem, quot = 0, []
+        for coef in reversed(coeffs):
+            rem = (rem * c + coef) % p
             quot.append(rem)
-        if quot[-1] != 0:
+        if rem:
             break
-        mult += 1
-        cur = quot[-2::-1]
-    return mult
+        e += 1
+        coeffs = quot[-2::-1]
+    return e, coeffs
 
 
-def _poly_from_roots(roots, p):
-    """Coefficients of prod (x - r), ascending, reduced mod p."""
-    coeffs = [1]
-    for r in roots:
-        nxt = [0] * (len(coeffs) + 1)
-        for i, q in enumerate(coeffs):
-            nxt[i + 1] = (nxt[i + 1] + q) % p
-            nxt[i] = (nxt[i] - r * q) % p
-        coeffs = nxt
-    return coeffs
+def root_multiplicity(coeffs, c, p):
+    """Multiplicity of the root c in the mod-p polynomial (ascending coeffs)."""
+    return _divide_out([x % p for x in coeffs], c % p, p)[0]
+
+
+def _check_order(v):
+    """ValueError for a block order v above MAX_ORDER."""
+    if v > MAX_ORDER:
+        raise ValueError(f"block order {v} exceeds {MAX_ORDER}, the largest"
+                         f" for which float64 products mod p stay exact")
 
 
 def _reduce(x, p):
-    """x mod p, in [0, p), as float64, for an array of integers below 2**53
-    in magnitude: integer % on the exact int64 values (module docstring)."""
-    return (x.astype(np.int64) % p).astype(np.float64)
+    """A balanced residue of x mod p, as float64: x - p rint(x fl(1/p)),
+    congruent to x and at most p/2 + 2 in magnitude, for an array of
+    integers (float64 or int64) below 2**52 in magnitude (module
+    docstring)."""
+    q = x * (1.0 / p)
+    np.rint(q, out=q)
+    q *= p
+    return np.subtract(x, q, out=q)
 
 
-def _annihilator_mod(a, eigenvalues, p):
-    """prod over eigenvalues of (a - cI), reduced mod p, as float64.
+def _annihilator_mod(a, coeffs, p):
+    """f(a) mod p as float64 balanced residues, for the integer polynomial
+    f with ascending coeffs (prod over roots of (x - c) in the proof).
 
-    Paterson-Stockmeyer evaluation of the product polynomial: one batch
-    of powers a^0..a^s plus a block Horner loop, about 2*sqrt(d) matrix
-    products instead of d.  Everything is float64 (np.eye and np.zeros
-    included), and all intermediates stay exact integers below 2**53:
-    entries are reduced below p < 2**20 between products, the matrix
-    order is at most MAX_ORDER, so a product sums at most MAX_ORDER terms
-    below (p - 1)**2, and a block sums at most s <= MAX_ORDER terms q x
-    with q and x below p.  _reduce takes each mod p with integer % rather
-    than libm's fmod, whose cost grows with the quotient's bits.
+    Paterson-Stockmeyer evaluation (SIAM J. Comput. 2 (1973) 60-66): with
+    s = max(2, isqrt(d) + 1) for f of degree d, f = sum_j f_j(x) x^(js),
+    each f_j of degree below s.  One batch of powers a^0..a^s; every f_j(a)
+    at once, as one product of their coefficient rows with the flattened
+    stack a^0..a^(s-1); then Horner's rule in a^s.  About 2 sqrt(d) matrix
+    products instead of d.
+
+    Exact for a of order v <= MAX_ORDER (annihilation_proved checks it)
+    and d < 8000**2.  a's entries are taken mod p with integer % first,
+    f's coefficients are balanced residues, at most p/2, and every power is
+    a matrix of balanced residues (module docstring).  So an f_j(a) sums s
+    terms, and a Horner step b a^s + f_j(a) sums v + s, each at most
+    ((p + 4)/2)**2; 16 380 such terms stay below 2**52, the range of
+    _reduce, for every p < 2**20.
     """
     v = a.shape[0]
-    d = len(eigenvalues)
-    af = _reduce(a, p)
-    coeffs = _poly_from_roots(eigenvalues, p)
+    d = len(coeffs) - 1
     s = max(2, math.isqrt(d) + 1)
-    powers = [np.eye(v), af]
-    for _ in range(2, s + 1):
-        powers.append(_reduce(powers[-1] @ af, p))
-
-    def block(j):
-        out = np.zeros((v, v))
-        for i, q in enumerate(coeffs[j * s:(j + 1) * s]):
-            if q:
-                out += q * powers[i]
-        return _reduce(out, p)
-
-    nblocks = -(-len(coeffs) // s)
-    b = block(nblocks - 1)
+    nblocks = -(-(d + 1) // s)
+    rows = np.zeros(nblocks * s)
+    rows[:d + 1] = [(c + p // 2) % p - p // 2 for c in coeffs]
+    powers = np.empty((s + 1, v, v))
+    powers[0] = np.eye(v)
+    powers[1] = _reduce(a % p, p)
+    for i in range(2, s + 1):
+        powers[i] = _reduce(powers[i - 1] @ powers[1], p)
+    blocks = (rows.reshape(nblocks, s) @ powers[:s].reshape(s, v * v)) \
+        .reshape(nblocks, v, v)
+    b = _reduce(blocks[-1], p)
     for j in range(nblocks - 2, -1, -1):
-        b = _reduce(b @ powers[s] + block(j), p)
+        b = _reduce(b @ powers[s] + blocks[j], p)
     return b
 
 
@@ -476,14 +492,18 @@ def annihilation_proved(b, roots):
     """True iff prod over roots of (b - cI) is proven zero over Z, modulo
     enough primes that their product exceeds twice the bound
     prod (||b|| + |c|) on its entries, ||b|| being b's own max absolute row
-    sum.  A nonempty b with no roots fails the proof."""
+    sum.  A nonempty b with no roots fails the proof.  ValueError for b of
+    order above MAX_ORDER, where float64 products mod p may round."""
+    _check_order(len(b))
     norm = int(np.abs(b).sum(axis=1).max(initial=0))
     bound_bits = 1.0
+    coeffs = [1]  # prod (x - c) over the integers, ascending
     for c in roots:
         bound_bits += float(np.log2(max(norm + abs(c), 2)))
+        coeffs = [lo - c * hi for lo, hi in zip([0, *coeffs], [*coeffs, 0])]
     used_bits = 0.0
     for p in PRIMES:
-        if np.any(_annihilator_mod(b, roots, p)):
+        if np.any(_annihilator_mod(b, coeffs, p)):
             return False
         used_bits += float(np.log2(p))
         if used_bits > bound_bits:
@@ -510,24 +530,30 @@ class IncompleteSpectrum(Exception):
             f"{residual} unaccounted for")
 
 
+def _integer_roots(chi, norm, p):
+    """Descending (c, e) pairs of the integers c in [-norm, norm] that are
+    roots of the monic mod-p polynomial chi (ascending, reduced), e being
+    c's multiplicity mod p.  Each candidate divides what the earlier roots
+    left of chi, and the screen stops once that is constant."""
+    pairs = []
+    for c in range(norm, -norm - 1, -1):
+        if len(chi) == 1:
+            break
+        e, chi = _divide_out(chi, c, p)
+        if e:
+            pairs.append((c, e))
+    return pairs
+
+
 def _block_spectrum(b):
     """Descending (eigenvalue, multiplicity) pairs of the block b's integer
     eigenvalues, proven exact if they add up to its order (steps 1-3 of the
     module docstring); RuntimeError if the proof fails at four primes."""
     norm = int(np.abs(b).sum(axis=1).max())
     for p in PRIMES[:4]:
-        chi = charpoly_mod(b, p)
-        pairs, total = [], 0
-        # The root multiplicities add up to at most b's order, so once
-        # they reach it no further candidate is a root.
-        for c in range(norm, -norm - 1, -1):
-            if total == len(b):
-                break
-            e = root_multiplicity(chi, c, p)
-            if e:
-                pairs.append((c, e))
-                total += e
-        if total < len(b) or annihilation_proved(b, [c for c, _ in pairs]):
+        pairs = _integer_roots(charpoly_mod(b, p), norm, p)
+        if sum(e for _, e in pairs) < len(b) or \
+                annihilation_proved(b, [c for c, _ in pairs]):
             return pairs
     raise RuntimeError("spectrum certificate failed for the first four primes")
 
@@ -549,10 +575,7 @@ def certified_symmetric_spectrum(a, labels=None):
     above MAX_ORDER.
     """
     blocks = _blocks(a, labels)
-    size = max((len(b) for b, _ in blocks), default=0)
-    if size > MAX_ORDER:
-        raise ValueError(f"block order {size} exceeds {MAX_ORDER}, the largest"
-                         f" for which float64 products mod p stay exact")
+    _check_order(max((len(b) for b, _ in blocks), default=0))
     found = Counter()
     for b, weight in blocks:
         for c, e in _block_spectrum(b):

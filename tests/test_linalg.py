@@ -15,9 +15,10 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rooklab import linalg
+from rooklab import linalg, modular
 from rooklab.eigenvectors import (f_pi, f_pw_family, gamma_graph, gamma_order,
                                   permutations_with_inversions)
+from rooklab.formulas import johnson_spectrum
 from rooklab.graphs import (Graph, complete_bipartite, complete_graph,
                             cycle_graph, johnson_graph, sr_graph)
 from rooklab.linalg import (IncompleteSpectrum, Spectrum, SpectrumProbe,
@@ -198,6 +199,36 @@ class TestIntegralSpectrum:
     def test_against_sympy_on_johnson(self):
         g = johnson_graph(6, 3)
         assert integral_spectrum(g).pairs == sympy_spectrum(g)
+
+    def test_johnson_graphs_split_by_indicator_labels(self):
+        # J(v, n) reaches the engine with its 0/1 indicator vectors as
+        # labels: the pairs are the closed form for every v <= 12, and the
+        # unlabelled engine's up to order 300.  A relabelled graph carries
+        # its subsets along.
+        for v in range(13):
+            for n in range(v + 1):
+                g = johnson_graph(v, n)
+                pairs = integral_spectrum(g).pairs
+                assert pairs == johnson_spectrum(v, n).pairs, (v, n)
+                if g.order <= 300:
+                    assert list(pairs) == modular.certified_symmetric_spectrum(
+                        g.adjacency_matrix()), (v, n)
+        g = johnson_graph(8, 3)
+        h = g.relabeled(random.Random(8).sample(range(g.order), g.order))
+        assert integral_spectrum(h) == integral_spectrum(g)
+
+    def test_johnson_graph_reaches_the_symmetry_split(self, monkeypatch):
+        seen = []
+        isotypic = modular._isotypic
+
+        def counted(a, lab):
+            seen.append(lab.tolist())
+            return isotypic(a, lab)
+
+        monkeypatch.setattr(modular, "_isotypic", counted)
+        g = johnson_graph(6, 3)
+        assert integral_spectrum(g).pairs == sympy_spectrum(g)
+        assert seen == [[[int(i in s) for i in range(6)] for s in g.labels]]
 
     def test_engine_agrees_with_bareiss(self):
         g = sr_graph(4, 4)

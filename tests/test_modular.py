@@ -175,6 +175,124 @@ class TestRootMultiplicity:
         assert root_multiplicity(coeffs, -1, p) == 1
 
 
+def per_candidate_multiplicity(coeffs, c, p):
+    """root_multiplicity before it shared the screen's division: repeated
+    synthetic division of the whole polynomial by (x - c)."""
+    cur = [x % p for x in coeffs]
+    cval = c % p
+    mult = 0
+    while len(cur) > 1:
+        rem = 0
+        quot = []
+        for coef in reversed(cur):
+            rem = (rem * cval + coef) % p
+            quot.append(rem)
+        if quot[-1] != 0:
+            break
+        mult += 1
+        cur = quot[-2::-1]
+    return mult
+
+
+def per_candidate_screen(chi, norm, p):
+    """The candidate screen before deflation, kept as its oracle: each c
+    from norm down takes its multiplicity in the whole of chi, until the
+    multiplicities reach chi's degree."""
+    pairs, total = [], 0
+    for c in range(norm, -norm - 1, -1):
+        if total == len(chi) - 1:
+            break
+        e = per_candidate_multiplicity(chi, c, p)
+        if e:
+            pairs.append((c, e))
+            total += e
+    return pairs
+
+
+def per_candidate_block_spectrum(b):
+    """modular._block_spectrum on the per-candidate screen."""
+    norm = int(np.abs(b).sum(axis=1).max())
+    for p in PRIMES[:4]:
+        pairs = per_candidate_screen(charpoly_mod(b, p), norm, p)
+        if sum(e for _, e in pairs) < len(b) or \
+                annihilation_proved(b, [c for c, _ in pairs]):
+            return pairs
+    raise RuntimeError("spectrum certificate failed for the first four primes")
+
+
+def engine_outcome(a, labels=None):
+    """The engine's pairs, or its IncompleteSpectrum's pairs and residual."""
+    try:
+        return certified_symmetric_spectrum(a, labels)
+    except IncompleteSpectrum as e:
+        return e.pairs, e.residual
+
+
+def random_poly_mod(rng, p):
+    """A seeded random monic polynomial mod p (ascending): integer roots in
+    [-12, 12] of multiplicity 1-3 and irreducible quadratic factors."""
+    factors = []
+    for _ in range(rng.randrange(0, 7)):
+        factors += [[-rng.randrange(-12, 13) % p, 1]] * rng.randrange(1, 4)
+    for _ in range(rng.randrange(0, 4)):
+        lin, const = 0, 0
+        while pow((lin * lin - 4 * const) % p, (p - 1) // 2, p) != p - 1:
+            lin, const = rng.randrange(p), rng.randrange(p)
+        factors.append([const, lin, 1])
+    rng.shuffle(factors)
+    poly = [1]
+    for f in factors:
+        out = [0] * (len(poly) + len(f) - 1)
+        for i, x in enumerate(poly):
+            for j, y in enumerate(f):
+                out[i + j] = (out[i + j] + x * y) % p
+        poly = out
+    return poly
+
+
+class TestDeflatedScreen:
+    """The deflated root screen gives what the per-candidate screen gave."""
+
+    def test_random_polynomials(self):
+        # Candidate ranges narrower and wider than the roots' [-12, 12],
+        # at a small prime and the engine's largest and smallest.
+        rng = random.Random(26)
+        for p in (10007, PRIMES[0], PRIMES[-1]):
+            for _ in range(150):
+                chi = random_poly_mod(rng, p)
+                norm = rng.randrange(0, 16)
+                assert modular._integer_roots(chi, norm, p) == \
+                    per_candidate_screen(chi, norm, p), (p, chi, norm)
+                for c in range(-norm, norm + 1):
+                    assert root_multiplicity(chi, c, p) == \
+                        per_candidate_multiplicity(chi, c, p)
+
+    def test_sr_blocks_mates_and_odd_cycles(self, monkeypatch):
+        # Every block of SR(m, n) with m, n <= 6, the 73 switching mates of
+        # SR(4, 3), SR(4, 4) and SR(5, 3), and the non-integral C_5 and C_7:
+        # the same pairs block by block, and the same spectrum or
+        # IncompleteSpectrum pairs and residual.
+        cases = []
+        for m in range(1, 7):
+            for n in range(7):
+                g = sr_graph(m, n)
+                cases.append((g.adjacency_matrix(), g.labels))
+        for m, n in ((4, 3), (4, 4), (5, 3)):
+            g = sr_graph(m, n)
+            cases += [(gm_switch(g, b).adjacency_matrix(), None)
+                      for b in enumerate_switching_sets(g)]
+        cases += [(cycle_graph(k).adjacency_matrix(), None) for k in (5, 7)]
+        assert len(cases) == 42 + 73 + 2
+        blocks = [b for a, labels in cases for b, _ in _blocks(a, labels)]
+        assert all(modular._block_spectrum(b) ==
+                   per_candidate_block_spectrum(b) for b in blocks)
+        deflated = [engine_outcome(*case) for case in cases]
+        monkeypatch.setattr(modular, "_block_spectrum",
+                            per_candidate_block_spectrum)
+        assert deflated == [engine_outcome(*case) for case in cases]
+        assert deflated[-2:] == [(((2, 1),), 4), (((2, 1),), 6)]
+
+
 class TestCertificate:
     def test_planted_integer_spectrum(self):
         d = np.diag([3, 3, -1, 0, 5]).astype(np.int64)
@@ -258,13 +376,21 @@ class TestCertificate:
         primes = {}
         annihilator = modular._annihilator_mod
 
-        def counted(b, roots, p):
+        def counted(b, coeffs, p):
             primes.setdefault(len(b), set()).add(p)
-            return annihilator(b, roots, p)
+            return annihilator(b, coeffs, p)
 
         monkeypatch.setattr(modular, "_annihilator_mod", counted)
         assert certified_symmetric_spectrum(a, g.labels) == numpy_spectrum(a)
         assert len(primes[25]) == 5
+
+    def test_annihilation_order_above_exact_float_range_refused(self):
+        # annihilation_proved is public: past MAX_ORDER its float64
+        # products may round, so it refuses before any work, as the engine
+        # does.
+        a = np.broadcast_to(np.int64(0), (MAX_ORDER + 1, MAX_ORDER + 1))
+        with pytest.raises(ValueError, match="exceeds"):
+            annihilation_proved(a, [0])
 
     def test_annihilation_empty_cases(self):
         assert annihilation_proved(np.zeros((0, 0), dtype=np.int64), [])
@@ -283,8 +409,25 @@ def exact_annihilator_mod(a, roots, p):
     return [[x % p for x in row] for row in out]
 
 
+def poly_from_roots(roots):
+    """prod over roots of (x - c), ascending integer coefficients, by sympy."""
+    x = sympy.symbols("x")
+    poly = sympy.Poly(sympy.prod([x - c for c in roots]), x)
+    return [int(c) for c in reversed(poly.all_coeffs())]
+
+
+def assert_balanced_residues(got, expected, p):
+    """got holds float64 integers congruent mod p to expected (in [0, p)),
+    each at most p/2 + 2 in magnitude."""
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.rint(got))
+    assert np.abs(got).max(initial=0) <= p / 2 + 2
+    assert (got.astype(np.int64) % p).tolist() == expected
+
+
 class TestReduction:
-    """Every mod-p reduction of the annihilation proof is exact integer %."""
+    """Every mod-p reduction of the annihilation proof is exact: its balanced
+    residues are congruent to the exact integers."""
 
     def test_matches_python_integers(self):
         # Seeded random integer blocks of order 1-12, negative entries
@@ -298,41 +441,75 @@ class TestReduction:
                               for _ in range(v)], dtype=np.int64)
                 roots = [rng.randrange(-30, 31)
                          for _ in range(rng.randrange(0, 7))]
-                got = _annihilator_mod(a, roots, p)
-                assert got.dtype == np.float64
-                assert got.tolist() == exact_annihilator_mod(a, roots, p), \
-                    (p, a.tolist(), roots)
+                got = _annihilator_mod(a, poly_from_roots(roots), p)
+                assert_balanced_residues(
+                    got, exact_annihilator_mod(a, roots, p), p)
 
     def test_products_near_the_top_of_the_range(self):
-        # -J of order 300 reduces to p - 1 in every entry, so every matmul
-        # sums 300 products (p - 1)**2.  J / 300 is idempotent, so
-        # f(-J) = f(-300) J / 300 + f(0) (I - J / 300) for f = prod (x - c).
+        # h J of order 300 with h = +-(p - 1)/2, the largest balanced
+        # residue, and -J: every first power product sums 300 products
+        # h**2.  J / 300 is idempotent, so
+        # f(h J) = f(300 h) J / 300 + f(0) (I - J / 300) for f = prod (x - c).
         v = 300
-        a = -np.ones((v, v), dtype=np.int64)
         for p in (PRIMES[0], PRIMES[-1]):
-            for roots in ([5, -3, 299, 0, -17, 1, 42, -299, 7],
-                          [1, 2, 3, 4], [-301]):
-                f0 = f300 = 1
-                for c in roots:
-                    f0 *= -c
-                    f300 *= -300 - c
-                off = (f300 - f0) // v
-                expected = np.full((v, v), off % p, dtype=np.float64)
-                np.fill_diagonal(expected, (off + f0) % p)
-                assert np.array_equal(_annihilator_mod(a, roots, p),
-                                      expected), (p, roots)
+            for h in (p // 2, -(p // 2), -1):
+                a = np.full((v, v), h, dtype=np.int64)
+                for roots in ([5, -3, 299, 0, -17, 1, 42, -299, 7],
+                              [1, 2, 3, 4], [-301], list(range(-20, 21))):
+                    f0 = f1 = 1
+                    for c in roots:
+                        f0 *= -c
+                        f1 *= v * h - c
+                    off = (f1 - f0) // v
+                    expected = np.full((v, v), off % p, dtype=np.int64)
+                    np.fill_diagonal(expected, (off + f0) % p)
+                    got = _annihilator_mod(a, poly_from_roots(roots), p)
+                    assert_balanced_residues(got, expected.tolist(), p)
+
+    def test_block_entries_near_two_to_the_53(self):
+        # A block's entries are known only to lie below 2**53; the entry
+        # reduction takes them mod p with integer % before any product.
+        # Past _reduce's range the rounding alone can be off: at PRIMES[8],
+        # q p rounds for x = 2**53 - 1.
+        top = 2**53 - 1
+        p8 = PRIMES[8]
+        assert (top - int(_reduce(np.array([top]), p8)[0])) % p8
+        rng = random.Random(53)
+        for p in (PRIMES[0], p8, PRIMES[-1]):
+            for _ in range(20):
+                v = rng.randrange(1, 6)
+                a = np.array([[rng.choice((top, -top, top - p, 1 - top,
+                                           rng.randrange(-top, top + 1)))
+                               for _ in range(v)] for _ in range(v)],
+                             dtype=np.int64)
+                a[0, 0] = top
+                roots = [rng.randrange(-30, 31)
+                         for _ in range(rng.randrange(0, 5))]
+                got = _annihilator_mod(a, poly_from_roots(roots), p)
+                assert_balanced_residues(
+                    got, exact_annihilator_mod(a, roots, p), p)
+                assert charpoly_mod(a, p) == sympy_charpoly_mod(a, p)
 
     def test_reduce_matches_python_percent(self):
+        # Every integer below 2**52 in magnitude, as float64 or int64,
+        # reduces to a congruent balanced residue: multiples of p, their
+        # neighbours and the half-way points between them, up to the top.
+        rng = random.Random(52)
         for p in (PRIMES[0], PRIMES[-1]):
-            top = (2**53 - 1) // p
-            xs = [0, 1, p - 1, p, p + 1, 2 * p - 1, 2 * p, 7 * p + 1,
-                  top * p - 1, top * p, top * p + 1, 2**53 - 1]
+            top = (2**52 - 1) // p
+            xs = [0, 1, p // 2, p // 2 + 1, p - 1, p, p + 1, 2 * p - 1,
+                  2 * p, 2 * p + 1, 7 * p + 1, 7 * p + p // 2,
+                  7 * p + p // 2 + 1, top * p - 1, top * p, top * p + 1,
+                  top * p + p // 2, 2**52 - 1]
+            xs += [rng.randrange(2**52) for _ in range(1000)]
+            xs += [k * p + d for k in rng.sample(range(top + 1), 200)
+                   for d in (-1, 0, 1)]
+            xs = [x for x in xs if x < 2**52]
             xs += [-x for x in xs]
-            assert max(xs) == 2**53 - 1
+            assert max(xs) == 2**52 - 1
             for dtype in (np.float64, np.int64):
                 got = _reduce(np.array(xs, dtype=dtype), p)
-                assert got.dtype == np.float64
-                assert got.tolist() == [x % p for x in xs], (p, dtype)
+                assert_balanced_residues(got, [x % p for x in xs], p)
 
     def test_modular_calls_no_float_remainder(self):
         # np.fmod on float64 calls libm's fmod, whose cost grows with the

@@ -47,11 +47,16 @@ which generate S_m).  For a partition lambda of m, fill its diagram with
 over c in C of sgn(c) c.  J holds the R-orbits of labels whose row-sorted
 filling is semistandard (columns strictly increasing), and M the v x |J|
 integer columns b u(O), u(O) the indicator of O in J, taken in increasing
-order of the orbits' sorted labels.  The engine checks that M's rows at
-those labels form an upper unitriangular U, so rank M = |J|, solves
-U B = (A M)[those rows] by exact back substitution, and checks M B = A M
-exactly over Z: A maps the column space W of M into itself, acting by the
-integer B_lambda.
+order of the orbits' sorted labels.  One pass builds the M of every
+lambda: the row-sorted labels of all S shapes are one (S, v, m) stack of
+small integers, sorted once; one lookup finds every orbit and one every
+image of a label under a c; and the M are the column ranges of one v x K
+integer matrix, K the sum of the |J|, made by one bincount, so that one
+float64 product gives every A M.  Then, lambda by lambda, the engine checks
+that M's rows at those labels form an upper unitriangular U, so
+rank M = |J|, solves U B = (A M)[those rows] by exact back substitution,
+and checks M B = A M exactly over Z on all v rows: A maps the column space
+W of M into itself, acting by the integer B_lambda.
 
 With a the sum over R, b a is a multiple of a primitive idempotent for the
 irreducible S^lambda, of dimension d_lambda (hook length formula; James,
@@ -141,7 +146,8 @@ def _tableau(shape):
     """shape's diagram filled with 0..m-1 row by row: the row of each
     position, the positions below another one and those just above them,
     the permutations of 0..m-1 that keep each column (rows of an index
-    array) with their signs, and d_lambda, m! over the hook lengths."""
+    array, the identity first) with their signs, and d_lambda, m! over the
+    hook lengths."""
     parts = np.array(shape)
     rows = np.repeat(np.arange(len(parts)), parts)
     starts = np.cumsum((0, *parts))
@@ -166,7 +172,10 @@ def _tableau(shape):
 def _unitriangular_solve(u, c):
     """X with u X = c, exactly, for an upper unitriangular int64 u, by back
     substitution over u's rows that are not identity rows; RuntimeError for
-    any other u."""
+    any other u.  An identity u, k nonzeros all on the diagonal, as on every
+    S_m block of the SR graphs tried, costs a count and a copy of c."""
+    if np.count_nonzero(u) == len(u) and np.all(np.diagonal(u) == 1):
+        return c.copy()
     off = u - np.eye(len(u), dtype=np.int64)
     if np.any(np.tril(off)):
         raise RuntimeError("a block's M is not unitriangular in label order")
@@ -193,16 +202,52 @@ def _blocks(a, labels):
     return [(a, 1)] if v else []
 
 
+def _symmetric_row_bound(a, perms):
+    """The max absolute row sum of the square matrix a, once each index
+    permutation p in perms is verified a symmetry, a[p x, p y] = a[x, y];
+    ValueError if one is not.  A p that maps every nonzero entry to an equal
+    one is a symmetry: a bijection of the positions then maps zeros to
+    zeros.  The nonzeros are taken once, as flat indices.  The row sums are
+    float64 sums of integers, exact below 2**53, the bound _isotypic
+    checks them against."""
+    v = len(a)
+    flat = a.ravel()
+    nonzero = np.flatnonzero(flat != 0)
+    entries = flat[nonzero]
+    x, y = nonzero // v, nonzero % v
+    for p in perms:
+        if not np.array_equal(flat[p[x] * v + p[y]], entries):
+            raise ValueError("coordinate permutations are not a "
+                             "symmetry of the matrix")
+    return np.bincount(x, np.abs(entries)).max(initial=0)
+
+
 def _isotypic(a, lab):
-    """The (B_lambda, d_lambda) of a, split by the v x m labels lab."""
+    """The (B_lambda, d_lambda) of a, split by the v x m labels lab, built
+    for every shape lambda in one pass (module docstring).
+
+    The labels, less the smallest entry, are held in the narrowest signed
+    integer type that holds m times their width, one byte each for SR(m, n)
+    when m (n + 1) <= 128.  The S shapes' row-sorted labels are one
+    (S, v, m) stack of them, and their M_lambda the column ranges of one
+    v x K matrix M, K the sum of the |J|: one sort, one lookup of every
+    orbit, one of every column permutation's image, one bincount and one
+    float64 product A M serve every shape.  Its memory goes to the stack,
+    the images looked up, a float64 copy of a, and M and A M, v x K float64
+    each.  Each block is then solved and checked exactly on its own, shape
+    by shape."""
     v, m = lab.shape
+    lo = lab.min()
+    width = int(lab.max() - lo) + 1
+    shifted = (lab - lo).astype(np.min_scalar_type(-m * width))
 
     def keys(rows):  # one opaque scalar per row of m entries
         return np.ascontiguousarray(rows.reshape(-1, m)).view(
-            np.dtype((np.void, 8 * m))).ravel()
+            np.dtype((np.void, shifted.itemsize * m))).ravel()
 
-    order = np.argsort(keys(lab))
-    table = keys(lab)[order]
+    table = keys(shifted)
+    order = np.argsort(table)
+    table = table[order]
     if np.any(table[1:] == table[:-1]):
         raise ValueError("labels are not distinct")
 
@@ -214,47 +259,65 @@ def _isotypic(a, lab):
                              "permutation")
         return order[pos]
 
-    # perm is a symmetry iff it maps every nonzero entry to an equal
-    # one: a bijection of the positions then maps zeros to zeros.
-    nonzero = a != 0
-    x, y = np.nonzero(nonzero)
-    entries = a[nonzero]
-    for perm in find(lab[:, [(1, 0, *range(2, m)),
-                             (*range(1, m), 0)]]).reshape(v, 2).T:
-        if not np.array_equal(a[perm[x], perm[y]], entries):
-            raise ValueError("coordinate permutations are not a "
-                             "symmetry of the matrix")
-    delta = np.bincount(x, np.abs(entries)).max(initial=0)
+    delta = _symmetric_row_bound(
+        a, find(shifted[:, [(1, 0, *range(2, m)),
+                            (*range(1, m), 0)]]).reshape(v, 2).T)
     # The contents of the labels, from one label per S_m-orbit.
-    ordered = np.sort(lab, axis=1)
-    contents = {tuple(sorted(Counter(t).values(), reverse=True)) for t in
-                ordered[np.unique(keys(ordered), return_index=True)[1]]
-                .tolist()}
-    af = a.astype(np.float64)
+    ordered = (np.sort(shifted, axis=1) == shifted).all(axis=1)
+    contents = {tuple(sorted(Counter(t).values(), reverse=True))
+                for t in shifted[ordered].tolist()}
+    shapes = list(_shapes(m, contents))
+    rows, below, above, perms, signs, ds = zip(*map(_tableau, shapes))
+    # Every shape's row-sorted labels in one sort: a label's entries move
+    # into the bands of their rows, width apart, so that sorting the label
+    # orders it within rows only.
+    band = (np.array(rows) * width).astype(shifted.dtype)[:, None]
+    rs = shifted + band
+    rs.sort(axis=2)
+    rs -= band
+    # A label's R-orbit is in J iff each entry of rs exceeds the one above
+    # it; an entry of the first row is compared with itself, plus one.
+    up = np.tile(np.arange(m), (len(shapes), 1))
+    for s, (lower, upper) in enumerate(zip(below, above)):
+        up[s, lower] = upper
+    in_j = (rs + (band == 0) >
+            np.take_along_axis(rs, up[:, None], axis=2)).all(axis=2)
+    # Column j of M is the orbit of the j-th representative (a row-sorted
+    # label in J), shape by shape and each shape's in numeric label order:
+    # the order in which its rows of M at them are upper unitriangular.
+    is_rep = in_j & (rs == shifted).all(axis=2)
+    reps = np.flatnonzero(is_rep.any(axis=0))
+    reps = reps[np.lexsort(shifted[reps].T[::-1])]
+    shape_of, at = np.nonzero(is_rep[:, reps])
+    reps = reps[at]
+    total = len(reps)
+    sizes = np.bincount(shape_of, minlength=len(shapes))
+    col = np.zeros((len(shapes), v), dtype=np.int64)
+    col[shape_of, reps] = np.arange(total)
+    # M[x, j] sums sgn(c) over the c in C taking x into orbit j, that is
+    # over the c y = x with y in orbit j (sgn(c) = sgn(c^-1)): one term for
+    # each y in J and c in its shape's C.  The identity, each shape's first
+    # c, takes y to itself; the images under the other c are looked up.
+    shape_of, ys = np.nonzero(in_j)
+    js = col[shape_of, find(rs[shape_of, ys])]
+    first = np.cumsum([0, *map(len, signs)])  # each C's start, concatenated
+    pair = np.repeat(np.arange(len(ys)), np.diff(first)[shape_of] - 1)
+    c = np.concatenate([np.tile(np.arange(i + 1, j), n) for i, j, n in
+                        zip(first, first[1:], np.bincount(shape_of))])
+    xs = find(shifted[ys[pair, None], np.concatenate(perms)[c]])
+    # mk is M, v x K, and amk is A M, exact while below 2**53 (checked
+    # with each block).
+    mk = np.bincount(
+        np.concatenate((ys, xs)) * total + np.concatenate((js, js[pair])),
+        np.concatenate((np.ones(len(ys)), np.concatenate(signs)[c])),
+        v * total).reshape(v, total)
+    amk = a.astype(np.float64) @ mk
     blocks = []
-    width = int(lab.max() - lab.min()) + 1
-    col = np.empty(v, dtype=np.int64)
-    for shape in _shapes(m, contents):
-        rows, below, above, perms, signs, d = _tableau(shape)
-        # Row-sorted labels (one sort: rows apart by width each), and
-        # whether each label's R-orbit is in J.
-        rs = np.sort(lab + rows * width, axis=1) - rows * width
-        in_j = (rs[:, below] > rs[:, above]).all(axis=1)
-        reps = np.flatnonzero(in_j & (rs == lab).all(axis=1))
-        # Column j of M is the orbit of the j-th representative in numeric
-        # label order, the order in which M[reps] is upper unitriangular.
-        reps = reps[np.lexsort(lab[reps].T[::-1])]
-        k, ys = len(reps), np.flatnonzero(in_j)
-        col[reps] = np.arange(k)
-        # M[x, j] sums sgn(c) over the c in C taking x into orbit j, that
-        # is over the c y = x with y in orbit j (sgn(c) = sgn(c^-1)).
-        js = col[find(rs[ys])]
-        mj = np.bincount(find(lab[ys][:, perms]) * k
-                         + np.repeat(js, len(signs)),
-                         np.tile(signs, len(ys)), v * k).reshape(v, k)
-        amj = af @ mj
-        b = _unitriangular_solve(mj[reps].astype(np.int64),
-                                 amj[reps].astype(np.int64))
+    for shape, d, end, k in zip(shapes, ds, np.cumsum(sizes), sizes):
+        cols = slice(end - k, end)
+        mj, amj, r = mk[:, cols], amk[:, cols], reps[cols]
+        b = _unitriangular_solve(mj[r].astype(np.int64),
+                                 amj[r].astype(np.int64))
         # Both products are exact while every partial sum stays below
         # 2**53; only then does the comparison prove M B = A M.
         bound = np.abs(mj).max() * max(delta, np.abs(b).sum(axis=0).max())
@@ -439,6 +502,21 @@ def _check_order(v):
                          f" for which float64 products mod p stay exact")
 
 
+def _norm(b):
+    """||b||, the max absolute row sum of the integer matrix b (0 if empty)."""
+    return int(np.abs(b).sum(axis=1).max(initial=0))
+
+
+def _check_norm(norm):
+    """ValueError for a block norm with 2 norm >= PRIMES[3], the smallest
+    prime of the root screen: two of the candidates -norm..norm would then
+    share a residue mod that prime."""
+    if 2 * norm >= PRIMES[3]:
+        raise ValueError(f"block norm {norm} exceeds {PRIMES[3] // 2}, so "
+                         f"the root screen's candidates collide mod "
+                         f"{PRIMES[3]}")
+
+
 def _reduce(x, p):
     """A balanced residue of x mod p, as float64: x - p rint(x fl(1/p)),
     congruent to x and at most p/2 + 2 in magnitude, for an array of
@@ -495,7 +573,7 @@ def annihilation_proved(b, roots):
     sum.  A nonempty b with no roots fails the proof.  ValueError for b of
     order above MAX_ORDER, where float64 products mod p may round."""
     _check_order(len(b))
-    norm = int(np.abs(b).sum(axis=1).max(initial=0))
+    norm = _norm(b)
     bound_bits = 1.0
     coeffs = [1]  # prod (x - c) over the integers, ascending
     for c in roots:
@@ -545,11 +623,11 @@ def _integer_roots(chi, norm, p):
     return pairs
 
 
-def _block_spectrum(b):
+def _block_spectrum(b, norm):
     """Descending (eigenvalue, multiplicity) pairs of the block b's integer
     eigenvalues, proven exact if they add up to its order (steps 1-3 of the
-    module docstring); RuntimeError if the proof fails at four primes."""
-    norm = int(np.abs(b).sum(axis=1).max())
+    module docstring); RuntimeError if the proof fails at four primes.
+    norm is ||b||, which bounds the candidates."""
     for p in PRIMES[:4]:
         pairs = _integer_roots(charpoly_mod(b, p), norm, p)
         if sum(e for _, e in pairs) < len(b) or \
@@ -571,14 +649,19 @@ def certified_symmetric_spectrum(a, labels=None):
     certificate fails for each of the first four primes, as it does for
     every matrix that is not diagonalizable, or when a block's M is not
     unitriangular in label order or fails its exact check.  Raises
-    ValueError for labels that are no such symmetry, and for a block order
-    above MAX_ORDER.
+    ValueError for labels that are no such symmetry, for a block order
+    above MAX_ORDER, and for a block whose max absolute row sum ||B|| has
+    2 ||B|| >= PRIMES[3], where two candidates would share a residue mod
+    the smallest of the four primes the root screen tries; every check
+    runs before any block is certified.
     """
     blocks = _blocks(a, labels)
     _check_order(max((len(b) for b, _ in blocks), default=0))
+    norms = [_norm(b) for b, _ in blocks]
+    _check_norm(max(norms, default=0))
     found = Counter()
-    for b, weight in blocks:
-        for c, e in _block_spectrum(b):
+    for (b, weight), norm in zip(blocks, norms):
+        for c, e in _block_spectrum(b, norm):
             found[c] += weight * e
     pairs = sorted(found.items(), reverse=True)
     residual = int(a.shape[0]) - sum(found.values())

@@ -5,12 +5,15 @@ random symmetric integer matrices with planted eigenvalues exercise the
 certificate on both integral and non-integral inputs.  The engine split by
 the coordinate permutations of SR labels is checked against the unsplit
 one (labels=None) and against numpy eigenvalues, on SR graphs, relabelled
-SR graphs and switching mates.
+SR graphs and switching mates; the one-pass build of the S_m blocks is
+checked byte for byte against the per-shape build it replaced.
 """
 
 import ast
 import math
 import random
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +24,8 @@ from hypothesis import strategies as st
 
 from conftest import property_test
 from rooklab import modular
-from rooklab.graphs import complete_graph, cycle_graph, sr_graph, sr_order
+from rooklab.graphs import (complete_graph, cycle_graph, johnson_graph,
+                            sr_graph, sr_order)
 from rooklab.linalg import integral_spectrum
 from rooklab.modular import (_POWER_SUM_ORDER, MAX_ORDER, PRIMES,
                              IncompleteSpectrum, _annihilator_mod, _blocks,
@@ -209,9 +213,8 @@ def per_candidate_screen(chi, norm, p):
     return pairs
 
 
-def per_candidate_block_spectrum(b):
+def per_candidate_block_spectrum(b, norm):
     """modular._block_spectrum on the per-candidate screen."""
-    norm = int(np.abs(b).sum(axis=1).max())
     for p in PRIMES[:4]:
         pairs = per_candidate_screen(charpoly_mod(b, p), norm, p)
         if sum(e for _, e in pairs) < len(b) or \
@@ -284,8 +287,10 @@ class TestDeflatedScreen:
         cases += [(cycle_graph(k).adjacency_matrix(), None) for k in (5, 7)]
         assert len(cases) == 42 + 73 + 2
         blocks = [b for a, labels in cases for b, _ in _blocks(a, labels)]
-        assert all(modular._block_spectrum(b) ==
-                   per_candidate_block_spectrum(b) for b in blocks)
+        norms = [int(np.abs(b).sum(axis=1).max()) for b in blocks]
+        assert all(modular._block_spectrum(b, norm) ==
+                   per_candidate_block_spectrum(b, norm)
+                   for b, norm in zip(blocks, norms))
         deflated = [engine_outcome(*case) for case in cases]
         monkeypatch.setattr(modular, "_block_spectrum",
                             per_candidate_block_spectrum)
@@ -341,10 +346,28 @@ class TestCertificate:
         assert PRIMES == sorted(PRIMES, reverse=True)
         assert all(sympy.isprime(p) for p in PRIMES)
         assert MAX_ORDER == 8192
-        # A broadcast view: the guard must fire before any work touches it.
+        # A broadcast view: the guard must fire before any work touches it,
+        # so nothing near its 537 MB as a dense array is ever allocated.
         a = np.broadcast_to(np.int64(0), (MAX_ORDER + 1, MAX_ORDER + 1))
-        with pytest.raises(ValueError):
-            certified_symmetric_spectrum(a)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                certified_symmetric_spectrum(a)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_block_norm_where_candidates_collide_refused(self):
+        # Once 2 ||B|| >= PRIMES[3], the smallest prime the root screen
+        # tries, two candidates share a residue mod it: refused before any
+        # block is certified.  One below, the diagonal matrix certifies.
+        c = (PRIMES[3] - 1) // 2
+        assert c == 524274
+        assert certified_symmetric_spectrum(np.diag([c, 0])) == \
+            [(c, 1), (0, 1)]
+        for big in (c + 1, PRIMES[0]):
+            with pytest.raises(ValueError, match="collide"):
+                certified_symmetric_spectrum(np.diag([big, 0]))
 
     def test_annihilation_rejects_wrong_eigenvalue_list(self):
         g = sr_graph(4, 1)  # K_4
@@ -550,6 +573,89 @@ def numpy_spectrum(a):
     return [(int(c), int(e)) for c, e in zip(ints[::-1], counts[::-1])]
 
 
+def per_shape_isotypic(a, lab):
+    """modular._isotypic as it was before the one-pass build: every shape
+    lambda sorts its own labels, looks up its own orbits and images and
+    multiplies A by its own M.  Kept as the oracle of the batched build."""
+    v, m = lab.shape
+
+    def keys(rows):  # one opaque scalar per row of m entries
+        return np.ascontiguousarray(rows.reshape(-1, m)).view(
+            np.dtype((np.void, 8 * m))).ravel()
+
+    order = np.argsort(keys(lab))
+    table = keys(lab)[order]
+    if np.any(table[1:] == table[:-1]):
+        raise ValueError("labels are not distinct")
+
+    def find(rows):  # the index whose label is each row
+        q = keys(rows)
+        pos = np.minimum(np.searchsorted(table, q), v - 1)
+        if np.any(table[pos] != q):
+            raise ValueError("labels are not closed under coordinate "
+                             "permutation")
+        return order[pos]
+
+    nonzero = a != 0
+    x, y = np.nonzero(nonzero)
+    entries = a[nonzero]
+    for perm in find(lab[:, [(1, 0, *range(2, m)),
+                             (*range(1, m), 0)]]).reshape(v, 2).T:
+        if not np.array_equal(a[perm[x], perm[y]], entries):
+            raise ValueError("coordinate permutations are not a "
+                             "symmetry of the matrix")
+    delta = np.bincount(x, np.abs(entries)).max(initial=0)
+    ordered = np.sort(lab, axis=1)
+    contents = {tuple(sorted(Counter(t).values(), reverse=True)) for t in
+                ordered[np.unique(keys(ordered), return_index=True)[1]]
+                .tolist()}
+    af = a.astype(np.float64)
+    blocks = []
+    width = int(lab.max() - lab.min()) + 1
+    col = np.empty(v, dtype=np.int64)
+    for shape in modular._shapes(m, contents):
+        rows, below, above, perms, signs, d = modular._tableau(shape)
+        rs = np.sort(lab + rows * width, axis=1) - rows * width
+        in_j = (rs[:, below] > rs[:, above]).all(axis=1)
+        reps = np.flatnonzero(in_j & (rs == lab).all(axis=1))
+        reps = reps[np.lexsort(lab[reps].T[::-1])]
+        k, ys = len(reps), np.flatnonzero(in_j)
+        col[reps] = np.arange(k)
+        js = col[find(rs[ys])]
+        mj = np.bincount(find(lab[ys][:, perms]) * k
+                         + np.repeat(js, len(signs)),
+                         np.tile(signs, len(ys)), v * k).reshape(v, k)
+        amj = af @ mj
+        b = modular._unitriangular_solve(mj[reps].astype(np.int64),
+                                         amj[reps].astype(np.int64))
+        bound = np.abs(mj).max() * max(delta, np.abs(b).sum(axis=0).max())
+        if bound >= 2**53 or not np.array_equal(mj @ b, amj):
+            raise RuntimeError(f"block {shape} failed its exact check")
+        blocks.append((b, d))
+    if sum(d * len(b) for b, d in blocks) != v:
+        raise RuntimeError("the blocks do not add up to the order")
+    return blocks
+
+
+def blocks_by(builder, a, labels):
+    """_blocks(a, labels) with builder as modular._isotypic: each block as
+    (bytes, dtype, shape, d_lambda), or the (type, message) of what it
+    raised."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modular, "_isotypic", builder)
+        try:
+            return [(b.tobytes(), b.dtype, b.shape, d)
+                    for b, d in _blocks(a, labels)]
+        except (ValueError, RuntimeError) as err:
+            return type(err), str(err)
+
+
+def indicator_labels(g):
+    """J(v, n)'s vertices as 0/1 indicator vectors of their n-subsets."""
+    points = sorted(set().union(*g.labels))
+    return [tuple(map(set(s).__contains__, points)) for s in g.labels]
+
+
 # Every SR(m, n) of at most 200 vertices with m <= 20: all of them for
 # n >= 2, and the complete graphs SR(m, 1) up to K_20.
 SMALL_SR = [(m, n) for m in range(1, 21) for n in range(25)
@@ -665,6 +771,11 @@ class TestSymmetrySplit:
                     [(x, 2 * y, z) for x, y, z in labels]):  # not closed
             with pytest.raises(ValueError):
                 certified_symmetric_spectrum(a, bad)
+            # The batched build refuses as the per-shape one did, with the
+            # same message.
+            refused = blocks_by(modular._isotypic, a, bad)
+            assert refused[0] is ValueError
+            assert refused == blocks_by(per_shape_isotypic, a, bad)
 
     def test_failed_integrality_check_raises(self, monkeypatch):
         # A block must satisfy M B = A M exactly over Z; a solver that is one
@@ -680,6 +791,83 @@ class TestSymmetrySplit:
         g = sr_graph(4, 3)
         with pytest.raises(RuntimeError, match="exact check"):
             certified_symmetric_spectrum(g.adjacency_matrix(), g.labels)
+
+    @pytest.mark.parametrize("point, pick", [((4, 3), "last"),
+                                             ((5, 6), "identity"),
+                                             ((5, 6), "other")],
+                             ids=["last", "identity", "other"])
+    def test_exact_check_fires_on_every_block(self, monkeypatch, point,
+                                              pick):
+        # The exact check must guard each block, not only the first: one
+        # entry off in the last block, in a middle block whose U is the
+        # identity, or in one whose U is not, is caught.
+        g = sr_graph(*point)
+        a = g.adjacency_matrix()
+        solve = modular._unitriangular_solve
+        identity = []
+
+        def recorded(u, c):
+            identity.append(np.array_equal(u, np.eye(len(u), dtype=u.dtype)))
+            return solve(u, c)
+
+        monkeypatch.setattr(modular, "_unitriangular_solve", recorded)
+        _blocks(a, g.labels)
+        last = len(identity) - 1
+        if pick == "last":
+            target = last
+        else:  # a middle block with or without an identity U
+            target = identity.index(pick == "identity", 1, last)
+        calls = []
+
+        def off_by_one(u, c):
+            b = solve(u, c)
+            if len(calls) == target:
+                b[-1, -1] += 1
+            calls.append(u)
+            return b
+
+        monkeypatch.setattr(modular, "_unitriangular_solve", off_by_one)
+        with pytest.raises(RuntimeError, match="exact check"):
+            certified_symmetric_spectrum(a, g.labels)
+        assert len(calls) == target + 1
+
+    def test_batched_blocks_match_the_per_shape_oracle(self):
+        # Byte for byte, in the same order with the same d_lambda: every
+        # SR(m, n) of 2 to 500 vertices with 3 <= m <= 20, and SR(2, n),
+        # the complete graph K_(n+1), for n < 100 and n = 499, each also
+        # relabelled; the Johnson graphs up to J(12, n) by indicator labels;
+        # K_97 and SR(4, 18); and SR(3, 3) with its label entries scaled
+        # into the int32 and int64 ranges of the label stack.
+        cases = []
+        for m in range(2, 21):
+            for n in range(1, 500):
+                v = sr_order(m, n)
+                if v > 500:
+                    break
+                if m == 2 and 100 <= n < 499:
+                    continue
+                g = sr_graph(m, n)
+                h = g.relabeled(random.Random(100 * m + n).sample(range(v),
+                                                                  v))
+                cases += [(g.adjacency_matrix(), g.labels),
+                          (h.adjacency_matrix(), h.labels)]
+        for v in range(2, 13):
+            for n in range(1, v):
+                g = johnson_graph(v, n)
+                cases.append((g.adjacency_matrix(), indicator_labels(g)))
+        for m, n in ((97, 1), (4, 18)):
+            g = sr_graph(m, n)
+            cases.append((g.adjacency_matrix(), g.labels))
+        g = sr_graph(3, 3)
+        for scale in (10**6, 10**12):
+            cases.append((g.adjacency_matrix(),
+                          [tuple(scale * x - 5 for x in lab)
+                           for lab in g.labels]))
+        assert len(cases) == 2 * (594 - 399) + 66 + 2 + 2
+        for a, labels in cases:
+            got = blocks_by(modular._isotypic, a, labels)
+            assert got == blocks_by(per_shape_isotypic, a, labels)
+            assert got and all(dtype == np.int64 for _, dtype, _, _ in got)
 
     def test_unitriangular_solve_is_exact(self):
         # Back substitution over the non-identity rows 0 and 1; row 2 is an

@@ -172,10 +172,7 @@ def _tableau(shape):
 def _unitriangular_solve(u, c):
     """X with u X = c, exactly, for an upper unitriangular int64 u, by back
     substitution over u's rows that are not identity rows; RuntimeError for
-    any other u.  An identity u, k nonzeros all on the diagonal, as on every
-    S_m block of the SR graphs tried, costs a count and a copy of c."""
-    if np.count_nonzero(u) == len(u) and np.all(np.diagonal(u) == 1):
-        return c.copy()
+    any other u."""
     off = u - np.eye(len(u), dtype=np.int64)
     if np.any(np.tril(off)):
         raise RuntimeError("a block's M is not unitriangular in label order")
@@ -228,17 +225,19 @@ def _isotypic(a, lab):
 
     The labels, less the smallest entry, are held in the narrowest signed
     integer type that holds m times their width, one byte each for SR(m, n)
-    when m (n + 1) <= 128.  The S shapes' row-sorted labels are one
-    (S, v, m) stack of them, and their M_lambda the column ranges of one
-    v x K matrix M, K the sum of the |J|: one sort, one lookup of every
-    orbit, one of every column permutation's image, one bincount and one
-    float64 product A M serve every shape.  Its memory goes to the stack,
-    the images looked up, a float64 copy of a, and M and A M, v x K float64
-    each.  Each block is then solved and checked exactly on its own, shape
-    by shape."""
+    when m (n + 1) <= 128; ValueError if not even int64 does.  The S
+    shapes' row-sorted labels are one (S, v, m) stack of them, and their
+    M_lambda the column ranges of one v x K matrix M, K the sum of the |J|:
+    one sort, one lookup of every orbit, one of every column permutation's
+    image, one bincount and one float64 product A M serve every shape.  Its
+    memory goes to the stack, the images looked up, a float64 copy of a,
+    and M and A M, v x K float64 each.  Each block is then solved and
+    checked exactly on its own, shape by shape."""
     v, m = lab.shape
     lo = lab.min()
-    width = int(lab.max() - lo) + 1
+    width = int(lab.max()) - int(lo) + 1
+    if m * width > np.iinfo(np.int64).max:
+        raise ValueError("label entries span too wide a range")
     shifted = (lab - lo).astype(np.min_scalar_type(-m * width))
 
     def keys(rows):  # one opaque scalar per row of m entries
@@ -649,8 +648,9 @@ def certified_symmetric_spectrum(a, labels=None):
     certificate fails for each of the first four primes, as it does for
     every matrix that is not diagonalizable, or when a block's M is not
     unitriangular in label order or fails its exact check.  Raises
-    ValueError for labels that are no such symmetry, for a block order
-    above MAX_ORDER, and for a block whose max absolute row sum ||B|| has
+    ValueError for labels that are no such symmetry or whose entries span
+    more than (2**63 - 1) / m integers, for a block order above MAX_ORDER,
+    and for a block whose max absolute row sum ||B|| has
     2 ||B|| >= PRIMES[3], where two candidates would share a residue mod
     the smallest of the four primes the root screen tries; every check
     runs before any block is certified.

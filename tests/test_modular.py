@@ -10,6 +10,7 @@ checked byte for byte against the per-shape build it replaced.
 """
 
 import ast
+import itertools
 import math
 import random
 import tracemalloc
@@ -777,6 +778,20 @@ class TestSymmetrySplit:
             assert refused[0] is ValueError
             assert refused == blocks_by(per_shape_isotypic, a, bad)
 
+    def test_refuses_labels_too_wide_to_key(self):
+        # The label stack keys m entries of the labels' width in int64:
+        # the permutations of (0, 1, w - 1) are refused, with ValueError,
+        # once 3 w exceeds 2**63 - 1, and split below that.
+        a = np.zeros((6, 6), dtype=np.int64)
+        for w, fits in ((2**62 + 1, False), ((2**63 - 1) // 3, True)):
+            labels = list(itertools.permutations((0, 1, w - 1)))
+            if fits:
+                assert certified_symmetric_spectrum(a, labels) == [(0, 6)]
+                assert len(_blocks(a, labels)) == 3
+            else:
+                with pytest.raises(ValueError, match="too wide"):
+                    certified_symmetric_spectrum(a, labels)
+
     def test_failed_integrality_check_raises(self, monkeypatch):
         # A block must satisfy M B = A M exactly over Z; a solver that is one
         # off in a single entry must be caught, not certified.
@@ -834,17 +849,18 @@ class TestSymmetrySplit:
     def test_batched_blocks_match_the_per_shape_oracle(self):
         # Byte for byte, in the same order with the same d_lambda: every
         # SR(m, n) of 2 to 500 vertices with 3 <= m <= 20, and SR(2, n),
-        # the complete graph K_(n+1), for n < 100 and n = 499, each also
-        # relabelled; the Johnson graphs up to J(12, n) by indicator labels;
-        # K_97 and SR(4, 18); and SR(3, 3) with its label entries scaled
-        # into the int32 and int64 ranges of the label stack.
+        # the complete graph K_(n+1), for n < 100 and a sample of the rest,
+        # n = 100, 250, 400 and 499, each also relabelled; the Johnson
+        # graphs up to J(12, n) by indicator labels; K_97 and SR(4, 18); and
+        # SR(3, 3) with its label entries scaled into the int32 and int64
+        # ranges of the label stack.
         cases = []
         for m in range(2, 21):
             for n in range(1, 500):
                 v = sr_order(m, n)
                 if v > 500:
                     break
-                if m == 2 and 100 <= n < 499:
+                if m == 2 and 100 <= n < 499 and n not in (100, 250, 400):
                     continue
                 g = sr_graph(m, n)
                 h = g.relabeled(random.Random(100 * m + n).sample(range(v),
@@ -863,7 +879,7 @@ class TestSymmetrySplit:
             cases.append((g.adjacency_matrix(),
                           [tuple(scale * x - 5 for x in lab)
                            for lab in g.labels]))
-        assert len(cases) == 2 * (594 - 399) + 66 + 2 + 2
+        assert len(cases) == 2 * (594 - 396) + 66 + 2 + 2
         for a, labels in cases:
             got = blocks_by(modular._isotypic, a, labels)
             assert got == blocks_by(per_shape_isotypic, a, labels)

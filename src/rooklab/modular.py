@@ -17,12 +17,20 @@ matrix A is one block, or several when labels split it (below):
 3. The algebraic multiplicities of all complex eigenvalues add up to v.  If
    sum of e_c over the candidates is < v, B provably has a non-integer
    eigenvalue.  If it equals v, the claim {(c, e_c)} is certified by
-   proving prod over claimed c of (B - cI) = 0 over the integers: entries
-   of that product are bounded a priori by prod (||B|| + |c|) (the row-sum
-   norm is submultiplicative), so checking the product mod enough primes
-   proves it vanishes exactly.  Then the minimal polynomial divides
-   prod (x - c), so every eigenvalue is a claimed c, and m_c <= e_c with
-   both summing to v pins m_c = e_c.  The blocks give A's spectrum:
+   proving prod over claimed c of (B - cI) = 0 over the integers.  The
+   factors are multiplied exactly, taken alternately from the top and the
+   bottom of the descending roots, while a running bound on the product's
+   max absolute row sum keeps every entry and partial sum below 2**53:
+   prod (||B|| + |c|) a priori (the norm is submultiplicative), measured
+   again from the product itself before the product is given up.  On
+   almost every block the whole product fits and is tested for zero as it
+   stands, with no prime.  Otherwise its exact pieces are multiplied mod
+   enough primes that their product exceeds twice the product of the
+   pieces' bounds, which bound every entry of the whole, so the whole
+   vanishes iff it does mod each prime.  Then the minimal polynomial
+   divides prod (x - c), so every eigenvalue is a claimed c, and
+   m_c <= e_c with both summing to v pins m_c = e_c.  The blocks give A's
+   spectrum:
 
    - rho(B) <= ||B||, so the candidates -||B||..||B|| hold every integer
      eigenvalue of B, even where ||B|| exceeds A's max absolute row sum;
@@ -72,20 +80,21 @@ and checked once; each then runs steps 1-3 with its own primes.
 
 The arithmetic uses int64 numpy (values stay far below 2**63) and float64
 BLAS matmuls, both exact integer arithmetic in range.  The products A M and
-M B that build and check a block are bounded below 2**53 before they are
-trusted, and a block of order above MAX_ORDER is refused.  A block's own
-entries are known only to lie below 2**53 in magnitude, so a proof or a
-characteristic polynomial first takes them mod p with integer % on int64.
-From then on every matrix holds balanced residues r, |r| <= p/2 + 2, and a
-product of two such matrices sums at most v <= MAX_ORDER terms of at most
-((p + 4)/2)**2: below 2**51.01 for p < 2**20.  _reduce brings such an x
-back to a balanced residue as x - q p, q = rint(x fl(1/p)).  For
-|x| < 2**52 the float product x fl(1/p) lies within 2/p of x/p, so q lies
-within 1/2 + 2/p of it and |x - q p| <= p/2 + 2; q p and x - q p are
-integers below 2**53, so both are exact.  Integer % on int64 would be
-exact too, but its division takes longer than the matmul it follows at
-order 77, and libm's fmod, which np.fmod calls on floats, divides bit by
-bit, slower still.
+M B that build and check a block, and the running annihilation product,
+are bounded below 2**53 before they are trusted, and a block of order above
+MAX_ORDER is refused.  A block's own entries are known only to lie below
+2**53 in magnitude, so a characteristic polynomial, and an annihilation
+product that does not fit whole, first take their integers mod p with
+integer % on int64.  From then on every matrix holds balanced residues r,
+|r| <= p/2 + 2, and a product of two such matrices sums at most
+v <= MAX_ORDER terms of at most ((p + 4)/2)**2: below 2**51.01 for
+p < 2**20.  _reduce brings such an x back to a balanced residue as
+x - q p, q = rint(x fl(1/p)).  For |x| < 2**52 the float product x fl(1/p)
+lies within 2/p of x/p, so q lies within 1/2 + 2/p of it and
+|x - q p| <= p/2 + 2; q p and x - q p are integers below 2**53, so both
+are exact.  Integer % on int64 would be exact too, but its division takes
+longer than the matmul it follows at order 77, and libm's fmod, which
+np.fmod calls on floats, divides bit by bit, slower still.
 """
 
 from __future__ import annotations
@@ -527,63 +536,86 @@ def _reduce(x, p):
     return np.subtract(x, q, out=q)
 
 
-def _annihilator_mod(a, coeffs, p):
-    """f(a) mod p as float64 balanced residues, for the integer polynomial
-    f with ascending coeffs (prod over roots of (x - c) in the proof).
+def _exact_chunks(b, roots):
+    """prod over roots of (b - cI) as a list of (matrix, bound) chunks, the
+    product of whose matrices it is: each matrix, a polynomial in b (so the
+    chunks commute), holds exact integers in float64 or int64, and each
+    bound, a Python int, is at least its max absolute row sum.  No roots
+    give the one chunk (I, 1).
 
-    Paterson-Stockmeyer evaluation (SIAM J. Comput. 2 (1973) 60-66): with
-    s = max(2, isqrt(d) + 1) for f of degree d, f = sum_j f_j(x) x^(js),
-    each f_j of degree below s.  One batch of powers a^0..a^s; every f_j(a)
-    at once, as one product of their coefficient rows with the flattened
-    stack a^0..a^(s-1); then Horner's rule in a^s.  About 2 sqrt(d) matrix
-    products instead of d.
+    The roots are taken alternately from the top and the bottom of their
+    descending list.  A running product P, exact in float64 with bound
+    beta, takes the next factor as P b - c P while beta (||b|| + |c|) is
+    below 2**53: every partial sum of P b is at most beta ||b|| and each
+    entry of c P at most beta |c|, so P b and P b - c P are integers below
+    2**53, exact, and as the row-sum norm is submultiplicative,
+    beta (||b|| + |c|) bounds the new P.  Once that bound reaches 2**53,
+    beta is measured again as P's max absolute row sum, exact as every
+    partial sum stays below beta; if the bound still reaches 2**53, P
+    closes a chunk and the next factor starts a new P.  A factor with
+    ||b|| + |c| >= 2**53 is a chunk of its own, b - cI in int64
+    (OverflowError if an entry leaves int64).  ||b|| is exact while b's
+    absolute row sums stay below 2**63, which _norm sums in int64."""
+    v = len(b)
+    norm = _norm(b)
+    desc = sorted(map(operator.index, roots), reverse=True)
+    eye = np.eye(v)
+    bf = b.astype(np.float64)
+    chunks, run, beta = [], eye, 1
+    for c in itertools.islice(itertools.chain(*zip(desc, desc[::-1])),
+                              len(desc)):
+        f = norm + abs(c)
+        if run is not eye and beta * f >= 2**53:
+            beta = _norm(run)
+            if beta * f >= 2**53:
+                chunks.append((run, beta))
+                run, beta = eye, 1
+        if f >= 2**53:
+            factor = np.array(b, dtype=np.int64)
+            factor[np.diag_indices(v)] = [int(x) - c
+                                          for x in factor.diagonal()]
+            chunks.append((factor, f))
+        elif run is eye:
+            run, beta = bf - c * eye, f
+        else:
+            run, beta = run @ bf - c * run, beta * f
+    if run is not eye or not chunks:
+        chunks.append((run, beta))
+    return chunks
 
-    Exact for a of order v <= MAX_ORDER (annihilation_proved checks it)
-    and d < 8000**2.  a's entries are taken mod p with integer % first,
-    f's coefficients are balanced residues, at most p/2, and every power is
-    a matrix of balanced residues (module docstring).  So an f_j(a) sums s
-    terms, and a Horner step b a^s + f_j(a) sums v + s, each at most
-    ((p + 4)/2)**2; 16 380 such terms stay below 2**52, the range of
-    _reduce, for every p < 2**20.
-    """
-    v = a.shape[0]
-    d = len(coeffs) - 1
-    s = max(2, math.isqrt(d) + 1)
-    nblocks = -(-(d + 1) // s)
-    rows = np.zeros(nblocks * s)
-    rows[:d + 1] = [(c + p // 2) % p - p // 2 for c in coeffs]
-    powers = np.empty((s + 1, v, v))
-    powers[0] = np.eye(v)
-    powers[1] = _reduce(a % p, p)
-    for i in range(2, s + 1):
-        powers[i] = _reduce(powers[i - 1] @ powers[1], p)
-    blocks = (rows.reshape(nblocks, s) @ powers[:s].reshape(s, v * v)) \
-        .reshape(nblocks, v, v)
-    b = _reduce(blocks[-1], p)
-    for j in range(nblocks - 2, -1, -1):
-        b = _reduce(b @ powers[s] + blocks[j], p)
-    return b
+
+def _join_mod(chunks, p):
+    """The product of the chunks' matrices mod p, in order, as float64
+    balanced residues: each chunk's exact integers are taken mod p with
+    integer % on int64, and each product of two matrices of balanced
+    residues sums v <= MAX_ORDER terms of at most ((p + 4)/2)**2, below
+    2**52, the range of _reduce (module docstring)."""
+    residues = [_reduce(m.astype(np.int64) % p, p) for m, _ in chunks]
+    return functools.reduce(lambda x, y: _reduce(x @ y, p), residues)
 
 
 def annihilation_proved(b, roots):
-    """True iff prod over roots of (b - cI) is proven zero over Z, modulo
-    enough primes that their product exceeds twice the bound
-    prod (||b|| + |c|) on its entries, ||b|| being b's own max absolute row
-    sum.  A nonempty b with no roots fails the proof.  ValueError for b of
-    order above MAX_ORDER, where float64 products mod p may round."""
+    """True iff prod over roots of (b - cI) is proven zero over Z.
+
+    The factors are multiplied exactly (_exact_chunks).  A product that
+    closes one chunk is zero iff that chunk is, with no prime.  Otherwise
+    the chunks are joined mod PRIMES in turn (_join_mod), False at the first
+    nonzero residue, until the primes' product exceeds twice the product of
+    the chunks' bounds, which bounds every entry of the whole product.  A
+    nonempty b with no roots fails the proof; an empty b passes.
+    ValueError for b of order above MAX_ORDER, where float64 products mod
+    p may round; OverflowError for a root c where b - cI leaves int64."""
     _check_order(len(b))
-    norm = _norm(b)
-    bound_bits = 1.0
-    coeffs = [1]  # prod (x - c) over the integers, ascending
-    for c in roots:
-        bound_bits += float(np.log2(max(norm + abs(c), 2)))
-        coeffs = [lo - c * hi for lo, hi in zip([0, *coeffs], [*coeffs, 0])]
-    used_bits = 0.0
+    chunks = _exact_chunks(b, roots)
+    if len(chunks) == 1:
+        return not chunks[0][0].any()
+    bound = 2 * math.prod(beta for _, beta in chunks)
+    modulus = 1
     for p in PRIMES:
-        if np.any(_annihilator_mod(b, coeffs, p)):
+        if _join_mod(chunks, p).any():
             return False
-        used_bits += float(np.log2(p))
-        if used_bits > bound_bits:
+        modulus *= p
+        if modulus > bound:
             return True
     return False
 

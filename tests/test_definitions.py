@@ -204,8 +204,8 @@ def test_no_public_member_for_tests_only():
 # The functions that may compute in floating point: each keeps its values
 # inside a range it proves exact (module and function docstrings).
 FLOAT_SITES = {"modular._isotypic", "modular._reduce",
-               "modular._annihilator_mod", "modular._power_sums",
-               "modular.annihilation_proved", "graphs._sr_rows"}
+               "modular._exact_chunks", "modular._power_sums",
+               "graphs._sr_rows"}
 FLOAT_ATTRS = {"float16", "float32", "float64", "floor", "rint", "fmod"}
 # Constructors whose dtype defaults to float64, with the position at which
 # dtype may be passed without its keyword.

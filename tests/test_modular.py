@@ -29,8 +29,8 @@ from rooklab.graphs import (complete_graph, cycle_graph, johnson_graph,
                             sr_graph, sr_order)
 from rooklab.linalg import integral_spectrum
 from rooklab.modular import (_POWER_SUM_ORDER, MAX_ORDER, PRIMES,
-                             IncompleteSpectrum, _annihilator_mod, _blocks,
-                             _hessenberg_charpoly, _reduce,
+                             IncompleteSpectrum, _blocks, _exact_chunks,
+                             _hessenberg_charpoly, _join_mod, _reduce,
                              _unitriangular_solve, annihilation_proved,
                              certified_symmetric_spectrum, charpoly_mod,
                              hessenberg_mod, root_multiplicity)
@@ -388,25 +388,55 @@ class TestCertificate:
         assert not annihilation_proved(rest, [3])
         assert not annihilation_proved(rest, [])
 
-    def test_entry_bound_uses_block_norms(self, monkeypatch):
+    def test_entry_bound_uses_block_norms(self, joins):
         # A block's row sums may exceed the matrix's: SR(5, 7) has delta 28
-        # and a block of order 25 and row-sum norm 34.  Its proof then
-        # needs five primes, where delta would stop at four.
+        # and a block of order 25 and row-sum norm 34.  Each factor's bound
+        # is then 34 + |c|, not 28 + |c|.  The a-priori bound of its 15
+        # roots is 2**80, yet the measured one keeps the product whole: it
+        # is proven zero with no prime.
         g = sr_graph(5, 7)
         a = g.adjacency_matrix()
         assert np.abs(a).sum(axis=1).max() == 28
-        assert [int(np.abs(b).sum(axis=1).max())
-                for b, _ in _blocks(a, g.labels) if len(b) == 25] == [34]
-        primes = {}
-        annihilator = modular._annihilator_mod
-
-        def counted(b, coeffs, p):
-            primes.setdefault(len(b), set()).add(p)
-            return annihilator(b, coeffs, p)
-
-        monkeypatch.setattr(modular, "_annihilator_mod", counted)
+        [block] = [b for b, _ in _blocks(a, g.labels) if len(b) == 25]
+        assert modular._norm(block) == 34
+        roots = [c for c, _ in modular._block_spectrum(block, 34)]
+        assert a_priori_bound(block, roots).bit_length() == 80
+        for c in roots:
+            [(factor, bound)] = _exact_chunks(block, [c])
+            assert bound == 34 + abs(c)
+            assert np.array_equal(factor, block - c * np.eye(25))
+        [(product, bound)] = assert_exact_chunks(block, roots)
+        assert not product.any() and bound < 2**53
         assert certified_symmetric_spectrum(a, g.labels) == numpy_spectrum(a)
-        assert len(primes[25]) == 5
+        assert joins == []
+
+    def test_one_chunk_reaches_no_prime(self, monkeypatch, joins):
+        # The engine's proofs: a block whose product closes one chunk never
+        # reaches the join mod a prime.  Every block of SR(4, 11) and
+        # SR(7, 5) and of a switching mate of SR(4, 4) does; SR(3, 20)'s
+        # two larger blocks close two chunks each, proven at four and three
+        # primes.
+        calls = []
+        proved = modular.annihilation_proved
+
+        def counted(b, roots):
+            before = len(joins)
+            result = proved(b, roots)
+            calls.append((len(_exact_chunks(b, roots)), len(joins) - before))
+            return result
+
+        monkeypatch.setattr(modular, "annihilation_proved", counted)
+        g = sr_graph(4, 4)
+        mate = gm_switch(g, next(iter(enumerate_switching_sets(g))))
+        cases = [(sr_graph(m, n), True) for m, n in ((4, 11), (7, 5))]
+        cases += [(mate, False), (sr_graph(3, 20), True)]
+        for graph, split in cases:
+            a = graph.adjacency_matrix()
+            assert certified_symmetric_spectrum(
+                a, graph.labels if split else None) == numpy_spectrum(a)
+        assert all(primes == 0 for chunks, primes in calls if chunks == 1)
+        assert len(calls) == 5 + 7 + 1 + 3
+        assert calls[-3:] == [(2, 4), (2, 3), (1, 0)]
 
     def test_annihilation_order_above_exact_float_range_refused(self):
         # annihilation_proved is public: past MAX_ORDER its float64
@@ -421,8 +451,8 @@ class TestCertificate:
         assert annihilation_proved(np.zeros((2, 2), dtype=np.int64), [0])
 
 
-def exact_annihilator_mod(a, roots, p):
-    """prod over roots of (a - cI), in Python ints, reduced mod p."""
+def exact_product(a, roots):
+    """prod over roots of (a - cI), as lists of Python ints."""
     v = len(a)
     out = [[int(i == j) for j in range(v)] for i in range(v)]
     for c in roots:
@@ -430,14 +460,39 @@ def exact_annihilator_mod(a, roots, p):
                    for i in range(v)]
         out = [[sum(out[i][k] * shifted[k][j] for k in range(v))
                 for j in range(v)] for i in range(v)]
-    return [[x % p for x in row] for row in out]
+    return out
 
 
-def poly_from_roots(roots):
-    """prod over roots of (x - c), ascending integer coefficients, by sympy."""
-    x = sympy.symbols("x")
-    poly = sympy.Poly(sympy.prod([x - c for c in roots]), x)
-    return [int(c) for c in reversed(poly.all_coeffs())]
+def exact_annihilator_mod(a, roots, p):
+    """prod over roots of (a - cI), in Python ints, reduced mod p."""
+    return [[x % p for x in row] for row in exact_product(a, roots)]
+
+
+def assert_exact_chunks(a, roots):
+    """_exact_chunks(a, roots), checked: the product of its matrices, taken
+    in Python ints, is the exact product; each matrix holds integers, a
+    float64 one below 2**53 in magnitude, and each bound is a Python int at
+    least the matrix's max absolute row sum."""
+    chunks = _exact_chunks(a, roots)
+    v = len(a)
+    product = [[int(i == j) for j in range(v)] for i in range(v)]
+    for m, bound in chunks:
+        assert m.dtype in (np.float64, np.int64)
+        assert np.array_equal(m, np.rint(m))
+        rows = [[int(x) for x in row] for row in m.tolist()]
+        assert type(bound) is int
+        assert max((sum(map(abs, row)) for row in rows), default=0) <= bound
+        if m.dtype == np.float64:
+            assert bound < 2**53
+        product = [[sum(product[i][k] * rows[k][j] for k in range(v))
+                    for j in range(v)] for i in range(v)]
+    assert product == exact_product(a, roots)
+    return chunks
+
+
+def a_priori_bound(a, roots):
+    """prod over roots of (||a|| + |c|), the bound on the whole product."""
+    return math.prod(modular._norm(a) + abs(c) for c in roots)
 
 
 def assert_balanced_residues(got, expected, p):
@@ -449,30 +504,53 @@ def assert_balanced_residues(got, expected, p):
     assert (got.astype(np.int64) % p).tolist() == expected
 
 
+@pytest.fixture
+def joins(monkeypatch):
+    """The prime of every _join_mod call."""
+    primes = []
+    join = modular._join_mod
+
+    def counted(chunks, p):
+        primes.append(p)
+        return join(chunks, p)
+
+    monkeypatch.setattr(modular, "_join_mod", counted)
+    return primes
+
+
 class TestReduction:
-    """Every mod-p reduction of the annihilation proof is exact: its balanced
-    residues are congruent to the exact integers."""
+    """The annihilation product is exact: its chunks multiply to the exact
+    integer product, and their join's balanced residues mod p are congruent
+    to it."""
 
     def test_matches_python_integers(self):
         # Seeded random integer blocks of order 1-12, negative entries
-        # included, with 0-6 roots, at the largest and the smallest prime.
-        # From two roots on, the Horner loop runs one or two steps.
+        # included, with 0-6 roots, at the largest and the smallest prime:
+        # entries and roots below 40 in magnitude, which fit one chunk, and
+        # below 2**24, which close several.
         rng = random.Random(14)
+        counts = Counter()
         for p in (PRIMES[0], PRIMES[-1]):
-            for _ in range(60):
+            for width in (40,) * 60 + (2**24,) * 20:
                 v = rng.randrange(1, 13)
-                a = np.array([[rng.randrange(-40, 41) for _ in range(v)]
-                              for _ in range(v)], dtype=np.int64)
-                roots = [rng.randrange(-30, 31)
+                a = np.array([[rng.randrange(-width, width + 1)
+                               for _ in range(v)] for _ in range(v)],
+                             dtype=np.int64)
+                roots = [rng.randrange(-width, width + 1)
                          for _ in range(rng.randrange(0, 7))]
-                got = _annihilator_mod(a, poly_from_roots(roots), p)
+                chunks = assert_exact_chunks(a, roots)
+                counts[width, len(chunks)] += 1
+                got = _join_mod(chunks, p)
                 assert_balanced_residues(
                     got, exact_annihilator_mod(a, roots, p), p)
+        assert counts[40, 1] == 120
+        assert sum(n for (_, k), n in counts.items() if k > 1) == 22
 
     def test_products_near_the_top_of_the_range(self):
         # h J of order 300 with h = +-(p - 1)/2, the largest balanced
-        # residue, and -J: every first power product sums 300 products
-        # h**2.  J / 300 is idempotent, so
+        # residue, and -J.  For the large h each factor is a chunk of its
+        # own, whose residues are h J - cI, so every product of the join
+        # sums 300 products h**2.  J / 300 is idempotent, so
         # f(h J) = f(300 h) J / 300 + f(0) (I - J / 300) for f = prod (x - c).
         v = 300
         for p in (PRIMES[0], PRIMES[-1]):
@@ -487,14 +565,18 @@ class TestReduction:
                     off = (f1 - f0) // v
                     expected = np.full((v, v), off % p, dtype=np.int64)
                     np.fill_diagonal(expected, (off + f0) % p)
-                    got = _annihilator_mod(a, poly_from_roots(roots), p)
+                    chunks = _exact_chunks(a, roots)
+                    assert len(chunks) == (len(roots) if h != -1 else
+                                           -(-len(roots) // 6))
+                    got = _join_mod(chunks, p)
                     assert_balanced_residues(got, expected.tolist(), p)
 
     def test_block_entries_near_two_to_the_53(self):
-        # A block's entries are known only to lie below 2**53; the entry
-        # reduction takes them mod p with integer % before any product.
-        # Past _reduce's range the rounding alone can be off: at PRIMES[8],
-        # q p rounds for x = 2**53 - 1.
+        # A block's entries are known only to lie below 2**53; then each
+        # factor is a chunk of its own, b - cI in int64, and the join takes
+        # it mod p with integer % before any product.  Past _reduce's range
+        # the rounding alone can be off: at PRIMES[8], q p rounds for
+        # x = 2**53 - 1.
         top = 2**53 - 1
         p8 = PRIMES[8]
         assert (top - int(_reduce(np.array([top]), p8)[0])) % p8
@@ -509,7 +591,11 @@ class TestReduction:
                 a[0, 0] = top
                 roots = [rng.randrange(-30, 31)
                          for _ in range(rng.randrange(0, 5))]
-                got = _annihilator_mod(a, poly_from_roots(roots), p)
+                chunks = assert_exact_chunks(a, roots)
+                if roots:
+                    assert [m.dtype for m, _ in chunks] == \
+                        [np.int64] * len(roots)
+                got = _join_mod(chunks, p)
                 assert_balanced_residues(
                     got, exact_annihilator_mod(a, roots, p), p)
                 assert charpoly_mod(a, p) == sympy_charpoly_mod(a, p)
@@ -547,6 +633,68 @@ class TestReduction:
                        and node.value.id in ("np", "numpy")
                        and node.attr in ("fmod", "mod", "remainder"))
         assert calls == []
+
+
+class TestChunkBoundary:
+    """Blocks whose a-priori bound prod (||b|| + |c|) crosses 2**53: either
+    the measured bound keeps the product whole, or a chunk closes.  Each
+    case, true root list and false, is checked against the Python-int
+    product."""
+
+    def check(self, a, roots, chunks, zero):
+        a = np.array(a, dtype=np.int64)
+        assert a_priori_bound(a, roots) >= 2**53
+        assert len(assert_exact_chunks(a, roots)) == chunks
+        assert (not any(map(any, exact_product(a, roots)))) is zero
+        assert annihilation_proved(a, roots) is zero
+
+    def test_measured_bound_keeps_one_chunk(self, joins):
+        # h J of order 4, h = 2**12, has eigenvalues 4 h and 0.  Its roots
+        # 0 and 4 h +- 1 leave the product at 4 h in norm, far below the
+        # bound that grows by about 2**15 per factor.
+        h = 2**12
+        a = np.full((4, 4), h)
+        for last, zero in ((4 * h, True), (4 * h + 2, False)):
+            roots = [0, 4 * h + 1, 4 * h - 1, 4 * h + 1, 4 * h - 1, last]
+            assert a_priori_bound(a, roots) > 2**88
+            self.check(a, roots, 1, zero)
+        assert joins == []
+
+    def test_chunk_closes(self, joins):
+        # [[1, 2], [2, 1]] with the root -10080 four times: every factor
+        # has non-negative entries and row sums 10083, so the bound is the
+        # product's true norm, 2**53.2 after four factors, and its entries
+        # pass 2**53: the fourth factor starts a second chunk.
+        self.check([[1, 2], [2, 1]], [-10080] * 4, 2, False)
+        # Upper triangular, eigenvalues 40, 1 and 0: 40 comes first, and
+        # the product's norm reaches 2**51 before 1 and 0, the middle
+        # roots, come last, in a chunk of their own.
+        tri = [[40, 1, 1], [0, 1, 1], [0, 0, 0]]
+        for middle, zero in ((0, True), (2, False)):
+            roots = [40, 512, 514, 1, middle, -513, -515, -517]
+            self.check(tri, roots, 2, zero)
+        # The false lists fail at the first prime; the true one takes four.
+        assert joins == [PRIMES[0]] + PRIMES[:4] + [PRIMES[0]]
+
+    def test_bounds_past_the_float_range(self):
+        # Entries 2**52 make each factor with |c| = 2**52 a chunk of its
+        # own, b - cI in int64 with bound 2**53, so twenty of them bound the
+        # product by 2**1060, past float64's range; 54 primes prove it.
+        # Roots 1 - 2**52 make factors of bound 2**53 - 1, each a float64
+        # chunk, as no two fit together.
+        n = 2**52
+        a = np.array([[0, n], [n, 0]], dtype=np.int64)
+        chunks = assert_exact_chunks(a, [n, -n] * 10)
+        assert [(m.dtype, bound) for m, bound in chunks] == \
+            [(np.int64, 2**53)] * 20
+        assert math.prod(PRIMES[:53]) <= 2**1061 < math.prod(PRIMES[:54])
+        assert annihilation_proved(a, [n, -n] * 10)
+        chunks = assert_exact_chunks(a, [n, 1 - n] * 10)
+        assert [m.dtype for m, _ in chunks] == [np.int64, np.float64] * 10
+        assert not annihilation_proved(a, [n, 1 - n] * 10)
+        # One such factor alone is tested for zero as it stands.
+        assert annihilation_proved(np.diag([n, n]), [n])
+        assert not annihilation_proved(np.diag([n, n - 1]), [n])
 
 
 @pytest.fixture

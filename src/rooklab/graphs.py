@@ -148,9 +148,10 @@ def _permuted_rows(rows, pos):
 
 
 def _sr_rows(vectors):
-    """Bit rows of SR induced on distinct vectors (tuples of nonnegative
-    integers or bools) that share one sum: x ~ y when they differ in exactly
-    two places, that is when they agree in exactly m - 2 of their m places.
+    """Bit rows of SR induced on distinct vectors (a v x m integer array, or
+    tuples of nonnegative integers or bools) that share one sum: x ~ y when
+    they differ in exactly two places, that is when they agree in exactly
+    m - 2 of their m places.
 
     Column (b, t) of the one-hot is 1 when coordinate b equals t, for t from
     0 to the largest value of coordinate b, so onehot @ onehot.T counts the
@@ -160,23 +161,23 @@ def _sr_rows(vectors):
     exactly while m <= 2**24; longer vectors are refused.  The product runs
     max(32, 2**18 // v) rows at a time, so a block holds at most 2**18
     counts up to 8 192 vertices, and BLAS packs onehot.T once per block."""
-    if not vectors:
+    if not len(vectors):
         return []
-    x = np.array(vectors)
+    x = np.asarray(vectors, dtype=np.int64)
     v, m = x.shape
     if m > 2**24:
         raise ValueError("agreement counts are exact up to 2**24 places")
     start = np.cumsum([0, *(x.max(axis=0) + 1)])
     onehot = np.zeros((v, start[-1]), dtype=np.float32)
-    at = np.arange(v)
-    for b in range(m):
-        onehot[at, start[b] + x[:, b]] = 1
+    onehot[np.arange(v)[:, None], start[:-1] + x] = 1
     rows = []
     step = max(32, 2**18 // v)
     for lo in range(0, v, step):
         agree = onehot[lo:lo + step] @ onehot.T
         bits = np.packbits(agree == m - 2, axis=1, bitorder="little")
-        rows += (int.from_bytes(row, "little") for row in bits)
+        data, width = bits.tobytes(), bits.shape[1]
+        rows += (int.from_bytes(data[i:i + width], "little")
+                 for i in range(0, len(data), width))
     return rows
 
 
@@ -193,24 +194,30 @@ def _coordinate_permutation(g, coords):
     return None if None in perm else perm
 
 
+def _sr_vertex_array(m, n):
+    """sr_vertices(m, n) as a v x m int64 array, in the same order."""
+    if m < 0 or n < 0:
+        raise ValueError("m and n must be nonnegative")
+    # Row i counts the copies of each place in the i-th multiset of n
+    # places.  Of two multisets, as sorted tuples, the smaller has more
+    # copies of the first place where they differ, so the reversed rows
+    # ascend.
+    v = sr_order(m, n)
+    places = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(m), n)), np.int64,
+        v * n).reshape(v, n)
+    counts = np.bincount((np.arange(v)[:, None] * m + places).ravel(),
+                         minlength=v * m)
+    return counts.reshape(v, m)[::-1]
+
+
 def sr_vertices(m, n):
     """All length-m nonnegative integer vectors summing to n, lexicographic.
 
     sr_vertices(0, 0) is [()]: the empty vector is the one way to write 0
     as a sum of zero parts.  sr_vertices(0, n) for n > 0 is empty.
     """
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be nonnegative")
-    # x[i] counts the copies of place i in a multiset of n places.  Of two
-    # multisets, as sorted tuples, the smaller has more copies of the first
-    # place where they differ, so the reversed list of vectors ascends.
-    out = []
-    for places in itertools.combinations_with_replacement(range(m), n):
-        x = [0] * m
-        for i in places:
-            x[i] += 1
-        out.append(tuple(x))
-    return out[::-1]
+    return list(map(tuple, _sr_vertex_array(m, n).tolist()))
 
 
 def sr_graph(m, n):
@@ -219,8 +226,9 @@ def sr_graph(m, n):
     Vertices in lexicographic order; x ~ y iff they differ in exactly two
     coordinates.  The graph is n(m-1)-regular with C(n+m-1, n) vertices.
     """
-    verts = sr_vertices(m, n)
-    return Graph(verts, _sr_rows(verts), family="sr", params=(m, n))
+    x = _sr_vertex_array(m, n)
+    return Graph(map(tuple, x.tolist()), _sr_rows(x), family="sr",
+                 params=(m, n))
 
 
 def johnson_graph(v, n):

@@ -227,7 +227,7 @@ def integral_spectrum(g: Graph) -> Spectrum:
     elif g.family == "johnson":
         points = range(g.params[0])
         labels = [tuple(map(set(s).__contains__, points)) for s in g.labels]
-    pairs = modular.certified_symmetric_spectrum(g.adjacency_matrix(), labels)
+    pairs = modular.certified_symmetric_spectrum(_bit_matrix(g.rows), labels)
     _self_check(g, pairs)
     return Spectrum(tuple(pairs))
 

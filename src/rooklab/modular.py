@@ -58,13 +58,15 @@ integer columns b u(O), u(O) the indicator of O in J, taken in increasing
 order of the orbits' sorted labels.  One pass builds the M of every
 lambda: the row-sorted labels of all S shapes are one (S, v, m) stack of
 small integers, sorted once; one lookup finds every orbit and one every
-image of a label under a c; and the M are the column ranges of one v x K
-integer matrix, K the sum of the |J|, made by one bincount, so that one
-float64 product gives every A M.  Then, lambda by lambda, the engine checks
-that M's rows at those labels form an upper unitriangular U, so
-rank M = |J|, solves U B = (A M)[those rows] by exact back substitution,
-and checks M B = A M exactly over Z on all v rows: A maps the column space
-W of M into itself, acting by the integer B_lambda.
+image of a label under a c, a label x with entries in [0, w) keyed as the
+one int64 sum of x_i w**i while w**m < 2**62 (distinct labels, distinct
+keys) and as its m-entry record otherwise; and the M are the column
+ranges of one v x K integer matrix, K the sum of the |J|, made by one
+bincount, so that one product gives every A M.  Then, lambda by lambda,
+the engine checks that M's rows at those labels form an upper
+unitriangular U, so rank M = |J|, solves U B = (A M)[those rows] by exact
+back substitution, and checks M B = A M exactly over Z on all v rows: A
+maps the column space W of M into itself, acting by the integer B_lambda.
 
 With a the sum over R, b a is a multiple of a primitive idempotent for the
 irreducible S^lambda, of dimension d_lambda (hook length formula; James,
@@ -78,16 +80,23 @@ b a Q^v, which is B_lambda.  So A is similar over Q to the sum of the
 B_lambda (x) I_d_lambda, the similarity step 3 uses.  The blocks are built
 and checked once; each then runs steps 1-3 with its own primes.
 
-The arithmetic uses int64 numpy (values stay far below 2**63) and float64
-BLAS matmuls, both exact integer arithmetic in range.  The products A M and
-M B that build and check a block, and the running annihilation product,
-are bounded below 2**53 before they are trusted, and a block of order above
-MAX_ORDER is refused.  A block's own entries are known only to lie below
-2**53 in magnitude, so a characteristic polynomial, and an annihilation
-product that does not fit whole, first take their integers mod p with
-integer % on int64.  From then on every matrix holds balanced residues r,
-|r| <= p/2 + 2, and a product of two such matrices sums at most
-v <= MAX_ORDER terms of at most ((p + 4)/2)**2: below 2**51.01 for
+A comes in any integer dtype whose entries fit in int64: an adjacency
+matrix as uint8 0/1.  Where labels split it, it is read in that dtype and
+its magnitudes are taken after widening to int64 (np.abs(np.int8(-128)) is
+-128); otherwise its one block is widened to int64, as NumPy 2 refuses
+uint8 % p for p > 255.  The arithmetic uses int64 numpy (values stay far
+below 2**63) and float32 and float64 BLAS matmuls, all exact integer
+arithmetic in range.  Each partial sum of A M is an integer of magnitude
+at most delta max|M|, delta A's max absolute row sum, so A M is taken in
+float32 when that is below 2**24 and in float64 otherwise.  The products
+M B that check a block, and the running annihilation product, are bounded
+below 2**53 before they are trusted, as is A M in float64, and a block of
+order above MAX_ORDER is refused.  A block's own entries are known only to
+lie below 2**53 in magnitude, so a characteristic polynomial, and an
+annihilation product that does not fit whole, first take their integers
+mod p with integer % on int64.  From then on every matrix holds balanced
+residues r, |r| <= p/2 + 2, and a product of two such matrices sums at
+most v <= MAX_ORDER terms of at most ((p + 4)/2)**2: below 2**51.01 for
 p < 2**20.  _reduce brings such an x back to a balanced residue as
 x - q p, q = rint(x fl(1/p)).  For |x| < 2**52 the float product x fl(1/p)
 lies within 2/p of x/p, so q lies within 1/2 + 2/p of it and
@@ -181,31 +190,50 @@ def _tableau(shape):
 def _unitriangular_solve(u, c):
     """X with u X = c, exactly, for an upper unitriangular int64 u, by back
     substitution over u's rows that are not identity rows; RuntimeError for
-    any other u."""
+    any other u: one with a row whose first entry off the identity lies on
+    or left of the diagonal."""
     off = u - np.eye(len(u), dtype=np.int64)
-    if np.any(np.tril(off)):
+    nonzero = off != 0
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    if rows.size and np.any(nonzero[rows].argmax(axis=1) <= rows):
         raise RuntimeError("a block's M is not unitriangular in label order")
     x = c.copy()
-    for i in np.flatnonzero(off.any(axis=1))[::-1]:
+    for i in rows[::-1]:
         x[i] -= off[i] @ x
     return x
 
 
+def _label_array(labels, v):
+    """labels as a v x m int64 array: tuples of one length m through
+    np.fromiter, and any other labels (integers, 1-tuples, or labels of
+    unequal lengths, which np.array refuses) through np.array.  The lengths
+    are checked first, as np.fromiter with a count would misalign tuples of
+    unequal lengths whose entries add up to v m."""
+    lengths = {len(t) if isinstance(t, tuple) else -1 for t in labels}
+    m = lengths.pop() if len(lengths) == 1 else -1
+    if len(labels) == v and m >= 0:
+        return np.fromiter(itertools.chain.from_iterable(labels), np.int64,
+                           v * m).reshape(v, m)
+    lab = np.array(labels, dtype=np.int64)
+    return lab.reshape(v, lab.size // v)  # an integer is a 1-tuple
+
+
 def _blocks(a, labels):
-    """The (B_lambda, d_lambda) pairs of a square integer matrix a.
+    """The (B_lambda, d_lambda) pairs of a square integer matrix a, of any
+    integer dtype whose entries fit in int64; every B is int64.
 
     labels, if not None, gives each index of a an integer m-tuple; verified
     closed under permuting coordinates, which must be symmetries of a.  Then
     each partition lambda of m with J nonempty gives a pair (see the module
-    docstring).  Otherwise, and for m < 2, the one pair is (a, 1).
+    docstring), and a is read in its own dtype.  Otherwise, and for m < 2,
+    the one pair is a, widened to int64, with d = 1.
     """
     v = int(a.shape[0])
     if labels is not None and v:
-        lab = np.array(labels, dtype=np.int64)
-        lab = lab.reshape(v, lab.size // v)  # an integer is a 1-tuple
+        lab = _label_array(labels, v)
         if lab.shape[1] >= 2:
             return _isotypic(a, lab)
-    return [(a, 1)] if v else []
+    return [(np.asarray(a, dtype=np.int64), 1)] if v else []
 
 
 def _symmetric_row_bound(a, perms):
@@ -213,9 +241,11 @@ def _symmetric_row_bound(a, perms):
     permutation p in perms is verified a symmetry, a[p x, p y] = a[x, y];
     ValueError if one is not.  A p that maps every nonzero entry to an equal
     one is a symmetry: a bijection of the positions then maps zeros to
-    zeros.  The nonzeros are taken once, as flat indices.  The row sums are
-    float64 sums of integers, exact below 2**53, the bound _isotypic
-    checks them against."""
+    zeros.  The nonzeros are taken once, as flat indices, in a's own dtype.
+    Their magnitudes are taken in int64 and read as uint64, exact for every
+    int64 value, -2**63 included (np.abs(np.int8(-128)) is -128).  The row
+    sums are float64 sums of integers, exact below 2**53, the bound
+    _isotypic checks them against."""
     v = len(a)
     flat = a.ravel()
     nonzero = np.flatnonzero(flat != 0)
@@ -225,7 +255,8 @@ def _symmetric_row_bound(a, perms):
         if not np.array_equal(flat[p[x] * v + p[y]], entries):
             raise ValueError("coordinate permutations are not a "
                              "symmetry of the matrix")
-    return np.bincount(x, np.abs(entries)).max(initial=0)
+    magnitudes = np.abs(entries.astype(np.int64)).view(np.uint64)
+    return np.bincount(x, magnitudes).max(initial=0)
 
 
 def _isotypic(a, lab):
@@ -238,10 +269,13 @@ def _isotypic(a, lab):
     shapes' row-sorted labels are one (S, v, m) stack of them, and their
     M_lambda the column ranges of one v x K matrix M, K the sum of the |J|:
     one sort, one lookup of every orbit, one of every column permutation's
-    image, one bincount and one float64 product A M serve every shape.  Its
-    memory goes to the stack, the images looked up, a float64 copy of a,
-    and M and A M, v x K float64 each.  Each block is then solved and
-    checked exactly on its own, shape by shape."""
+    image, one bincount and one product A M serve every shape.  A label is
+    looked up by one int64 key while width**m < 2**62, by its record of m
+    entries otherwise, and A M is float32 while delta max|M| < 2**24,
+    float64 otherwise (module docstring).  The memory goes to the stack,
+    the images looked up, a float copy of a, M (v x K float64) and its copy
+    and A M in the product's width.  Each block is then solved and checked
+    exactly on its own, shape by shape."""
     v, m = lab.shape
     lo = lab.min()
     width = int(lab.max()) - int(lo) + 1
@@ -249,9 +283,15 @@ def _isotypic(a, lab):
         raise ValueError("label entries span too wide a range")
     shifted = (lab - lo).astype(np.min_scalar_type(-m * width))
 
-    def keys(rows):  # one opaque scalar per row of m entries
-        return np.ascontiguousarray(rows.reshape(-1, m)).view(
-            np.dtype((np.void, shifted.itemsize * m))).ravel()
+    if width**m < 2**62:
+        powers = width ** np.arange(m, dtype=np.int64)
+
+        def keys(rows):  # sum of x_i width**i per row: distinct, in int64
+            return rows.reshape(-1, m) @ powers
+    else:
+        def keys(rows):  # one opaque scalar per row of m entries
+            return np.ascontiguousarray(rows.reshape(-1, m)).view(
+                np.dtype((np.void, shifted.itemsize * m))).ravel()
 
     table = keys(shifted)
     order = np.argsort(table)
@@ -283,13 +323,10 @@ def _isotypic(a, lab):
     rs = shifted + band
     rs.sort(axis=2)
     rs -= band
-    # A label's R-orbit is in J iff each entry of rs exceeds the one above
-    # it; an entry of the first row is compared with itself, plus one.
-    up = np.tile(np.arange(m), (len(shapes), 1))
-    for s, (lower, upper) in enumerate(zip(below, above)):
-        up[s, lower] = upper
-    in_j = (rs + (band == 0) >
-            np.take_along_axis(rs, up[:, None], axis=2)).all(axis=2)
+    # A label's R-orbit is in J iff each entry of rs below the first row
+    # exceeds the one above it.
+    in_j = np.array([(r[:, lower] > r[:, upper]).all(axis=1)
+                     for r, lower, upper in zip(rs, below, above)])
     # Column j of M is the orbit of the j-th representative (a row-sorted
     # label in J), shape by shape and each shape's in numeric label order:
     # the order in which its rows of M at them are upper unitriangular.
@@ -313,22 +350,27 @@ def _isotypic(a, lab):
     c = np.concatenate([np.tile(np.arange(i + 1, j), n) for i, j, n in
                         zip(first, first[1:], np.bincount(shape_of))])
     xs = find(shifted[ys[pair, None], np.concatenate(perms)[c]])
-    # mk is M, v x K, and amk is A M, exact while below 2**53 (checked
-    # with each block).
+    # mk is M, v x K.  amk is A M, whose partial sums are integers of at
+    # most delta max|M|: in float32 below 2**24, and otherwise in float64,
+    # exact while below 2**53 (checked with each block).
     mk = np.bincount(
         np.concatenate((ys, xs)) * total + np.concatenate((js, js[pair])),
         np.concatenate((np.ones(len(ys)), np.concatenate(signs)[c])),
         v * total).reshape(v, total)
-    amk = a.astype(np.float64) @ mk
+    top = np.abs(mk).max(axis=0)  # max |M| in each column
+    exact = np.float32 if int(delta) * int(top.max()) < 2**24 \
+        else np.float64
+    amk = a.astype(exact) @ mk.astype(exact)
     blocks = []
     for shape, d, end, k in zip(shapes, ds, np.cumsum(sizes), sizes):
         cols = slice(end - k, end)
         mj, amj, r = mk[:, cols], amk[:, cols], reps[cols]
         b = _unitriangular_solve(mj[r].astype(np.int64),
                                  amj[r].astype(np.int64))
-        # Both products are exact while every partial sum stays below
-        # 2**53; only then does the comparison prove M B = A M.
-        bound = np.abs(mj).max() * max(delta, np.abs(b).sum(axis=0).max())
+        # M B, and A M in float64, are exact while every partial sum stays
+        # below 2**53 (A M in float32 is exact by the choice of its width);
+        # only then does the comparison prove M B = A M.
+        bound = top[cols].max() * max(delta, np.abs(b).sum(axis=0).max())
         if bound >= 2**53 or not np.array_equal(mj @ b, amj):
             raise RuntimeError(f"block {shape} failed its exact check")
         blocks.append((b, d))
@@ -511,8 +553,17 @@ def _check_order(v):
 
 
 def _norm(b):
-    """||b||, the max absolute row sum of the integer matrix b (0 if empty)."""
-    return int(np.abs(b).sum(axis=1).max(initial=0))
+    """||b||, the max absolute row sum of the integer matrix b (any integer
+    dtype whose entries fit in int64; 0 if empty), exact.  The magnitudes
+    are taken in int64 and read as uint64, exact for -2**63 too.  When the
+    row length times the largest of them is below 2**64, no uint64 row sum
+    wraps; otherwise the rows are summed as Python ints."""
+    mag = np.abs(b.astype(np.int64, copy=False)).view(np.uint64)
+    if not mag.size:
+        return 0
+    if int(mag.max()) * mag.shape[1] < 2**64:
+        return int(mag.sum(axis=1).max())
+    return max(sum(abs(int(x)) for x in row) for row in b.tolist())
 
 
 def _check_norm(norm):
@@ -554,8 +605,7 @@ def _exact_chunks(b, roots):
     partial sum stays below beta; if the bound still reaches 2**53, P
     closes a chunk and the next factor starts a new P.  A factor with
     ||b|| + |c| >= 2**53 is a chunk of its own, b - cI in int64
-    (OverflowError if an entry leaves int64).  ||b|| is exact while b's
-    absolute row sums stay below 2**63, which _norm sums in int64."""
+    (OverflowError if an entry leaves int64).  ||b|| is exact (_norm)."""
     v = len(b)
     norm = _norm(b)
     desc = sorted(map(operator.index, roots), reverse=True)
@@ -566,7 +616,7 @@ def _exact_chunks(b, roots):
                               len(desc)):
         f = norm + abs(c)
         if run is not eye and beta * f >= 2**53:
-            beta = _norm(run)
+            beta = int(np.abs(run).sum(axis=1).max())
             if beta * f >= 2**53:
                 chunks.append((run, beta))
                 run, beta = eye, 1
@@ -668,7 +718,8 @@ def _block_spectrum(b, norm):
 
 
 def certified_symmetric_spectrum(a, labels=None):
-    """Exact integer spectrum of a square int64 matrix.
+    """Exact integer spectrum of a square integer matrix, of any integer
+    dtype whose entries fit in int64 (uint8 for an adjacency matrix).
 
     Returns descending (eigenvalue, multiplicity) pairs, proven exact.
     labels, if given, are integer m-tuples whose coordinate permutations are

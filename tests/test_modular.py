@@ -1074,3 +1074,114 @@ class TestSymmetrySplit:
         monkeypatch.setattr(modular, "PRIMES", [])
         assert [(b.tolist(), d) for b, d in _blocks(a, g.labels)] == expected
         assert sum(d * len(b) for b, d in expected) == g.order
+
+
+class TestNarrowTypes:
+    def test_norm_sums_rows_exactly(self):
+        # An order-1025 matrix whose first row is all 2**53 - 1: its norm,
+        # 1025 (2**53 - 1), passes 2**63, where an int64 row sum wraps.  It
+        # is refused for that norm instead of screened as if it were 0.
+        a = np.zeros((1025, 1025), dtype=np.int64)
+        a[0] = 2**53 - 1
+        assert modular._norm(a) == 1025 * (2**53 - 1)
+        with pytest.raises(ValueError, match="collide"):
+            certified_symmetric_spectrum(a)
+        # Magnitudes are taken after widening to int64 and read as uint64:
+        # np.abs(np.int8(-128)) is -128 and np.abs(np.int64(-2**63)) is
+        # -2**63.  Past 2**64 the rows are summed as Python ints.
+        assert modular._norm(np.array([[-128, -128]], dtype=np.int8)) == 256
+        assert modular._norm(np.array([[-2**63, 1]])) == 2**63 + 1
+        assert modular._norm(np.array([[-2**63, -2**63]])) == 2**64
+        assert modular._norm(np.zeros((0, 0), dtype=np.int64)) == 0
+        for entry, bound in ((np.int8(-128), 256), (np.int64(-2**63), 2**64)):
+            a = np.full((2, 2), entry)
+            assert modular._symmetric_row_bound(a, []) == bound
+
+    def test_input_dtypes_give_the_same_pairs(self):
+        # uint8, int8 (with -128 entries), int16 and int64 adjacency give
+        # the same pairs, with labels and without.
+        g = sr_graph(4, 3)
+        a = g.adjacency_matrix()
+        pairs = certified_symmetric_spectrum(a)
+        for h, dtypes in ((1, (np.uint8, np.int8, np.int16)),
+                          (-128, (np.int8, np.int16)),
+                          (300, (np.int16,))):
+            want = sorted(((h * c, e) for c, e in pairs), reverse=True)
+            assert certified_symmetric_spectrum(h * a) == want
+            for dtype in dtypes:
+                b = (h * a).astype(dtype)
+                assert np.array_equal(b, h * a)  # no entry wrapped
+                for labels in (None, g.labels):
+                    assert certified_symmetric_spectrum(b, labels) == want
+                    assert blocks_by(modular._isotypic, b, labels) == \
+                        blocks_by(modular._isotypic, h * a, labels)
+        # The trap the widening avoids: NumPy 2 refuses a Python int that
+        # its array's dtype cannot hold, so uint8 % p raises.
+        if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+            with pytest.raises(OverflowError):
+                np.ones(2, dtype=np.uint8) % PRIMES[0]
+        [(b, d)] = _blocks(a.astype(np.uint8), None)
+        assert b.dtype == np.int64 and np.array_equal(b, a) and d == 1
+
+    def test_ragged_labels_refused(self):
+        # Six labels of 18 entries in all, as SR(3, 2)'s, but of lengths 3,
+        # 2 and 4: np.fromiter with a count of 18 would take them as six
+        # 3-tuples, misaligned.  An integer among tuples is refused too.
+        g = sr_graph(3, 2)
+        a = g.adjacency_matrix()
+        for bad in (g.labels[:4] + ((0, 2), (1, 0, 1, 0)),
+                    g.labels[:5] + (7,)):
+            with pytest.raises(ValueError):
+                certified_symmetric_spectrum(a, bad)
+
+    @pytest.mark.parametrize("m, key", [(61, np.int64), (62, np.void)])
+    def test_label_keys_on_both_sides_of_the_bound(self, monkeypatch, m,
+                                                   key):
+        # SR(m, 1) = K_m has labels of width 2: a label is keyed as one
+        # int64 while 2**m < 2**62, and as an m-byte record from m = 62.
+        g = sr_graph(m, 1)
+        a = g.adjacency_matrix()
+        tables = []
+        searchsorted = np.searchsorted
+
+        def logged(table, *args, **kwargs):
+            tables.append(table.dtype)
+            return searchsorted(table, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(modular.np, "searchsorted", logged)
+            got = blocks_by(modular._isotypic, a, g.labels)
+        assert tables and all(np.issubdtype(t, key) for t in tables)
+        assert got == blocks_by(per_shape_isotypic, a, g.labels)
+        assert certified_symmetric_spectrum(a, g.labels) == \
+            [(m - 1, 1), (-1, m - 1)]
+
+    @pytest.mark.parametrize("h, width", [(1864135, np.float32),
+                                          (1864136, np.float64)])
+    def test_product_width_on_both_sides_of_the_bound(self, h, width):
+        # SR(4, 3) has delta = 9 and max|M| = 1, so h A takes A M in float32
+        # while 9 h < 2**24 and in float64 from there on.  Its blocks are h
+        # times A's, as the per-shape build (always float64) finds them;
+        # their norms, 9 h, are past the root screen's, so the spectrum is
+        # checked against numpy's.
+        assert 9 * (h - 1) < 2**24 <= 9 * (h + 1)
+        assert (9 * h < 2**24) == (width == np.float32)
+        g = sr_graph(4, 3)
+        a = g.adjacency_matrix()
+        floats = []
+
+        class Logged(np.ndarray):  # logs the float dtypes it is cast to
+            def astype(self, dtype, *args, **kwargs):
+                out = np.asarray(self).astype(dtype, *args, **kwargs)
+                if out.dtype.kind == "f":
+                    floats.append(out.dtype)
+                return out
+
+        scaled = _blocks((h * a).view(Logged), g.labels)
+        assert floats == [width]
+        assert blocks_by(modular._isotypic, h * a, g.labels) == \
+            blocks_by(per_shape_isotypic, h * a, g.labels)
+        assert [(b.tolist(), d) for b, d in scaled] == \
+            [((h * b).tolist(), d) for b, d in _blocks(a, g.labels)]
+        assert numpy_spectrum(h * a) == \
+            [(h * c, e) for c, e in certified_symmetric_spectrum(a, g.labels)]

@@ -33,7 +33,14 @@ Canonical forms come from one individualization-refinement search (McKay &
 Piperno, "Practical graph isomorphism, II").  Each node refines an ordered
 partition to an equitable one by cell splitting, records the refinement
 trace as its invariant, and branches on the first smallest non-singleton
-cell.  The canonical leaf is the greatest by (traces along the path,
+cell.  The root starts from the vertices grouped by their triangle count
+t(v), the cells in increasing t, rather than from one cell: on a regular
+graph, such as a switching mate of an SR graph, refining one cell splits
+nothing, and the root would branch on every vertex.  t depends on the graph
+alone, so an isomorphism maps the one seeded partition onto the other and
+every automorphism maps each cell onto itself.  The arguments below use
+nothing else about the root partition; only which leaf is canonical
+changes.  The canonical leaf is the greatest by (traces along the path,
 relabeled adjacency rows); two graphs are isomorphic iff their certificates,
 the rows of that leaf, are equal.  Leaves that tie with the first or the
 best leaf yield automorphisms.  These prune the search: a child in the orbit
@@ -497,11 +504,30 @@ def local_graph(g: Graph, v: int) -> Graph:
     return induced_subgraph(g, sorted(g.neighbors(v)))
 
 
+def _has_independent_4(crows, mask):
+    """Whether mask holds four pairwise nonadjacent vertices: a < b < c < d
+    picked in turn, each level's candidates masked by the last pick's
+    complement row crows[u], the vertices not adjacent to u."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        above_a = mask & crows[low.bit_length() - 1]
+        while above_a.bit_count() >= 3:
+            low = above_a & -above_a
+            above_a ^= low
+            above_b = above_a & crows[low.bit_length() - 1]
+            while above_b.bit_count() >= 2:
+                low = above_b & -above_b
+                above_b ^= low
+                if above_b & crows[low.bit_length() - 1]:
+                    return True
+    return False
+
+
 def has_induced_k114(g: Graph) -> bool:
     """Search for an induced K_{1,1,4}: an edge plus four pairwise
-    nonadjacent common neighbors of its ends, that is a 4-clique of the
-    complement inside the common neighborhood (the clique search on the
-    complement's rows, started from incumbent 3).
+    nonadjacent common neighbors of its ends, found by three nested bit
+    loops over the common neighborhood (`_has_independent_4`).
 
     Each edge {a, b} with a < b is searched once.  An automorphism maps an
     induced K_{1,1,4} on one edge to one on the edge's image.  On an SR graph
@@ -513,22 +539,17 @@ def has_induced_k114(g: Graph) -> bool:
     {r, b} with b in O', and every vertex of O' but r lies above r."""
     rows = g.rows
     reps = _orbit_representatives(g)
-    crows = [~row ^ (1 << u) for u, row in enumerate(rows)]
-    nrows = [row | (1 << u) for u, row in enumerate(rows)]
+    full = (1 << g.order) - 1
+    crows = [full ^ row for row in rows]
     for a in range(g.order) if reps is None else reps:
         row = rows[a]
-        ends = row >> (a + 1) << (a + 1)
-        while ends:
-            low = ends & -ends
-            common = row & rows[low.bit_length() - 1]
-            if (common.bit_count() >= 4
-                    and _max_clique_size(crows, nrows, common, 0, 3) > 3):
+        for b in _bits(row >> (a + 1) << (a + 1)):
+            if _has_independent_4(crows, row & rows[b]):
                 return True
-            ends ^= low
     return False
 
 
-def _equitable(rows, cells, multi, start, trace, best=None, zeta=None,
+def _equitable(rows, cells, multi, starts, trace, best=None, zeta=None,
                below=False):
     """Split an ordered partition until it is equitable; return False if
     the run was cut short (see `best` below), else True.
@@ -536,15 +557,16 @@ def _equitable(rows, cells, multi, start, trace, best=None, zeta=None,
     The partition is `cells[s]`, the vertex mask of the cell that starts at
     position s (entries at other positions are stale and never read).
     `multi` lists the starts of the cells with two or more vertices, in
-    order; it is updated in place.  The cell at `start` is the first
-    splitter.  Each splitter W, smallest start first, splits every cell C by
-    the counts |N(v) & W|, v in C.  The fragments take C's positions largest
-    first, equal sizes in increasing count order.  Every choice depends only
-    on positions, sizes and counts, so an isomorphism that maps one ordered
-    partition onto another maps the refined partitions onto each other, and
-    both runs append the same `trace`: per split, the cell's start, the
-    number of fragments and each fragment's count and size.  The trace thus
-    also fixes the cell sizes of the result.
+    order; it is updated in place.  The cells at `starts`, a list of
+    positions in increasing order, are the first splitters.  Each splitter
+    W, smallest start first, splits every cell C by the counts |N(v) & W|,
+    v in C.  The fragments take C's positions largest first, equal sizes in
+    increasing count order.  Every choice depends only on positions, sizes
+    and counts, so an isomorphism that maps one ordered partition onto
+    another maps the refined partitions onto each other, and both runs
+    append the same `trace`: per split, the cell's start, the number of
+    fragments and each fragment's count and size.  The trace thus also fixes
+    the cell sizes of the result.
 
     The fragments become splitters, except that the first one keeps C's start
     and with it C's place in the queue, or its absence: counts into it are
@@ -555,7 +577,7 @@ def _equitable(rows, cells, multi, start, trace, best=None, zeta=None,
     and to differ from `zeta`, the first leaf's trace if the node is still
     on its path: the search drops such a node anyway.
     """
-    queue = [start]
+    queue = starts[:]
     mark = 0
     while queue and multi:
         mask = cells[heappop(queue)]
@@ -660,9 +682,29 @@ class _Node:
         self.tried = []
 
 
+def _triangle_cells(rows):
+    """t -> the mask of the vertices v with t(v) = t, where t(v), the sum of
+    |N(u) & N(v)| over the neighbours u of v, is twice the number of
+    triangles through v.  Each edge's term is counted once, for both ends."""
+    tri = [0] * len(rows)
+    for v, row in enumerate(rows):
+        for u in _bits(row >> (v + 1) << (v + 1)):
+            k = (row & rows[u]).bit_count()
+            tri[v] += k
+            tri[u] += k
+    cells = {}
+    for v, t in enumerate(tri):
+        cells[t] = cells.get(t, 0) | 1 << v
+    return cells
+
+
 class _CanonicalSearch:
     """Individualization-refinement search with automorphism pruning (see the
     module docstring for why the prunings are sound).
+
+    The root partition's cells are the vertices of equal triangle count, in
+    increasing count (`_triangle_cells`), each a first splitter of the root
+    refinement; the root trace opens with each cell's (count, size).
 
     `zeta` is the first leaf and `best` the greatest so far.  A leaf whose
     traces and rows equal zeta's or best's yields the automorphism that maps
@@ -687,10 +729,17 @@ class _CanonicalSearch:
         self.rows = rows
         n = len(rows)
         cells = [0] * n
-        cells[0] = (1 << n) - 1
-        multi = [0] if n > 1 else []
-        trace = []
-        _equitable(rows, cells, multi, 0, trace)
+        multi, starts, trace = [], [], []
+        at = 0
+        for t, cell in sorted(_triangle_cells(rows).items()):
+            size = cell.bit_count()
+            cells[at] = cell
+            starts.append(at)
+            if size > 1:
+                multi.append(at)
+            trace += (t, size)
+            at += size
+        _equitable(rows, cells, multi, starts, trace)
         self.gens = []
         self.orbits = list(range(n))
         self.order = 1
@@ -759,8 +808,8 @@ class _CanonicalSearch:
             trace = []
             depth = len(stack)
             if self.zeta is None or node.vs_best > 0:
-                _equitable(rows, cells, multi, at, trace)
-            elif not _equitable(rows, cells, multi, at, trace,
+                _equitable(rows, cells, multi, [at], trace)
+            elif not _equitable(rows, cells, multi, [at], trace,
                                 () if node.vs_best else self.best.invs[depth],
                                 self.zeta.invs[depth] if node.on_zeta else None,
                                 node.vs_best < 0):

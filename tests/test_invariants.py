@@ -29,7 +29,8 @@ from rooklab.invariants import (CanonicalForm, CliqueType, Disconnected,
                                 has_induced_k114, independence_number,
                                 is_isomorphic, local_graph, maximal_cliques,
                                 vertex_orbits)
-from rooklab.switching import gm_switch, named_switching_set
+from rooklab.switching import (gm_switch, named_switching_set,
+                               switching_closure)
 
 
 def random_graph(rng, n, p):
@@ -704,6 +705,81 @@ class TestAutomorphisms:
         # Every leaf relabels K_300's rows: 89 700 bits edge by edge, 300
         # through the rows' complements.
         assert automorphism_count(complete_graph(300)) == factorial(300)
+
+
+def paper_aut_order(m, n):
+    """|Aut(SR(m, n))| by the paper's theorem, for m >= 1."""
+    if m == 1 or n == 0:
+        return 1
+    if m == 2:
+        # SR(2, n) is K_{n+1}.
+        return factorial(n + 1)
+    if n == 2:
+        # SR(m, 2) is J(m + 1, 2), and SR(3, 2) the octahedron.
+        return 48 if m == 3 else factorial(m + 1)
+    if n == 3:
+        # S_m and the digit swap.
+        return 2 * factorial(m)
+    return factorial(m)
+
+
+class TestPaperAutomorphismTheorem:
+    def test_sr_grid_fits_the_theorem(self):
+        # Every SR(m, n) with m, n <= 7 and 1 to 500 vertices.
+        points = [(m, n) for m in range(1, 8) for n in range(8)
+                  if sr_order(m, n) <= 500]
+        assert len(points) == 53
+        for m, n in points:
+            assert automorphism_count(sr_graph(m, n)) == paper_aut_order(m, n)
+
+
+class TestSearchWork:
+    """The canonical search's work, pinned, so that a change to its tree
+    (such as losing the root's triangle counts) fails here and not only in
+    timings.  A change that moves a count re-pins it and says why."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"searches": 0, "refinements": 0, "leaves": 0}
+        search, equitable = invariants._CanonicalSearch, invariants._equitable
+        relabeled_rows = invariants._relabeled_rows
+
+        class Counting(search):
+            def __init__(self, rows):
+                counts["searches"] += 1
+                super().__init__(rows)
+
+        def counting_equitable(*args, **kwargs):
+            counts["refinements"] += 1
+            return equitable(*args, **kwargs)
+
+        def counting_relabeled_rows(*args):
+            counts["leaves"] += 1
+            return relabeled_rows(*args)
+
+        monkeypatch.setattr(invariants, "_CanonicalSearch", Counting)
+        monkeypatch.setattr(invariants, "_equitable", counting_equitable)
+        monkeypatch.setattr(invariants, "_relabeled_rows",
+                            counting_relabeled_rows)
+        return counts
+
+    def test_capped_closure(self, counts):
+        assert switching_closure(sr_graph(4, 3), 12).count == 12
+        assert counts == {"searches": 28, "refinements": 351, "leaves": 132}
+
+    def test_sr_4_9(self, counts):
+        assert canonical_form(sr_graph(4, 9)).aut_order == 24
+        assert counts == {"searches": 1, "refinements": 10, "leaves": 4}
+
+    def test_triangle_counts_match_networkx(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            g, h = random_graph(rng, rng.randrange(0, 25), rng.random())
+            cells = invariants._triangle_cells(list(g.rows))
+            tri = nx.triangles(h)
+            assert sum(cells.values()) == (1 << g.order) - 1
+            for t, cell in cells.items():
+                assert all(2 * tri[v] == t for v in bits(cell))
 
 
 class TestOrbits:

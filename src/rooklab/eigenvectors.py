@@ -9,11 +9,20 @@ small n.  For an orbit {p + sigma(w)} of pairwise distinct vertices, F_pw is
 an eigenvector for -binom(m, 2); the canonical half-integral w gives a family
 of size binom(n - binom(m-1, 2), m-1).
 
+Permutations and their signs come from one signed table of Sym(m) per m:
+its permutations in lexicographic order as int8 rows, and their signs.
+F_pw reads every row.  For m up to _TABLE_MAX_M (6, set by measurement)
+the pi-admissible sigma of F_pi and Gamma(m, n, pi) are the rows at most
+b = a + i, found by one comparison; above it a depth-first search lists
+X_pi alone and carries the sign's parity, as the m! rows would cost far
+more time and memory than X_pi.
+
 The hand-built sparse eigenvectors used in the n = 3 and n = 4 spectrum
 proofs (eigenvalues m-3, 2m-5 and m-6) are provided under small_n_eigenvector.
 
-Everything is integer or Fraction arithmetic; eigenvector claims are meant to
-be checked exactly with linalg.verify_eigenvector.
+Everything is exact integer or Fraction arithmetic (the table is int8 and
+bool); eigenvector claims are meant to be checked exactly with
+linalg.verify_eigenvector.
 """
 
 from __future__ import annotations
@@ -24,6 +33,8 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, prod
 from operator import getitem, sub
+
+import numpy as np
 
 from .graphs import Graph, _sr_rows, sr_vertices
 from .invariants import canonical_form
@@ -53,23 +64,6 @@ def inversion_count(pi) -> int:
     return sum(inversion_vector(pi))
 
 
-def sign(pi) -> int:
-    """Permutation sign, (-1)^(m - #cycles) for pi a permutation of
-    range(m): a cycle of length l is l - 1 transpositions, so this is the
-    inversion parity, counted in O(m)."""
-    pi = _check_permutation(pi)
-    seen = [False] * len(pi)
-    flips = len(pi)
-    for i in range(len(pi)):
-        if not seen[i]:
-            flips -= 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = pi[j]
-    return -1 if flips & 1 else 1
-
-
 def permutations_with_inversions(m: int, n: int):
     """All pi in Sym(m) with exactly n inversions, in lexicographic order of
     the inversion vector.  Decodes the vector like a Lehmer code, so only the
@@ -96,18 +90,74 @@ def permutations_with_inversions(m: int, n: int):
     return out
 
 
-def admissible_set(pi) -> list:
-    """All (sigma, x(sigma)) with x(sigma)_i = a_i + i - sigma_i >= 0 for all
-    i; x(sigma) then sums to the inversion count of pi, so it is a vertex of
-    SR(m, n).  The map sigma -> x(sigma) is injective."""
+# Up to this m, X_pi is read off the signed table of Sym(m); above it a
+# depth-first search lists X_pi alone.  The table costs a pass over its m!
+# rows for each pi, the search about 2 us for each admissible sigma.  F_pi
+# over all of Sym(m) took 6.4 ms by search and 3.2 ms by table at m = 5, and
+# 159 and 68 ms at m = 6.  At m = 7 the table lost 4-12 times on the pi with
+# at most 4 inversions that classify_gamma(4) scans (its Gamma graphs there:
+# 11 ms by search, 26 ms by table), and at m = 8 on every inversion count
+# up to 6 measured.  Best of 5-20 runs, one core of a 2-vCPU VM.
+_TABLE_MAX_M = 6
+
+
+@lru_cache(maxsize=None)
+def _signed_table(m: int) -> tuple:
+    """(perms, signs): every permutation of range(m) in lexicographic order
+    (the order of itertools.permutations) as the rows of an m!-by-m int8
+    array, and their signs as int8 +-1, the parity of the inversions
+    counted one pair of columns at a time.  Both arrays are read-only, as
+    every caller shares them.  One table is kept per m: f_pi and gamma_graph
+    ask for m <= _TABLE_MAX_M only, f_pw for its own m, whose m! orbit
+    points it lists anyway."""
+    perms = np.array(list(permutations(range(m))), dtype=np.int8)
+    odd = np.zeros(len(perms), dtype=bool)
+    for i, j in combinations(range(m), 2):
+        odd ^= perms[:, i] > perms[:, j]
+    signs = np.where(odd, np.int8(-1), np.int8(1))
+    perms.flags.writeable = signs.flags.writeable = False
+    return perms, signs
+
+
+def _signed_admissible(pi) -> tuple:
+    """(xs, signs): x(sigma) = b - sigma and sgn sigma for each
+    pi-admissible sigma, in lexicographic order of sigma.  sigma is
+    admissible when sigma_i <= b_i = a_i + i for all i; x(sigma) then sums
+    to the inversion count of pi, so it is a vertex of SR(m, n), and X_pi
+    is the set of them.  sigma = b - x(sigma), so sigma -> x(sigma) is
+    injective.  xs is a list of tuples, signs a list of +-1.  Up to
+    _TABLE_MAX_M the rows of the signed table at most b are the admissible
+    sigma, found by one comparison; above it _admissible_search lists
+    them."""
     b = [a + i for i, a in enumerate(inversion_vector(pi))]
     m = len(b)
-    out, sigma, used = [], [], [False] * m
-    nxt = 0  # the least value still to try at depth len(sigma)
+    if m > _TABLE_MAX_M:
+        return _admissible_search(b)
+    perms, signs = _signed_table(m)
+    top = np.array(b, dtype=np.int8)
+    keep = (perms <= top).all(axis=1)
+    return (list(map(tuple, (top - perms[keep]).tolist())),
+            signs[keep].tolist())
+
+
+def _admissible_search(b) -> tuple:
+    """_signed_admissible by depth-first search over sigma, in lexicographic
+    order, without a stack frame per depth.  At each depth the candidates
+    are the unused values up to b_i in increasing order, and the j-th of
+    them (from 0) adds j inversions, as j unused smaller values come later
+    in sigma; so each next candidate flips the parity of the prefix, and
+    the sign needs no pass over sigma."""
+    m = len(b)
+    xs, signs = [], []
+    sigma, used, parities = [], [False] * m, []
+    # nxt is the least value still to try at depth len(sigma), and odd the
+    # inversion parity of sigma with nxt appended.
+    nxt = odd = 0
     while True:
         i = len(sigma)
         if i == m:
-            out.append((tuple(sigma), tuple(map(sub, b, sigma))))
+            xs.append(tuple(map(sub, b, sigma)))
+            signs.append(-1 if odd else 1)
         else:
             top = b[i]  # below m, as a_i <= m - 1 - i
             while nxt <= top and used[nxt]:
@@ -115,20 +165,22 @@ def admissible_set(pi) -> list:
             if nxt <= top:
                 used[nxt] = True
                 sigma.append(nxt)
+                parities.append(odd)
                 nxt = 0
                 continue
         if not sigma:
-            return out
+            return xs, signs
         nxt = sigma.pop()
         used[nxt] = False
         nxt += 1
+        odd = parities.pop() ^ 1
 
 
 def gamma_order(pi) -> int:
-    """|X_pi| = len(admissible_set(pi)), counted without listing it.  sigma
-    is admissible when sigma_i <= b_i = a_i + i; with b sorted ascending,
-    b_(j) + 1 - j values are left for the j-th smallest bound, at least one
-    because b_i >= i."""
+    """|X_pi|, the number of pi-admissible sigma, counted without listing
+    them.  sigma is admissible when sigma_i <= b_i = a_i + i; with b sorted
+    ascending, b_(j) + 1 - j values are left for the j-th smallest bound,
+    at least one because b_i >= i."""
     b = sorted(a + i for i, a in enumerate(inversion_vector(pi)))
     return prod(x + 1 - j for j, x in enumerate(b))
 
@@ -137,7 +189,8 @@ def f_pi(pi) -> dict:
     """F_pi = sum over admissible sigma of sgn(sigma) e_{x(sigma)}, as a
     sparse mapping from vertex label to +-1.  Exact eigenvector of
     SR(m, inversions(pi)) for eigenvalue -inversions(pi)."""
-    return {x: sign(s) for s, x in admissible_set(pi)}
+    xs, signs = _signed_admissible(pi)
+    return dict(zip(xs, signs))
 
 
 def canonical_w(m: int) -> tuple:
@@ -161,7 +214,8 @@ def f_pw(p, w, m: int, n: int) -> dict:
     coords = [[int(t) if t.denominator == 1 and t >= 0 else None for t in row]
               for row in table]
     vec = {}
-    for sig, sgn in _signed_permutations(m):
+    perms, signs = _signed_table(m)
+    for sig, sgn in zip(perms.tolist(), signs.tolist()):
         label = tuple(map(getitem, coords, sig))
         if None in label:
             point = tuple(map(getitem, table, sig))
@@ -172,15 +226,6 @@ def f_pw(p, w, m: int, n: int) -> dict:
             raise InvalidOrbit(f"orbit points collide at {label}")
         vec[label] = sgn
     return vec
-
-
-@lru_cache(maxsize=1)
-def _signed_permutations(m: int) -> tuple:
-    """(sigma, sgn sigma) for every sigma in Sym(m), in the order of
-    itertools.permutations.  One m is kept: f_pw_family calls f_pw once per
-    base point with the same m, and the m! pairs of a large m are not held
-    on to."""
-    return tuple((s, sign(s)) for s in permutations(range(m)))
 
 
 def f_pw_family(m: int, n: int) -> list:
@@ -207,13 +252,11 @@ def gamma_graph(m: int, pi) -> Graph:
     pi = _check_permutation(pi)
     if len(pi) != m:
         raise ValueError(f"pi has length {len(pi)}, expected {m}")
-    adm = admissible_set(pi)
+    labels, signs = _signed_admissible(pi)
     n = inversion_count(pi)
-    labels = [x for _, x in adm]
-    sign_of = {x: sign(s) for s, x in adm}
     g = Graph(labels, _sr_rows(labels), family="gamma", params=(m, n, pi))
     for i, j in g.edges():
-        if sign_of[g.labels[i]] == sign_of[g.labels[j]]:
+        if signs[i] == signs[j]:
             raise RuntimeError("gamma graph edge inside one sign class")
     if any(d != n for d in g.degrees()):
         raise RuntimeError("gamma graph is not n-regular")

@@ -379,7 +379,9 @@ def _clique_search(g: Graph, a, aut_generators):
     sym = []
     if g.family == "sr" and (aut_generators is None or gens):
         sym = coordinate_symmetries(g)
-    gens = sym + gens
+    # Given generators often repeat the coordinate symmetries (and at m = 2
+    # the transposition is the cycle), so each distinct one is kept once.
+    gens = list(dict.fromkeys(map(tuple, sym + gens)))
     _check_automorphisms(a, gens)
     order = _degeneracy_order(a)
     packed = np.packbits(a[order[:, None], order], axis=1, bitorder="little")

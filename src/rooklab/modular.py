@@ -587,7 +587,7 @@ def _reduce(x, p):
     return np.subtract(x, q, out=q)
 
 
-def _exact_chunks(b, roots):
+def _exact_chunks(b, roots, norm):
     """prod over roots of (b - cI) as a list of (matrix, bound) chunks, the
     product of whose matrices it is: each matrix, a polynomial in b (so the
     chunks commute), holds exact integers in float64 or int64, and each
@@ -605,9 +605,9 @@ def _exact_chunks(b, roots):
     partial sum stays below beta; if the bound still reaches 2**53, P
     closes a chunk and the next factor starts a new P.  A factor with
     ||b|| + |c| >= 2**53 is a chunk of its own, b - cI in int64
-    (OverflowError if an entry leaves int64).  ||b|| is exact (_norm)."""
+    (OverflowError if an entry leaves int64).  norm is ||b||, exact
+    (_norm)."""
     v = len(b)
-    norm = _norm(b)
     desc = sorted(map(operator.index, roots), reverse=True)
     eye = np.eye(v)
     bf = b.astype(np.float64)
@@ -644,7 +644,7 @@ def _join_mod(chunks, p):
     return functools.reduce(lambda x, y: _reduce(x @ y, p), residues)
 
 
-def annihilation_proved(b, roots):
+def annihilation_proved(b, roots, norm=None):
     """True iff prod over roots of (b - cI) is proven zero over Z.
 
     The factors are multiplied exactly (_exact_chunks).  A product that
@@ -654,9 +654,14 @@ def annihilation_proved(b, roots):
     the chunks' bounds, which bounds every entry of the whole product.  A
     nonempty b with no roots fails the proof; an empty b passes.
     ValueError for b of order above MAX_ORDER, where float64 products mod
-    p may round; OverflowError for a root c where b - cI leaves int64."""
+    p may round; OverflowError for a root c where b - cI leaves int64.
+
+    norm, if given, must be b's exact max absolute row sum, _norm(b), which
+    the exactness of every float64 product rests on: the spectrum engine
+    passes the norm it has already taken for each block, so the block is
+    summed once.  Without it, _norm(b) is taken here."""
     _check_order(len(b))
-    chunks = _exact_chunks(b, roots)
+    chunks = _exact_chunks(b, roots, _norm(b) if norm is None else norm)
     if len(chunks) == 1:
         return not chunks[0][0].any()
     bound = 2 * math.prod(beta for _, beta in chunks)
@@ -712,7 +717,7 @@ def _block_spectrum(b, norm):
     for p in PRIMES[:4]:
         pairs = _integer_roots(charpoly_mod(b, p), norm, p)
         if sum(e for _, e in pairs) < len(b) or \
-                annihilation_proved(b, [c for c, _ in pairs]):
+                annihilation_proved(b, [c for c, _ in pairs], norm):
             return pairs
     raise RuntimeError("spectrum certificate failed for the first four primes")
 

@@ -14,14 +14,16 @@ from math import comb
 from operator import le, sub
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from conftest import to_nx
-from rooklab.eigenvectors import (InvalidOrbit, SMALL_N_KINDS, admissible_set,
-                                  canonical_w, cayley_transpositions, f_pi,
-                                  f_pw, f_pw_family, gamma_graph,
-                                  gamma_order, inversion_count, inversion_vector,
-                                  permutations_with_inversions, sign,
+from rooklab import eigenvectors
+from rooklab.eigenvectors import (InvalidOrbit, SMALL_N_KINDS, canonical_w,
+                                  cayley_transpositions, f_pi, f_pw,
+                                  f_pw_family, gamma_graph, gamma_order,
+                                  inversion_count, inversion_vector,
+                                  permutations_with_inversions,
                                   small_n_eigenvalue, small_n_eigenvector)
 from rooklab.formulas import mahonian
 from rooklab.graphs import (cartesian_product, complete_bipartite,
@@ -45,6 +47,14 @@ def brute_admissible(pi):
     b = [a + i for i, a in enumerate(inversion_vector(pi))]
     return [(s, tuple(map(sub, b, s))) for s in permutations(range(len(b)))
             if all(map(le, s, b))]
+
+
+def admissible(pi):
+    """(sigma, x(sigma)) pairs from the one enumerator, in its order, each
+    sigma read back as b - x(sigma)."""
+    b = [a + i for i, a in enumerate(inversion_vector(pi))]
+    xs, _ = eigenvectors._signed_admissible(pi)
+    return [(tuple(map(sub, b, x)), x) for x in xs]
 
 
 def loop_f_pi(pi):
@@ -96,9 +106,16 @@ class TestInversions:
             assert sum(inversion_vector(pi)) == inversion_count(pi)
 
     def test_sign_is_inversion_parity(self):
-        for m in range(7):
-            for pi in permutations(range(m)):
-                assert sign(pi) == (-1) ** inversion_count(pi)
+        # The signed table: Sym(m) in lexicographic order, int8 rows and
+        # int8 signs, each sign the parity of the row's inversions.
+        for m in range(8):
+            perms, signs = eigenvectors._signed_table(m)
+            assert perms.dtype == signs.dtype == np.int8
+            assert perms.shape == (len(signs), m)
+            assert list(map(tuple, perms.tolist())) == \
+                list(permutations(range(m)))
+            assert signs.tolist() == [(-1) ** brute_inversions(pi)
+                                      for pi in permutations(range(m))]
 
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
@@ -107,7 +124,7 @@ class TestInversions:
             inversion_count((1, 2, 3))
         for pi in ((0, 0, 2), (1, 2, 3), (1, 1)):
             with pytest.raises(ValueError):
-                sign(pi)
+                inversion_vector(pi)
 
 
 class TestPermutationsWithInversions:
@@ -144,14 +161,65 @@ class TestFPi:
         # Same entries in the same insertion order, for every pi, m <= 6.
         for m in range(1, 7):
             for pi in permutations(range(m)):
-                assert admissible_set(pi) == brute_admissible(pi), pi
+                assert admissible(pi) == brute_admissible(pi), pi
                 assert list(f_pi(pi).items()) == list(loop_f_pi(pi).items())
 
     def test_admissible_set_injective(self):
         for pi in permutations(range(4)):
-            pairs = admissible_set(pi)
+            pairs = admissible(pi)
             xs = [x for _, x in pairs]
             assert len(set(xs)) == len(xs)
+
+
+class TestSignedAdmissible:
+    """X_pi comes off the signed table up to _TABLE_MAX_M and from the
+    depth-first search above it; both must give the same sigma, x(sigma)
+    and signs in the same order, and the search must never build a table."""
+
+    @staticmethod
+    def outputs(m, pi):
+        g = gamma_graph(m, pi)
+        return (admissible(pi), eigenvectors._signed_admissible(pi)[1],
+                list(f_pi(pi).items()), g.labels, g.rows)
+
+    def test_table_matches_search_up_to_the_bound(self, monkeypatch):
+        bound = eigenvectors._TABLE_MAX_M
+        pis = [pi for m in range(bound + 1) for pi in permutations(range(m))]
+        by_table = [self.outputs(len(pi), pi) for pi in pis]
+        monkeypatch.setattr(eigenvectors, "_TABLE_MAX_M", -1)
+        by_search = [self.outputs(len(pi), pi) for pi in pis]
+        for pi, table, search in zip(pis, by_table, by_search):
+            assert table == search, pi
+            pairs, signs = table[0], table[1]
+            assert signs == [brute_sign(s) for s, _ in pairs], pi
+
+    def test_no_table_above_the_bound(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError(f"signed table built for m = {m}")
+
+        assert eigenvectors._TABLE_MAX_M < 7
+        monkeypatch.setattr(eigenvectors, "_signed_table", refuse)
+        rng = random.Random(7)
+        for m, n in ((7, 4), (7, 9), (8, 3), (8, 5)):
+            for pi in rng.sample(permutations_with_inversions(m, n), 3):
+                _, _, vec, labels, _ = self.outputs(m, pi)
+                if m == 7:
+                    assert vec == list(loop_f_pi(pi).items()), pi
+                assert labels == tuple(x for x, _ in vec)
+        assert f_pi(tuple(range(1200))) == {(0,) * 1200: 1}
+
+    def test_one_table_build_per_m(self):
+        # Work pin: F_pi families of interleaved m and an F_pw family build
+        # each m's table once, so a cache too small for them shows here.
+        table = eigenvectors._signed_table
+        table.cache_clear()
+        for m in (5, 6, 5, 4, 6):
+            for n in range(comb(m, 2) + 1):
+                for pi in permutations_with_inversions(m, n):
+                    f_pi(pi)
+        f_pw_family(4, 8)
+        f_pi((0, 2, 1, 3, 4, 6, 5))
+        assert table.cache_info().misses == 3
 
 
 class TestFPW:
@@ -276,7 +344,7 @@ class TestGammaGraph:
     def test_order_formula_counts_admissible_set(self):
         for m in range(1, 7):
             for pi in permutations(range(m)):
-                assert gamma_order(pi) == len(admissible_set(pi)), pi
+                assert gamma_order(pi) == len(admissible(pi)), pi
 
 
 class TestCayley:

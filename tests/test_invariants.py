@@ -222,6 +222,34 @@ class TestSRDefaultSymmetries:
         search(gamma_graph(4, (1, 3, 0, 2)))
         assert calls == []
 
+    def test_each_distinct_generator_checked_once(self, monkeypatch):
+        # Generators that repeat the coordinate symmetries, as a caller
+        # passing coordinate_symmetries(g) gives them, are checked and
+        # joined into orbits once each; at m = 2 the transposition is the
+        # cycle.
+        seen = []
+        check, orbits = invariants._check_automorphisms, invariants._orbits
+
+        def spy(name, fn):
+            def call(first, gens):
+                seen.append((name, [tuple(p) for p in gens]))
+                return fn(first, gens)
+            return call
+
+        monkeypatch.setattr(invariants, "_check_automorphisms",
+                            spy("check", check))
+        monkeypatch.setattr(invariants, "_orbits", spy("orbits", orbits))
+        for m, n in ((2, 3), (4, 3), (3, 4)):
+            g = sr_graph(m, n)
+            sym = map(tuple, coordinate_symmetries(g))
+            distinct = list(dict.fromkeys(sym))
+            assert len(distinct) == (1 if m == 2 else 2)
+            for search in (clique_number, independence_number):
+                seen.clear()
+                value = search(g, aut_generators=coordinate_symmetries(g))
+                assert seen == [("check", distinct), ("orbits", distinct)]
+                assert value == search(g, aut_generators=())
+
     def test_default_agrees_with_plain_search(self):
         for m in range(2, 6):
             for n in range(1, 5):

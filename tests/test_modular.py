@@ -402,7 +402,7 @@ class TestCertificate:
         roots = [c for c, _ in modular._block_spectrum(block, 34)]
         assert a_priori_bound(block, roots).bit_length() == 80
         for c in roots:
-            [(factor, bound)] = _exact_chunks(block, [c])
+            [(factor, bound)] = _exact_chunks(block, [c], 34)
             assert bound == 34 + abs(c)
             assert np.array_equal(factor, block - c * np.eye(25))
         [(product, bound)] = assert_exact_chunks(block, roots)
@@ -419,10 +419,11 @@ class TestCertificate:
         calls = []
         proved = modular.annihilation_proved
 
-        def counted(b, roots):
+        def counted(b, roots, norm=None):
             before = len(joins)
-            result = proved(b, roots)
-            calls.append((len(_exact_chunks(b, roots)), len(joins) - before))
+            result = proved(b, roots, norm)
+            calls.append((len(_exact_chunks(b, roots, modular._norm(b))),
+                          len(joins) - before))
             return result
 
         monkeypatch.setattr(modular, "annihilation_proved", counted)
@@ -469,11 +470,11 @@ def exact_annihilator_mod(a, roots, p):
 
 
 def assert_exact_chunks(a, roots):
-    """_exact_chunks(a, roots), checked: the product of its matrices, taken
-    in Python ints, is the exact product; each matrix holds integers, a
-    float64 one below 2**53 in magnitude, and each bound is a Python int at
-    least the matrix's max absolute row sum."""
-    chunks = _exact_chunks(a, roots)
+    """_exact_chunks(a, roots, ||a||), checked: the product of its
+    matrices, taken in Python ints, is the exact product; each matrix holds
+    integers, a float64 one below 2**53 in magnitude, and each bound is a
+    Python int at least the matrix's max absolute row sum."""
+    chunks = _exact_chunks(a, roots, modular._norm(a))
     v = len(a)
     product = [[int(i == j) for j in range(v)] for i in range(v)]
     for m, bound in chunks:
@@ -565,7 +566,7 @@ class TestReduction:
                     off = (f1 - f0) // v
                     expected = np.full((v, v), off % p, dtype=np.int64)
                     np.fill_diagonal(expected, (off + f0) % p)
-                    chunks = _exact_chunks(a, roots)
+                    chunks = _exact_chunks(a, roots, v * abs(h))
                     assert len(chunks) == (len(roots) if h != -1 else
                                            -(-len(roots) // 6))
                     got = _join_mod(chunks, p)
@@ -862,6 +863,30 @@ class TestSymmetrySplit:
         assert args[1] == g.labels
         assert len(calls) == len(blocks) == 5
         assert all(b is call[0] for (b, _), call in zip(blocks, calls))
+
+    def test_one_norm_per_block(self, monkeypatch):
+        # The engine sums each block's norm once and hands it to the
+        # annihilation proof; called alone, the proof sums it itself.
+        seen = []
+        norm = modular._norm
+
+        def counted(b):
+            seen.append(b)
+            return norm(b)
+
+        monkeypatch.setattr(modular, "_norm", counted)
+        for m, n in ((4, 6), (5, 5), (3, 20)):
+            g = sr_graph(m, n)
+            a = g.adjacency_matrix()
+            seen.clear()
+            assert certified_symmetric_spectrum(a, g.labels) == \
+                numpy_spectrum(a)
+            blocks = _blocks(a, g.labels)
+            assert len(seen) == len(blocks), (m, n)
+            assert all(np.array_equal(b, s) for (b, _), s in zip(blocks, seen))
+        seen.clear()
+        assert annihilation_proved(np.diag([2, 2]), [2])
+        assert len(seen) == 1
 
     def test_relabelled_sr_graph_keeps_its_split(self, split_builds):
         # Relabelling keeps an SR graph's family: integral_spectrum splits

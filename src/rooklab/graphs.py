@@ -238,8 +238,13 @@ def johnson_graph(v, n):
     if v < 0 or n < 0:
         raise ValueError("parameters must be nonnegative")
     verts = list(itertools.combinations(range(v), n))
-    indicators = [tuple(map(set(s).__contains__, range(v))) for s in verts]
-    return Graph(verts, _sr_rows(indicators), family="johnson", params=(v, n))
+    return Graph(verts, _sr_rows(_indicators(v, verts)), family="johnson",
+                 params=(v, n))
+
+
+def _indicators(v, subsets):
+    """The indicator vector over range(v), as bools, of each subset."""
+    return [tuple(map(set(s).__contains__, range(v))) for s in subsets]
 
 
 def complete_graph(n):

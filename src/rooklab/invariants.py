@@ -551,10 +551,8 @@ def has_induced_k114(g: Graph) -> bool:
     return False
 
 
-def _equitable(rows, cells, multi, starts, trace, best=None, zeta=None,
-               below=False):
-    """Split an ordered partition until it is equitable; return False if
-    the run was cut short (see `best` below), else True.
+def _equitable(rows, cells, multi, starts, trace):
+    """Split an ordered partition until it is equitable.
 
     The partition is `cells[s]`, the vertex mask of the cell that starts at
     position s (entries at other positions are stale and never read).
@@ -573,14 +571,8 @@ def _equitable(rows, cells, multi, starts, trace, best=None, zeta=None,
     The fragments become splitters, except that the first one keeps C's start
     and with it C's place in the queue, or its absence: counts into it are
     counts into C minus counts into the other fragments.
-
-    Given `best`, the best leaf's trace at this depth, the run stops once
-    the trace is known to sort below it (or `below` says it already does)
-    and to differ from `zeta`, the first leaf's trace if the node is still
-    on its path: the search drops such a node anyway.
     """
     queue = starts[:]
-    mark = 0
     while queue and multi:
         mask = cells[heappop(queue)]
         single = not mask & (mask - 1)
@@ -627,20 +619,7 @@ def _equitable(rows, cells, multi, starts, trace, best=None, zeta=None,
                 if size > 1:
                     kept.append(at)
                 at += size
-            if best is not None:
-                seg = tuple(trace[mark:])
-                if zeta is not None and seg != zeta[mark:len(trace)]:
-                    zeta = None
-                if not below:
-                    ref = best[mark:len(trace)]
-                    if seg > ref:
-                        best = None
-                    below = seg < ref
-                if below and zeta is None:
-                    return False
-                mark = len(trace)
         multi[:] = kept
-    return True
 
 
 def _relabeled_rows(rows, cells):
@@ -712,10 +691,10 @@ class _CanonicalSearch:
     traces and rows equal zeta's or best's yields the automorphism that maps
     the one discrete partition onto the other; since the traces fix the cell
     sizes of every partition on the way, it also maps the one path onto the
-    other.  A child whose traces sort below best's is dropped, its
-    refinement cut short, unless they equal zeta's: a subtree that can hold
-    a leaf equivalent to zeta is always walked, so that every orbit on
-    zeta's path is found.
+    other.  A child whose traces sort below best's is dropped once it is
+    refined, unless they equal zeta's: a subtree that can hold a leaf
+    equivalent to zeta is always walked, so that every orbit on zeta's path
+    is found.
 
     A node keeps its partition in the one array `cells`, which a child copies
     and refines; at a leaf each position holds one vertex, in leaf order.
@@ -808,20 +787,13 @@ class _CanonicalSearch:
             if not rest & (rest - 1):
                 multi.remove(t)
             trace = []
-            depth = len(stack)
-            if self.zeta is None or node.vs_best > 0:
-                _equitable(rows, cells, multi, [at], trace)
-            elif not _equitable(rows, cells, multi, [at], trace,
-                                () if node.vs_best else self.best.invs[depth],
-                                self.zeta.invs[depth] if node.on_zeta else None,
-                                node.vs_best < 0):
-                continue
+            _equitable(rows, cells, multi, [at], trace)
             inv = tuple(trace)
             path = node.path + (w,)
             if self.zeta is None:
                 first, on_zeta, vs_best = True, True, 0
             else:
-                first = False
+                first, depth = False, len(stack)
                 on_zeta = node.on_zeta and inv == self.zeta.invs[depth]
                 vs_best = node.vs_best
                 if not vs_best:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modular
-from .graphs import Graph, _bit_matrix, sr_graph, sr_vertices
+from .graphs import Graph, _bit_matrix, _indicators, sr_graph, sr_vertices
 from .modular import IncompleteSpectrum
 
 LENIENT_LIMIT = 512
@@ -225,8 +225,7 @@ def integral_spectrum(g: Graph) -> Spectrum:
     if g.family == "sr":
         labels = g.labels
     elif g.family == "johnson":
-        points = range(g.params[0])
-        labels = [tuple(map(set(s).__contains__, points)) for s in g.labels]
+        labels = _indicators(g.params[0], g.labels)
     pairs = modular.certified_symmetric_spectrum(_bit_matrix(g.rows), labels)
     _self_check(g, pairs)
     return Spectrum(tuple(pairs))

@@ -5,6 +5,7 @@ automorphism counting) is cross-checked on graphs where networkx or
 exhaustive enumeration supplies the answer independently.
 """
 
+import hashlib
 import random
 import sys
 from itertools import combinations, islice
@@ -684,6 +685,18 @@ class TestCanonicalForm:
         finally:
             sys.setrecursionlimit(limit)
 
+    def test_golden_digest(self):
+        # One SHA-256 over every output of canonical_form on a fixed graph
+        # list, so that a change to the search which moves no count still
+        # fails here if it moves a relabeling, certificate or generator.  A
+        # change to the search's choices re-pins it and says why.
+        digest = hashlib.sha256()
+        for g in golden_graphs():
+            form = canonical_form(g)
+            digest.update(repr((form.relabeling, form.certificate,
+                                form.generators, form.aut_order)).encode())
+        assert digest.hexdigest() == GOLDEN_DIGEST
+
 
 class TestAutomorphisms:
     def test_known_groups(self):
@@ -761,14 +774,38 @@ class TestPaperAutomorphismTheorem:
             assert automorphism_count(sr_graph(m, n)) == paper_aut_order(m, n)
 
 
+def golden_graphs():
+    """SR(m, n) up to 120 vertices, some Johnson graphs, Q_4, K_13, seeded
+    random graphs and the capped switching closure of SR(4, 3)."""
+    graphs = [sr_graph(m, n) for m in range(1, 8) for n in range(1, 10)
+              if sr_order(m, n) <= 120 and (m > 1 or n == 1)]
+    graphs += [johnson_graph(v, k)
+               for v, k in ((5, 2), (6, 3), (7, 2), (7, 3), (8, 4))]
+    graphs += [cube_graph(4), complete_graph(13)]
+    rng = random.Random(33)
+    for _ in range(40):
+        n, p = rng.randrange(1, 30), rng.random()
+        pairs = combinations(range(n), 2)
+        graphs.append(from_edges(range(n), [e for e in pairs
+                                            if rng.random() < p]))
+    return graphs + list(switching_closure(sr_graph(4, 3), 12).graphs)
+
+
+GOLDEN_DIGEST = ("8be3246c3c045095f4dfe8978a62efed"
+                 "11c4f816097ca3b65b87e4146971b49f")
+
+
 class TestSearchWork:
     """The canonical search's work, pinned, so that a change to its tree
     (such as losing the root's triangle counts) fails here and not only in
-    timings.  A change that moves a count re-pins it and says why."""
+    timings.  "trace" sums the refinement traces' lengths, two entries per
+    split and two per fragment (the root's also two per triangle-count
+    cell), so it pins the splits too.  A change that moves a count re-pins
+    it and says why."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"searches": 0, "refinements": 0, "leaves": 0}
+        counts = {"searches": 0, "refinements": 0, "leaves": 0, "trace": 0}
         search, equitable = invariants._CanonicalSearch, invariants._equitable
         relabeled_rows = invariants._relabeled_rows
 
@@ -777,9 +814,10 @@ class TestSearchWork:
                 counts["searches"] += 1
                 super().__init__(rows)
 
-        def counting_equitable(*args, **kwargs):
+        def counting_equitable(rows, cells, multi, starts, trace):
             counts["refinements"] += 1
-            return equitable(*args, **kwargs)
+            equitable(rows, cells, multi, starts, trace)
+            counts["trace"] += len(trace)
 
         def counting_relabeled_rows(*args):
             counts["leaves"] += 1
@@ -793,11 +831,13 @@ class TestSearchWork:
 
     def test_capped_closure(self, counts):
         assert switching_closure(sr_graph(4, 3), 12).count == 12
-        assert counts == {"searches": 28, "refinements": 351, "leaves": 132}
+        assert counts == {"searches": 28, "refinements": 351, "leaves": 132,
+                          "trace": 9500}
 
     def test_sr_4_9(self, counts):
         assert canonical_form(sr_graph(4, 9)).aut_order == 24
-        assert counts == {"searches": 1, "refinements": 10, "leaves": 4}
+        assert counts == {"searches": 1, "refinements": 10, "leaves": 4,
+                          "trace": 3982}
 
     def test_triangle_counts_match_networkx(self):
         rng = random.Random(31)

@@ -170,9 +170,9 @@ def cmd_export_graph6(args):
     return EXIT_OK
 
 
-def _add_mn(sub, mname="m", nname="n"):
-    sub.add_argument(mname, type=int)
-    sub.add_argument(nname, type=int)
+def _add_mn(sub):
+    sub.add_argument("m", type=int)
+    sub.add_argument("n", type=int)
 
 
 def build_parser():

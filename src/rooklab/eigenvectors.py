@@ -67,27 +67,34 @@ def inversion_count(pi) -> int:
 def permutations_with_inversions(m: int, n: int):
     """All pi in Sym(m) with exactly n inversions, in lexicographic order of
     the inversion vector.  Decodes the vector like a Lehmer code, so only the
-    matching permutations are ever materialized."""
+    matching permutations are ever materialized.  The vectors are counted
+    like an odometer, in a loop, so m is not bound by the recursion limit."""
     bounds = [m - 1 - i for i in range(m)]
     tails = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         tails[i] = tails[i + 1] + bounds[i]
-    prefix = [0] * m
-    out = []
-
-    def rec(i, remaining):
-        if i == m:
-            available = list(range(m))
-            out.append(tuple(available.pop(prefix[k]) for k in range(m)))
-            return
-        for a in range(max(0, remaining - tails[i + 1]),
-                       min(bounds[i], remaining) + 1):
-            prefix[i] = a
-            rec(i + 1, remaining - a)
-
-    if 0 <= n <= tails[0]:
-        rec(0, n)
-    return out
+    if not 0 <= n <= tails[0]:
+        return []
+    vec, out = [0] * m, []
+    i, rest = -1, n
+    while True:
+        # The least entries after place i that sum to rest: each place
+        # takes only what the places after it cannot hold.
+        for j in range(i + 1, m):
+            vec[j] = max(0, rest - tails[j + 1])
+            rest -= vec[j]
+        available = list(range(m))
+        out.append(tuple(available.pop(a) for a in vec))
+        # The last place that can take one more from the places after it.
+        rest = 0
+        for i in range(m - 1, -1, -1):
+            if rest and vec[i] < bounds[i]:
+                break
+            rest += vec[i]
+        else:
+            return out
+        vec[i] += 1
+        rest -= 1
 
 
 # Up to this m, X_pi is read off the signed table of Sym(m); above it a

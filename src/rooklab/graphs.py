@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from operator import itemgetter
 
 import numpy as np
 
@@ -179,19 +178,6 @@ def _sr_rows(vectors):
         rows += (int.from_bytes(data[i:i + width], "little")
                  for i in range(0, len(data), width))
     return rows
-
-
-def _coordinate_permutation(g, coords):
-    """The vertex permutation taking each label x to the label
-    (x[coords[0]], x[coords[1]], ...), or None unless g has a vertex, there
-    are at least two coordinates, every label is a tuple of len(coords)
-    entries and every image is again a label."""
-    labels = g.labels
-    if not labels or len(coords) < 2 or not all(
-            isinstance(lab, tuple) and len(lab) == len(coords) for lab in labels):
-        return None
-    perm = list(map(g.index.get, map(itemgetter(*coords), labels)))
-    return None if None in perm else perm
 
 
 def _sr_vertex_array(m, n):

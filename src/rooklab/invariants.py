@@ -21,13 +21,13 @@ checked, H is the Young subgroup keeping each group of coordinates with
 equal values over K, so the orbits come from the labels with no group code.
 Each search is bounded by NODE_BUDGET nodes.
 
-The diameter and K_{1,1,4} checks scan the whole graph, and on an SR graph
-they too check those two permutations first and then use only what the
-symmetry proves.  Eccentricity is constant on vertex orbits, so the
-diameter needs one BFS source per orbit.  An induced K_{1,1,4} on one edge
-maps to one on each image of the edge, and every orbit of edges holds an
-edge {r, b} with r the lowest vertex of its orbit and b > r, so only those
-edges are searched.
+The diameter and K_{1,1,4} checks scan the whole graph.  All four searches
+take their orbits from one routine, which checks the generators first (on
+an SR graph, those two permutations).  Eccentricity is constant on vertex
+orbits, so the diameter needs one BFS source per orbit.  An induced
+K_{1,1,4} on one edge maps to one on each image of the edge, and every
+orbit of edges holds an edge {r, b} with r the lowest vertex of its orbit
+and b > r, so only those edges are searched.
 
 Canonical forms come from one individualization-refinement search (McKay &
 Piperno, "Practical graph isomorphism, II").  Each node refines an ordered
@@ -68,8 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import (Graph, _bit_matrix, _bits, _coordinate_permutation,
-                     _permuted_rows, induced_subgraph)
+from .graphs import Graph, _bit_matrix, _bits, _permuted_rows, induced_subgraph
 
 
 class Disconnected(Exception):
@@ -123,22 +122,23 @@ def diameter(g: Graph) -> int:
     vertex 0 on every graph."""
     if g.order == 0:
         raise Disconnected("the empty graph has no diameter")
-    reps = _orbit_representatives(g)
-    return max(eccentricity(g, s)
-               for s in (range(g.order) if reps is None else reps))
+    orbits, _ = _symmetry_orbits(g)
+    return max(eccentricity(g, s) for s in sorted(o[0] for o in orbits))
 
 
-def _orbit_representatives(g: Graph):
-    """On an SR graph with m >= 2, the lowest vertex of each orbit of the
-    coordinate permutations, in increasing order, once `vertex_orbits` has
-    checked that they are automorphisms (ValueError otherwise); None on
-    every other graph."""
-    if g.family != "sr":
-        return None
-    gens = coordinate_symmetries(g)
-    if not gens:
-        return None
-    return sorted(orbit[0] for orbit in vertex_orbits(g, gens))
+def _symmetry_orbits(g: Graph, aut_generators=None):
+    """(orbits, sym): g's vertex orbits, which every search prunes by, and
+    sym, the coordinate symmetries among their generators.  sym is
+    `coordinate_symmetries(g)` on an SR graph unless aut_generators is
+    empty, and [] on another graph.  The given aut_generators join it, each
+    distinct generator is kept once, and `vertex_orbits` checks each one
+    (ValueError unless an automorphism).  With none, each orbit is a vertex."""
+    gens = list(aut_generators or ())
+    sym = []
+    if g.family == "sr" and (aut_generators is None or gens):
+        sym = coordinate_symmetries(g)
+    gens = list(dict.fromkeys(map(tuple, sym + gens)))
+    return vertex_orbits(g, gens), sym
 
 
 def _color_classes(candidates, nrows):
@@ -159,20 +159,6 @@ def _color_classes(candidates, nrows):
         classes.append(cls)
         p &= ~cls
     return classes
-
-
-def _depth_first(node, *root):
-    """Walk the search tree from node(*root) depth first.  A node is a
-    generator that yields the arguments of its children; nodes wait on an
-    explicit stack, not in calls, so depth is not bound by the recursion
-    limit."""
-    stack = [node(*root)]
-    while stack:
-        child = next(stack[-1], None)
-        if child is None:
-            stack.pop()
-        else:
-            stack.append(node(*child))
 
 
 def _young_orbits(candidates, labels, groups):
@@ -207,17 +193,19 @@ def _split(groups, values):
     return None if len(out) == len(values) else out
 
 
-def _max_clique_size(rows, nrows, candidates, size, best, labels=None,
-                     orbits=None):
-    """The largest clique extending a size-clique by candidates, or best if
-    none beats it.  Raises SizeLimit past NODE_BUDGET nodes.
+def _max_clique_size(rows, nrows, labels=None, orbits=None):
+    """The clique number of the graph with adjacency bit rows `rows`,
+    searched from the whole vertex set with incumbent 0.  Raises SizeLimit
+    past NODE_BUDGET nodes.
 
-    With `labels` (tuples whose coordinate permutations are automorphisms;
-    the search then starts from the empty clique), a node drops, after
-    branching on u, u's orbit under the permutations that fix its clique
-    pointwise; `orbits[u]`, the mask of u's orbit under a larger group, is
-    dropped at the root instead.  See `clique_number` for why."""
-    nodes = 0
+    With `labels` (tuples whose coordinate permutations are automorphisms),
+    a node drops, after branching on u, u's orbit under the permutations
+    that fix its clique pointwise; `orbits[u]`, the mask of u's orbit under
+    a larger group, is dropped at the root instead.  See `clique_number` for
+    why.  A node is a generator that yields the arguments of its children;
+    nodes wait on an explicit stack, not in calls, so depth is not bound by
+    the recursion limit."""
+    best = nodes = 0
 
     def node(candidates, size, groups, orbit):
         nonlocal best, nodes
@@ -250,7 +238,13 @@ def _max_clique_size(rows, nrows, candidates, size, best, labels=None,
                 candidates &= ~drop
 
     groups = [tuple(range(len(labels[0])))] if labels else None
-    _depth_first(node, candidates, size, groups, orbits)
+    stack = [node((1 << len(rows)) - 1, 0, groups, orbits)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(node(*child))
     return best
 
 
@@ -321,16 +315,22 @@ def vertex_orbits(g: Graph, generators) -> list:
 def coordinate_symmetries(g: Graph) -> list:
     """Vertex permutations induced by permuting coordinate positions of the
     tuple labels (a transposition and a full cycle, generating all of them).
-    Requires the label set to be closed under coordinate permutation."""
+    ValueError unless the labels are closed under coordinate permutation."""
     labels = g.labels
     m = len(labels[0]) if labels and isinstance(labels[0], tuple) else 0
     if m < 2:
         return []
-    gens = [_coordinate_permutation(g, coords)
-            for coords in ((1, 0, *range(2, m)), (*range(1, m), 0))]
-    if None in gens:
+    swap, turn = itemgetter(1, 0, *range(2, m)), itemgetter(*range(1, m), 0)
+    index, swaps, turns = g.index, [], []
+    for lab in labels:
+        if isinstance(lab, tuple) and len(lab) == m:
+            s, t = index.get(swap(lab)), index.get(turn(lab))
+            if s is not None and t is not None:
+                swaps.append(s)
+                turns.append(t)
+                continue
         raise ValueError("labels are not closed under coordinate permutation")
-    return gens
+    return [swaps, turns]
 
 
 def clique_number(g: Graph, aut_generators=None) -> int:
@@ -375,31 +375,21 @@ def _clique_search(g: Graph, a, aut_generators):
     v = len(a)
     if v == 0:
         return 0
-    gens = list(aut_generators or ())
-    sym = []
-    if g.family == "sr" and (aut_generators is None or gens):
-        sym = coordinate_symmetries(g)
-    # Given generators often repeat the coordinate symmetries (and at m = 2
-    # the transposition is the cycle), so each distinct one is kept once.
-    gens = list(dict.fromkeys(map(tuple, sym + gens)))
-    _check_automorphisms(a, gens)
+    orbits, sym = _symmetry_orbits(g, aut_generators)
     order = _degeneracy_order(a)
     packed = np.packbits(a[order[:, None], order], axis=1, bitorder="little")
     rows = [int.from_bytes(row, "little") for row in packed]
     nrows = [~row for row in rows]
-    full = (1 << v) - 1
-    if not gens:
-        return _max_clique_size(rows, nrows, full, 0, 0)
     pos = np.argsort(order).tolist()
     root = [0] * v
-    for orbit in _orbits(v, gens):
+    for orbit in orbits:
         mask = 0
         for u in orbit:
             mask |= 1 << pos[u]
         for u in orbit:
             root[pos[u]] = mask
     labels = [g.labels[u] for u in order] if sym else None
-    return _max_clique_size(rows, nrows, full, 0, 0, labels, root)
+    return _max_clique_size(rows, nrows, labels, root)
 
 
 def maximal_cliques(g: Graph):
@@ -540,10 +530,10 @@ def has_induced_k114(g: Graph) -> bool:
     O'.  A permutation taking the edge's end in O to r maps the edge to
     {r, b} with b in O', and every vertex of O' but r lies above r."""
     rows = g.rows
-    reps = _orbit_representatives(g)
+    orbits, _ = _symmetry_orbits(g)
     full = (1 << g.order) - 1
     crows = [full ^ row for row in rows]
-    for a in range(g.order) if reps is None else reps:
+    for a in sorted(o[0] for o in orbits):
         row = rows[a]
         for b in _bits(row >> (a + 1) << (a + 1)):
             if _has_independent_4(crows, row & rows[b]):

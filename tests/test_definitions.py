@@ -23,6 +23,10 @@ proves its float values exact: the scan lists every np.float16/32/64,
 np.floor, np.rint, np.fmod and builtin float, and every np.eye, np.zeros,
 np.ones, np.empty, np.identity and np.full that passes no dtype (their
 default is float64), with the function around it.
+
+No function calls itself, nested functions and methods included, outside
+RECURSIVE_SITES, each of which bounds its depth: a search deep in m or in a
+clique's size keeps its nodes on an explicit stack instead.
 """
 
 import ast
@@ -268,3 +272,68 @@ def test_float_scan_sees_default_dtypes(tmp_path):
                    "    h = np.full(v, 0, np.int64)\n"
                    "    return np.zeros_like(a)\n")
     assert float_uses([src]) == [("m.f", 2), ("m.f", 3), ("m.f", 4)]
+
+
+# The functions that may call themselves, each with its depth bound.
+# modular._shapes recurses once per part of a shape that dominates a label's
+# content, so at most once per part of the content: an SR(m, n) label's m
+# entries take at most n + 1 values, so at most min(m, n + 1) deep.
+RECURSIVE_SITES = {"modular._shapes"}
+
+
+def self_calls(paths=DEFINING):
+    """(module.function, line) of every call a function makes to itself in
+    paths: its own name called bare inside a def (a nested def's name inside
+    that def), or self.<name> inside a method of that name."""
+    out = []
+
+    def visit(node, scope, bare, attr):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                if bare and getattr(f, "id", None) == bare or (
+                        attr and getattr(f, "attr", None) == attr
+                        and getattr(f.value, "id", None) == "self"):
+                    out.append((scope, child.lineno))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                method = isinstance(node, ast.ClassDef)
+                visit(child, f"{scope}.{child.name}",
+                      None if method else child.name,
+                      child.name if method else None)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{scope}.{child.name}", None, None)
+            else:
+                visit(child, scope, bare, attr)
+
+    for path in paths:
+        visit(ast.parse(path.read_text()), path.stem, None, None)
+    return out
+
+
+def test_recursion_only_where_bounded():
+    calls = self_calls()
+    assert {scope for scope, _ in calls} == RECURSIVE_SITES, sorted(calls)
+
+
+def test_recursion_scan_sees_nested_and_method_calls(tmp_path):
+    # A nested def calling itself, a method calling self.<its name> and a
+    # generator delegating to itself are reported; a call to another object's
+    # method of the same name, or to a function of another scope, is not.
+    src = tmp_path / "m.py"
+    src.write_text("def f(v):\n"
+                   "    def walk(i):\n"
+                   "        return walk(i - 1) if i else f\n"
+                   "    return v.f() + walk(v)\n"
+                   "\n"
+                   "\n"
+                   "class C:\n"
+                   "    def f(self, v):\n"
+                   "        return self.f(v - 1) if v else other.f(v)\n"
+                   "\n"
+                   "    def g(self, v):\n"
+                   "        yield from g(v)\n"
+                   "\n"
+                   "\n"
+                   "def h(v):\n"
+                   "    yield from h(v - 1)\n")
+    assert self_calls([src]) == [("m.f.walk", 3), ("m.C.f", 9), ("m.h", 16)]

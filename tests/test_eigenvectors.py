@@ -6,6 +6,7 @@ rank for independence counts, and networkx isomorphism for graph identities.
 """
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -145,6 +146,22 @@ class TestPermutationsWithInversions:
         once = permutations_with_inversions(5, 4)
         again = permutations_with_inversions(5, 4)
         assert once == again
+
+    def test_one_inversion_at_large_m(self):
+        # The adjacent transpositions, the vector's 1 moving leftwards.
+        got = permutations_with_inversions(1100, 1)
+        assert len(got) == 1099
+        assert got == [(*range(i), i + 1, i, *range(i + 2, 1100))
+                       for i in range(1098, -1, -1)]
+
+    def test_no_recursion_proportional_to_m(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            got = permutations_with_inversions(400, 1)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(got) == 399
 
 
 class TestFPi:

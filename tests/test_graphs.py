@@ -17,8 +17,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import bits, from_edges, property_test, to_nx
-from rooklab.graphs import (Graph, _coordinate_permutation, _permuted_rows,
-                            _sr_rows, cartesian_product, complete_bipartite,
+from rooklab.graphs import (Graph, _permuted_rows, _sr_rows,
+                            cartesian_product, complete_bipartite,
                             complete_graph, cube_graph, cycle_graph,
                             induced_subgraph, johnson_graph, sr_graph,
                             sr_order, sr_vertices)
@@ -321,17 +321,3 @@ class TestGraphOps:
             assert a.dtype == np.int64 and a.shape == (g.order, g.order)
             assert all(a[i, j] == g.rows[i] >> j & 1
                        for i in range(g.order) for j in range(g.order))
-
-    def test_coordinate_permutation(self):
-        for m, n in ((4, 15), (5, 6), (13, 3)):
-            g = sr_graph(m, n)
-            assert _coordinate_permutation(g, (*range(1, m), 0)) == \
-                [g.index[lab[1:] + lab[:1]] for lab in g.labels]
-            assert _coordinate_permutation(g, (1, 0, *range(2, m))) == \
-                [g.index[(lab[1], lab[0]) + lab[2:]] for lab in g.labels]
-        # No symmetry: no vertex, one coordinate, labels that are no
-        # tuples or have the wrong length, or an image that is no label.
-        for g, coords in ((sr_graph(0, 3), (1, 0)), (sr_graph(1, 3), (0,)),
-                          (complete_graph(3), (1, 0)), (sr_graph(3, 2), (1, 0)),
-                          (Graph([(0, 1), (1, 2)], [2, 1]), (1, 0))):
-            assert _coordinate_permutation(g, coords) is None

@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 from conftest import bits, from_edges, property_test, to_nx
 from rooklab import invariants
 from rooklab.eigenvectors import gamma_graph
+from rooklab.formulas import independence_formula
 from rooklab.graphs import (Graph, _bit_matrix, cartesian_product,
                             complete_bipartite, complete_graph, cube_graph,
-                            cycle_graph, johnson_graph, sr_graph, sr_order,
-                            sr_vertices)
+                            cycle_graph, induced_subgraph, johnson_graph,
+                            sr_graph, sr_order, sr_vertices)
 from rooklab.invariants import (CanonicalForm, CliqueType, Disconnected,
                                 NotAClique, SizeLimit, automorphism_count,
                                 canonical_form, classify_clique, clique_number,
@@ -317,6 +318,25 @@ class TestOrbitalBranching:
         with pytest.raises(SizeLimit, match="budget of 2500 nodes"):
             independence_number(sr_graph(8, 3), aut_generators=())
 
+    # The exact nodes each battery point's search takes: a change that
+    # costs a node, or saves one, shows here and is re-pinned on purpose.
+    NODES = [("independence_number", 8, 3, 1759),
+             ("independence_number", 9, 3, 2268),
+             ("independence_number", 3, 10, 368),
+             *(("clique_number", m, 3, nodes) for m, nodes
+               in zip(range(3, 10), (4, 7, 6, 9, 9, 10, 11)))]
+
+    @pytest.mark.parametrize("search, m, n, nodes", NODES)
+    def test_node_counts_are_pinned(self, monkeypatch, search, m, n, nodes):
+        g, search = sr_graph(m, n), getattr(invariants, search)
+        expected = (independence_formula(m, n) if search is independence_number
+                    else max(m, n + 1))
+        monkeypatch.setattr(invariants, "NODE_BUDGET", nodes)
+        assert search(g) == expected
+        monkeypatch.setattr(invariants, "NODE_BUDGET", nodes - 1)
+        with pytest.raises(SizeLimit, match=f"budget of {nodes - 1} nodes"):
+            search(g)
+
 
 class TestIndependenceNumber:
     def test_against_networkx_complement(self):
@@ -505,15 +525,10 @@ def oracle_diameter(g):
 
 
 def oracle_has_induced_k114(g):
-    """The K_{1,1,4} search on every edge."""
-    crows = [~row ^ (1 << u) for u, row in enumerate(g.rows)]
-    nrows = [row | (1 << u) for u, row in enumerate(g.rows)]
-    for u, v in g.edges():
-        common = g.rows[u] & g.rows[v]
-        if (common.bit_count() >= 4 and invariants._max_clique_size(
-                crows, nrows, common, 0, 3) > 3):
-            return True
-    return False
+    """An edge whose ends' common neighbourhood has four independent
+    vertices, searched on every edge."""
+    return any(independence_number(induced_subgraph(
+        g, bits(g.rows[u] & g.rows[v]))) >= 4 for u, v in g.edges())
 
 
 def outcome(f, *args):
@@ -857,6 +872,21 @@ class TestOrbits:
             for u in range(g.order):
                 for v in g.neighbors(u):
                     assert g.rows[perm[u]] >> perm[v] & 1
+
+    def test_coordinate_symmetries(self):
+        for m, n in ((4, 15), (5, 6), (13, 3)):
+            g = sr_graph(m, n)
+            assert coordinate_symmetries(g) == [
+                [g.index[(lab[1], lab[0]) + lab[2:]] for lab in g.labels],
+                [g.index[lab[1:] + lab[:1]] for lab in g.labels]]
+        # No symmetry: no vertex, one coordinate or labels that are no tuples.
+        for g in (sr_graph(0, 3), sr_graph(1, 3), complete_graph(3)):
+            assert coordinate_symmetries(g) == []
+        # Refused: a later label that is no tuple or has the wrong length,
+        # or an image that is no label.
+        for labels in ([(0, 1), 5], [(0, 1), (1, 0, 0)], [(0, 1), (1, 2)]):
+            with pytest.raises(ValueError, match="not closed"):
+                coordinate_symmetries(Graph(labels, [2, 1]))
 
     def test_sr_m3_has_three_orbits(self):
         # 3e_i / 2e_i + e_j / e_i + e_j + e_k

@@ -72,10 +72,9 @@ def cmd_spectrum(args):
 
 def cmd_verify(args):
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    reports = run_suites(names)
     failed = False
-    for r in reports:
-        print(json.dumps(r.to_json()))
+    for r in run_suites(names):
+        print(json.dumps(r.to_json()), flush=True)
         failed = failed or r.status == "fail"
     return EXIT_FAIL if failed else EXIT_OK
 

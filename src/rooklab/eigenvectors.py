@@ -11,11 +11,11 @@ of size binom(n - binom(m-1, 2), m-1).
 
 Permutations and their signs come from one signed table of Sym(m) per m:
 its permutations in lexicographic order as int8 rows, and their signs.
-F_pw reads every row.  For m up to _TABLE_MAX_M (6, set by measurement)
-the pi-admissible sigma of F_pi and Gamma(m, n, pi) are the rows at most
-b = a + i, found by one comparison; above it a depth-first search lists
-X_pi alone and carries the sign's parity, as the m! rows would cost far
-more time and memory than X_pi.
+F_pw reads every row.  The pi-admissible sigma of F_pi and Gamma(m, n, pi)
+are the rows at most b = a + i, found by one comparison, when m! is at most
+_ROWS_PER_SIGMA times |X_pi|; otherwise a depth-first search lists X_pi
+alone and carries the sign's parity, as the m! rows would cost more time
+and memory than X_pi.
 
 The hand-built sparse eigenvectors used in the n = 3 and n = 4 spectrum
 proofs (eigenvalues m-3, 2m-5 and m-6) are provided under small_n_eigenvector.
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, prod
+from math import comb, factorial, prod
 from operator import getitem, sub
 
 import numpy as np
@@ -97,15 +97,10 @@ def permutations_with_inversions(m: int, n: int):
         rest -= 1
 
 
-# Up to this m, X_pi is read off the signed table of Sym(m); above it a
-# depth-first search lists X_pi alone.  The table costs a pass over its m!
-# rows for each pi, the search about 2 us for each admissible sigma.  F_pi
-# over all of Sym(m) took 6.4 ms by search and 3.2 ms by table at m = 5, and
-# 159 and 68 ms at m = 6.  At m = 7 the table lost 4-12 times on the pi with
-# at most 4 inversions that classify_gamma(4) scans (its Gamma graphs there:
-# 11 ms by search, 26 ms by table), and at m = 8 on every inversion count
-# up to 6 measured.  Best of 5-20 runs, one core of a 2-vCPU VM.
-_TABLE_MAX_M = 6
+# The table's comparison costs about as much as the search when m! is this
+# many times |X_pi| (measured crossover: m!/|X_pi| of 45-60 at m = 6, 52-70
+# at m = 7, 56-62 at m = 8; min of 5-15 runs per pi, one core of a 2-vCPU VM).
+_ROWS_PER_SIGMA = 56
 
 
 @lru_cache(maxsize=None)
@@ -115,8 +110,8 @@ def _signed_table(m: int) -> tuple:
     array, and their signs as int8 +-1, the parity of the inversions
     counted one pair of columns at a time.  Both arrays are read-only, as
     every caller shares them.  One table is kept per m: f_pi and gamma_graph
-    ask for m <= _TABLE_MAX_M only, f_pw for its own m, whose m! orbit
-    points it lists anyway."""
+    ask for it only when m! <= _ROWS_PER_SIGMA |X_pi|, f_pw for its own m,
+    whose m! orbit points it lists anyway."""
     perms = np.array(list(permutations(range(m))), dtype=np.int8)
     odd = np.zeros(len(perms), dtype=bool)
     for i, j in combinations(range(m), 2):
@@ -132,13 +127,13 @@ def _signed_admissible(pi) -> tuple:
     admissible when sigma_i <= b_i = a_i + i for all i; x(sigma) then sums
     to the inversion count of pi, so it is a vertex of SR(m, n), and X_pi
     is the set of them.  sigma = b - x(sigma), so sigma -> x(sigma) is
-    injective.  xs is a list of tuples, signs a list of +-1.  Up to
-    _TABLE_MAX_M the rows of the signed table at most b are the admissible
-    sigma, found by one comparison; above it _admissible_search lists
-    them."""
+    injective.  xs is a list of tuples, signs a list of +-1.  When m! is at
+    most _ROWS_PER_SIGMA |X_pi| the rows of the signed table at most b are
+    the admissible sigma, found by one comparison; otherwise
+    _admissible_search lists them."""
     b = [a + i for i, a in enumerate(inversion_vector(pi))]
     m = len(b)
-    if m > _TABLE_MAX_M:
+    if factorial(m) > _ROWS_PER_SIGMA * _admissible_count(b):
         return _admissible_search(b)
     perms, signs = _signed_table(m)
     top = np.array(b, dtype=np.int8)
@@ -183,13 +178,17 @@ def _admissible_search(b) -> tuple:
         odd = parities.pop() ^ 1
 
 
+def _admissible_count(b) -> int:
+    """The number of sigma with sigma_i <= b_i for all i, where b_i >= i:
+    with b sorted ascending, b_(j) + 1 - j values are left for the j-th
+    smallest bound, at least one because b_(j) >= j."""
+    return prod(x + 1 - j for j, x in enumerate(sorted(b)))
+
+
 def gamma_order(pi) -> int:
-    """|X_pi|, the number of pi-admissible sigma, counted without listing
-    them.  sigma is admissible when sigma_i <= b_i = a_i + i; with b sorted
-    ascending, b_(j) + 1 - j values are left for the j-th smallest bound,
-    at least one because b_i >= i."""
-    b = sorted(a + i for i, a in enumerate(inversion_vector(pi)))
-    return prod(x + 1 - j for j, x in enumerate(b))
+    """|X_pi|, the number of pi-admissible sigma (sigma_i <= b_i = a_i + i),
+    counted without listing them."""
+    return _admissible_count(a + i for i, a in enumerate(inversion_vector(pi)))
 
 
 def f_pi(pi) -> dict:

@@ -306,8 +306,11 @@ def vertex_orbits(g: Graph, generators) -> list:
 
     Every generator is checked against the adjacency structure first and a
     non-automorphism raises ValueError, so downstream symmetry pruning never
-    depends on an unproven claim about the graph.
+    depends on an unproven claim about the graph.  With no generator there
+    is nothing to check, and each vertex is its own orbit.
     """
+    if not generators:
+        return [(u,) for u in range(g.order)]
     _check_automorphisms(_bit_matrix(g.rows), generators)
     return _orbits(g.order, generators)
 

@@ -62,10 +62,9 @@ class VerificationReport:
 
 
 def _run(items):
-    """Evaluate (claim, callable) pairs in order; callables return (status,
-    expected, actual).  Exceptions become failures instead of aborting the
-    battery."""
-    reports = []
+    """Evaluate (claim, callable) pairs in order, yielding each report as
+    its claim finishes; callables return (status, expected, actual).
+    Exceptions become failures instead of aborting the battery."""
     for claim, fn in items:
         start = time.monotonic()
         try:
@@ -73,9 +72,7 @@ def _run(items):
         except Exception as exc:  # noqa: BLE001 - surfaced in the report
             status, expected, actual = "fail", "no exception", f"error: {exc!r}"
         ms = int((time.monotonic() - start) * 1000)
-        reports.append(VerificationReport(claim, status, str(expected),
-                                          str(actual), ms))
-    return reports
+        yield VerificationReport(claim, status, str(expected), str(actual), ms)
 
 
 def _eq(expected, actual):
@@ -486,6 +483,8 @@ def battery(names=SUITES, cache=None) -> list:
     return [item for name in names for item in _SUITE_BUILDERS[name](cache)]
 
 
-def run_suites(names) -> list:
-    """Run the named suites and return VerificationReport records in order."""
+def run_suites(names):
+    """Run the named suites, yielding VerificationReport records in order,
+    each as its claim finishes.  Unknown names raise ValueError at the
+    call, before any claim runs."""
     return _run(battery(names))

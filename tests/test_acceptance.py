@@ -115,7 +115,7 @@ def select(criterion, items):
 
 def check(k, items):
     c = CRITERIA[k]
-    reports = _run(select(c, items))
+    reports = list(_run(select(c, items)))
     seconds = sum(r.runtime_ms for r in reports) / 1000
     failures = [(r.claim, r.actual) for r in reports if r.status == "fail"]
     budget = [r.claim for r in reports if r.runtime_ms >= 1000 * c.each_s]

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from conftest import nx_decode
-from rooklab import cli, invariants
+from rooklab import cli, invariants, verify
 from rooklab.graphs import johnson_graph, sr_graph
 from rooklab.linalg import integral_spectrum
 
@@ -85,6 +85,23 @@ class TestVerify:
             outputs.append(re.sub(r', "runtime_ms": \d+', "", out))
         assert "runtime_ms" not in outputs[0]
         assert outputs[0] == outputs[1]
+
+    def test_each_line_printed_as_its_claim_finishes(self, capsys,
+                                                     monkeypatch):
+        # The second claim sees the first claim's line already written.
+        seen = []
+
+        def second():
+            seen.append(capsys.readouterr().out)
+            return "pass", 1, 1
+
+        monkeypatch.setattr(verify, "battery", lambda names: [
+            ("a", lambda: ("pass", 1, 1)), ("b", second)])
+        code, out, _ = run(capsys, "verify", "--suite", "spectra")
+        assert code == 0
+        assert [json.loads(line)["claim"] for line in seen[0].splitlines()] \
+            == ["a"]
+        assert json.loads(out)["claim"] == "b"
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         from rooklab.verify import VerificationReport

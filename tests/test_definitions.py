@@ -20,9 +20,11 @@ local `kind`, say) does not read `x.kind`.
 
 Floating point appears only in the functions of FLOAT_SITES, each of which
 proves its float values exact: the scan lists every np.float16/32/64,
-np.floor, np.rint, np.fmod and builtin float, and every np.eye, np.zeros,
+np.floor, np.rint, np.fmod and builtin float, every np.eye, np.zeros,
 np.ones, np.empty, np.identity and np.full that passes no dtype (their
-default is float64), with the function around it.
+default is float64), every np.bincount given weights (its sums are
+float64), every float literal and every true division, with the function
+around it.
 
 No function calls itself, nested functions and methods included, outside
 RECURSIVE_SITES, each of which bounds its depth: a search deep in m or in a
@@ -207,9 +209,13 @@ def test_no_public_member_for_tests_only():
 
 # The functions that may compute in floating point: each keeps its values
 # inside a range it proves exact (module and function docstrings).
+# modular._symmetric_row_bound sums integer magnitudes in float64
+# (np.bincount's weights), exact below 2**53, the bound _isotypic checks
+# the result against; a sum past it stays past it, as each partial sum of
+# nonnegative terms rounds monotonically.
 FLOAT_SITES = {"modular._isotypic", "modular._reduce",
                "modular._exact_chunks", "modular._power_sums",
-               "graphs._sr_rows"}
+               "modular._symmetric_row_bound", "graphs._sr_rows"}
 FLOAT_ATTRS = {"float16", "float32", "float64", "floor", "rint", "fmod"}
 # Constructors whose dtype defaults to float64, with the position at which
 # dtype may be passed without its keyword.
@@ -225,23 +231,35 @@ def _numpy_attr(node):
     return None
 
 
+def _makes_float(node):
+    """Whether node is one of the float sources float_uses lists."""
+    if _numpy_attr(node) in FLOAT_ATTRS or \
+            isinstance(node, ast.Name) and node.id == "float":
+        return True
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, float)
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.Div)
+    if not isinstance(node, ast.Call):
+        return False
+    name, keywords = _numpy_attr(node.func), {k.arg for k in node.keywords}
+    if name == "bincount":
+        return len(node.args) >= 2 or "weights" in keywords
+    return name in FLOAT_DEFAULTS and "dtype" not in keywords and \
+        len(node.args) <= FLOAT_DEFAULTS[name]
+
+
 def float_uses(paths=DEFINING):
     """(module.function, line) of every np.float16/32/64, np.floor, np.rint,
-    np.fmod, builtin float and FLOAT_DEFAULTS call passing no dtype in
-    paths, function being the qualified name of the innermost enclosing
-    def (the module itself at the top level)."""
+    np.fmod, builtin float, FLOAT_DEFAULTS call passing no dtype,
+    np.bincount with weights, float literal and true division in paths,
+    function being the qualified name of the innermost enclosing def (the
+    module itself at the top level)."""
     out = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if _numpy_attr(child) in FLOAT_ATTRS:
-                out.append((scope, child.lineno))
-            elif isinstance(child, ast.Name) and child.id == "float":
-                out.append((scope, child.lineno))
-            elif isinstance(child, ast.Call) and \
-                    _numpy_attr(child.func) in FLOAT_DEFAULTS and \
-                    len(child.args) <= FLOAT_DEFAULTS[child.func.attr] and \
-                    all(k.arg != "dtype" for k in child.keywords):
+            if _makes_float(child):
                 out.append((scope, child.lineno))
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                        ast.ClassDef))
@@ -272,6 +290,23 @@ def test_float_scan_sees_default_dtypes(tmp_path):
                    "    h = np.full(v, 0, np.int64)\n"
                    "    return np.zeros_like(a)\n")
     assert float_uses([src]) == [("m.f", 2), ("m.f", 3), ("m.f", 4)]
+
+
+def test_float_scan_sees_weights_literals_and_division(tmp_path):
+    # np.bincount sums its weights in float64; a float literal and a true
+    # division, augmented too, make floats; counts, integers and floor
+    # division make none.
+    src = tmp_path / "m.py"
+    src.write_text("def f(x, w):\n"
+                   "    a = np.bincount(x, w)\n"
+                   "    b = numpy.bincount(x, weights=w, minlength=3)\n"
+                   "    c = np.bincount(x, minlength=3)\n"
+                   "    d = 0.5 * len(x)\n"
+                   "    e = len(x) / 2\n"
+                   "    e /= 2\n"
+                   "    return a, b, c, d, e, len(x) // 2, 10**3\n")
+    assert float_uses([src]) == [("m.f", 2), ("m.f", 3), ("m.f", 5),
+                                 ("m.f", 6), ("m.f", 7)]
 
 
 # The functions that may call themselves, each with its depth bound.

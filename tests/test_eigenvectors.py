@@ -11,7 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
-from math import comb
+from math import comb, factorial
 from operator import le, sub
 
 import networkx as nx
@@ -174,13 +174,6 @@ class TestFPi:
         vec = f_pi((0, 1, 2))
         assert vec == {(0, 0, 0): 1}
 
-    def test_matches_loop_on_every_permutation(self):
-        # Same entries in the same insertion order, for every pi, m <= 6.
-        for m in range(1, 7):
-            for pi in permutations(range(m)):
-                assert admissible(pi) == brute_admissible(pi), pi
-                assert list(f_pi(pi).items()) == list(loop_f_pi(pi).items())
-
     def test_admissible_set_injective(self):
         for pi in permutations(range(4)):
             pairs = admissible(pi)
@@ -189,9 +182,10 @@ class TestFPi:
 
 
 class TestSignedAdmissible:
-    """X_pi comes off the signed table up to _TABLE_MAX_M and from the
-    depth-first search above it; both must give the same sigma, x(sigma)
-    and signs in the same order, and the search must never build a table."""
+    """X_pi comes off the signed table when m! <= _ROWS_PER_SIGMA |X_pi| and
+    from the depth-first search otherwise; both must give the brute force's
+    sigma, x(sigma) and signs in the same order, and the search must never
+    build a table."""
 
     @staticmethod
     def outputs(m, pi):
@@ -199,31 +193,71 @@ class TestSignedAdmissible:
         return (admissible(pi), eigenvectors._signed_admissible(pi)[1],
                 list(f_pi(pi).items()), g.labels, g.rows)
 
-    def test_table_matches_search_up_to_the_bound(self, monkeypatch):
-        bound = eigenvectors._TABLE_MAX_M
-        pis = [pi for m in range(bound + 1) for pi in permutations(range(m))]
-        by_table = [self.outputs(len(pi), pi) for pi in pis]
-        monkeypatch.setattr(eigenvectors, "_TABLE_MAX_M", -1)
-        by_search = [self.outputs(len(pi), pi) for pi in pis]
-        for pi, table, search in zip(pis, by_table, by_search):
+    @staticmethod
+    def spy(monkeypatch, name):
+        """The list of m (or b) each call of eigenvectors.<name> gets."""
+        calls, real = [], getattr(eigenvectors, name)
+
+        def spied(arg):
+            calls.append(arg)
+            return real(arg)
+
+        monkeypatch.setattr(eigenvectors, name, spied)
+        return calls
+
+    def test_table_search_and_brute_force_agree(self, monkeypatch):
+        # Every pi with m <= 6 by search (ratio 0) and by table (6! |X_pi|
+        # >= m!), and once by brute force: the same entries in the same
+        # insertion order, f_pi too, and the same Gamma labels and rows.
+        pis = [pi for m in range(7) for pi in permutations(range(m))]
+        runs = []
+        for ratio in (0, factorial(6)):
+            monkeypatch.setattr(eigenvectors, "_ROWS_PER_SIGMA", ratio)
+            runs.append([self.outputs(len(pi), pi) for pi in pis])
+        for pi, search, table in zip(pis, *runs):
             assert table == search, pi
-            pairs, signs = table[0], table[1]
-            assert signs == [brute_sign(s) for s, _ in pairs], pi
+            pairs = brute_admissible(pi)
+            signs = [brute_sign(s) for s, _ in pairs]
+            vec = [(x, sign) for (_, x), sign in zip(pairs, signs)]
+            assert table[:3] == (pairs, signs, vec), pi
 
     def test_no_table_above_the_bound(self, monkeypatch):
-        def refuse(m):
-            raise AssertionError(f"signed table built for m = {m}")
-
-        assert eigenvectors._TABLE_MAX_M < 7
-        monkeypatch.setattr(eigenvectors, "_signed_table", refuse)
+        # The rule: a table is built exactly when m! <= _ROWS_PER_SIGMA
+        # |X_pi|, and on both sides X_pi and F_pi are the brute force's.
+        tables = self.spy(monkeypatch, "_signed_table")
+        ratio = eigenvectors._ROWS_PER_SIGMA
         rng = random.Random(7)
-        for m, n in ((7, 4), (7, 9), (8, 3), (8, 5)):
+        for m, n in ((7, 4), (7, 9), (8, 3), (8, 5), (5, 1), (5, 2), (6, 3),
+                     (6, 4), (7, 6)):
             for pi in rng.sample(permutations_with_inversions(m, n), 3):
+                before = len(tables)
                 _, _, vec, labels, _ = self.outputs(m, pi)
-                if m == 7:
+                within = factorial(m) <= ratio * gamma_order(pi)
+                assert set(tables[before:]) == ({m} if within else set()), pi
+                if m <= 7:
                     assert vec == list(loop_f_pi(pi).items()), pi
                 assert labels == tuple(x for x, _ in vec)
         assert f_pi(tuple(range(1200))) == {(0,) * 1200: 1}
+        assert 1200 not in tables
+
+    def test_search_and_table_work(self, monkeypatch):
+        # Work pin, counted: F_pi over the 49 pi of m = 6 with at most 3
+        # inversions (|X_pi| <= 8) walks the search 49 times and builds no
+        # table; over the 222 pi of m = 7 with 8 inversions and |X_pi| >= 128
+        # it reads the table each time and never searches.
+        searches = self.spy(monkeypatch, "_admissible_search")
+        tables = self.spy(monkeypatch, "_signed_table")
+        small = [pi for n in range(4)
+                 for pi in permutations_with_inversions(6, n)]
+        for pi in small:
+            assert gamma_order(pi) <= 8
+            f_pi(pi)
+        assert (len(small), len(searches), tables) == (49, 49, [])
+        large = [pi for pi in permutations_with_inversions(7, 8)
+                 if gamma_order(pi) >= 128]
+        for pi in large:
+            f_pi(pi)
+        assert (len(large), len(searches), tables) == (222, 49, [7] * 222)
 
     def test_one_table_build_per_m(self):
         # Work pin: F_pi families of interleaved m and an F_pw family build

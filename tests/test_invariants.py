@@ -22,8 +22,8 @@ from rooklab.eigenvectors import gamma_graph
 from rooklab.formulas import independence_formula
 from rooklab.graphs import (Graph, _bit_matrix, cartesian_product,
                             complete_bipartite, complete_graph, cube_graph,
-                            cycle_graph, induced_subgraph, johnson_graph,
-                            sr_graph, sr_order, sr_vertices)
+                            cycle_graph, johnson_graph, sr_graph, sr_order,
+                            sr_vertices)
 from rooklab.invariants import (CanonicalForm, CliqueType, Disconnected,
                                 NotAClique, SizeLimit, automorphism_count,
                                 canonical_form, classify_clique, clique_number,
@@ -526,9 +526,21 @@ def oracle_diameter(g):
 
 def oracle_has_induced_k114(g):
     """An edge whose ends' common neighbourhood has four independent
-    vertices, searched on every edge."""
-    return any(independence_number(induced_subgraph(
-        g, bits(g.rows[u] & g.rows[v]))) >= 4 for u, v in g.edges())
+    vertices, searched on every edge with neighbour sets built from the
+    edge list: every 4-subset of the common neighbours that each miss at
+    least three others there (as each vertex of such a subset does) is
+    tested pair by pair."""
+    adj = [set() for _ in range(g.order)]
+    for u, v in g.edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    for u, v in g.edges():
+        common = adj[u] & adj[v]
+        loose = sorted(w for w in common if len(common - adj[w] - {w}) >= 3)
+        for four in combinations(loose, 4):
+            if all(b not in adj[a] for a, b in combinations(four, 2)):
+                return True
+    return False
 
 
 def outcome(f, *args):
@@ -899,6 +911,16 @@ class TestOrbits:
         orbits = vertex_orbits(g, coordinate_symmetries(g))
         flat = sorted(v for o in orbits for v in o)
         assert flat == list(range(g.order))
+
+    def test_no_generator_gives_singletons(self, monkeypatch):
+        # Nothing to check: no adjacency matrix and no union-find.
+        def refuse(*args):
+            raise AssertionError("orbit machinery run without a generator")
+
+        monkeypatch.setattr(invariants, "_bit_matrix", refuse)
+        monkeypatch.setattr(invariants, "_orbits", refuse)
+        assert vertex_orbits(cycle_graph(5), []) == [(u,) for u in range(5)]
+        assert vertex_orbits(Graph((), ()), ()) == []
 
     def test_bad_generator_rejected(self):
         g = cycle_graph(5)

@@ -11,7 +11,7 @@ class TestRun:
         def boom():
             raise RuntimeError("kaput")
 
-        reports = _run([("x", boom)])
+        reports = list(_run([("x", boom)]))
         assert reports[0].status == "fail"
         assert "kaput" in reports[0].actual
 
@@ -32,7 +32,7 @@ class TestSuites:
             run_suites(["spectra", "nope"])
 
     def test_partitions_suite_green(self):
-        reports = run_suites(["partitions"])
+        reports = list(run_suites(["partitions"]))
         assert reports
         assert all(r.status == "pass" for r in reports)
 

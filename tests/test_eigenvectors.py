@@ -174,6 +174,13 @@ class TestFPi:
         vec = f_pi((0, 1, 2))
         assert vec == {(0, 0, 0): 1}
 
+    def test_matches_loop_on_every_permutation(self):
+        # Same entries in the same insertion order, for every pi, m <= 6.
+        for m in range(1, 7):
+            for pi in permutations(range(m)):
+                assert admissible(pi) == brute_admissible(pi), pi
+                assert list(f_pi(pi).items()) == list(loop_f_pi(pi).items())
+
     def test_admissible_set_injective(self):
         for pi in permutations(range(4)):
             pairs = admissible(pi)
@@ -205,21 +212,21 @@ class TestSignedAdmissible:
         monkeypatch.setattr(eigenvectors, name, spied)
         return calls
 
-    def test_table_search_and_brute_force_agree(self, monkeypatch):
-        # Every pi with m <= 6 by search (ratio 0) and by table (6! |X_pi|
-        # >= m!), and once by brute force: the same entries in the same
-        # insertion order, f_pi too, and the same Gamma labels and rows.
-        pis = [pi for m in range(7) for pi in permutations(range(m))]
+    def test_table_matches_search_up_to_the_bound(self, monkeypatch):
+        # Every pi up to the exhaustive bound m = 6, by search (ratio 0) and
+        # by table (6! |X_pi| >= m!): the same entries in the same insertion
+        # order, f_pi too, and the same Gamma labels and rows; both paths'
+        # signs are the brute force's.
+        bound = 6
+        pis = [pi for m in range(bound + 1) for pi in permutations(range(m))]
         runs = []
-        for ratio in (0, factorial(6)):
+        for ratio in (0, factorial(bound)):
             monkeypatch.setattr(eigenvectors, "_ROWS_PER_SIGMA", ratio)
             runs.append([self.outputs(len(pi), pi) for pi in pis])
         for pi, search, table in zip(pis, *runs):
             assert table == search, pi
-            pairs = brute_admissible(pi)
-            signs = [brute_sign(s) for s, _ in pairs]
-            vec = [(x, sign) for (_, x), sign in zip(pairs, signs)]
-            assert table[:3] == (pairs, signs, vec), pi
+            pairs, signs = table[0], table[1]
+            assert signs == [brute_sign(s) for s, _ in pairs], pi
 
     def test_no_table_above_the_bound(self, monkeypatch):
         # The rule: a table is built exactly when m! <= _ROWS_PER_SIGMA

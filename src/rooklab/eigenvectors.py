@@ -259,7 +259,7 @@ def gamma_graph(m: int, pi) -> Graph:
     if len(pi) != m:
         raise ValueError(f"pi has length {len(pi)}, expected {m}")
     labels, signs = _signed_admissible(pi)
-    n = inversion_count(pi)
+    n = sum(labels[0])  # every x(sigma) sums to n; sigma = identity is one
     g = Graph(labels, _sr_rows(labels), family="gamma", params=(m, n, pi))
     for i, j in g.edges():
         if signs[i] == signs[j]:

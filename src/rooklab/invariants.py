@@ -285,7 +285,7 @@ def _check_automorphisms(a, generators):
         if sorted(p) != idx:
             raise ValueError("generator is not a permutation of the vertices")
         p = np.array(p, dtype=np.intp)
-        if not np.array_equal(a[p[:, None], p], a):
+        if not np.array_equal(a[p][:, p], a):
             raise ValueError("generator does not preserve adjacency")
 
 

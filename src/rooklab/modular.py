@@ -81,29 +81,32 @@ B_lambda (x) I_d_lambda, the similarity step 3 uses.  The blocks are built
 and checked once; each then runs steps 1-3 with its own primes.
 
 A comes in any integer dtype whose entries fit in int64: an adjacency
-matrix as uint8 0/1.  Where labels split it, it is read in that dtype and
-its magnitudes are taken after widening to int64 (np.abs(np.int8(-128)) is
--128); otherwise its one block is widened to int64, as NumPy 2 refuses
-uint8 % p for p > 255.  The arithmetic uses int64 numpy (values stay far
-below 2**63) and float32 and float64 BLAS matmuls, all exact integer
-arithmetic in range.  Each partial sum of A M is an integer of magnitude
-at most delta max|M|, delta A's max absolute row sum, so A M is taken in
-float32 when that is below 2**24 and in float64 otherwise.  The products
-M B that check a block, and the running annihilation product, are bounded
-below 2**53 before they are trusted, as is A M in float64, and a block of
-order above MAX_ORDER is refused.  A block's own entries are known only to
-lie below 2**53 in magnitude, so a characteristic polynomial, and an
-annihilation product that does not fit whole, first take their integers
-mod p with integer % on int64.  From then on every matrix holds balanced
-residues r, |r| <= p/2 + 2, and a product of two such matrices sums at
-most v <= MAX_ORDER terms of at most ((p + 4)/2)**2: below 2**51.01 for
-p < 2**20.  _reduce brings such an x back to a balanced residue as
-x - q p, q = rint(x fl(1/p)).  For |x| < 2**52 the float product x fl(1/p)
-lies within 2/p of x/p, so q lies within 1/2 + 2/p of it and
-|x - q p| <= p/2 + 2; q p and x - q p are integers below 2**53, so both
-are exact.  Integer % on int64 would be exact too, but its division takes
-longer than the matmul it follows at order 77, and libm's fmod, which
-np.fmod calls on floats, divides bit by bit, slower still.
+matrix as uint8 0/1.  Where labels split it, it is read in that dtype: its
+symmetries are checked by comparing it with its permuted copies, and its
+max absolute row sum is taken by _norm, which sums an unsigned A as it
+stands and a signed one's magnitudes after widening to int64
+(np.abs(np.int8(-128)) is -128); otherwise its one block is widened to
+int64, as NumPy 2 refuses uint8 % p for p > 255.  The arithmetic uses
+int64 numpy (values stay far below 2**63) and float32 and float64 BLAS
+matmuls, all exact integer arithmetic in range.  Each partial sum of A M
+is an integer of magnitude at most delta max|M|, delta A's max absolute
+row sum, so A M is taken in float32 when that is below 2**24 and in
+float64 otherwise.  The products M B that check a block, and the running
+annihilation product, are bounded below 2**53 before they are trusted, as
+is A M in float64, and a block of order above MAX_ORDER is refused.  A
+block's own entries are known only to lie below 2**53 in magnitude, so a
+characteristic polynomial, and an annihilation product that does not fit
+whole, first take their integers mod p with integer % on int64.  From then
+on every matrix holds balanced residues r, |r| <= p/2 + 2, and a product
+of two such matrices sums at most v <= MAX_ORDER terms of at most
+((p + 4)/2)**2: below 2**51.01 for p < 2**20.  _reduce brings such an x
+back to a balanced residue as x - q p, q = rint(x fl(1/p)).  For
+|x| < 2**52 the float product x fl(1/p) lies within 2/p of x/p, so q lies
+within 1/2 + 2/p of it and |x - q p| <= p/2 + 2; q p and x - q p are
+integers below 2**53, so both are exact.  Integer % on int64 would be
+exact too, but its division takes longer than the matmul it follows at
+order 77, and libm's fmod, which np.fmod calls on floats, divides bit by
+bit, slower still.
 """
 
 from __future__ import annotations
@@ -236,29 +239,6 @@ def _blocks(a, labels):
     return [(np.asarray(a, dtype=np.int64), 1)] if v else []
 
 
-def _symmetric_row_bound(a, perms):
-    """The max absolute row sum of the square matrix a, once each index
-    permutation p in perms is verified a symmetry, a[p x, p y] = a[x, y];
-    ValueError if one is not.  A p that maps every nonzero entry to an equal
-    one is a symmetry: a bijection of the positions then maps zeros to
-    zeros.  The nonzeros are taken once, as flat indices, in a's own dtype.
-    Their magnitudes are taken in int64 and read as uint64, exact for every
-    int64 value, -2**63 included (np.abs(np.int8(-128)) is -128).  The row
-    sums are float64 sums of integers, exact below 2**53, the bound
-    _isotypic checks them against."""
-    v = len(a)
-    flat = a.ravel()
-    nonzero = np.flatnonzero(flat != 0)
-    entries = flat[nonzero]
-    x, y = nonzero // v, nonzero % v
-    for p in perms:
-        if not np.array_equal(flat[p[x] * v + p[y]], entries):
-            raise ValueError("coordinate permutations are not a "
-                             "symmetry of the matrix")
-    magnitudes = np.abs(entries.astype(np.int64)).view(np.uint64)
-    return np.bincount(x, magnitudes).max(initial=0)
-
-
 def _isotypic(a, lab):
     """The (B_lambda, d_lambda) of a, split by the v x m labels lab, built
     for every shape lambda in one pass (module docstring).
@@ -273,9 +253,10 @@ def _isotypic(a, lab):
     looked up by one int64 key while width**m < 2**62, by its record of m
     entries otherwise, and A M is float32 while delta max|M| < 2**24,
     float64 otherwise (module docstring).  The memory goes to the stack,
-    the images looked up, a float copy of a, M (v x K float64) and its copy
-    and A M in the product's width.  Each block is then solved and checked
-    exactly on its own, shape by shape."""
+    the images looked up, two permuted copies of a in its own dtype (the
+    symmetry check, one generator at a time), a float copy of a, M
+    (v x K float64) and its copy and A M in the product's width.  Each
+    block is then solved and checked exactly on its own, shape by shape."""
     v, m = lab.shape
     lo = lab.min()
     width = int(lab.max()) - int(lo) + 1
@@ -307,9 +288,13 @@ def _isotypic(a, lab):
                              "permutation")
         return order[pos]
 
-    delta = _symmetric_row_bound(
-        a, find(shifted[:, [(1, 0, *range(2, m)),
-                            (*range(1, m), 0)]]).reshape(v, 2).T)
+    # A transposition and an m-cycle of the coordinates generate S_m.
+    for p in find(shifted[:, [(1, 0, *range(2, m)),
+                              (*range(1, m), 0)]]).reshape(v, 2).T:
+        if not np.array_equal(a[p][:, p], a):
+            raise ValueError("coordinate permutations are not a "
+                             "symmetry of the matrix")
+    delta = _norm(a)
     # The contents of the labels, from one label per S_m-orbit.
     ordered = (np.sort(shifted, axis=1) == shifted).all(axis=1)
     contents = {tuple(sorted(Counter(t).values(), reverse=True))
@@ -358,8 +343,7 @@ def _isotypic(a, lab):
         np.concatenate((np.ones(len(ys)), np.concatenate(signs)[c])),
         v * total).reshape(v, total)
     top = np.abs(mk).max(axis=0)  # max |M| in each column
-    exact = np.float32 if int(delta) * int(top.max()) < 2**24 \
-        else np.float64
+    exact = np.float32 if delta * int(top.max()) < 2**24 else np.float64
     amk = a.astype(exact) @ mk.astype(exact)
     blocks = []
     for shape, d, end, k in zip(shapes, ds, np.cumsum(sizes), sizes):
@@ -370,7 +354,7 @@ def _isotypic(a, lab):
         # M B, and A M in float64, are exact while every partial sum stays
         # below 2**53 (A M in float32 is exact by the choice of its width);
         # only then does the comparison prove M B = A M.
-        bound = top[cols].max() * max(delta, np.abs(b).sum(axis=0).max())
+        bound = int(top[cols].max()) * max(delta, _norm(b.T))
         if bound >= 2**53 or not np.array_equal(mj @ b, amj):
             raise RuntimeError(f"block {shape} failed its exact check")
         blocks.append((b, d))
@@ -554,15 +538,17 @@ def _check_order(v):
 
 def _norm(b):
     """||b||, the max absolute row sum of the integer matrix b (any integer
-    dtype whose entries fit in int64; 0 if empty), exact.  The magnitudes
-    are taken in int64 and read as uint64, exact for -2**63 too.  When the
-    row length times the largest of them is below 2**64, no uint64 row sum
+    dtype; 0 if empty), exact.  An unsigned b is its own magnitudes, summed
+    as it stands; a signed one's are taken in int64 and read as uint64,
+    exact for -2**63 too (np.abs(np.int8(-128)) is -128).  When the row
+    length times the largest magnitude is below 2**64, no uint64 row sum
     wraps; otherwise the rows are summed as Python ints."""
-    mag = np.abs(b.astype(np.int64, copy=False)).view(np.uint64)
-    if not mag.size:
+    if not b.size:
         return 0
+    mag = b if b.dtype.kind == "u" else \
+        np.abs(b.astype(np.int64, copy=False)).view(np.uint64)
     if int(mag.max()) * mag.shape[1] < 2**64:
-        return int(mag.sum(axis=1).max())
+        return int(mag.sum(axis=1, dtype=np.uint64).max())
     return max(sum(abs(int(x)) for x in row) for row in b.tolist())
 
 

@@ -209,13 +209,9 @@ def test_no_public_member_for_tests_only():
 
 # The functions that may compute in floating point: each keeps its values
 # inside a range it proves exact (module and function docstrings).
-# modular._symmetric_row_bound sums integer magnitudes in float64
-# (np.bincount's weights), exact below 2**53, the bound _isotypic checks
-# the result against; a sum past it stays past it, as each partial sum of
-# nonnegative terms rounds monotonically.
 FLOAT_SITES = {"modular._isotypic", "modular._reduce",
                "modular._exact_chunks", "modular._power_sums",
-               "modular._symmetric_row_bound", "graphs._sr_rows"}
+               "graphs._sr_rows"}
 FLOAT_ATTRS = {"float16", "float32", "float64", "floor", "rint", "fmod"}
 # Constructors whose dtype defaults to float64, with the position at which
 # dtype may be passed without its keyword.

@@ -10,8 +10,10 @@ checked byte for byte against the per-shape build it replaced.
 """
 
 import ast
+import functools
 import itertools
 import math
+import operator
 import random
 import tracemalloc
 from collections import Counter
@@ -812,6 +814,48 @@ SMALL_SR = [(m, n) for m in range(1, 21) for n in range(25)
             if 0 < sr_order(m, n) <= 200]
 
 
+def coordinate_generators(labels):
+    """The index permutations of the coordinate transposition (0 1) and
+    the m-cycle, p[x] the index of x's image, found label by label."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    m = len(labels[0])
+    return [[index[tuple(lab[k] for k in order)] for lab in labels]
+            for order in ((1, 0, *range(2, m)), (*range(1, m), 0))]
+
+
+def preserves(a, p):
+    """Whether a[p x, p y] = a[x, y] for every entry, one by one."""
+    rows = a.tolist()
+    return all(rows[p[x]][p[y]] == rows[x][y]
+               for x in range(len(rows)) for y in range(len(rows)))
+
+
+@functools.cache
+def pair_orbits(m, n):
+    """SR(m, n)'s labels, adjacency and, for each entry (x, y), the index
+    of the S_m-orbit of the unordered pair {x, y}."""
+    g = sr_graph(m, n)
+    images = [operator.itemgetter(*order)
+              for order in itertools.permutations(range(m))]
+    ids, orbits = np.empty((g.order, g.order), dtype=np.int64), {}
+    for (x, s), (y, t) in itertools.product(enumerate(g.labels), repeat=2):
+        key = min(tuple(sorted((image(s), image(t)))) for image in images)
+        ids[x, y] = orbits.setdefault(key, len(orbits))
+    return g.labels, g.adjacency_matrix(), ids, len(orbits)
+
+
+def outcome(a, labels=None):
+    """The engine's pairs, or the type of what it raised."""
+    try:
+        return certified_symmetric_spectrum(a, labels)
+    except (IncompleteSpectrum, ValueError, RuntimeError) as err:
+        return type(err)
+
+
+INTEGER_DTYPES = (np.int8, np.int16, np.int32, np.int64,
+                  np.uint8, np.uint16, np.uint32, np.uint64)
+
+
 class TestSymmetrySplit:
     def test_sr_graphs_with_coordinate_shift(self):
         # The labels bring every coordinate permutation, the shift among
@@ -865,8 +909,10 @@ class TestSymmetrySplit:
         assert all(b is call[0] for (b, _), call in zip(blocks, calls))
 
     def test_one_norm_per_block(self, monkeypatch):
-        # The engine sums each block's norm once and hands it to the
-        # annihilation proof; called alone, the proof sums it itself.
+        # Every bound of the split is one _norm: A's row sums once, then
+        # each block's column sums (its exact check, on b.T), then each
+        # block's row sums once, handed to the annihilation proof.  Called
+        # alone, the proof sums its matrix itself.
         seen = []
         norm = modular._norm
 
@@ -878,12 +924,14 @@ class TestSymmetrySplit:
         for m, n in ((4, 6), (5, 5), (3, 20)):
             g = sr_graph(m, n)
             a = g.adjacency_matrix()
+            blocks = [b for b, _ in _blocks(a, g.labels)]
             seen.clear()
             assert certified_symmetric_spectrum(a, g.labels) == \
                 numpy_spectrum(a)
-            blocks = _blocks(a, g.labels)
-            assert len(seen) == len(blocks), (m, n)
-            assert all(np.array_equal(b, s) for (b, _), s in zip(blocks, seen))
+            want = [a] + [b.T for b in blocks] + blocks
+            assert len(seen) == len(want), (m, n)
+            assert all(s.dtype == w.dtype and np.array_equal(s, w)
+                       for s, w in zip(seen, want)), (m, n)
         seen.clear()
         assert annihilation_proved(np.diag([2, 2]), [2])
         assert len(seen) == 1
@@ -950,6 +998,64 @@ class TestSymmetrySplit:
             refused = blocks_by(modular._isotypic, a, bad)
             assert refused[0] is ValueError
             assert refused == blocks_by(per_shape_isotypic, a, bad)
+
+    @property_test
+    @given(st.data())
+    def test_symmetry_checked_entry_by_entry(self, data):
+        # A symmetric matrix constant on the S_m-orbits of index pairs of
+        # SR(m, n), m, n <= 4: one value per orbit, its spectrum integral
+        # or not, or c0 I + c1 J + c2 A + c3 A**2, integral.  One entry pair
+        # may then be changed.  The labelled engine refuses exactly the
+        # matrices some generator fails to preserve, entry by entry, and
+        # gives the unlabelled engine's answer for the others.
+        m, n = data.draw(st.sampled_from(
+            [(m, n) for m in range(2, 5) for n in range(1, 5)]))
+        labels, adj, ids, count = pair_orbits(m, n)
+        dtype = data.draw(st.sampled_from(INTEGER_DTYPES))
+        lo = 0 if np.dtype(dtype).kind == "u" else -3
+        small = st.integers(lo, 3)
+        if data.draw(st.booleans()):
+            a = np.array(data.draw(st.lists(small, min_size=count,
+                                            max_size=count)))[ids]
+        else:
+            c0, c1, c2 = (data.draw(small) for _ in range(3))
+            c3 = data.draw(st.integers(max(lo, -1), 1))
+            a = c0 * np.eye(len(adj), dtype=np.int64) + c1 + c2 * adj \
+                + c3 * (adj @ adj)
+        if data.draw(st.booleans()):
+            x, y = (data.draw(st.integers(0, len(a) - 1)) for _ in range(2))
+            a[x, y] = a[y, x] = data.draw(small)
+        a = a.astype(dtype)
+        if all(preserves(a, p) for p in coordinate_generators(labels)):
+            assert outcome(a, labels) == outcome(a)
+        else:
+            with pytest.raises(ValueError, match="not a symmetry"):
+                certified_symmetric_spectrum(a, labels)
+
+    def test_symmetry_compares_values(self):
+        # SR(2, 2)'s swap keeps K_3's zero pattern, but maps the entry 2 at
+        # ((0, 2), (1, 1)) onto the entry 1 at ((2, 0), (1, 1)).
+        labels = sr_graph(2, 2).labels
+        a = complete_graph(3).adjacency_matrix()
+        i, j = labels.index((0, 2)), labels.index((1, 1))
+        a[i, j] = a[j, i] = 2
+        assert not preserves(a, coordinate_generators(labels)[0])
+        with pytest.raises(ValueError, match="not a symmetry"):
+            certified_symmetric_spectrum(a, labels)
+        # Each generator is checked: on SR(3, 4), diag(x_2) is preserved by
+        # the transposition (0 1) alone, and diag((x_0 - x_1)(x_1 - x_2)
+        # (x_2 - x_0)) by the 3-cycle alone.  Both spectra are integral.
+        labels = sr_graph(3, 4).labels
+        swap, turn = coordinate_generators(labels)
+        for diagonal, kept in (([z for _, _, z in labels], swap),
+                               ([(x - y) * (y - z) * (z - x)
+                                 for x, y, z in labels], turn)):
+            a = np.diag(diagonal)
+            assert [preserves(a, p) for p in (swap, turn)] == \
+                [p is kept for p in (swap, turn)]
+            assert outcome(a) == numpy_spectrum(a)
+            with pytest.raises(ValueError, match="not a symmetry"):
+                certified_symmetric_spectrum(a, labels)
 
     def test_refuses_labels_too_wide_to_key(self):
         # The label stack keys m entries of the labels' width in int64:
@@ -1119,8 +1225,17 @@ class TestNarrowTypes:
         assert modular._norm(np.array([[-2**63, -2**63]])) == 2**64
         assert modular._norm(np.zeros((0, 0), dtype=np.int64)) == 0
         for entry, bound in ((np.int8(-128), 256), (np.int64(-2**63), 2**64)):
-            a = np.full((2, 2), entry)
-            assert modular._symmetric_row_bound(a, []) == bound
+            assert modular._norm(np.full((2, 2), entry)) == bound
+        # An unsigned matrix is summed as it stands, in uint64; past 2**64
+        # its rows, too, are summed as Python ints.
+        wide = np.full((3, 1000), 255, dtype=np.uint8)
+        wide[1:] = 1
+        assert modular._norm(wide) == 255_000
+        for top in (2**64 - 1, 2**63 + 1):
+            big = np.array([[top, top - 2], [1, 0]], dtype=np.uint64)
+            assert modular._norm(big) == 2 * top - 2
+        assert modular._norm(np.array([[2**63, 1]], dtype=np.uint64)) == \
+            2**63 + 1
 
     def test_input_dtypes_give_the_same_pairs(self):
         # uint8, int8 (with -128 entries), int16 and int64 adjacency give
@@ -1210,3 +1325,17 @@ class TestNarrowTypes:
             [((h * b).tolist(), d) for b, d in _blocks(a, g.labels)]
         assert numpy_spectrum(h * a) == \
             [(h * c, e) for c, e in certified_symmetric_spectrum(a, g.labels)]
+
+    def test_product_width_reads_every_row(self):
+        # delta is A's largest row sum, wherever it lies.  On SR(3, 3),
+        # h diag(number of nonzero coordinates) has row sum h at index 0,
+        # (0, 0, 3), and 3 h elsewhere: past 2**24 and odd, which float32
+        # would round.  A M is taken in float64 and the blocks are h
+        # times those of the 0/1/2/3 diagonal.
+        g = sr_graph(3, 3)
+        w = np.array([sum(map(bool, lab)) for lab in g.labels])
+        h = 5592407
+        assert h % 2 and w[0] * h < 2**24 < 3 * h == w.max() * h
+        scaled = _blocks(np.diag(h * w), g.labels)
+        assert [(b.tolist(), d) for b, d in scaled] == \
+            [((h * b).tolist(), d) for b, d in _blocks(np.diag(w), g.labels)]

@@ -285,25 +285,6 @@ def cube_graph(d):
     return out
 
 
-def induced_subgraph(g, indices):
-    """Induced subgraph on the given vertex indices, kept in sorted order."""
-    idx = sorted(indices)
-    if len(set(idx)) != len(idx):
-        raise ValueError("duplicate vertex index")
-    if idx and (idx[0] < 0 or idx[-1] >= g.order):
-        raise IndexError("vertex index out of range")
-    pos = {x: i for i, x in enumerate(idx)}
-    rows = []
-    for x in idx:
-        acc = 0
-        row = g.rows[x]
-        for y in idx:
-            if (row >> y) & 1:
-                acc |= 1 << pos[y]
-        rows.append(acc)
-    return Graph([g.labels[x] for x in idx], rows)
-
-
 def sr_order(m, n):
     """Number of vertices of SR(m, n)."""
     return comb(n + m - 1, n) if m >= 1 else (1 if n == 0 else 0)

@@ -68,7 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, _bit_matrix, _bits, _permuted_rows, induced_subgraph
+from .graphs import Graph, _bit_matrix, _bits, _permuted_rows
 
 
 class Disconnected(Exception):
@@ -193,18 +193,18 @@ def _split(groups, values):
     return None if len(out) == len(values) else out
 
 
-def _max_clique_size(rows, nrows, labels=None, orbits=None):
+def _max_clique_size(rows, nrows, labels, orbits):
     """The clique number of the graph with adjacency bit rows `rows`,
     searched from the whole vertex set with incumbent 0.  Raises SizeLimit
     past NODE_BUDGET nodes.
 
-    With `labels` (tuples whose coordinate permutations are automorphisms),
-    a node drops, after branching on u, u's orbit under the permutations
-    that fix its clique pointwise; `orbits[u]`, the mask of u's orbit under
-    a larger group, is dropped at the root instead.  See `clique_number` for
-    why.  A node is a generator that yields the arguments of its children;
-    nodes wait on an explicit stack, not in calls, so depth is not bound by
-    the recursion limit."""
+    `labels` is None or tuples whose coordinate permutations are
+    automorphisms.  With tuples, a node drops, after branching on u, u's
+    orbit under the permutations that fix its clique pointwise;
+    `orbits[u]`, the mask of u's orbit under a larger group, is dropped at
+    the root instead.  See `clique_number` for why.  A node is a generator
+    that yields the arguments of its children; nodes wait on an explicit
+    stack, not in calls, so depth is not bound by the recursion limit."""
     best = nodes = 0
 
     def node(candidates, size, groups, orbit):
@@ -492,11 +492,6 @@ def classify_clique(g: Graph, clique) -> CliqueType:
         if all(hi[i] >= a for i in support):
             return CliqueType("type3", (a, hi, support))
     raise RuntimeError(f"clique {verts} fits no type; trichotomy violated")
-
-
-def local_graph(g: Graph, v: int) -> Graph:
-    """Induced subgraph on the neighbors of v."""
-    return induced_subgraph(g, sorted(g.neighbors(v)))
 
 
 def _has_independent_4(crows, mask):

@@ -576,9 +576,10 @@ def _reduce(x, p):
 def _exact_chunks(b, roots, norm):
     """prod over roots of (b - cI) as a list of (matrix, bound) chunks, the
     product of whose matrices it is: each matrix, a polynomial in b (so the
-    chunks commute), holds exact integers in float64 or int64, and each
-    bound, a Python int, is at least its max absolute row sum.  No roots
-    give the one chunk (I, 1).
+    chunks commute), holds exact integers in float64, and each bound, a
+    Python int below 2**53, is at least its max absolute row sum.  No roots
+    give the one chunk (I, 1).  ValueError, before any product, for a root
+    c with ||b|| + |c| >= 2**53.
 
     The roots are taken alternately from the top and the bottom of their
     descending list.  A running product P, exact in float64 with bound
@@ -589,12 +590,13 @@ def _exact_chunks(b, roots, norm):
     beta (||b|| + |c|) bounds the new P.  Once that bound reaches 2**53,
     beta is measured again as P's max absolute row sum, exact as every
     partial sum stays below beta; if the bound still reaches 2**53, P
-    closes a chunk and the next factor starts a new P.  A factor with
-    ||b|| + |c| >= 2**53 is a chunk of its own, b - cI in int64
-    (OverflowError if an entry leaves int64).  norm is ||b||, exact
-    (_norm)."""
+    closes a chunk and the next factor starts a new P.  norm is ||b||,
+    exact (_norm)."""
     v = len(b)
     desc = sorted(map(operator.index, roots), reverse=True)
+    if desc and norm + max(desc[0], -desc[-1]) >= 2**53:
+        raise ValueError(f"norm {norm} and root {max(desc, key=abs)} reach "
+                         "2**53, past the exact float64 range")
     eye = np.eye(v)
     bf = b.astype(np.float64)
     chunks, run, beta = [], eye, 1
@@ -606,12 +608,7 @@ def _exact_chunks(b, roots, norm):
             if beta * f >= 2**53:
                 chunks.append((run, beta))
                 run, beta = eye, 1
-        if f >= 2**53:
-            factor = np.array(b, dtype=np.int64)
-            factor[np.diag_indices(v)] = [int(x) - c
-                                          for x in factor.diagonal()]
-            chunks.append((factor, f))
-        elif run is eye:
+        if run is eye:
             run, beta = bf - c * eye, f
         else:
             run, beta = run @ bf - c * run, beta * f
@@ -640,7 +637,9 @@ def annihilation_proved(b, roots, norm=None):
     the chunks' bounds, which bounds every entry of the whole product.  A
     nonempty b with no roots fails the proof; an empty b passes.
     ValueError for b of order above MAX_ORDER, where float64 products mod
-    p may round; OverflowError for a root c where b - cI leaves int64.
+    p may round, and for a root c with ||b|| + |c| >= 2**53, where the
+    factor b - cI may not be exact in float64; the engine's blocks never
+    come near it, as its candidates have |c| <= ||b|| < PRIMES[3] / 2.
 
     norm, if given, must be b's exact max absolute row sum, _norm(b), which
     the exactness of every float64 product rests on: the spectrum engine

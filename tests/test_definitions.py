@@ -105,7 +105,7 @@ def test_no_dead_definitions():
 
 # Public names that only tests reach, kept as content of the paper.
 PAPER_CONTENT = {"small_n_eigenvector", "small_n_eigenvalue", "SMALL_N_KINDS",
-                 "johnson_spectrum", "local_graph"}
+                 "johnson_spectrum"}
 
 
 def traced_names():

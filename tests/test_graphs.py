@@ -20,8 +20,16 @@ from conftest import bits, from_edges, property_test, to_nx
 from rooklab.graphs import (Graph, _permuted_rows, _sr_rows,
                             cartesian_product, complete_bipartite,
                             complete_graph, cube_graph, cycle_graph,
-                            induced_subgraph, johnson_graph, sr_graph,
-                            sr_order, sr_vertices)
+                            johnson_graph, sr_graph, sr_order, sr_vertices)
+
+
+def induced_subgraph(g, indices):
+    """The subgraph of g induced on the vertex indices, in sorted order,
+    read off g's rows bit by bit: the oracle for _sr_rows on a subset."""
+    idx = sorted(indices)
+    rows = [sum(1 << b for b, y in enumerate(idx) if g.rows[x] >> y & 1)
+            for x in idx]
+    return Graph([g.labels[x] for x in idx], rows)
 
 
 @st.composite

@@ -29,8 +29,7 @@ from rooklab.invariants import (CanonicalForm, CliqueType, Disconnected,
                                 canonical_form, classify_clique, clique_number,
                                 coordinate_symmetries, diameter, eccentricity,
                                 has_induced_k114, independence_number,
-                                is_isomorphic, local_graph, maximal_cliques,
-                                vertex_orbits)
+                                is_isomorphic, maximal_cliques, vertex_orbits)
 from rooklab.switching import (gm_switch, named_switching_set,
                                switching_closure)
 
@@ -421,16 +420,6 @@ class TestClassifyClique:
 
 
 class TestLocalStructure:
-    def test_local_graph_is_neighborhood(self):
-        g = sr_graph(4, 3)
-        v = g.index[(3, 0, 0, 0)]
-        lg = local_graph(g, v)
-        assert lg.order == g.degree(v)
-        # n by (m-1) rook's grid: two grid points are adjacent iff they
-        # share a row or column.
-        grid = nx.cartesian_product(nx.complete_graph(3), nx.complete_graph(3))
-        assert nx.is_isomorphic(to_nx(lg), grid)
-
     def test_k114_free_on_sr(self):
         for m, n in ((3, 3), (4, 3), (3, 4)):
             assert not has_induced_k114(sr_graph(m, n))

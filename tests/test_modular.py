@@ -474,19 +474,17 @@ def exact_annihilator_mod(a, roots, p):
 def assert_exact_chunks(a, roots):
     """_exact_chunks(a, roots, ||a||), checked: the product of its
     matrices, taken in Python ints, is the exact product; each matrix holds
-    integers, a float64 one below 2**53 in magnitude, and each bound is a
-    Python int at least the matrix's max absolute row sum."""
+    integers in float64, and each bound is a Python int below 2**53 and at
+    least the matrix's max absolute row sum."""
     chunks = _exact_chunks(a, roots, modular._norm(a))
     v = len(a)
     product = [[int(i == j) for j in range(v)] for i in range(v)]
     for m, bound in chunks:
-        assert m.dtype in (np.float64, np.int64)
+        assert m.dtype == np.float64
         assert np.array_equal(m, np.rint(m))
         rows = [[int(x) for x in row] for row in m.tolist()]
-        assert type(bound) is int
+        assert type(bound) is int and bound < 2**53
         assert max((sum(map(abs, row)) for row in rows), default=0) <= bound
-        if m.dtype == np.float64:
-            assert bound < 2**53
         product = [[sum(product[i][k] * rows[k][j] for k in range(v))
                     for j in range(v)] for i in range(v)]
     assert product == exact_product(a, roots)
@@ -575,11 +573,12 @@ class TestReduction:
                     assert_balanced_residues(got, expected.tolist(), p)
 
     def test_block_entries_near_two_to_the_53(self):
-        # A block's entries are known only to lie below 2**53; then each
-        # factor is a chunk of its own, b - cI in int64, and the join takes
-        # it mod p with integer % before any product.  Past _reduce's range
-        # the rounding alone can be off: at PRIMES[8], q p rounds for
-        # x = 2**53 - 1.
+        # A block's entries are known only to lie below 2**53, so its
+        # characteristic polynomial takes them mod p with integer % before
+        # any product.  Past _reduce's range the rounding alone can be off:
+        # at PRIMES[8], q p rounds for x = 2**53 - 1.  Any root makes a
+        # factor of bound ||b|| + |c| >= 2**53, which the proof refuses
+        # before any product.
         top = 2**53 - 1
         p8 = PRIMES[8]
         assert (top - int(_reduce(np.array([top]), p8)[0])) % p8
@@ -594,13 +593,13 @@ class TestReduction:
                 a[0, 0] = top
                 roots = [rng.randrange(-30, 31)
                          for _ in range(rng.randrange(0, 5))]
-                chunks = assert_exact_chunks(a, roots)
                 if roots:
-                    assert [m.dtype for m, _ in chunks] == \
-                        [np.int64] * len(roots)
-                got = _join_mod(chunks, p)
-                assert_balanced_residues(
-                    got, exact_annihilator_mod(a, roots, p), p)
+                    with pytest.raises(ValueError, match="2\\*\\*53"):
+                        annihilation_proved(a, roots)
+                else:
+                    got = _join_mod(assert_exact_chunks(a, roots), p)
+                    assert_balanced_residues(
+                        got, exact_annihilator_mod(a, roots, p), p)
                 assert charpoly_mod(a, p) == sympy_charpoly_mod(a, p)
 
     def test_reduce_matches_python_percent(self):
@@ -679,25 +678,63 @@ class TestChunkBoundary:
         # The false lists fail at the first prime; the true one takes four.
         assert joins == [PRIMES[0]] + PRIMES[:4] + [PRIMES[0]]
 
-    def test_bounds_past_the_float_range(self):
-        # Entries 2**52 make each factor with |c| = 2**52 a chunk of its
-        # own, b - cI in int64 with bound 2**53, so twenty of them bound the
-        # product by 2**1060, past float64's range; 54 primes prove it.
-        # Roots 1 - 2**52 make factors of bound 2**53 - 1, each a float64
-        # chunk, as no two fit together.
+    def test_bounds_past_the_float_range(self, joins):
+        # Entries 2**52 with roots 1 - 2**52 make factors of bound
+        # 2**53 - 1, each a float64 chunk, as no two fit together.  Roots
+        # +-2**52 make factors of bound 2**53, refused before any product.
         n = 2**52
         a = np.array([[0, n], [n, 0]], dtype=np.int64)
-        chunks = assert_exact_chunks(a, [n, -n] * 10)
-        assert [(m.dtype, bound) for m, bound in chunks] == \
-            [(np.int64, 2**53)] * 20
-        assert math.prod(PRIMES[:53]) <= 2**1061 < math.prod(PRIMES[:54])
-        assert annihilation_proved(a, [n, -n] * 10)
-        chunks = assert_exact_chunks(a, [n, 1 - n] * 10)
-        assert [m.dtype for m, _ in chunks] == [np.int64, np.float64] * 10
-        assert not annihilation_proved(a, [n, 1 - n] * 10)
-        # One such factor alone is tested for zero as it stands.
-        assert annihilation_proved(np.diag([n, n]), [n])
-        assert not annihilation_proved(np.diag([n, n - 1]), [n])
+        chunks = assert_exact_chunks(a, [1 - n] * 20)
+        assert [bound for _, bound in chunks] == [2**53 - 1] * 20
+        assert not annihilation_proved(a, [1 - n] * 20)
+        for roots in ([n, -n] * 10, [n, 1 - n] * 10):
+            with pytest.raises(ValueError, match="2\\*\\*53"):
+                annihilation_proved(a, roots)
+        for d in ([n, n], [n, n - 1]):
+            with pytest.raises(ValueError, match="2\\*\\*53"):
+                annihilation_proved(np.diag(d), [n])
+        # One below, twenty factors of bound 2**53 - 2 bound the product by
+        # 2**1061, past float64's range; 54 primes prove it.
+        a = a - np.eye(2, dtype=np.int64)[::-1]
+        roots = [n - 1, 1 - n] * 10
+        assert [bound for _, bound in assert_exact_chunks(a, roots)] == \
+            [2**53 - 2] * 20
+        bound = 2 * (2**53 - 2)**20
+        assert math.prod(PRIMES[:53]) <= bound < math.prod(PRIMES[:54])
+        joins.clear()
+        assert annihilation_proved(a, roots)
+        assert joins == PRIMES[:54]
+
+    def test_refused_from_two_to_the_53(self, joins):
+        # ||b|| + |c| = 2**53 - 1 is proved as below it, for roots of both
+        # signs; 2**53 is refused, before any product or join.  [[c, 1],
+        # [0, 0]] has norm |c| + 1 and roots c and 0: c alone leaves a
+        # nonzero single chunk, tested as it stands; with 0 the two factors
+        # close two chunks, joined mod primes.  [[0, t], [0, 0]], t =
+        # 2**53 - 1, is nilpotent: 0 is its one root.
+        n = 2**52
+        t = 2**53 - 1
+        for s in (1, -1):
+            b = np.array([[s * (n - 1), 1], [0, 0]], dtype=np.int64)
+            cases = [([s * (n - 1)], 1, False), ([s * (n - 1), 0], 2, True)]
+            for roots, count, zero in cases:
+                assert len(assert_exact_chunks(b, roots)) == count
+                assert (not any(map(any, exact_product(b, roots)))) is zero
+                assert annihilation_proved(b, roots) is zero
+            for roots in ([s * n, 0], [0, s * n]):
+                with pytest.raises(ValueError, match="2\\*\\*53"):
+                    annihilation_proved(b, roots)
+        b = np.array([[0, t], [0, 0]], dtype=np.int64)
+        assert len(assert_exact_chunks(b, [0, 0])) == 2
+        assert not annihilation_proved(b, [0])
+        assert annihilation_proved(b, [0, 0])
+        joins.clear()
+        for roots in ([1], [-1], [0, 0, 1]):
+            with pytest.raises(ValueError, match="2\\*\\*53"):
+                annihilation_proved(b, roots)
+            with pytest.raises(ValueError, match="2\\*\\*53"):
+                _exact_chunks(b, roots, t)
+        assert joins == []
 
 
 @pytest.fixture
@@ -907,6 +944,32 @@ class TestSymmetrySplit:
         assert args[1] == g.labels
         assert len(calls) == len(blocks) == 5
         assert all(b is call[0] for (b, _), call in zip(blocks, calls))
+
+    def test_engine_factors_stay_far_below_two_to_the_53(self, monkeypatch):
+        # The proof refuses a factor b - cI with ||b|| + |c| >= 2**53.  The
+        # engine never comes near: its root screen takes |c| <= ||b||, and
+        # _check_norm keeps 2 ||b|| < PRIMES[3] < 2**20.  Every proof on
+        # the 53-point spectra grid (m <= 6, n <= 8, up to 1 000 vertices)
+        # and SR(4, 18), each spectrum fresh, stays in that range and
+        # returns.
+        calls = []
+        proved = modular.annihilation_proved
+
+        def recorded(b, roots, norm=None):
+            result = proved(b, roots, norm)
+            calls.append((modular._norm(b), norm, roots))
+            return result
+
+        monkeypatch.setattr(modular, "annihilation_proved", recorded)
+        points = [(m, n) for m in range(1, 7) for n in range(9)
+                  if 0 < sr_order(m, n) <= 1000]
+        assert len(points) == 53
+        for m, n in points + [(4, 18)]:
+            integral_spectrum(sr_graph(m, n))
+        assert len(calls) == 165
+        for norm, given, roots in calls:
+            assert given == norm
+            assert all(norm + abs(c) <= 2 * norm < PRIMES[3] for c in roots)
 
     def test_one_norm_per_block(self, monkeypatch):
         # Every bound of the split is one _norm: A's row sums once, then

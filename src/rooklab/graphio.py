@@ -8,7 +8,9 @@ one- or four-byte headers implemented here.
 
 from __future__ import annotations
 
-from .graphs import Graph
+import numpy as np
+
+from .graphs import Graph, _bit_matrix
 
 
 def _encode_size(n):
@@ -24,17 +26,9 @@ def _encode_size(n):
 def to_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 string (labels are dropped)."""
     n = g.order
-    bits = []
-    for j in range(1, n):
-        col = g.rows[j]
-        for i in range(j):
-            bits.append((col >> i) & 1)
-    chars = [_encode_size(n)]
-    for k in range(0, len(bits), 6):
-        group = bits[k:k + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = (val << 1) | b
-        chars.append(chr(val + 63))
-    return "".join(chars)
+    # Entry [j, i] of the transpose, i < j, is bit i of row j: the upper
+    # triangle column by column, zero-padded to whole 6-bit groups.
+    bits = _bit_matrix(g.rows).T[np.tril_indices(n, -1)]
+    groups = np.pad(bits, (0, -len(bits) % 6)).reshape(-1, 6)
+    chars = groups @ np.array([32, 16, 8, 4, 2, 1]) + 63
+    return _encode_size(n) + chars.astype(np.uint8).tobytes().decode("ascii")

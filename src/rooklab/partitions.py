@@ -125,10 +125,6 @@ class QuotientMatrix:
     entries: tuple  # tuple of tuples
     labels: tuple
 
-    @property
-    def size(self):
-        return len(self.entries)
-
     def row_sums(self):
         return tuple(sum(row) for row in self.entries)
 

@@ -36,6 +36,15 @@ class TestGraph6:
             g = from_edges(range(n), h.edges())
             assert to_graph6(g) == nx.to_graph6_bytes(h, header=False).decode().strip()
 
+    def test_matches_networkx_at_the_header_boundary_and_empty(self):
+        # 62 vertices take the last one-byte header and 63 the first
+        # four-byte one; the graph with no vertices is its header alone.
+        rng = random.Random(5)
+        for n in (0, 62, 63):
+            h = nx.gnp_random_graph(n, 0.5, seed=rng.randrange(10**6))
+            assert to_graph6(from_edges(range(n), h.edges())) == \
+                nx.to_graph6_bytes(h, header=False).decode().strip()
+
     def test_roundtrip(self):
         rng = random.Random(11)
         for trial in range(20):

@@ -89,8 +89,8 @@ class TestCheckEquitable:
         # unit between coordinates changes the support size by at most 1.
         g = sr_graph(4, 4)
         q = check_equitable(g, weight_partition(g))
-        for i in range(q.size):
-            for j in range(q.size):
+        for i in range(len(q.entries)):
+            for j in range(len(q.entries)):
                 if abs(i - j) > 1:
                     assert q.entries[i][j] == 0
 
@@ -100,7 +100,7 @@ class TestCheckEquitable:
         q = check_equitable(g, weight_partition(g))
         m, n = 4, 3
         for idx, i in enumerate(q.labels):
-            if idx + 1 < q.size:
+            if idx + 1 < len(q.entries):
                 assert q.entries[idx][idx + 1] == (n - i) * (m - i)
             if idx > 0:
                 assert q.entries[idx][idx - 1] == i * (i - 1)
@@ -137,7 +137,7 @@ class TestQuotientSpectrum:
         q = check_equitable(g, support_partition(g))
         payload = q.to_json()
         assert payload["labels"][0] == [0]
-        assert len(payload["entries"]) == q.size
+        assert len(payload["entries"]) == len(q.entries)
         csv = q.to_csv()
         assert csv.startswith("label,")
-        assert len(csv.splitlines()) == q.size + 1
+        assert len(csv.splitlines()) == len(q.entries) + 1

@@ -1,5 +1,7 @@
 """Verification battery plumbing: report records, suite wiring."""
 
+import hashlib
+
 import pytest
 
 from rooklab.verify import (SUITES, SpectrumCache, VerificationReport, _run,
@@ -39,6 +41,15 @@ class TestSuites:
     def test_claim_ids_are_unique(self):
         claims = [claim for claim, _ in battery()]
         assert len(set(claims)) == len(claims)
+
+    def test_claim_ids_and_their_order_are_pinned(self):
+        # Building the battery runs no claim.  A change that adds, drops,
+        # renames or reorders claims re-pins this and says why in CHANGES.md.
+        claims = [claim for claim, _ in battery()]
+        digest = hashlib.sha256("\n".join(claims).encode()).hexdigest()
+        assert len(claims) == 584
+        assert digest == ("6392ec0dbb297533cb803cf98c38e094"
+                          "e520b84272b10dd9e0df8adb3ceda349")
 
     def test_cache_shared_between_items(self):
         cache = SpectrumCache()

@@ -45,8 +45,8 @@ def _build_graph(kind, a, b):
     canonical-labeling guard (exit code 2).  Negative parameters are left
     to the constructors, which reject them.
 
-    At the edge of the budget `spectrum 2 1999` takes 2.2-2.6 s of wall
-    time, `spectrum 3 61` 2.7-2.8 s and `spectrum 2000 1` 0.8-0.9 s (three
+    At the edge of the budget `spectrum 2 1999` takes 1.6-1.9 s of wall
+    time, `spectrum 3 61` 3.0-3.7 s and `spectrum 2000 1` 1.0 s (three
     runs each, 2-core x86-64 VM).  `invariants 8 4`, `3 61` and `5 9` stop
     at the clique search's NODE_BUDGET instead, exit code 2, after
     1.4-2.3 s."""

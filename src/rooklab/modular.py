@@ -10,8 +10,8 @@ matrix A is one block, or several when labels split it (below):
    polynomial reduced mod p, for every prime p.  charpoly_mod computes it
    from the power sums tr(B^j) mod p by Newton's identities up to order
    _POWER_SUM_ORDER (300), and by Hessenberg reduction followed by the
-   standard leading-minor recurrence above it; both are exact for p > v
-   with v (p - 1)**2 < 2**53.
+   standard leading-minor recurrence above it; both work on balanced
+   residues (below) and are exact for p > v with v (p - 1)**2 < 2**53.
 2. Hence the multiplicity e_c of an integer root c mod p is an upper bound
    on the true algebraic multiplicity m_c, for every prime and candidate.
 3. The algebraic multiplicities of all complex eigenvalues add up to v.  If
@@ -98,15 +98,16 @@ block's own entries are known only to lie below 2**53 in magnitude, so a
 characteristic polynomial, and an annihilation product that does not fit
 whole, first take their integers mod p with integer % on int64.  From then
 on every matrix holds balanced residues r, |r| <= p/2 + 2, and a product
-of two such matrices sums at most v <= MAX_ORDER terms of at most
-((p + 4)/2)**2: below 2**51.01 for p < 2**20.  _reduce brings such an x
-back to a balanced residue as x - q p, q = rint(x fl(1/p)).  For
-|x| < 2**52 the float product x fl(1/p) lies within 2/p of x/p, so q lies
-within 1/2 + 2/p of it and |x - q p| <= p/2 + 2; q p and x - q p are
-integers below 2**53, so both are exact.  Integer % on int64 would be
-exact too, but its division takes longer than the matmul it follows at
-order 77, and libm's fmod, which np.fmod calls on floats, divides bit by
-bit, slower still.
+of two such matrices, like each update and recurrence step of the
+Hessenberg route, sums at most v <= MAX_ORDER terms of at most
+((p + 4)/2)**2, and at most one residue more: below 2**51.01 for
+p < 2**20.  _reduce brings such an x back to a balanced residue as
+x - q p, q = rint(x fl(1/p)).  For |x| < 2**52 the float product
+x fl(1/p) lies within 2/p of x/p, so q lies within 1/2 + 2/p of it and
+|x - q p| <= p/2 + 2; q p and x - q p are integers below 2**53, so both
+are exact.  Integer % on int64 would be exact too, but its division takes
+longer than the matmul it follows at order 77, and libm's fmod, which
+np.fmod calls on floats, divides bit by bit, slower still.
 """
 
 from __future__ import annotations
@@ -363,71 +364,44 @@ def _isotypic(a, lab):
     return blocks
 
 
-def _exact_prime(p, v):
-    """p as a Python int, for a prime p with p > v and v (p - 1)**2 < 2**53,
-    the range where charpoly_mod and hessenberg_mod are exact at order v;
-    ValueError for any other p."""
-    p = operator.index(p)
-    if v * (p - 1) ** 2 >= 2**53 or p <= v:
-        raise ValueError(f"p = {p} is outside charpoly_mod's exact range "
-                         f"for order {v}")
-    return p
-
-
-def hessenberg_mod(a, p):
-    """Upper Hessenberg form of a mod p under similarity; returns a copy.
-
-    Exact in int64 in charpoly_mod's range (_exact_prime), where a row
-    update's products stay below p**2 and a column update sums v of them;
-    ValueError for a prime outside it."""
-    m = np.array(a, dtype=np.int64)
-    v = m.shape[0]
-    p = _exact_prime(p, v)
-    m %= p
+def _hessenberg_charpoly(a, p):
+    """Coefficients of det(xI - a) mod p, ascending, for a of order v, by
+    Hessenberg reduction under similarity and the leading-minor
+    recurrence, on balanced residues (module docstring).  a's integers are
+    taken mod p with integer % once; every row update, column update and
+    recurrence step then sums at most v products of two balanced residues
+    and one residue more, and goes back through _reduce.  A balanced
+    residue is 0 mod p only when it is 0, so the pivot is read as it
+    stands.  Exact where charpoly_mod is."""
+    v = len(a)
+    h = _reduce(a % p, p)
     for k in range(v - 2):
-        col = m[k + 1:, k]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
+        nz = np.flatnonzero(h[k + 1:, k])
+        if not nz.size:
             continue
         r = k + 1 + int(nz[0])
-        if r != k + 1:
-            m[[k + 1, r], :] = m[[r, k + 1], :]
-            m[:, [k + 1, r]] = m[:, [r, k + 1]]
-        piv = int(m[k + 1, k])
-        inv = pow(piv, p - 2, p)
-        f = (m[k + 2:, k] * inv) % p
-        # Row operations R_i -= f_i * R_{k+1}, then the inverse column
-        # operations C_{k+1} += sum f_i * C_i keep the matrix similar.
-        m[k + 2:, k:] = (m[k + 2:, k:] - np.outer(f, m[k + 1, k:])) % p
-        m[:, k + 1] = (m[:, k + 1] + m[:, k + 2:] @ f) % p
-    return m
-
-
-def _hessenberg_charpoly(a, p):
-    """Coefficients of det(xI - a) mod p, ascending, by Hessenberg reduction
-    and the leading-minor recurrence (charpoly_mod's exact range)."""
-    v = int(a.shape[0])
-    h = hessenberg_mod(a, p)
-    # q_k = charpoly of the leading k x k block; expansion along the last
-    # column gives q_k = (x - h[k-1,k-1]) q_{k-1}
-    #                    - sum_{i<k-1} h[i,k-1] (prod of subdiagonals) q_i.
-    coeffs = np.zeros((v + 1, v + 1), dtype=np.int64)
-    coeffs[0, 0] = 1
-    cum = np.zeros(v, dtype=np.int64)
-    for k in range(1, v + 1):
-        if k >= 2:
-            beta = int(h[k - 1, k - 2]) % p
-            cum[:k - 2] = (cum[:k - 2] * beta) % p
-            cum[k - 2] = beta
-        hkk = int(h[k - 1, k - 1]) % p
-        row = np.zeros(v + 1, dtype=np.int64)
-        row[1:k + 1] = coeffs[k - 1, 0:k]
-        row[0:k] = (row[0:k] - hkk * coeffs[k - 1, 0:k]) % p
-        if k >= 2:
-            w = ((h[0:k - 1, k - 1] * cum[0:k - 1]) % p) @ coeffs[0:k - 1, 0:k]
-            row[0:k] = (row[0:k] - w) % p
-        coeffs[k] = row
-    return [int(x) % p for x in coeffs[v]]
+        h[[k + 1, r]] = h[[r, k + 1]]
+        h[:, [k + 1, r]] = h[:, [r, k + 1]]
+        # Row operations R_i -= f_i R_(k+1), then the inverse column
+        # operations C_(k+1) += sum f_i C_i keep h similar to a.
+        f = _reduce(h[k + 2:, k] * pow(int(h[k + 1, k]) % p, -1, p), p)
+        h[k + 2:, k:] = _reduce(h[k + 2:, k:] - np.outer(f, h[k + 1, k:]), p)
+        h[:, k + 1] = _reduce(h[:, k + 1] + h[:, k + 2:] @ f, p)
+    # q_k, the charpoly of h's leading k x k block, expanded along its last
+    # column: q_(k+1) = x q_k - sum_(i<=k) h[i, k] cum_i q_i, where cum_i is
+    # the product of the subdiagonal entries h[i+1, i] .. h[k, k-1], 1 for
+    # i = k.
+    q = np.zeros((v + 1, v + 1))
+    q[0, 0] = 1
+    cum = np.zeros(v)
+    for k in range(v):
+        cum[:k] = _reduce(cum[:k] * h[k, k - 1], p)
+        cum[k] = 1
+        q[k + 1, 1:k + 2] = q[k, :k + 1]
+        q[k + 1, :k + 1] -= _reduce(h[:k + 1, k] * cum[:k + 1], p) \
+            @ q[:k + 1, :k + 1]
+        q[k + 1] = _reduce(q[k + 1], p)
+    return [int(x) % p for x in q[v]]
 
 
 def _power_sums(a, p):
@@ -480,21 +454,28 @@ def charpoly_mod(a, p):
     Up to order _POWER_SUM_ORDER, from the power sums s_j = tr(a^j) mod p
     (_power_sums) by Newton's identities: the coefficient c_j of x^(v - j)
     has j c_j = -(s_1 c_(j-1) + ... + s_j c_0), and j <= v < p is
-    invertible mod p.  Above it, by Hessenberg reduction (hessenberg_mod)
-    and the leading-minor recurrence.  The power sums' stacks hold about
-    2 sqrt(v) matrices, 25 MB at order 300, where the Hessenberg route
-    needs two; there the two tie in CPU time with two BLAS threads, while
-    on one the power sums stay about 1.3x faster up to order 800 (2-vCPU
-    x86-64 VM).
+    invertible mod p.  Above it, by Hessenberg reduction and the
+    leading-minor recurrence (_hessenberg_charpoly).  The power sums'
+    stacks hold about 2 sqrt(v) matrices, 25 MB at order 300, where the
+    Hessenberg route needs two; with one BLAS thread the two routes stay
+    within about 10 % of each other in CPU time from order 200 to 400 on
+    random matrices, 57-76 ms against 62-87 ms at order 300 (2-vCPU x86-64
+    VM).
 
     Both routes are exact for p > v with v (p - 1)**2 < 2**53, so for every
-    prime in PRIMES at every order up to MAX_ORDER: each float64 or int64
-    product of residues sums at most v terms below (p - 1)**2 (the power
-    sums' trace product in chunks of such sums), and Newton's identities
+    prime in PRIMES at every order up to MAX_ORDER: a's integers are taken
+    mod p with integer % once, and each float64 product of balanced
+    residues, with at most one residue added, sums at most v terms of at
+    most ((p + 4)/2)**2 <= (p - 1)**2 / 2 for p >= 17 (v < p keeps every
+    sum below 2**14 for smaller p), so stays in the range of _reduce (the
+    power sums' trace product in chunks, _power_sums); Newton's identities
     divide only by j <= v < p.  ValueError for any other p.
     """
     v = int(a.shape[0])
-    p = _exact_prime(p, v)
+    p = operator.index(p)
+    if v * (p - 1) ** 2 >= 2**53 or p <= v:
+        raise ValueError(f"p = {p} is outside charpoly_mod's exact range "
+                         f"for order {v}")
     if v > _POWER_SUM_ORDER:
         return _hessenberg_charpoly(a, p)
     s = _power_sums(a, p) if v else []

@@ -211,7 +211,7 @@ def test_no_public_member_for_tests_only():
 # inside a range it proves exact (module and function docstrings).
 FLOAT_SITES = {"modular._isotypic", "modular._reduce",
                "modular._exact_chunks", "modular._power_sums",
-               "graphs._sr_rows"}
+               "modular._hessenberg_charpoly", "graphs._sr_rows"}
 FLOAT_ATTRS = {"float16", "float32", "float64", "floor", "rint", "fmod"}
 # Constructors whose dtype defaults to float64, with the position at which
 # dtype may be passed without its keyword.

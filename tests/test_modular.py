@@ -35,7 +35,7 @@ from rooklab.modular import (_POWER_SUM_ORDER, MAX_ORDER, PRIMES,
                              _hessenberg_charpoly, _join_mod, _reduce,
                              _unitriangular_solve, annihilation_proved,
                              certified_symmetric_spectrum, charpoly_mod,
-                             hessenberg_mod, root_multiplicity)
+                             root_multiplicity)
 from rooklab.partitions import check_equitable, weight_partition
 from rooklab.switching import enumerate_switching_sets, gm_switch
 
@@ -93,6 +93,33 @@ class TestCharpolyMod:
                 assert charpoly_mod(a, p) == _hessenberg_charpoly(a, p), \
                     (p, v)
 
+    def test_hessenberg_above_the_crossover(self):
+        # A direct sum of random blocks, seven of order 40 and one of 21,
+        # conjugated by a random signed permutation: at order 301 its
+        # charpoly is the product of the blocks', each from the power sums.
+        rng = random.Random(51)
+        blocks = [random_square(rng, k, -2**40, 2**40)
+                  for k in [40] * 7 + [21]]
+        v = sum(map(len, blocks))
+        a = np.zeros((v, v), dtype=np.int64)
+        at = np.cumsum([0, *map(len, blocks)])
+        for b, lo, hi in zip(blocks, at, at[1:]):
+            a[lo:hi, lo:hi] = b
+        perm = np.array(rng.sample(range(v), v))
+        signs = np.array([rng.choice((-1, 1)) for _ in range(v)])
+        a = a[perm][:, perm] * np.outer(signs, signs)
+        assert v == _POWER_SUM_ORDER + 1
+        for p in (PRIMES[0], PRIMES[-1]):
+            want = [1]
+            for b in blocks:
+                chi = charpoly_mod(b, p)
+                prod = [0] * (len(want) + len(b))
+                for i, x in enumerate(want):
+                    for j, y in enumerate(chi):
+                        prod[i + j] += x * y
+                want = [x % p for x in prod]
+            assert _hessenberg_charpoly(a, p) == want, p
+
     def test_top_of_range_in_chunks(self):
         # -J reduces to p - 1 in every entry, so each product sums
         # (p - 1)**2 terms; at order 120 and at the crossover the traces
@@ -120,8 +147,8 @@ class TestCharpolyMod:
         assert calls == [1, _POWER_SUM_ORDER]
 
     def test_refuses_primes_outside_the_exact_range(self):
-        # At p = 2**31 - 1, products of residues leave the exact range: the
-        # int64 Hessenberg products would wrap silently.
+        # At p = 2**31 - 1, products of residues leave the exact range: a
+        # float64 sum of them would round silently.
         rng = random.Random(24)
         for p in (2**31 - 1, 2**61 - 1, np.int64(2**61 - 1)):
             for v in range(1, 10):
@@ -138,28 +165,6 @@ class TestCharpolyMod:
         big = np.broadcast_to(np.int64(0), (MAX_ORDER + 1, MAX_ORDER + 1))
         with pytest.raises(ValueError):
             charpoly_mod(big, PRIMES[0])
-
-    def test_hessenberg_refuses_primes_outside_the_exact_range(self):
-        # At p = 2**31 - 1 the int64 row and column updates wrap, and the
-        # returned matrix's charpoly differs from a's mod p on some of these
-        # matrices; hessenberg_mod refuses such p as charpoly_mod does.
-        rng = random.Random(50)
-        for p in (2**31 - 1, 2**61 - 1, np.int64(2**31 - 1),
-                  np.int64(2**61 - 1)):
-            for v in range(3, 10):
-                a = random_symmetric(rng, v)
-                with pytest.raises(ValueError) as direct:
-                    hessenberg_mod(a, p)
-                with pytest.raises(ValueError) as via_charpoly:
-                    charpoly_mod(a, p)
-                assert str(direct.value) == str(via_charpoly.value)
-
-    def test_hessenberg_preserves_charpoly(self):
-        rng = random.Random(6)
-        p = 10007
-        a = random_symmetric(rng, 7)
-        h = hessenberg_mod(a, p)
-        assert charpoly_mod(h.astype(np.int64), p) == sympy_charpoly_mod(a, p)
 
     def test_empty_matrix(self):
         assert charpoly_mod(np.zeros((0, 0), dtype=np.int64), 10007) == [1]

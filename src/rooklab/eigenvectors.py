@@ -285,10 +285,6 @@ class GammaClass:
     occurrences: int
     probe: SpectrumProbe
 
-    @property
-    def is_integral(self):
-        return self.probe.is_integral
-
     def to_json(self):
         return {
             "order": self.graph.order,

@@ -3,9 +3,10 @@ isomorphism certificates and automorphism counting.
 
 The clique classifier implements the trichotomy for cliques of SR(m,n):
 type 1 cliques live on a fixed coordinate pair (j,k), type 2 cliques are
-{x + a e_i : i in I}, type 3 cliques are {x - a e_i : i in I}.  Edges fit
-several descriptions at once and classify as type 1 by fiat; triangles and
-larger are unambiguous.
+{x + a e_i : i in I}, type 3 cliques are {x - a e_i : i in I}, with x the
+coordinatewise minimum or maximum; types 2 and 3 are one test, signed.
+Edges fit several descriptions at once and classify as type 1 by fiat;
+triangles and larger are unambiguous.
 
 Clique and independence numbers come from one colour-class branch-and-bound
 with orbital branching (Ostrowski, Linderoth, Rossi & Smriglio, "Orbital
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from operator import itemgetter, sub
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -128,17 +129,14 @@ def diameter(g: Graph) -> int:
 
 def _symmetry_orbits(g: Graph, aut_generators=None):
     """(orbits, sym): g's vertex orbits, which every search prunes by, and
-    sym, the coordinate symmetries among their generators.  sym is
-    `coordinate_symmetries(g)` on an SR graph unless aut_generators is
-    empty, and [] on another graph.  The given aut_generators join it, each
-    distinct generator is kept once, and `vertex_orbits` checks each one
-    (ValueError unless an automorphism).  With none, each orbit is a vertex."""
-    gens = list(aut_generators or ())
-    sym = []
-    if g.family == "sr" and (aut_generators is None or gens):
-        sym = coordinate_symmetries(g)
-    gens = list(dict.fromkeys(map(tuple, sym + gens)))
-    return vertex_orbits(g, gens), sym
+    sym, the coordinate symmetries among their generators:
+    `coordinate_symmetries(g)` on an SR graph, [] on another.  Any given
+    aut_generators join sym, each distinct generator is kept once, and
+    `vertex_orbits` checks each one (ValueError unless an automorphism).
+    With no generator at all, each orbit is a vertex."""
+    sym = coordinate_symmetries(g) if g.family == "sr" else []
+    gens = dict.fromkeys(map(tuple, sym + list(aut_generators or ())))
+    return vertex_orbits(g, list(gens)), sym
 
 
 def _color_classes(candidates, nrows):
@@ -356,9 +354,9 @@ def clique_number(g: Graph, aut_generators=None) -> int:
     equal u's; a node whose groups are single coordinates drops u alone.
     The root drops orbits of all coordinate permutations together with any
     `aut_generators` given.  On another graph, given generators prune the
-    root alone and by default nothing is pruned; `()` turns pruning off on
-    every graph.  Every generator is verified to be an automorphism
-    (ValueError otherwise).  Raises SizeLimit past NODE_BUDGET nodes.
+    root alone, and with none nothing is pruned.  Every generator is
+    verified to be an automorphism (ValueError otherwise).  Raises SizeLimit
+    past NODE_BUDGET nodes.
     """
     return _clique_search(g, _bit_matrix(g.rows), aut_generators)
 
@@ -478,19 +476,13 @@ def classify_clique(g: Graph, clique) -> CliqueType:
     if len(diff_coords) <= 2:
         j, k = diff_coords if len(diff_coords) == 2 else (0, 1)
         return CliqueType("type1", (j, k))
-    a = sum(vecs[0]) - sum(lo)
-    shape = [0] * (m - 1) + [a]
-    deltas = [list(map(sub, v, lo)) for v in vecs]
-    if all(sorted(d) == shape for d in deltas):
-        support = tuple(sorted(d.index(a) for d in deltas))
-        return CliqueType("type2", (a, lo, support))
-    a = sum(hi) - sum(vecs[0])
-    shape = [0] * (m - 1) + [a]
-    deltas = [list(map(sub, hi, v)) for v in vecs]
-    if all(sorted(d) == shape for d in deltas):
-        support = tuple(sorted(d.index(a) for d in deltas))
-        if all(hi[i] >= a for i in support):
-            return CliqueType("type3", (a, hi, support))
+    for tag, x, sign in (("type2", lo, 1), ("type3", hi, -1)):
+        deltas = [[sign * (vi - xi) for vi, xi in zip(v, x)] for v in vecs]
+        a = sum(deltas[0])
+        shape = [0] * (m - 1) + [a]
+        if all(sorted(d) == shape for d in deltas):
+            support = tuple(sorted(d.index(a) for d in deltas))
+            return CliqueType(tag, (a, x, support))
     raise RuntimeError(f"clique {verts} fits no type; trichotomy violated")
 
 
@@ -835,8 +827,6 @@ def canonical_form(g: Graph) -> CanonicalForm:
     past SIZE_LIMIT vertices."""
     if g.order > SIZE_LIMIT:
         raise SizeLimit(f"{g.order} vertices exceeds limit {SIZE_LIMIT}")
-    if g.order == 0:
-        return CanonicalForm((), b"0:0:", (), 1)
     search = _CanonicalSearch(list(g.rows))
     best = search.best
     width = (g.order + 7) // 8
@@ -853,7 +843,5 @@ def automorphism_count(g: Graph) -> int:
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     if g.order != h.order or g.edge_count() != h.edge_count():
-        return False
-    if sorted(g.degrees()) != sorted(h.degrees()):
         return False
     return canonical_form(g).certificate == canonical_form(h).certificate

@@ -98,16 +98,11 @@ class SpectrumProbe:
     def is_integral(self):
         return self.residual == 0
 
-    def spectrum(self):
-        if not self.is_integral:
-            raise IncompleteSpectrum(self.pairs, self.residual)
-        return Spectrum(self.pairs)
-
     def to_json(self):
         """The "integral" and "spectrum" keys of a JSON report: the spectrum
         string when integral, else the pairs found and the residual."""
         return {"integral": self.is_integral,
-                "spectrum": (str(self.spectrum()) if self.is_integral
+                "spectrum": (str(Spectrum(self.pairs)) if self.is_integral
                              else {"pairs": [list(p) for p in self.pairs],
                                    "residual": self.residual})}
 

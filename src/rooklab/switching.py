@@ -56,6 +56,16 @@ class SwitchingSet:
     members: tuple
 
 
+def _regular_mask(rows, members):
+    """The mask of the four members if they induce a regular subgraph, else
+    0 (the mask of four vertices is never 0)."""
+    mask = 0
+    for u in members:
+        mask |= 1 << u
+    inner = {(rows[u] & mask).bit_count() for u in members}
+    return mask if len(inner) == 1 else 0
+
+
 def _odd_outside(rows, members, mask):
     """Bit u is set for each vertex u outside `mask` with an odd number of
     neighbours among the four members.  Bit u of the XOR of their rows is
@@ -74,11 +84,8 @@ def validate_switching_set(g: Graph, b) -> SwitchingSet:
         raise ValueError("a switching set consists of 4 distinct vertices")
     if not all(0 <= u < g.order for u in members):
         raise ValueError("vertex index out of range")
-    mask = 0
-    for u in members:
-        mask |= 1 << u
-    inner = [(g.rows[u] & mask).bit_count() for u in members]
-    if len(set(inner)) != 1:
+    mask = _regular_mask(g.rows, members)
+    if not mask:
         raise NotSwitchable(f"induced subgraph on {members} is not regular")
     odd = _odd_outside(g.rows, members, mask)
     if odd:
@@ -97,9 +104,7 @@ def gm_switch(g: Graph, b: SwitchingSet) -> Graph:
     if isinstance(b, SwitchingSet):
         b = b.members
     b = validate_switching_set(g, b)
-    mask = 0
-    for u in b.members:
-        mask |= 1 << u
+    mask = _regular_mask(g.rows, b.members)
     rows = list(g.rows)
     for c in range(g.order):
         if (mask >> c) & 1:
@@ -167,16 +172,8 @@ def enumerate_switching_sets(g: Graph) -> list:
         k += tail
         found += zip(a.tolist(), [b] * len(a), first[k].tolist(),
                      second[k].tolist())
-    found.sort()
-    out = []
-    for members in found:
-        mask = 0
-        for u in members:
-            mask |= 1 << u
-        inner = {(rows[u] & mask).bit_count() for u in members}
-        if len(inner) == 1:
-            out.append(SwitchingSet(members))
-    return out
+    return [SwitchingSet(members) for members in sorted(found)
+            if _regular_mask(rows, members)]
 
 
 @dataclass(frozen=True)

@@ -351,7 +351,7 @@ def suite_gamma(cache):
         for name, goal in targets[n]:
             hit = any(is_isomorphic(c.graph, goal) for c in classes)
             matched.append((name, hit))
-        integral = all(c.is_integral for c in classes)
+        integral = all(c.probe.is_integral for c in classes)
         ok = all(hit for _, hit in matched) and integral
         return ("pass" if ok else "fail", f"{expected_names}, all integral",
                 f"matched={matched} integral={integral}")

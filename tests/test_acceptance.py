@@ -1,9 +1,11 @@
 """Acceptance battery: the thirteen headline results, tolerance zero.
 
 Each criterion is a named group of claim ids from the verification battery
-in rooklab.verify, run through the battery's own runner on the session's
-SpectrumCache, so every claim has exactly one implementation.  Each
-criterion emits exactly one line
+in rooklab.verify.  The whole battery runs once, through its own runner on
+the session's SpectrumCache, and each criterion selects its reports from
+that run, so every claim has exactly one implementation; the reports of
+the whole run, runtime aside, are pinned by one digest.  Each criterion
+emits exactly one line
 
     ACCEPTANCE <k>: PASS|FAIL|REPORT <summary>
 
@@ -13,6 +15,7 @@ covers conjectured spectra only: its claims report comparisons and never
 fail.  Runtime budgets are asserted from the claims' runtime_ms.
 """
 
+import hashlib
 from dataclasses import dataclass
 from math import comb
 
@@ -35,7 +38,7 @@ def ids(fmt, points):
 class Criterion:
     summary: str
     claims: tuple
-    points: int  # battery items the group selects, one per checked point
+    points: int  # reports the group selects, one per checked point
     total_s: float = float("inf")  # budget for the whole group
     each_s: float = float("inf")  # budget for every claim in the group
 
@@ -104,18 +107,18 @@ ACCEPTANCE_LINES = []
 
 
 @pytest.fixture(scope="module")
-def items(spectrum_cache):
-    return battery(cache=spectrum_cache)
+def reports(spectrum_cache):
+    return list(_run(battery(cache=spectrum_cache)))
 
 
-def select(criterion, items):
+def select(criterion, reports):
     wanted = set(criterion.claims)
-    return [item for item in items if item[0] in wanted]
+    return [r for r in reports if r.claim in wanted]
 
 
-def check(k, items):
+def check(k, reports):
     c = CRITERIA[k]
-    reports = list(_run(select(c, items)))
+    reports = select(c, reports)
     seconds = sum(r.runtime_ms for r in reports) / 1000
     failures = [(r.claim, r.actual) for r in reports if r.status == "fail"]
     budget = [r.claim for r in reports if r.runtime_ms >= 1000 * c.each_s]
@@ -135,61 +138,73 @@ def check(k, items):
     assert ok, line
 
 
-def test_groups_name_battery_claims(items):
-    registry = {claim for claim, _ in items}
+def test_groups_name_battery_claims(reports):
+    registry = {r.claim for r in reports}
     for k, c in CRITERIA.items():
         assert set(c.claims) <= registry, (k, set(c.claims) - registry)
         assert len(set(c.claims)) == len(c.claims), k
-        assert len(select(c, items)) == c.points, k
+        assert len(select(c, reports)) == c.points, k
 
 
-def test_criterion_01_table1_rows_match(items):
-    check(1, items)
+def test_battery_reports_are_pinned(reports):
+    # Beside the claim-id pin in test_verify.py: every report's claim,
+    # status, expected and actual, in battery order.  A change to any
+    # output re-pins this and says which claims changed and why.
+    digest = hashlib.sha256("\n".join(
+        repr((r.claim, r.status, r.expected, r.actual)) for r in reports
+    ).encode()).hexdigest()
+    assert len(reports) == 584
+    assert digest == ("26a54bed7c0a53e5dd961b61257de490"
+                      "25f9a7b6e041036e20abe6b6f3a6c1db")
 
 
-def test_criterion_02_integral_spectra(items):
-    check(2, items)
+def test_criterion_01_table1_rows_match(reports):
+    check(1, reports)
 
 
-def test_criterion_03_smallest_eigenvalue(items):
-    check(3, items)
+def test_criterion_02_integral_spectra(reports):
+    check(2, reports)
 
 
-def test_criterion_04_extreme_multiplicities(items):
-    check(4, items)
+def test_criterion_03_smallest_eigenvalue(reports):
+    check(3, reports)
 
 
-def test_criterion_05_halved_factorization(items):
-    check(5, items)
+def test_criterion_04_extreme_multiplicities(reports):
+    check(4, reports)
 
 
-def test_criterion_06_closed_form_spectra(items):
-    check(6, items)
+def test_criterion_05_halved_factorization(reports):
+    check(5, reports)
 
 
-def test_criterion_07_support_partition_quotients(items):
-    check(7, items)
+def test_criterion_06_closed_form_spectra(reports):
+    check(6, reports)
 
 
-def test_criterion_08_metric_invariants(items):
-    check(8, items)
+def test_criterion_07_support_partition_quotients(reports):
+    check(7, reports)
 
 
-def test_criterion_09_automorphism_counts(items):
-    check(9, items)
+def test_criterion_08_metric_invariants(reports):
+    check(8, reports)
 
 
-def test_criterion_10_switching_mates_and_closure(items):
-    check(10, items)
+def test_criterion_09_automorphism_counts(reports):
+    check(9, reports)
 
 
-def test_criterion_11_eigenvector_families(items):
-    check(11, items)
+def test_criterion_10_switching_mates_and_closure(reports):
+    check(10, reports)
 
 
-def test_criterion_12_gamma_classification(items):
-    check(12, items)
+def test_criterion_11_eigenvector_families(reports):
+    check(11, reports)
 
 
-def test_criterion_13_conjectured_families_report_only(items):
-    check(13, items)
+def test_criterion_12_gamma_classification(reports):
+    check(12, reports)
+
+
+def test_criterion_13_conjectured_families_report_only(reports):
+    check(13, reports)

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
+import hashlib
 import json
 import re
 import time
@@ -289,3 +290,32 @@ def test_degenerate_sr_graphs_exit_cleanly(capsys, command, m, n):
         assert out == "" and re.fullmatch(r"error: [^\n]+\n", err)
     if (m, n) == (0, 3) and command[0] in ("invariants", "quotient"):
         assert code == 2 and "empty graph" in err
+
+
+# sha256 of the stdout of quick commands.  A change to any of these outputs
+# re-pins its digest and says why in CHANGES.md.
+OUTPUT_DIGESTS = {
+    "spectrum 4 18 --format json":
+        "6343b7b6ee80220710abb6bd18ac3ca5251226c679d51c1570e05d851eabbf33",
+    "spectrum 13 6 --graph johnson":
+        "312e449e8f803ae4012769b812300add4058676281a8660b1674c251ebe2b492",
+    "invariants 9 3":
+        "cbea0c73f6e46d7c9130ff56b5be03570f6e610deed8748aa6af16ec240f9233",
+    "gamma 4":
+        "491e1345e169a1dcef68c05a5aafcc174903889dc0f5123d450ca689ff12f59f",
+    "gamma 0 --pi 3,2,1,0":
+        "6ab8ff2c6e879f8e5722b247a9ce582f0a067db54e758814aaced9ce9236b744",
+    "export-graph6 3 61":
+        "85eda777a1c61aa4f17dce29da912c9ae4ba4ceb9af7f23d57989ee90c10c26c",
+    "switch 4 3 --set v1":
+        "36790233d9211da3464cbf655f74fe6f5a48797671a1fa4ebd823df59064bc93",
+    "quotient 4 3 --format json":
+        "240fe3865d3ad020105986ca6d36171544e4276a360e2708d8a9fee4756ef46f",
+}
+
+
+@pytest.mark.parametrize("command", OUTPUT_DIGESTS)
+def test_output_digests_are_pinned(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGESTS[command]

@@ -433,7 +433,7 @@ class TestClassifyGamma:
         for target in targets:
             assert any(nx.is_isomorphic(to_nx(c.graph), to_nx(target))
                        for c in classes)
-        assert all(c.is_integral for c in classes)
+        assert all(c.probe.is_integral for c in classes)
 
     def test_n4_classification(self, gamma_classes):
         classes = gamma_classes(4)

@@ -112,7 +112,7 @@ def cmd_gamma(args):
         if order > LENIENT_LIMIT:
             raise SizeLimit(f"Gamma graph has {order} vertices; the spectrum "
                             f"probe is capped at {LENIENT_LIMIT}")
-        g = gamma_graph(len(pi), pi)
+        g = gamma_graph(pi)
         probe = try_integral_spectrum(g)
         out = {
             "m": len(pi), "pi": list(pi), "n": inversion_count(pi),

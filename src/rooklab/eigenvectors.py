@@ -205,15 +205,17 @@ def canonical_w(m: int) -> tuple:
     return tuple(Fraction(2 * j + 1 - m, 2) for j in range(m))
 
 
-def f_pw(p, w, m: int, n: int) -> dict:
+def f_pw(p, w) -> dict:
     """F_pw = sum over sigma in Sym(m) of sgn(sigma) e_{p + sigma(w)}, as a
-    sparse mapping from vertex label to +-1.  Exact eigenvector of SR(m, n)
-    for eigenvalue -binom(m, 2) whenever the orbit points are pairwise
-    distinct vertices; otherwise InvalidOrbit."""
+    sparse mapping from vertex label to +-1, m = len(p) = len(w).  Every
+    orbit point sums to n = sum(p) + sum(w), so F_pw is an exact
+    eigenvector of SR(m, n) for eigenvalue -binom(m, 2) whenever the orbit
+    points are pairwise distinct lattice points; otherwise InvalidOrbit."""
     p = tuple(Fraction(t) for t in p)
     w = tuple(Fraction(t) for t in w)
-    if len(p) != m or len(w) != m:
-        raise ValueError("p and w must both have length m")
+    m = len(p)
+    if len(w) != m:
+        raise ValueError("p and w must have the same length")
     # Coordinate i of p + sigma(w) is table[i][sigma_i] = p_i + w_(sigma_i);
     # coords holds it as an int where it is a lattice coordinate, else None.
     table = [[a + b for b in w] for a in p]
@@ -226,8 +228,6 @@ def f_pw(p, w, m: int, n: int) -> dict:
         if None in label:
             point = tuple(map(getitem, table, sig))
             raise InvalidOrbit(f"orbit point {point} is not a lattice point")
-        if sum(label) != n:
-            raise InvalidOrbit(f"orbit point {label} does not sum to {n}")
         if label in vec:
             raise InvalidOrbit(f"orbit points collide at {label}")
         vec[label] = sgn
@@ -246,21 +246,20 @@ def f_pw_family(m: int, n: int) -> list:
     out = []
     for q in sr_vertices(m, rest):
         p = tuple(shift + t for t in q)
-        out.append((p, f_pw(p, w, m, n)))
+        out.append((p, f_pw(p, w)))
     return out
 
 
-def gamma_graph(m: int, pi) -> Graph:
-    """Gamma(m, n, pi): SR(m, n) induced on X_pi, n = inversions(pi), with the
-    rows taken from the labels by the SR adjacency rule.  Construction
-    postconditions: every edge joins permutations of opposite sign
-    (bipartite by sign) and the graph is n-regular."""
+def gamma_graph(pi) -> Graph:
+    """Gamma(m, n, pi): SR(m, n) induced on X_pi, m = len(pi) and n =
+    inversions(pi), with the rows taken from the labels by the SR adjacency
+    rule.  Construction postconditions: every edge joins permutations of
+    opposite sign (bipartite by sign) and the graph is n-regular."""
     pi = _check_permutation(pi)
-    if len(pi) != m:
-        raise ValueError(f"pi has length {len(pi)}, expected {m}")
     labels, signs = _signed_admissible(pi)
     n = sum(labels[0])  # every x(sigma) sums to n; sigma = identity is one
-    g = Graph(labels, _sr_rows(labels), family="gamma", params=(m, n, pi))
+    g = Graph(labels, _sr_rows(labels), family="gamma",
+              params=(len(pi), n, pi))
     for i, j in g.edges():
         if signs[i] == signs[j]:
             raise RuntimeError("gamma graph edge inside one sign class")
@@ -306,7 +305,7 @@ def classify_gamma(n: int) -> list:
     found = {}
     for m in range(1, max(2 * n, 1) + 1):
         for pi in permutations_with_inversions(m, n):
-            g = gamma_graph(m, pi)
+            g = gamma_graph(pi)
             cert = canonical_form(g).certificate
             if cert in found:
                 found[cert][3] += 1

@@ -14,8 +14,6 @@ from .graphs import Graph, _bit_matrix
 
 
 def _encode_size(n):
-    if n < 0:
-        raise ValueError("negative vertex count")
     if n <= 62:
         return chr(n + 63)
     if n <= 258047:

@@ -48,9 +48,6 @@ class Graph:
     def order(self):
         return len(self.labels)
 
-    def degree(self, i):
-        return self.rows[i].bit_count()
-
     def degrees(self):
         return [r.bit_count() for r in self.rows]
 
@@ -65,10 +62,6 @@ class Graph:
         for i, row in enumerate(self.rows):
             for j in _bits(row >> (i + 1)):
                 yield (i, i + 1 + j)
-
-    def is_regular(self):
-        degs = self.degrees()
-        return len(set(degs)) <= 1
 
     def adjacency_matrix(self):
         """Dense adjacency matrix as an int64 numpy array."""
@@ -90,14 +83,6 @@ class Graph:
             labels[p] = lab
         return Graph(labels, _permuted_rows(self.rows, perm), self.family,
                      self.params)
-
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.labels == other.labels and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.labels, self.rows))
 
     def __repr__(self):
         fam = f" {self.family}{self.params}" if self.family else ""

@@ -208,18 +208,17 @@ def _unitriangular_solve(u, c):
 
 
 def _label_array(labels, v):
-    """labels as a v x m int64 array: tuples of one length m through
+    """The v labels as a v x m int64 array: tuples of one length m through
     np.fromiter, and any other labels (integers, 1-tuples, or labels of
     unequal lengths, which np.array refuses) through np.array.  The lengths
     are checked first, as np.fromiter with a count would misalign tuples of
     unequal lengths whose entries add up to v m."""
     lengths = {len(t) if isinstance(t, tuple) else -1 for t in labels}
     m = lengths.pop() if len(lengths) == 1 else -1
-    if len(labels) == v and m >= 0:
+    if m >= 0:
         return np.fromiter(itertools.chain.from_iterable(labels), np.int64,
                            v * m).reshape(v, m)
-    lab = np.array(labels, dtype=np.int64)
-    return lab.reshape(v, lab.size // v)  # an integer is a 1-tuple
+    return np.array(labels, dtype=np.int64).reshape(v, -1)
 
 
 def _blocks(a, labels):
@@ -230,9 +229,12 @@ def _blocks(a, labels):
     closed under permuting coordinates, which must be symmetries of a.  Then
     each partition lambda of m with J nonempty gives a pair (see the module
     docstring), and a is read in its own dtype.  Otherwise, and for m < 2,
-    the one pair is a, widened to int64, with d = 1.
+    the one pair is a, widened to int64, with d = 1.  ValueError for a
+    label count other than the order of a.
     """
     v = int(a.shape[0])
+    if labels is not None and len(labels) != v:
+        raise ValueError(f"{len(labels)} labels for a matrix of order {v}")
     if labels is not None and v:
         lab = _label_array(labels, v)
         if lab.shape[1] >= 2:
@@ -469,8 +471,10 @@ def charpoly_mod(a, p):
     most ((p + 4)/2)**2 <= (p - 1)**2 / 2 for p >= 17 (v < p keeps every
     sum below 2**14 for smaller p), so stays in the range of _reduce (the
     power sums' trace product in chunks, _power_sums); Newton's identities
-    divide only by j <= v < p.  ValueError for any other p.
+    divide only by j <= v < p.  ValueError for any other p, and for an a
+    that is not a square integer ndarray.
     """
+    _check_matrix(a)
     v = int(a.shape[0])
     p = operator.index(p)
     if v * (p - 1) ** 2 >= 2**53 or p <= v:
@@ -508,6 +512,15 @@ def _divide_out(coeffs, c, p):
 def root_multiplicity(coeffs, c, p):
     """Multiplicity of the root c in the mod-p polynomial (ascending coeffs)."""
     return _divide_out([x % p for x in coeffs], c % p, p)[0]
+
+
+def _check_matrix(a):
+    """ValueError unless a is a square ndarray of integer or bool dtype."""
+    if not isinstance(a, np.ndarray) or a.dtype.kind not in "biu":
+        raise ValueError(f"expected an integer matrix, got "
+                         f"{getattr(a, 'dtype', type(a).__name__)}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
 
 
 def _check_order(v):
@@ -616,16 +629,17 @@ def annihilation_proved(b, roots, norm=None):
     the chunks are joined mod PRIMES in turn (_join_mod), False at the first
     nonzero residue, until the primes' product exceeds twice the product of
     the chunks' bounds, which bounds every entry of the whole product.  A
-    nonempty b with no roots fails the proof; an empty b passes.
-    ValueError for b of order above MAX_ORDER, where float64 products mod
-    p may round, and for a root c with ||b|| + |c| >= 2**53, where the
-    factor b - cI may not be exact in float64; the engine's blocks never
-    come near it, as its candidates have |c| <= ||b|| < PRIMES[3] / 2.
+    nonempty b with no roots fails the proof; an empty b passes.  ValueError
+    for b not a square integer ndarray or of order above MAX_ORDER (float64
+    products mod p may round), and for a root c with ||b|| + |c| >= 2**53
+    (b - cI may not be exact in float64); the engine's blocks never come
+    near it, as its candidates have |c| <= ||b|| < PRIMES[3] / 2.
 
     norm, if given, must be b's exact max absolute row sum, _norm(b), which
     the exactness of every float64 product rests on: the spectrum engine
     passes the norm it has already taken for each block, so the block is
     summed once.  Without it, _norm(b) is taken here."""
+    _check_matrix(b)
     _check_order(len(b))
     chunks = _exact_chunks(b, roots, _norm(b) if norm is None else norm)
     if len(chunks) == 1:
@@ -702,13 +716,14 @@ def certified_symmetric_spectrum(a, labels=None):
     certificate fails for each of the first four primes, as it does for
     every matrix that is not diagonalizable, or when a block's M is not
     unitriangular in label order or fails its exact check.  Raises
-    ValueError for labels that are no such symmetry or whose entries span
-    more than (2**63 - 1) / m integers, for a block order above MAX_ORDER,
-    and for a block whose max absolute row sum ||B|| has
-    2 ||B|| >= PRIMES[3], where two candidates would share a residue mod
-    the smallest of the four primes the root screen tries; every check
-    runs before any block is certified.
+    ValueError for an a that is not a square integer ndarray, for labels not
+    one per index, no such symmetry or with entries spanning more than
+    (2**63 - 1) / m integers, for a block order above MAX_ORDER, and for a
+    block whose max absolute row sum ||B|| has 2 ||B|| >= PRIMES[3], where
+    two candidates would share a residue mod the smallest of the four primes
+    the root screen tries; every check runs before any block is certified.
     """
+    _check_matrix(a)
     blocks = _blocks(a, labels)
     _check_order(max((len(b) for b, _ in blocks), default=0))
     norms = [_norm(b) for b, _ in blocks]

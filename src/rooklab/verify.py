@@ -180,7 +180,7 @@ def suite_partitions(cache):
         g = cache.graph(m, n)
         j = johnson_graph(m + n - 1, n)
         qg = check_equitable(g, support_partition(g))
-        qj = check_equitable(j, johnson_support_partition(j, m))
+        qj = check_equitable(j, johnson_support_partition(j))
         same = (qg.labels == qj.labels and qg.entries == qj.entries)
         return _eq(True, same)
 
@@ -358,7 +358,7 @@ def suite_gamma(cache):
 
     def cayley(m):
         rev = tuple(range(m - 1, -1, -1))
-        return _eq(True, is_isomorphic(gamma_graph(m, rev),
+        return _eq(True, is_isomorphic(gamma_graph(rev),
                                        cayley_transpositions(m)))
 
     def reduction(n):
@@ -366,7 +366,7 @@ def suite_gamma(cache):
                  for c in cache.gamma_classes(n)}
         for m in range(2 * n + 1, 8):
             for pi in permutations_with_inversions(m, n):
-                g = gamma_graph(m, pi)
+                g = gamma_graph(pi)
                 if canonical_form(g).certificate not in certs:
                     return ("fail", "every large-m gamma reduces",
                             f"no class for m={m} pi={pi}")

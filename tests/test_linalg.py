@@ -274,7 +274,7 @@ class TestIntegralSpectrum:
             "integral": True, "spectrum": "2^1 (-1)^2"}
 
     def test_probe_agrees_with_bareiss_on_gamma_graphs(self):
-        graphs = [gamma_graph(m, pi) for m in range(1, 7) for k in range(8)
+        graphs = [gamma_graph(pi) for m in range(1, 7) for k in range(8)
                   for pi in permutations_with_inversions(m, k)
                   if gamma_order(pi) <= 32]
         assert len(graphs) == 278

@@ -1342,6 +1342,39 @@ class TestNarrowTypes:
             with pytest.raises(ValueError):
                 certified_symmetric_spectrum(a, bad)
 
+    def test_label_count_is_the_order(self):
+        # Read as one v x (size // v) array, K_4's two 2-tuples were four
+        # 1-tuples and C_6's three were six: each matrix's unsplit
+        # spectrum came back, with no error.
+        for a, labels in ((complete_graph(4).adjacency_matrix(),
+                           [(0, 1), (1, 0)]),
+                          (cycle_graph(6).adjacency_matrix(),
+                           [(0, 1), (1, 0), (0, 2)])):
+            with pytest.raises(ValueError, match=f"{len(labels)} labels for "
+                               f"a matrix of order {len(a)}"):
+                certified_symmetric_spectrum(a, labels)
+
+    @pytest.mark.parametrize("entry", [
+        certified_symmetric_spectrum,
+        lambda a: charpoly_mod(a, PRIMES[0]),
+        lambda a: annihilation_proved(a, [0])])
+    def test_refuses_all_but_square_integer_arrays(self, entry):
+        # A float or object array was truncated to integers: the spectrum of
+        # [[0, 2.9], [2.9, 0]] was certified as [(2, 1), (-2, 1)], and the
+        # charpoly of [[0, 1.5], [1.5, 0]] came back as x**2 - 2 for
+        # x**2 - 2.25.  A 2 x 3 array failed inside numpy.
+        for a, text in ((np.array([[0, 2.9], [2.9, 0]]), "float64"),
+                        (np.array([[0, 1.5], [1.5, 0]]), "float64"),
+                        (np.array([[0, 2], [2, 0]], dtype=object), "object"),
+                        ([[0, 2], [2, 0]], "list"),
+                        (np.zeros((2, 3), dtype=np.int64), r"shape \(2, 3\)"),
+                        (np.zeros(4, dtype=np.int64), r"shape \(4,\)")):
+            with pytest.raises(ValueError, match=text):
+                entry(a)
+        # Bool is an integer dtype here.
+        b = np.array([[False, True], [True, False]])
+        assert entry(b) == entry(b.astype(np.int64))
+
     @pytest.mark.parametrize("m, key", [(61, np.int64), (62, np.void)])
     def test_label_keys_on_both_sides_of_the_bound(self, monkeypatch, m,
                                                    key):

@@ -34,7 +34,7 @@ EXIT_USAGE = 2
 
 # Full Gamma classification enumerates every permutation with n inversions
 # for all m <= 2n.  On one core of a shared 2-vCPU Xeon VM, classify_gamma(5)
-# takes 4.6-5.4 s of CPU time and classify_gamma(6) 73-82 s; past n = 6
+# takes 2.0-2.2 s of CPU time and classify_gamma(6) 35-40 s; past n = 6
 # the sweep is not worth starting from the command line.
 GAMMA_BUDGET = 6
 

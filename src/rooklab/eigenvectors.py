@@ -325,17 +325,30 @@ def cayley_transpositions(m: int) -> Graph:
     return Graph(labels, _sr_rows(labels), family="cayley", params=(m,))
 
 
-SMALL_N_KINDS = ("n3_m-3", "n4_2m-5", "n4_m-6")
+# kind: (least m, eigenvalue a m + b as (a, b), anchor count, terms).  Each
+# term (c, amounts) adds c at sum of amount e_x, x running over the anchors
+# and then over every ordered choice of distinct other coordinates, so both
+# orders of i, j add -1 at 2e_h + e_i + e_j, the -2 of "n4_2m-5".
+_SMALL_N = {
+    "n3_m-3": (3, (1, -3), 1, ((1, (2, 1)), (-1, (1, 2)))),
+    "n4_2m-5": (4, (2, -5), 1, ((-1, (2, 2)), (-1, (3, 1)), (2, (1, 3)),
+                                (-1, (2, 1, 1)), (1, (1, 2, 1)))),
+    "n4_m-6": (4, (1, -6), 2, ((1, (1, 0, 3)), (1, (0, 2, 2)), (1, (2, 1, 1)),
+                               (-1, (0, 1, 3)), (-1, (2, 0, 2)),
+                               (-1, (1, 2, 1)))),
+}
+SMALL_N_KINDS = tuple(_SMALL_N)
+
+
+def _small_n(kind: str) -> tuple:
+    if kind not in _SMALL_N:
+        raise ValueError(f"unknown kind {kind!r}")
+    return _SMALL_N[kind]
 
 
 def small_n_eigenvalue(kind: str, m: int) -> int:
-    if kind == "n3_m-3":
-        return m - 3
-    if kind == "n4_2m-5":
-        return 2 * m - 5
-    if kind == "n4_m-6":
-        return m - 6
-    raise ValueError(f"unknown kind {kind!r}")
+    _, (a, b), _, _ = _small_n(kind)
+    return a * m + b
 
 
 def small_n_eigenvector(kind: str, m: int, anchor) -> dict:
@@ -350,51 +363,19 @@ def small_n_eigenvector(kind: str, m: int, anchor) -> dict:
 
     The matching eigenvalues are m-3, 2m-5 and m-6; coordinates are 0-based.
     """
-
-    def unit(*pairs):
-        x = [0] * m
-        for idx, amount in pairs:
-            x[idx] += amount
-        return tuple(x)
-
+    least, _, count, terms = _small_n(kind)
+    if m < least:
+        raise ValueError(f"{kind} construction needs m >= {least}")
+    anchors = tuple(anchor) if count > 1 else (anchor,)
+    if len(set(anchors)) < count:
+        raise ValueError("anchor pair must be distinct")
+    others = [x for x in range(m) if x not in anchors]
     vec = {}
-    if kind == "n3_m-3":
-        if m < 3:
-            raise ValueError("n3 construction needs m >= 3")
-        h = anchor
-        for i in range(m):
-            if i == h:
-                continue
-            vec[unit((h, 2), (i, 1))] = 1
-            vec[unit((h, 1), (i, 2))] = -1
-    elif kind == "n4_2m-5":
-        if m < 4:
-            raise ValueError("n4 constructions need m >= 4")
-        h = anchor
-        others = [i for i in range(m) if i != h]
-        for i in others:
-            vec[unit((h, 2), (i, 2))] = -1
-            vec[unit((h, 3), (i, 1))] = -1
-            vec[unit((h, 1), (i, 3))] = 2
-        for i, j in combinations(others, 2):
-            vec[unit((h, 2), (i, 1), (j, 1))] = -2
-            vec[unit((h, 1), (i, 2), (j, 1))] = 1
-            vec[unit((h, 1), (i, 1), (j, 2))] = 1
-    elif kind == "n4_m-6":
-        if m < 4:
-            raise ValueError("n4 constructions need m >= 4")
-        h, i = anchor
-        if h == i:
-            raise ValueError("anchor pair must be distinct")
-        for j in range(m):
-            if j in (h, i):
-                continue
-            vec[unit((h, 1), (j, 3))] = 1
-            vec[unit((i, 2), (j, 2))] = 1
-            vec[unit((h, 2), (i, 1), (j, 1))] = 1
-            vec[unit((i, 1), (j, 3))] = -1
-            vec[unit((h, 2), (j, 2))] = -1
-            vec[unit((h, 1), (i, 2), (j, 1))] = -1
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    for c, amounts in terms:
+        for rest in permutations(others, len(amounts) - count):
+            x = [0] * m
+            for idx, amount in zip(anchors + rest, amounts):
+                x[idx] += amount
+            label = tuple(x)
+            vec[label] = vec.get(label, 0) + c
     return vec

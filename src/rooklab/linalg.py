@@ -292,15 +292,14 @@ def halved_factorization_check(m: int, n: int) -> bool:
     away from them, u - d e_a with 1 <= d <= u_a."""
     if m < 1 or n < 0:
         raise ValueError("need m >= 1, n >= 0")
-    top = sr_vertices(m, n)
+    g = sr_graph(m, n)
     low = {w: j for j, w in enumerate(
         w for s in range(n) for w in sr_vertices(m, s))}
-    v = len(top)
-    nmat = np.zeros((v, max(len(low), 1)), dtype=np.int64)
-    for i, u in enumerate(top):
+    nmat = np.zeros((g.order, max(len(low), 1)), dtype=np.int64)
+    for i, u in enumerate(g.labels):
         for a, x in enumerate(u):
             for d in range(1, x + 1):
                 nmat[i, low[u[:a] + (x - d,) + u[a + 1:]]] = 1
-    a = sr_graph(m, n).adjacency_matrix()
-    return bool(np.array_equal(a + n * np.eye(v, dtype=np.int64),
-                               nmat @ nmat.T))
+    return bool(np.array_equal(
+        g.adjacency_matrix() + n * np.eye(g.order, dtype=np.int64),
+        nmat @ nmat.T))

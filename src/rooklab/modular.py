@@ -472,7 +472,7 @@ def charpoly_mod(a, p):
     sum below 2**14 for smaller p), so stays in the range of _reduce (the
     power sums' trace product in chunks, _power_sums); Newton's identities
     divide only by j <= v < p.  ValueError for any other p, and for an a
-    that is not a square integer ndarray.
+    that is not a square integer ndarray with entries in int64.
     """
     _check_matrix(a)
     v = int(a.shape[0])
@@ -515,12 +515,15 @@ def root_multiplicity(coeffs, c, p):
 
 
 def _check_matrix(a):
-    """ValueError unless a is a square ndarray of integer or bool dtype."""
+    """ValueError unless a is a square ndarray of integer or bool dtype
+    whose entries fit in int64."""
     if not isinstance(a, np.ndarray) or a.dtype.kind not in "biu":
         raise ValueError(f"expected an integer matrix, got "
                          f"{getattr(a, 'dtype', type(a).__name__)}")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.dtype == np.uint64 and a.size and int(a.max()) >= 2**63:
+        raise ValueError("uint64 entries above 2**63 - 1 do not fit in int64")
 
 
 def _check_order(v):
@@ -606,8 +609,7 @@ def _exact_chunks(b, roots, norm):
             run, beta = bf - c * eye, f
         else:
             run, beta = run @ bf - c * run, beta * f
-    if run is not eye or not chunks:
-        chunks.append((run, beta))
+    chunks.append((run, beta))
     return chunks
 
 
@@ -621,7 +623,7 @@ def _join_mod(chunks, p):
     return functools.reduce(lambda x, y: _reduce(x @ y, p), residues)
 
 
-def annihilation_proved(b, roots, norm=None):
+def annihilation_proved(b, roots):
     """True iff prod over roots of (b - cI) is proven zero over Z.
 
     The factors are multiplied exactly (_exact_chunks).  A product that
@@ -630,18 +632,14 @@ def annihilation_proved(b, roots, norm=None):
     nonzero residue, until the primes' product exceeds twice the product of
     the chunks' bounds, which bounds every entry of the whole product.  A
     nonempty b with no roots fails the proof; an empty b passes.  ValueError
-    for b not a square integer ndarray or of order above MAX_ORDER (float64
-    products mod p may round), and for a root c with ||b|| + |c| >= 2**53
-    (b - cI may not be exact in float64); the engine's blocks never come
-    near it, as its candidates have |c| <= ||b|| < PRIMES[3] / 2.
-
-    norm, if given, must be b's exact max absolute row sum, _norm(b), which
-    the exactness of every float64 product rests on: the spectrum engine
-    passes the norm it has already taken for each block, so the block is
-    summed once.  Without it, _norm(b) is taken here."""
+    for b not a square integer ndarray with entries in int64 or of order
+    above MAX_ORDER (float64 products mod p may round), and for a root c
+    with ||b|| + |c| >= 2**53 (b - cI may not be exact in float64); the
+    engine's blocks never come near it, as its candidates have
+    |c| <= ||b|| < PRIMES[3] / 2."""
     _check_matrix(b)
     _check_order(len(b))
-    chunks = _exact_chunks(b, roots, _norm(b) if norm is None else norm)
+    chunks = _exact_chunks(b, roots, _norm(b))
     if len(chunks) == 1:
         return not chunks[0][0].any()
     bound = 2 * math.prod(beta for _, beta in chunks)
@@ -697,7 +695,7 @@ def _block_spectrum(b, norm):
     for p in PRIMES[:4]:
         pairs = _integer_roots(charpoly_mod(b, p), norm, p)
         if sum(e for _, e in pairs) < len(b) or \
-                annihilation_proved(b, [c for c, _ in pairs], norm):
+                annihilation_proved(b, [c for c, _ in pairs]):
             return pairs
     raise RuntimeError("spectrum certificate failed for the first four primes")
 
@@ -716,7 +714,7 @@ def certified_symmetric_spectrum(a, labels=None):
     certificate fails for each of the first four primes, as it does for
     every matrix that is not diagonalizable, or when a block's M is not
     unitriangular in label order or fails its exact check.  Raises
-    ValueError for an a that is not a square integer ndarray, for labels not
+    ValueError for an a that is not such an ndarray, for labels not
     one per index, no such symmetry or with entries spanning more than
     (2**63 - 1) / m integers, for a block order above MAX_ORDER, and for a
     block whose max absolute row sum ||B|| has 2 ||B|| >= PRIMES[3], where

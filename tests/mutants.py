@@ -50,6 +50,9 @@ ENGINE_ENTRIES = ("tests/test_modular.py::TestNarrowTypes"
 SYMMETRY_ROUTE = "Route every symmetry-pruned search through one orbit routine"
 BALANCED_HESSENBERG = "Run the Hessenberg charpoly on balanced residues"
 NO_RESTATED_ARGUMENTS = "Delete code that no answer depends on"
+DENSE_SYMMETRY = "Check the S_m split's symmetry densely"
+ONE_SOURCE = "Give each fact of the engine and the small-n vectors one source"
+SYMMETRY_SPLIT = "tests/test_modular.py::TestSymmetrySplit::"
 
 MUTANTS = (
     # The clique walker keeps walking a colour class after it drops an
@@ -127,6 +130,50 @@ MUTANTS = (
            ("tests/test_modular.py::TestNarrowTypes"
             "::test_label_count_is_the_order",),
            NO_RESTATED_ARGUMENTS),
+    # The S_m split checks only its first generator, the transposition.
+    Mutant(MODULAR,
+           " " * 30 + "(*range(1, m), 0)]]).reshape(v, 2).T:\n",
+           " " * 30 + "(*range(1, m), 0)]]).reshape(v, 2).T[:1]:\n",
+           (SYMMETRY_SPLIT + "test_switching_mates_get_no_symmetry",
+            SYMMETRY_SPLIT + "test_symmetry_checked_entry_by_entry",
+            SYMMETRY_SPLIT + "test_symmetry_compares_values"),
+           DENSE_SYMMETRY),
+    # The symmetry check permutes a's rows but not its columns.
+    Mutant(MODULAR,
+           "        if not np.array_equal(a[p][:, p], a):\n",
+           "        if not np.array_equal(a[p], a):\n",
+           (SYMMETRY_SPLIT + "test_batched_blocks_match_the_per_shape_oracle",
+            "tests/test_acceptance.py::test_criterion_02_integral_spectra"),
+           DENSE_SYMMETRY),
+    # The product width's bound reads row 0 of a only.
+    Mutant(MODULAR,
+           "    delta = _norm(a)\n",
+           "    delta = _norm(a[:1])\n",
+           (SYMMETRY_SPLIT + "test_one_norm_per_block",
+            "tests/test_modular.py::TestNarrowTypes"
+            "::test_product_width_reads_every_row"),
+           DENSE_SYMMETRY),
+    # uint64 entries above 2**63 - 1 wrap when the blocks widen to int64.
+    Mutant(MODULAR,
+           "    if a.dtype == np.uint64 and a.size and int(a.max()) >= 2**63"
+           ":\n",
+           "    if False:\n",
+           ENGINE_ENTRIES, ONE_SOURCE),
+    # The proof's exact chunks rest on half the norm.
+    Mutant(MODULAR,
+           "    chunks = _exact_chunks(b, roots, _norm(b))\n",
+           "    chunks = _exact_chunks(b, roots, _norm(b) // 2)\n",
+           ("tests/test_modular.py::TestChunkBoundary"
+            "::test_refused_from_two_to_the_53",),
+           ONE_SOURCE),
+    # One term of the small-n table with its sign flipped.
+    Mutant("src/rooklab/eigenvectors.py",
+           "(2, (1, 3))",
+           "(-2, (1, 3))",
+           ("tests/test_eigenvectors.py::TestSmallN"
+            "::test_table_matches_the_hand_built_branches",
+            "tests/test_eigenvectors.py::TestSmallN::test_n4_vectors"),
+           ONE_SOURCE),
 )
 
 

@@ -2,7 +2,8 @@
 
 Oracles: brute-force permutation enumeration for the inversion machinery,
 verify_eigenvector (validated in test_linalg) for eigenvector claims, exact
-rank for independence counts, and networkx isomorphism for graph identities.
+rank for independence counts, networkx isomorphism for graph identities, and
+the small-n eigenvectors written out branch by branch for their table.
 """
 
 import random
@@ -10,7 +11,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb, factorial
 from operator import le, sub
 
@@ -465,7 +466,97 @@ class TestClassifyGamma:
         assert payload["spectrum"] == "2^1 0^2 (-2)^1"
 
 
+def hand_small_n_eigenvalue(kind, m):
+    """The small-n eigenvalues, one branch per kind."""
+    if kind == "n3_m-3":
+        return m - 3
+    if kind == "n4_2m-5":
+        return 2 * m - 5
+    if kind == "n4_m-6":
+        return m - 6
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def hand_small_n_eigenvector(kind, m, anchor):
+    """The small-n eigenvectors written out term by term, one branch per
+    kind, unordered pairs where the proofs take them."""
+
+    def unit(*pairs):
+        x = [0] * m
+        for idx, amount in pairs:
+            x[idx] += amount
+        return tuple(x)
+
+    vec = {}
+    if kind == "n3_m-3":
+        if m < 3:
+            raise ValueError("n3 construction needs m >= 3")
+        h = anchor
+        for i in range(m):
+            if i == h:
+                continue
+            vec[unit((h, 2), (i, 1))] = 1
+            vec[unit((h, 1), (i, 2))] = -1
+    elif kind == "n4_2m-5":
+        if m < 4:
+            raise ValueError("n4 constructions need m >= 4")
+        h = anchor
+        others = [i for i in range(m) if i != h]
+        for i in others:
+            vec[unit((h, 2), (i, 2))] = -1
+            vec[unit((h, 3), (i, 1))] = -1
+            vec[unit((h, 1), (i, 3))] = 2
+        for i, j in combinations(others, 2):
+            vec[unit((h, 2), (i, 1), (j, 1))] = -2
+            vec[unit((h, 1), (i, 2), (j, 1))] = 1
+            vec[unit((h, 1), (i, 1), (j, 2))] = 1
+    elif kind == "n4_m-6":
+        if m < 4:
+            raise ValueError("n4 constructions need m >= 4")
+        h, i = anchor
+        if h == i:
+            raise ValueError("anchor pair must be distinct")
+        for j in range(m):
+            if j in (h, i):
+                continue
+            vec[unit((h, 1), (j, 3))] = 1
+            vec[unit((i, 2), (j, 2))] = 1
+            vec[unit((h, 2), (i, 1), (j, 1))] = 1
+            vec[unit((i, 1), (j, 3))] = -1
+            vec[unit((h, 2), (j, 2))] = -1
+            vec[unit((h, 1), (i, 2), (j, 1))] = -1
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    return vec
+
+
+def value_or_error(f, *args):
+    """f(*args), or ValueError if it raises one."""
+    try:
+        return f(*args)
+    except ValueError:
+        return ValueError
+
+
 class TestSmallN:
+    def test_table_matches_the_hand_built_branches(self):
+        # Every kind (and one unknown), m = 1..12 and every anchor or
+        # anchor pair in range(m), equal pairs included: the same dict or
+        # the same ValueError.
+        cases = 0
+        for kind in (*SMALL_N_KINDS, "n2_m"):
+            for m in range(1, 13):
+                assert value_or_error(small_n_eigenvalue, kind, m) == \
+                    value_or_error(hand_small_n_eigenvalue, kind, m)
+                anchors = product(range(m), repeat=2) if kind == "n4_m-6" \
+                    else range(m)
+                for anchor in anchors:
+                    args = (kind, m, anchor)
+                    assert value_or_error(small_n_eigenvector, *args) == \
+                        value_or_error(hand_small_n_eigenvector, *args), args
+                    cases += kind in SMALL_N_KINDS
+        assert cases == 806
+
     def test_kind_catalogue(self):
         assert SMALL_N_KINDS == ("n3_m-3", "n4_2m-5", "n4_m-6")
 

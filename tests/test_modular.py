@@ -426,9 +426,9 @@ class TestCertificate:
         calls = []
         proved = modular.annihilation_proved
 
-        def counted(b, roots, norm=None):
+        def counted(b, roots):
             before = len(joins)
-            result = proved(b, roots, norm)
+            result = proved(b, roots)
             calls.append((len(_exact_chunks(b, roots, modular._norm(b))),
                           len(joins) - before))
             return result
@@ -960,9 +960,9 @@ class TestSymmetrySplit:
         calls = []
         proved = modular.annihilation_proved
 
-        def recorded(b, roots, norm=None):
-            result = proved(b, roots, norm)
-            calls.append((modular._norm(b), norm, roots))
+        def recorded(b, roots):
+            result = proved(b, roots)
+            calls.append((modular._norm(b), roots))
             return result
 
         monkeypatch.setattr(modular, "annihilation_proved", recorded)
@@ -972,15 +972,14 @@ class TestSymmetrySplit:
         for m, n in points + [(4, 18)]:
             integral_spectrum(sr_graph(m, n))
         assert len(calls) == 165
-        for norm, given, roots in calls:
-            assert given == norm
+        for norm, roots in calls:
             assert all(norm + abs(c) <= 2 * norm < PRIMES[3] for c in roots)
 
     def test_one_norm_per_block(self, monkeypatch):
         # Every bound of the split is one _norm: A's row sums once, then
         # each block's column sums (its exact check, on b.T), then each
-        # block's row sums once, handed to the annihilation proof.  Called
-        # alone, the proof sums its matrix itself.
+        # block's row sums, once for the root screen and once more by the
+        # annihilation proof, which always sums its matrix itself.
         seen = []
         norm = modular._norm
 
@@ -996,7 +995,7 @@ class TestSymmetrySplit:
             seen.clear()
             assert certified_symmetric_spectrum(a, g.labels) == \
                 numpy_spectrum(a)
-            want = [a] + [b.T for b in blocks] + blocks
+            want = [a] + [b.T for b in blocks] + 2 * blocks
             assert len(seen) == len(want), (m, n)
             assert all(s.dtype == w.dtype and np.array_equal(s, w)
                        for s, w in zip(seen, want)), (m, n)
@@ -1362,13 +1361,17 @@ class TestNarrowTypes:
         # A float or object array was truncated to integers: the spectrum of
         # [[0, 2.9], [2.9, 0]] was certified as [(2, 1), (-2, 1)], and the
         # charpoly of [[0, 1.5], [1.5, 0]] came back as x**2 - 2 for
-        # x**2 - 2.25.  A 2 x 3 array failed inside numpy.
+        # x**2 - 2.25.  A 2 x 3 array failed inside numpy.  A uint64 entry
+        # above 2**63 - 1 wrapped when widened to int64: diag(2**64 - 1, 1)
+        # was certified as [(1, 1), (-1, 1)].
         for a, text in ((np.array([[0, 2.9], [2.9, 0]]), "float64"),
                         (np.array([[0, 1.5], [1.5, 0]]), "float64"),
                         (np.array([[0, 2], [2, 0]], dtype=object), "object"),
                         ([[0, 2], [2, 0]], "list"),
                         (np.zeros((2, 3), dtype=np.int64), r"shape \(2, 3\)"),
-                        (np.zeros(4, dtype=np.int64), r"shape \(4,\)")):
+                        (np.zeros(4, dtype=np.int64), r"shape \(4,\)"),
+                        (np.array([[2**64 - 1, 0], [0, 1]], dtype=np.uint64),
+                         "uint64")):
             with pytest.raises(ValueError, match=text):
                 entry(a)
         # Bool is an integer dtype here.

@@ -361,14 +361,15 @@ def small_n_eigenvector(kind: str, m: int, anchor) -> dict:
         and 2e_h + e_i + e_j; -1 on e_i + 3e_j, 2e_h + 2e_j and
         e_h + 2e_i + e_j.
 
-    The matching eigenvalues are m-3, 2m-5 and m-6; coordinates are 0-based.
+    The matching eigenvalues are m-3, 2m-5 and m-6; coordinates are 0-based,
+    and the anchors must be distinct ones in range(m) (ValueError otherwise).
     """
     least, _, count, terms = _small_n(kind)
     if m < least:
         raise ValueError(f"{kind} construction needs m >= {least}")
     anchors = tuple(anchor) if count > 1 else (anchor,)
-    if len(set(anchors)) < count:
-        raise ValueError("anchor pair must be distinct")
+    if len(anchors) != count or len(set(anchors) & set(range(m))) < count:
+        raise ValueError(f"{kind} takes {count} distinct anchors in range(m)")
     others = [x for x in range(m) if x not in anchors]
     vec = {}
     for c, amounts in terms:

@@ -17,7 +17,8 @@ float32, and a pair is adjacent when it agrees in all but two places.
 
 Vertices carry hashable labels (integer tuples for SR and Johnson graphs);
 adjacency is stored as one Python-int bit row per vertex, which keeps edge
-tests, common-neighbour counts and induced subgraphs cheap and exact.
+tests, common-neighbour counts and induced subgraphs cheap and exact; a 0/1
+matrix becomes bit rows through _bit_rows alone, the inverse of _bit_matrix.
 """
 
 from __future__ import annotations
@@ -108,6 +109,15 @@ def _bit_matrix(rows, v=None):
     return bits[:, :v]
 
 
+def _bit_rows(bits):
+    """The inverse of _bit_matrix: the rows of a 2-D 0/1 (or bool) array as
+    Python-int bit rows, bit j of row i being bits[i, j]."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i * width:(i + 1) * width], "little")
+            for i in range(len(packed))]
+
+
 def _permuted_rows(rows, pos):
     """Bit rows relabelled by the permutation pos: new vertex pos[i] is old
     vertex i.  The caller validates pos.  A row with more than half of the
@@ -157,11 +167,7 @@ def _sr_rows(vectors):
     rows = []
     step = max(32, 2**18 // v)
     for lo in range(0, v, step):
-        agree = onehot[lo:lo + step] @ onehot.T
-        bits = np.packbits(agree == m - 2, axis=1, bitorder="little")
-        data, width = bits.tobytes(), bits.shape[1]
-        rows += (int.from_bytes(data[i:i + width], "little")
-                 for i in range(0, len(data), width))
+        rows += _bit_rows(onehot[lo:lo + step] @ onehot.T == m - 2)
     return rows
 
 
@@ -244,19 +250,10 @@ def cartesian_product(g, h):
     Vertex (i, j) of the product sits at index i*h.order + j and carries
     the label pair (g.labels[i], h.labels[j]).
     """
-    hv = h.order
     labels = [(la, lb) for la in g.labels for lb in h.labels]
-    rows = [0] * (g.order * hv)
-    for i in range(g.order):
-        gi = g.rows[i]
-        for j in range(hv):
-            acc = 0
-            for j2 in _bits(h.rows[j]):
-                acc |= 1 << (i * hv + j2)
-            for i2 in _bits(gi):
-                acc |= 1 << (i2 * hv + j)
-            rows[i * hv + j] = acc
-    return Graph(labels, rows)
+    ig, ih = np.identity(g.order, np.uint8), np.identity(h.order, np.uint8)
+    a, b = _bit_matrix(g.rows), _bit_matrix(h.rows)
+    return Graph(labels, _bit_rows(np.kron(a, ih) | np.kron(ig, b)))
 
 
 def cube_graph(d):

@@ -69,7 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, _bit_matrix, _bits, _permuted_rows
+from .graphs import Graph, _bit_matrix, _bit_rows, _bits, _permuted_rows
 
 
 class Disconnected(Exception):
@@ -378,8 +378,7 @@ def _clique_search(g: Graph, a, aut_generators):
         return 0
     orbits, sym = _symmetry_orbits(g, aut_generators)
     order = _degeneracy_order(a)
-    packed = np.packbits(a[order[:, None], order], axis=1, bitorder="little")
-    rows = [int.from_bytes(row, "little") for row in packed]
+    rows = _bit_rows(a[order[:, None], order])
     nrows = [~row for row in rows]
     pos = np.argsort(order).tolist()
     root = [0] * v

@@ -138,8 +138,9 @@ def _top_primes(count, below, span):
     return (low + np.flatnonzero(segment)[::-1][:count]).tolist()
 
 
-# The 96 largest primes below 2**20, descending.
+# The 96 largest primes below 2**20, descending, and the root screen's.
 PRIMES = _top_primes(96, 1 << 20, 4096)
+_SCREEN_PRIMES = PRIMES[:4]
 
 # Largest order v with v * (p - 1)**2 < 2**53 for every prime in PRIMES.
 MAX_ORDER = (2**53 - 1) // (max(PRIMES) - 1) ** 2
@@ -207,18 +208,18 @@ def _unitriangular_solve(u, c):
     return x
 
 
-def _label_array(labels, v):
-    """The v labels as a v x m int64 array: tuples of one length m through
-    np.fromiter, and any other labels (integers, 1-tuples, or labels of
-    unequal lengths, which np.array refuses) through np.array.  The lengths
-    are checked first, as np.fromiter with a count would misalign tuples of
-    unequal lengths whose entries add up to v m."""
+def _label_array(labels):
+    """The labels as a v x m int64 array, v = len(labels): tuples of one
+    length m through np.fromiter, and any other labels (integers, 1-tuples,
+    or labels of unequal lengths, which np.array refuses) through np.array.
+    The lengths are checked first, as np.fromiter with a count would
+    misalign tuples of unequal lengths whose entries add up to v m."""
     lengths = {len(t) if isinstance(t, tuple) else -1 for t in labels}
     m = lengths.pop() if len(lengths) == 1 else -1
     if m >= 0:
         return np.fromiter(itertools.chain.from_iterable(labels), np.int64,
-                           v * m).reshape(v, m)
-    return np.array(labels, dtype=np.int64).reshape(v, -1)
+                           len(labels) * m).reshape(len(labels), m)
+    return np.array(labels, dtype=np.int64).reshape(len(labels), -1)
 
 
 def _blocks(a, labels):
@@ -236,7 +237,7 @@ def _blocks(a, labels):
     if labels is not None and len(labels) != v:
         raise ValueError(f"{len(labels)} labels for a matrix of order {v}")
     if labels is not None and v:
-        lab = _label_array(labels, v)
+        lab = _label_array(labels)
         if lab.shape[1] >= 2:
             return _isotypic(a, lab)
     return [(np.asarray(a, dtype=np.int64), 1)] if v else []
@@ -550,13 +551,13 @@ def _norm(b):
 
 
 def _check_norm(norm):
-    """ValueError for a block norm with 2 norm >= PRIMES[3], the smallest
-    prime of the root screen: two of the candidates -norm..norm would then
-    share a residue mod that prime."""
-    if 2 * norm >= PRIMES[3]:
-        raise ValueError(f"block norm {norm} exceeds {PRIMES[3] // 2}, so "
-                         f"the root screen's candidates collide mod "
-                         f"{PRIMES[3]}")
+    """ValueError for a block norm with 2 norm >= p, p the smallest of the
+    _SCREEN_PRIMES: two of the candidates -norm..norm would then share a
+    residue mod p."""
+    p = min(_SCREEN_PRIMES)
+    if 2 * norm >= p:
+        raise ValueError(f"block norm {norm} exceeds {p // 2}, so the root "
+                         f"screen's candidates collide mod {p}")
 
 
 def _reduce(x, p):
@@ -570,7 +571,7 @@ def _reduce(x, p):
     return np.subtract(x, q, out=q)
 
 
-def _exact_chunks(b, roots, norm):
+def _exact_chunks(b, roots):
     """prod over roots of (b - cI) as a list of (matrix, bound) chunks, the
     product of whose matrices it is: each matrix, a polynomial in b (so the
     chunks commute), holds exact integers in float64, and each bound, a
@@ -587,9 +588,9 @@ def _exact_chunks(b, roots, norm):
     beta (||b|| + |c|) bounds the new P.  Once that bound reaches 2**53,
     beta is measured again as P's max absolute row sum, exact as every
     partial sum stays below beta; if the bound still reaches 2**53, P
-    closes a chunk and the next factor starts a new P.  norm is ||b||,
-    exact (_norm)."""
-    v = len(b)
+    closes a chunk and the next factor starts a new P.  Every bound rests
+    on ||b||, taken here, exactly, by _norm."""
+    v, norm = len(b), _norm(b)
     desc = sorted(map(operator.index, roots), reverse=True)
     if desc and norm + max(desc[0], -desc[-1]) >= 2**53:
         raise ValueError(f"norm {norm} and root {max(desc, key=abs)} reach "
@@ -636,10 +637,10 @@ def annihilation_proved(b, roots):
     above MAX_ORDER (float64 products mod p may round), and for a root c
     with ||b|| + |c| >= 2**53 (b - cI may not be exact in float64); the
     engine's blocks never come near it, as its candidates have
-    |c| <= ||b|| < PRIMES[3] / 2."""
+    |c| <= ||b|| < min(_SCREEN_PRIMES) / 2 (_check_norm)."""
     _check_matrix(b)
     _check_order(len(b))
-    chunks = _exact_chunks(b, roots, _norm(b))
+    chunks = _exact_chunks(b, roots)
     if len(chunks) == 1:
         return not chunks[0][0].any()
     bound = 2 * math.prod(beta for _, beta in chunks)
@@ -690,9 +691,9 @@ def _integer_roots(chi, norm, p):
 def _block_spectrum(b, norm):
     """Descending (eigenvalue, multiplicity) pairs of the block b's integer
     eigenvalues, proven exact if they add up to its order (steps 1-3 of the
-    module docstring); RuntimeError if the proof fails at four primes.
-    norm is ||b||, which bounds the candidates."""
-    for p in PRIMES[:4]:
+    module docstring); RuntimeError if the proof fails at each of the
+    _SCREEN_PRIMES.  norm is ||b||, which bounds the candidates."""
+    for p in _SCREEN_PRIMES:
         pairs = _integer_roots(charpoly_mod(b, p), norm, p)
         if sum(e for _, e in pairs) < len(b) or \
                 annihilation_proved(b, [c for c, _ in pairs]):
@@ -711,15 +712,15 @@ def certified_symmetric_spectrum(a, labels=None):
     its max absolute row sum a candidate, and the answer is the same as
     without labels.  Raises IncompleteSpectrum when the matrix provably has
     non-integer eigenvalues, and RuntimeError when a block's annihilation
-    certificate fails for each of the first four primes, as it does for
+    certificate fails for each of the _SCREEN_PRIMES, as it does for
     every matrix that is not diagonalizable, or when a block's M is not
     unitriangular in label order or fails its exact check.  Raises
     ValueError for an a that is not such an ndarray, for labels not
     one per index, no such symmetry or with entries spanning more than
     (2**63 - 1) / m integers, for a block order above MAX_ORDER, and for a
-    block whose max absolute row sum ||B|| has 2 ||B|| >= PRIMES[3], where
-    two candidates would share a residue mod the smallest of the four primes
-    the root screen tries; every check runs before any block is certified.
+    block whose max absolute row sum ||B|| has 2 ||B|| >= min(_SCREEN_PRIMES),
+    where two candidates would share a residue mod the smallest prime the
+    root screen tries; every check runs before any block is certified.
     """
     _check_matrix(a)
     blocks = _blocks(a, labels)

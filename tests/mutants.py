@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 
 
 INVARIANTS = "src/rooklab/invariants.py"
+GRAPHS = "src/rooklab/graphs.py"
 MODULAR = "src/rooklab/modular.py"
 HESSENBERG = ("tests/test_modular.py::TestCharpolyMod"
               "::test_hessenberg_above_the_crossover",)
@@ -52,6 +53,10 @@ BALANCED_HESSENBERG = "Run the Hessenberg charpoly on balanced residues"
 NO_RESTATED_ARGUMENTS = "Delete code that no answer depends on"
 DENSE_SYMMETRY = "Check the S_m split's symmetry densely"
 ONE_SOURCE = "Give each fact of the engine and the small-n vectors one source"
+NARROW_TYPES = "Keep SR spectra in the narrowest exact types"
+BIT_ROWS = ("Give bit rows and the engine's norm, label count and screen "
+            "primes one source each")
+NARROW = "tests/test_modular.py::TestNarrowTypes::"
 SYMMETRY_SPLIT = "tests/test_modular.py::TestSymmetrySplit::"
 
 MUTANTS = (
@@ -161,8 +166,8 @@ MUTANTS = (
            ENGINE_ENTRIES, ONE_SOURCE),
     # The proof's exact chunks rest on half the norm.
     Mutant(MODULAR,
-           "    chunks = _exact_chunks(b, roots, _norm(b))\n",
-           "    chunks = _exact_chunks(b, roots, _norm(b) // 2)\n",
+           "    v, norm = len(b), _norm(b)\n",
+           "    v, norm = len(b), _norm(b) // 2\n",
            ("tests/test_modular.py::TestChunkBoundary"
             "::test_refused_from_two_to_the_53",),
            ONE_SOURCE),
@@ -174,6 +179,66 @@ MUTANTS = (
             "::test_table_matches_the_hand_built_branches",
             "tests/test_eigenvectors.py::TestSmallN::test_n4_vectors"),
            ONE_SOURCE),
+    # The norm's row sums stay in uint64 past 2**64, where they wrap.
+    Mutant(MODULAR,
+           "    if int(mag.max()) * mag.shape[1] < 2**64:\n",
+           "    if int(mag.max()) * mag.shape[1] < 2**65:\n",
+           (NARROW + "test_norm_sums_rows_exactly",), NARROW_TYPES),
+    # An unsplit matrix's one block keeps a's dtype instead of int64.
+    Mutant(MODULAR,
+           "    return [(np.asarray(a, dtype=np.int64), 1)] if v else []\n",
+           "    return [(np.asarray(a), 1)] if v else []\n",
+           (NARROW + "test_input_dtypes_give_the_same_pairs",), NARROW_TYPES),
+    # The label length is read off the first label alone, so ragged labels
+    # go through np.fromiter.
+    Mutant(MODULAR,
+           "    lengths = {len(t) if isinstance(t, tuple) else -1 for t in "
+           "labels}\n",
+           "    lengths = {len(t) if isinstance(t, tuple) else -1 for t in "
+           "labels[:1]}\n",
+           (NARROW + "test_ragged_labels_refused",), NARROW_TYPES),
+    # Labels are keyed as one int64 up to width**m = 2**63.
+    Mutant(MODULAR,
+           "    if width**m < 2**62:\n",
+           "    if width**m < 2**63:\n",
+           (NARROW + "test_label_keys_on_both_sides_of_the_bound",),
+           NARROW_TYPES),
+    # A M is taken in float32 up to 2**25.
+    Mutant(MODULAR,
+           "    exact = np.float32 if delta * int(top.max()) < 2**24 else "
+           "np.float64\n",
+           "    exact = np.float32 if delta * int(top.max()) < 2**25 else "
+           "np.float64\n",
+           (NARROW + "test_product_width_on_both_sides_of_the_bound",),
+           NARROW_TYPES),
+    # The norm guard reads the largest screen prime, not the smallest.
+    Mutant(MODULAR,
+           "    p = min(_SCREEN_PRIMES)\n",
+           "    p = max(_SCREEN_PRIMES)\n",
+           ("tests/test_modular.py::TestCertificate"
+            "::test_norm_guard_reads_the_screen_primes",
+            "tests/test_modular.py::TestCertificate"
+            "::test_block_norm_where_candidates_collide_refused"),
+           BIT_ROWS),
+    # Bit rows packed high bit first.
+    Mutant(GRAPHS,
+           '    packed = np.packbits(bits, axis=1, bitorder="little")\n',
+           '    packed = np.packbits(bits, axis=1, bitorder="big")\n',
+           ("tests/test_graphs.py::TestBitRows"
+            "::test_bit_rows_invert_bit_matrix",), BIT_ROWS),
+    # The cartesian product without its edges inside each copy of h.
+    Mutant(GRAPHS,
+           "_bit_rows(np.kron(a, ih) | np.kron(ig, b))",
+           "_bit_rows(np.kron(a, ih))",
+           ("tests/test_graphs.py::TestStandardGraphs"
+            "::test_cartesian_product_matches_the_bitwise_oracle",),
+           BIT_ROWS),
+    # Anchors are checked for distinctness only.
+    Mutant("src/rooklab/eigenvectors.py",
+           "len(set(anchors) & set(range(m))) < count",
+           "len(set(anchors)) < count",
+           ("tests/test_eigenvectors.py::TestSmallN"
+            "::test_anchors_outside_range_or_count_refused",), BIT_ROWS),
 )
 
 

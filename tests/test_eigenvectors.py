@@ -600,3 +600,12 @@ class TestSmallN:
             small_n_eigenvector("n3_m-3", 2, 0)
         with pytest.raises(ValueError):
             small_n_eigenvector("n4_m-6", 5, (2, 2))
+
+    def test_anchors_outside_range_or_count_refused(self):
+        # Each was misread: -1 as coordinate 3, with a zero entry at
+        # (0, 0, 0, 3); 4 as an IndexError; (0, -5) as twelve zero
+        # entries; a third anchor as six entries that are no eigenvector.
+        for args in (("n3_m-3", 4, -1), ("n3_m-3", 4, 4),
+                     ("n4_m-6", 5, (0, -5)), ("n4_m-6", 6, (0, 1, 2))):
+            with pytest.raises(ValueError, match="distinct anchors in range"):
+                small_n_eigenvector(*args)

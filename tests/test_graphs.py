@@ -17,8 +17,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import bits, from_edges, property_test, to_nx
-from rooklab.graphs import (Graph, _permuted_rows, _sr_rows,
-                            cartesian_product, complete_bipartite,
+from rooklab.graphs import (Graph, _bit_matrix, _bit_rows, _permuted_rows,
+                            _sr_rows, cartesian_product, complete_bipartite,
                             complete_graph, cube_graph, cycle_graph,
                             johnson_graph, sr_graph, sr_order, sr_vertices)
 
@@ -61,6 +61,24 @@ def dense_relabelings(draw):
     h = nx.gnp_random_graph(v, p, seed=seed)
     perm = draw(st.permutations(range(v)))
     return from_edges(range(v), h.edges()), perm
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on up to 7 vertices labelled by strings, from edgeless to
+    complete; the graph with no vertices included."""
+    v = draw(st.integers(0, 7))
+    p = draw(st.sampled_from((0.0, 0.4, 1.0)))
+    h = nx.gnp_random_graph(v, p, seed=draw(st.integers(0, 2**32 - 1)))
+    return from_edges([f"v{i}" for i in range(v)],
+                      [(f"v{a}", f"v{b}") for a, b in h.edges])
+
+
+@st.composite
+def bit_rows_of_width(draw):
+    """A width v from 0 to 130 and a few bit rows over v vertices."""
+    v = draw(st.integers(0, 130))
+    return v, draw(st.lists(st.integers(0, 2**v - 1), max_size=8))
 
 
 class TestSRVertices:
@@ -232,10 +250,34 @@ class TestStandardGraphs:
         assert nx.is_isomorphic(
             to_nx(p), nx.cartesian_product(nx.cycle_graph(4), nx.complete_graph(3)))
 
+    @property_test
+    @given(small_graphs(), small_graphs())
+    def test_cartesian_product_matches_the_bitwise_oracle(self, g, h):
+        p = cartesian_product(g, h)
+        assert p.rows == oracle_cartesian_rows(g, h)
+        assert p.labels == tuple((a, b) for a in g.labels for b in h.labels)
+
     def test_cube_is_iterated_product(self):
         k2 = complete_graph(2)
         q3 = cartesian_product(cartesian_product(k2, k2), k2)
         assert nx.is_isomorphic(to_nx(q3), to_nx(cube_graph(3)))
+
+
+def oracle_cartesian_rows(g, h):
+    """The rows of g's cartesian product with h, set one neighbour bit at a
+    time: (i, j), at i * h.order + j, gets (i, j2) for each j2 ~ j in h and
+    (i2, j) for each i2 ~ i in g."""
+    hv = h.order
+    rows = [0] * (g.order * hv)
+    for i in range(g.order):
+        for j in range(hv):
+            acc = 0
+            for j2 in bits(h.rows[j]):
+                acc |= 1 << (i * hv + j2)
+            for i2 in bits(g.rows[i]):
+                acc |= 1 << (i2 * hv + j)
+            rows[i * hv + j] = acc
+    return tuple(rows)
 
 
 def oracle_permuted_rows(rows, pos):
@@ -329,3 +371,21 @@ class TestGraphOps:
             assert a.dtype == np.int64 and a.shape == (g.order, g.order)
             assert all(a[i, j] == g.rows[i] >> j & 1
                        for i in range(g.order) for j in range(g.order))
+
+
+class TestBitRows:
+    @property_test
+    @given(bit_rows_of_width())
+    def test_bit_rows_invert_bit_matrix(self, case):
+        v, rows = case
+        matrix = _bit_matrix(rows, v)
+        assert matrix.shape == (len(rows), v)
+        assert _bit_rows(matrix) == rows
+        assert _bit_rows(matrix.astype(bool)) == rows
+
+    def test_every_width_to_130(self):
+        # Widths 0..130, most of them not a whole number of bytes: no
+        # bits, all bits, and the top bit alone each come back.
+        for v in range(131):
+            rows = [0, 2**v - 1, 2**v >> 1]
+            assert _bit_rows(_bit_matrix(rows, v)) == rows

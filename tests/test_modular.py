@@ -377,6 +377,17 @@ class TestCertificate:
             with pytest.raises(ValueError, match="collide"):
                 certified_symmetric_spectrum(np.diag([big, 0]))
 
+    def test_norm_guard_reads_the_screen_primes(self, monkeypatch):
+        # With a fifth screen prime the guard moves down to PRIMES[4]: a
+        # block with 2 ||B|| = PRIMES[4] + 1, below PRIMES[3] and so within
+        # the guard of the four primes, is refused.
+        c = (PRIMES[4] + 1) // 2
+        assert 2 * c < PRIMES[3]
+        modular._check_norm(c)
+        monkeypatch.setattr(modular, "_SCREEN_PRIMES", tuple(PRIMES[:5]))
+        with pytest.raises(ValueError, match=f"collide mod {PRIMES[4]}"):
+            certified_symmetric_spectrum(np.diag([c, 0]))
+
     def test_annihilation_rejects_wrong_eigenvalue_list(self):
         g = sr_graph(4, 1)  # K_4
         a = g.adjacency_matrix()
@@ -409,7 +420,7 @@ class TestCertificate:
         roots = [c for c, _ in modular._block_spectrum(block, 34)]
         assert a_priori_bound(block, roots).bit_length() == 80
         for c in roots:
-            [(factor, bound)] = _exact_chunks(block, [c], 34)
+            [(factor, bound)] = _exact_chunks(block, [c])
             assert bound == 34 + abs(c)
             assert np.array_equal(factor, block - c * np.eye(25))
         [(product, bound)] = assert_exact_chunks(block, roots)
@@ -429,8 +440,7 @@ class TestCertificate:
         def counted(b, roots):
             before = len(joins)
             result = proved(b, roots)
-            calls.append((len(_exact_chunks(b, roots, modular._norm(b))),
-                          len(joins) - before))
+            calls.append((len(_exact_chunks(b, roots)), len(joins) - before))
             return result
 
         monkeypatch.setattr(modular, "annihilation_proved", counted)
@@ -477,11 +487,11 @@ def exact_annihilator_mod(a, roots, p):
 
 
 def assert_exact_chunks(a, roots):
-    """_exact_chunks(a, roots, ||a||), checked: the product of its
-    matrices, taken in Python ints, is the exact product; each matrix holds
-    integers in float64, and each bound is a Python int below 2**53 and at
-    least the matrix's max absolute row sum."""
-    chunks = _exact_chunks(a, roots, modular._norm(a))
+    """_exact_chunks(a, roots), checked: the product of its matrices,
+    taken in Python ints, is the exact product; each matrix holds integers
+    in float64, and each bound is a Python int below 2**53 and at least the
+    matrix's max absolute row sum."""
+    chunks = _exact_chunks(a, roots)
     v = len(a)
     product = [[int(i == j) for j in range(v)] for i in range(v)]
     for m, bound in chunks:
@@ -571,7 +581,7 @@ class TestReduction:
                     off = (f1 - f0) // v
                     expected = np.full((v, v), off % p, dtype=np.int64)
                     np.fill_diagonal(expected, (off + f0) % p)
-                    chunks = _exact_chunks(a, roots, v * abs(h))
+                    chunks = _exact_chunks(a, roots)
                     assert len(chunks) == (len(roots) if h != -1 else
                                            -(-len(roots) // 6))
                     got = _join_mod(chunks, p)
@@ -738,7 +748,7 @@ class TestChunkBoundary:
             with pytest.raises(ValueError, match="2\\*\\*53"):
                 annihilation_proved(b, roots)
             with pytest.raises(ValueError, match="2\\*\\*53"):
-                _exact_chunks(b, roots, t)
+                _exact_chunks(b, roots)
         assert joins == []
 
 
